@@ -126,13 +126,21 @@ def _cmd_tag(args) -> int:
     return 0
 
 
+def _read_standoff(path) -> list[StandoffAnnotation]:
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return taggers.parse_standoff(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _cmd_graft(args) -> int:
     with open(args.trees, encoding="utf-8") as fh:
         corpus = trees.read_ptb(fh.read())
     annotations: list[StandoffAnnotation] = []
     for path in args.standoff:
-        with open(path, encoding="utf-8") as fh:
-            batch = taggers.parse_standoff(fh.read())
+        batch = _read_standoff(path)
         too_far = [a for a in batch if a.sentence >= len(corpus)]
         if too_far:
             log.error(
@@ -179,11 +187,7 @@ def _cmd_rules(args) -> int:
 
 
 def _cmd_agreement(args) -> int:
-    with open(args.file_a, encoding="utf-8") as fh:
-        a = taggers.parse_standoff(fh.read())
-    with open(args.file_b, encoding="utf-8") as fh:
-        b = taggers.parse_standoff(fh.read())
-    report = taggers.agreement(a, b)
+    report = taggers.agreement(_read_standoff(args.file_a), _read_standoff(args.file_b))
     sys.stdout.write(report.format())
     return 0
 

@@ -14,6 +14,10 @@ Each annotation's token span is classified against the tree:
 * Crossing brackets: the span straddles constituents; the tree is left
   alone.
 
+The classification has one implementation, the working copy's
+``same_span_chain`` and ``adjacent_daughters``; ``graft`` acts on it and
+``classify_span`` reports it.
+
 Annotations are processed family by family (named entities before
 modality/negation by default) and within a family in ascending
 precedence, so the highest-precedence tag lands last and wins
@@ -32,9 +36,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .tags import MNTag, Modality, Role, compose_negation, parse_tag, specificity_rank
+from .tags import MNTag, Modality, Role, TagError, compose_negation, parse_tag, specificity_rank
 from .taggers import MN_FAMILY, NE_FAMILY, StandoffAnnotation
-from .trees import ParseTree, Span, base_category
+from .trees import ParseTree, Span, base_category, spans_by_id
 
 OUTCOMES = (
     "grafted-exact",
@@ -49,7 +53,6 @@ OUTCOMES = (
 @dataclass(frozen=True)
 class GraftConfig:
     family_order: tuple[str, ...] = (NE_FAMILY, MN_FAMILY)
-    target_over_trigger: bool = True
 
 
 @dataclass
@@ -78,51 +81,41 @@ class SpanCase(Enum):
 
 
 def classify_span(tree: ParseTree, span: Span) -> tuple[SpanCase, ParseTree | None]:
-    """Classify a span; for Exact the topmost same-span node is returned."""
-    from .trees import node_spans
+    """Classify a span; for Exact the topmost same-span node is returned.
 
-    spans = node_spans(tree)
-    total = spans[0][1].end
-    if span.end > total:
-        raise ValueError(f"span {span} outside sentence of {total} tokens")
-    same = [n for n, s in spans if s == span]
-    if same:
-        return SpanCase.EXACT, same[0]  # preorder, so topmost first
-    by_id = {id(n): s for n, s in spans}
-    for n, _ in spans:
-        kids = n.children
-        for i, kid in enumerate(kids):
-            if by_id[id(kid)].start != span.start:
-                continue
-            j = i
-            while j < len(kids) and by_id[id(kids[j])].end < span.end:
-                j += 1
-            if j < len(kids) and by_id[id(kids[j])].end == span.end and (j - i + 1) < len(kids):
-                return SpanCase.ADJACENT_DAUGHTERS, None
+    This is the classification ``graft`` acts on, made by the same calls
+    on a fresh working copy of the tree; there is no second copy of it.
+    """
+    shadow = _Shadow(tree)
+    if span.end > shadow.size:
+        raise ValueError(f"span {span} outside sentence of {shadow.size} tokens")
+    chain = shadow.same_span_chain(span)
+    if chain:
+        return SpanCase.EXACT, chain[0].source
+    if shadow.adjacent_daughters(span) is not None:
+        return SpanCase.ADJACENT_DAUGHTERS, None
     return SpanCase.CROSSING, None
 
 
 class _GNode:
     __slots__ = (
         "label",
-        "token",
         "children",
         "parent",
         "start",
         "end",
         "applied",
-        "inserted",
+        "source",
     )
 
-    def __init__(self, label, token, children, start, end, inserted=False):
+    def __init__(self, label, children, start, end, source=None):
         self.label = label
-        self.token = token
         self.children = children
         self.parent = None
         self.start = start
         self.end = end
         self.applied = []  # list of [label, family, role, seq, alive]
-        self.inserted = inserted
+        self.source = source  # the input node; None for an inserted node
         for c in children:
             c.parent = self
 
@@ -134,21 +127,18 @@ class _GNode:
         return [e for e in self.applied if e[4]]
 
 
+def _build(node: ParseTree, spans: dict[int, Span]) -> _GNode:
+    span = spans[id(node)]
+    children = [_build(c, spans) for c in node.children]
+    return _GNode(node.label, children, span.start, span.end, node)
+
+
 class _Shadow:
     """Mutable working copy of a tree with live span bookkeeping."""
 
     def __init__(self, tree: ParseTree):
-        def build(node: ParseTree, start: int) -> tuple[_GNode, int]:
-            if node.is_leaf:
-                return _GNode(node.label, node.token, [], start, start + 1), start + 1
-            children = []
-            pos = start
-            for c in node.children:
-                g, pos = build(c, pos)
-                children.append(g)
-            return _GNode(node.label, None, children, start, pos), pos
-
-        self.root, self.size = build(tree, 0)
+        self.root = _build(tree, spans_by_id(tree))
+        self.size = self.root.end
 
     def nodes(self):
         stack = [self.root]
@@ -176,7 +166,7 @@ class _Shadow:
 
     def insert(self, parent: _GNode, i: int, j: int, label: str) -> _GNode:
         grabbed = parent.children[i : j + 1]
-        new = _GNode(label, None, list(grabbed), grabbed[0].start, grabbed[-1].end, inserted=True)
+        new = _GNode(label, list(grabbed), grabbed[0].start, grabbed[-1].end)
         parent.children[i : j + 1] = [new]
         new.parent = parent
         return new
@@ -193,7 +183,7 @@ class _Shadow:
 def _mn_tag(label: str) -> MNTag | None:
     try:
         return parse_tag(label)
-    except Exception:
+    except TagError:
         return None
 
 
@@ -268,8 +258,7 @@ def graft(
     for g in grafted:
         report.bump(g.outcome)
 
-    final = _render(shadow, config)
-    return final, report
+    return _render(shadow), report
 
 
 def _compose(shadow: _Shadow, grafted: list[_Grafted]) -> None:
@@ -344,7 +333,7 @@ def _siblings(a: _Grafted, b: _Grafted) -> bool:
     )
 
 
-def _render(shadow: _Shadow, config: GraftConfig) -> ParseTree:
+def _render(shadow: _Shadow) -> ParseTree:
     def final_label(n: _GNode) -> str | None:
         alive = n.alive_applied()
         if not alive:
@@ -352,7 +341,7 @@ def _render(shadow: _Shadow, config: GraftConfig) -> ParseTree:
         chosen = max(alive, key=lambda e: e[3])
         # Trigger-vs-target conflicts are adjudicated within the MN
         # family only; a later family's tag stands.
-        if config.target_over_trigger and chosen[2] is Role.TRIGGER:
+        if chosen[2] is Role.TRIGGER:
             targets = [e for e in alive if e[2] is Role.TARGET]
             if targets:
                 chosen = max(targets, key=lambda e: e[3])
@@ -360,14 +349,15 @@ def _render(shadow: _Shadow, config: GraftConfig) -> ParseTree:
 
     def walk(n: _GNode) -> ParseTree:
         tag = final_label(n)
-        if n.inserted:
+        inserted = n.source is None
+        if inserted:
             label = tag if tag is not None else n.label
         else:
             label = n.label + ("-" + tag if tag is not None else "")
         if not n.children:
-            return ParseTree(label, (), n.token)
+            return ParseTree(label, (), n.source.token)
         kids = tuple(walk(c) for c in n.children)
-        if n.inserted and len(kids) == 1 and tag is None:
+        if inserted and len(kids) == 1 and tag is None:
             # An inserted node whose tag was dropped would be an empty
             # shell; keep it with its original label for traceability.
             label = n.label

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .lexicon import Lexicon, LexiconEntry
 from .matcher import PatternRule, parse_pattern
 from .tags import MNTag, Modality, Role, is_tag_string
-from .trees import ParseTree, Span
+from .trees import ParseTree, Span, spans_by_id
 
 log = logging.getLogger(__name__)
 
@@ -64,23 +64,7 @@ def word_spans(tree: ParseTree) -> dict[int, Span]:
 
     Nodes whose yield is markers only are absent.
     """
-    spans: dict[int, Span] = {}
-
-    def walk(n: ParseTree, start: int) -> int:
-        if n.is_leaf:
-            if is_marker_leaf(n):
-                return start
-            spans[id(n)] = Span(start, start + 1)
-            return start + 1
-        pos = start
-        for c in n.children:
-            pos = walk(c, pos)
-        if pos > start:
-            spans[id(n)] = Span(start, pos)
-        return pos
-
-    walk(tree, 0)
-    return spans
+    return spans_by_id(tree, is_word=lambda n: not is_marker_leaf(n))
 
 
 def _is_verbal_label(label: str) -> bool:

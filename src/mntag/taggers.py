@@ -78,9 +78,13 @@ def parse_standoff(text: str) -> list[StandoffAnnotation]:
         if len(parts) != 5:
             raise ValueError(f"standoff line {lineno}: expected 5 tab-separated fields")
         sentence, start, end, label, family = parts
-        out.append(
-            StandoffAnnotation(int(sentence), Span(int(start), int(end)), label, family)
-        )
+        try:
+            ann = StandoffAnnotation(int(sentence), Span(int(start), int(end)), label, family)
+        except ValueError as exc:
+            raise ValueError(f"standoff line {lineno}: {exc}") from None
+        if ann.sentence < 0:
+            raise ValueError(f"standoff line {lineno}: negative sentence index {ann.sentence}")
+        out.append(ann)
     return out
 
 
@@ -163,20 +167,15 @@ class TagResult:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def _compose_pass(
-    links: list[_Link],
-    diagnostics: list[str],
-    nested_exempt: bool,
-    scope_over_following: bool,
-) -> None:
+def _compose_pass(links: list[_Link], diagnostics: list[str], structure: bool) -> None:
     """Fold negation links into the modality links they scope over.
 
-    With ``nested_exempt`` set, composition is skipped when the word
-    that would receive the rewritten tag is itself a trigger; the raw
-    tags stay for downstream composition during grafting.  With
-    ``scope_over_following``, a negation immediately before a trigger
-    also composes into that trigger's target (structure tagger only;
-    the string tagger composes only between a trigger and its target).
+    The string tagger composes only between a trigger and its target.
+    With ``structure`` set (the structure tagger), a negation
+    immediately before a trigger also composes into that trigger's
+    target, and composition is skipped when the word that would receive
+    the rewritten tag is itself a trigger; the raw tags stay for
+    downstream composition during grafting.
     """
     mod_links = [
         l
@@ -200,20 +199,20 @@ def _compose_pass(
         ]
         if straddled:
             link = max(straddled, key=lambda l: l.trigger_span.end)
-            if nested_exempt and link.target_span in trigger_spans:
+            if structure and link.target_span in trigger_spans:
                 continue
             if link.target_ann is not None:
                 link.target_ann.tag = compose_negation(link.target_ann.tag, True)
             if neg.target_ann is not None and neg.target_ann.span == link.target_span:
                 neg.target_ann.alive = False
             composed = True
-        elif scope_over_following:
+        elif structure:
             following = [
                 l for l in mod_links if l.trigger_span.start == neg.trigger_span.end
             ]
             if following:
                 link = following[0]
-                if nested_exempt and link.target_span in trigger_spans:
+                if link.target_span in trigger_spans:
                     continue
                 if link.target_ann is not None:
                     link.target_ann.tag = compose_negation(link.target_ann.tag, True)
@@ -282,7 +281,7 @@ def tag_string(
                 )
             links.append(link)
 
-    _compose_pass(links, diagnostics, nested_exempt=False, scope_over_following=False)
+    _compose_pass(links, diagnostics, structure=False)
     annotations = _finish_annotations(anns, sentence)
 
     tag_sets: list[set[MNTag]] = [set() for _ in tagged]
@@ -361,36 +360,28 @@ def tag_structure(
 
         current = matcher.apply(rule, current, on_rewrite=record)
 
-    _compose_pass(links, diagnostics, nested_exempt=True, scope_over_following=True)
+    _compose_pass(links, diagnostics, structure=True)
     annotations = _finish_annotations(anns, sentence)
     folded = fold_markers(current, annotations)
     return StructureResult(folded, annotations, diagnostics, fired)
 
 
-def fold_markers(
-    tree: ParseTree, annotations: Sequence[StandoffAnnotation] | None = None
-) -> ParseTree:
+def fold_markers(tree: ParseTree, annotations: Sequence[StandoffAnnotation]) -> ParseTree:
     """Replace marker daughters with label suffixes.
 
     Preprocessing markers (AUX, VoicePassive) are dropped.  A node that
     carried tag markers gains one ``-`` suffix per annotation on its
-    word span, in precedence order; with no annotation list given, the
-    markers themselves provide the labels.
+    word span, in precedence order.
     """
     by_span: dict[Span, list[str]] = {}
-    if annotations is not None:
-        for a in annotations:
-            by_span.setdefault(a.span, []).append(a.label)
+    for a in annotations:
+        by_span.setdefault(a.span, []).append(a.label)
     spans = rulegen.word_spans(tree)
 
     def suffixes_for(node: ParseTree, marker_labels: list[str]) -> list[str]:
-        tag_markers = [l for l in marker_labels if l not in (rulegen.AUX_MARKER, rulegen.PASSIVE_MARKER)]
-        if not tag_markers:
+        if all(l in (rulegen.AUX_MARKER, rulegen.PASSIVE_MARKER) for l in marker_labels):
             return []
-        if annotations is not None:
-            labels = by_span.get(spans.get(id(node)), [])  # type: ignore[arg-type]
-        else:
-            labels = tag_markers
+        labels = by_span.get(spans.get(id(node)), [])  # type: ignore[arg-type]
         return sorted(set(labels), key=lambda l: (specificity_rank(parse_tag(l)), l))
 
     def walk(node: ParseTree) -> ParseTree:
@@ -416,7 +407,7 @@ def fold_markers(
 def _inline_rank(label: str) -> tuple:
     try:
         tag = parse_tag(label)
-    except Exception:
+    except TagError:
         return (999, 0, label)
     return (specificity_rank(tag), 0 if tag.role is Role.TRIGGER else 1, label)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 _LABEL_BAD = re.compile(r"[\s()]")
 _PTB_TOKEN = re.compile(r"\(|\)|[^()\s]+")
@@ -110,32 +110,59 @@ class Span:
         return self.start <= other.start and other.end <= self.end
 
 
+def spans_by_id(
+    tree: ParseTree, is_word: Callable[[ParseTree], bool] | None = None
+) -> dict[int, Span]:
+    """Map from node id to the span of the node's yield, in preorder.
+
+    Offsets count only the leaves ``is_word`` accepts (every leaf when it
+    is None), 0-based and end-exclusive; a node whose yield holds no
+    such leaf is absent.  Nodes are keyed by identity, so a tree that
+    holds one node object at two places is rejected.
+    """
+    spans: dict[int, Span] = {}
+    _walk_spans(tree, 0, spans, is_word)
+    return spans
+
+
+def _walk_spans(
+    n: ParseTree, start: int, spans: dict, is_word: Callable[[ParseTree], bool] | None
+) -> int:
+    # A module-level function, not a closure: a recursive closure is a
+    # reference cycle, which would keep ``spans`` alive until the cyclic
+    # garbage collector runs.
+    key = id(n)
+    if key in spans:
+        raise ValueError(f"node {n.label!r} occurs twice in the tree")
+    if n.is_leaf:
+        if is_word is not None and not is_word(n):
+            return start
+        spans[key] = Span(start, start + 1)
+        return start + 1
+    # Hold the preorder slot; filled or dropped once the yield is known.
+    spans[key] = None
+    pos = start
+    for child in n.children:
+        pos = _walk_spans(child, pos, spans, is_word)
+    if pos > start:
+        spans[key] = Span(start, pos)
+    else:
+        del spans[key]
+    return pos
+
+
 def node_spans(tree: ParseTree) -> list[tuple[ParseTree, Span]]:
     """Every node paired with the span of its yield, in preorder."""
-    out: list[tuple[ParseTree, Span]] = []
-
-    def walk(n: ParseTree, start: int) -> int:
-        if n.is_leaf:
-            out.append((n, Span(start, start + 1)))
-            return start + 1
-        slot = len(out)
-        out.append((n, Span(start, start + 1)))  # placeholder end
-        pos = start
-        for child in n.children:
-            pos = walk(child, pos)
-        out[slot] = (n, Span(start, pos))
-        return pos
-
-    walk(tree, 0)
-    return out
+    spans = spans_by_id(tree)
+    return [(n, spans[id(n)]) for n in iter_nodes(tree)]
 
 
 def node_span(tree: ParseTree, target: ParseTree) -> Span:
     """Span of ``target``, located in ``tree`` by object identity."""
-    for n, span in node_spans(tree):
-        if n is target:
-            return span
-    raise ValueError("node does not belong to this tree")
+    span = spans_by_id(tree).get(id(target))
+    if span is None:
+        raise ValueError("node does not belong to this tree")
+    return span
 
 
 def base_category(label: str) -> str:

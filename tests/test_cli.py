@@ -112,6 +112,28 @@ def test_graft_sentence_count_mismatch_exits_2(tmp_path):
     ) == 2
 
 
+def test_graft_negative_sentence_index_exits_2(tmp_path, caplog):
+    rogue = tmp_path / "rogue.tsv"
+    rogue.write_text("0\t0\t1\tTargAble\tMN\n-1\t0\t1\tTrigAble\tMN\n")
+    assert run(
+        "graft", "--trees", TREES, "--standoff", rogue,
+        "--out", tmp_path / "o.ptb", "--report", tmp_path / "r.txt",
+    ) == 2
+    assert f"{rogue}: standoff line 2: negative sentence index -1" in caplog.text
+
+
+def test_negative_span_start_exits_2_naming_file_and_line(tmp_path, caplog):
+    rogue = tmp_path / "rogue.tsv"
+    rogue.write_text("# comment\n0\t-1\t1\tTrigAble\tMN\n")
+    assert run(
+        "graft", "--trees", TREES, "--standoff", rogue,
+        "--out", tmp_path / "o.ptb", "--report", tmp_path / "r.txt",
+    ) == 2
+    assert run("agreement", GOLDEN, rogue) == 2
+    lines = [l for l in caplog.text.splitlines() if f"{rogue}: standoff line 2: " in l]
+    assert len(lines) == 2
+
+
 def test_graft_family_order_changes_conflict_output(tmp_path):
     conflict = tmp_path / "conflict.tsv"
     # Pakistan in sentence 2 is both GPE and an MN target here.

@@ -1,5 +1,9 @@
+import random
+
 from mntag.lexicon import load_lexicon
 import pytest
+
+from conftest import random_tree
 
 from mntag.matcher import parse_pattern
 from mntag.rulegen import (
@@ -10,7 +14,7 @@ from mntag.rulegen import (
     word_spans,
     word_tokens,
 )
-from mntag.trees import flatten, read_ptb, write_ptb
+from mntag.trees import ParseTree, Span, flatten, iter_nodes, read_ptb, write_ptb
 
 
 def test_preprocess_passive_clause():
@@ -50,12 +54,53 @@ def test_perfect_have_is_not_passive():
     assert "(VBP have AUX)" in out
 
 
+_MARKERS = ["AUX", "VoicePassive", "TrigAble", "TargNOTRequire"]
+
+
+def _with_markers(rng, tree):
+    """Insert marker leaves at random, some wrapped in marker-only nodes."""
+    if tree.is_leaf:
+        return tree
+    kids = [_with_markers(rng, c) for c in tree.children]
+    for _ in range(rng.randint(0, 2)):
+        label = rng.choice(_MARKERS)
+        marker = ParseTree(label, (), label)
+        if rng.random() < 0.3:
+            marker = ParseTree("X", (marker,))
+        kids.insert(rng.randint(0, len(kids)), marker)
+    return ParseTree(tree.label, tuple(kids))
+
+
+def _word_spans_oracle(tree):
+    """Spans found by counting the non-marker leaves before and inside
+    each node; marker-only nodes are absent."""
+    leaves = tree.leaves()
+    out = {}
+    for n in iter_nodes(tree):
+        inside = [l for l in n.leaves() if not is_marker_leaf(l)]
+        if not inside:
+            continue
+        first = next(i for i, l in enumerate(leaves) if l is n.leaves()[0])
+        before = sum(1 for l in leaves[:first] if not is_marker_leaf(l))
+        out[id(n)] = Span(before, before + len(inside))
+    return out
+
+
 def test_word_tokens_exclude_markers():
     tree = preprocess(read_ptb("(S (NP (NNS Tents)) (VBP are) (VBN needed))")[0])
     assert word_tokens(tree) == ["Tents", "are", "needed"]
     spans = word_spans(tree)
     leaves = [n for n in tree.leaves() if is_marker_leaf(n)]
     assert leaves and all(id(n) not in spans for n in leaves)
+    rng = random.Random(4242)
+    marker_only = 0
+    for _ in range(300):
+        tree = _with_markers(rng, preprocess(random_tree(rng, max_nodes=14)))
+        assert word_spans(tree) == _word_spans_oracle(tree)
+        marker_only += sum(
+            1 for n in iter_nodes(tree) if n.leaves() and all(map(is_marker_leaf, n.leaves()))
+        )
+    assert marker_only > 100
 
 
 def test_inflections_regular_and_override():

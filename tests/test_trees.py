@@ -142,13 +142,18 @@ def test_node_span_basics():
     assert node_span(tree, leaves[3]) == Span(3, 4)
     with pytest.raises(ValueError):
         node_span(tree, ParseTree("NN", (), "cat"))
+    shared = ParseTree("NN", (), "cat")
+    with pytest.raises(ValueError, match="occurs twice"):
+        node_spans(ParseTree("NP", (shared, shared)))
 
 
 def test_spans_nest_or_are_disjoint():
     rng = random.Random(99)
     for _ in range(300):
         tree = random_tree(rng)
-        spans = [s for _, s in node_spans(tree)]
+        pairs = node_spans(tree)
+        assert all(node_span(tree, n) == s for n, s in pairs)
+        spans = [s for _, s in pairs]
         for a in spans:
             for b in spans:
                 nested = a.covers(b) or b.covers(a)
