@@ -68,13 +68,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_file(path, parse):
+    """``parse`` applied to the file's text; its errors name the file."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_rules(args) -> list[matcher.PatternRule]:
     if getattr(args, "rules", None):
-        with open(args.rules, encoding="utf-8") as fh:
-            return matcher.parse_rules(fh.read())
+        return _parse_file(args.rules, matcher.parse_rules)
     lexicon = load_lexicon_file(args.lexicon)
     registry = (
-        rulegen.load_registry_file(args.registry) if args.registry else rulegen.default_registry()
+        _parse_file(args.registry, rulegen.load_registry)
+        if args.registry
+        else rulegen.default_registry()
     )
     return rulegen.expand_templates(lexicon, registry)
 
@@ -126,21 +137,14 @@ def _cmd_tag(args) -> int:
     return 0
 
 
-def _read_standoff(path) -> list[StandoffAnnotation]:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return taggers.parse_standoff(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def _cmd_graft(args) -> int:
     with open(args.trees, encoding="utf-8") as fh:
         corpus = trees.read_ptb(fh.read())
+    order = tuple(args.order.split(","))
+    sizes = [len(tree.leaves()) for tree in corpus]
     annotations: list[StandoffAnnotation] = []
     for path in args.standoff:
-        batch = _read_standoff(path)
+        batch = _parse_file(path, taggers.parse_standoff)
         too_far = [a for a in batch if a.sentence >= len(corpus)]
         if too_far:
             log.error(
@@ -151,8 +155,18 @@ def _cmd_graft(args) -> int:
                 len(corpus),
             )
             return 2
+        for a in batch:
+            if a.family not in order:
+                raise ValueError(
+                    f"{path}: sentence {a.sentence}: annotation family {a.family!r}"
+                    f" not in family order {args.order}"
+                )
+            if a.span.end > sizes[a.sentence]:
+                raise ValueError(
+                    f"{path}: sentence {a.sentence}: annotation span {a.span}"
+                    f" outside sentence of {sizes[a.sentence]} tokens"
+                )
         annotations.extend(batch)
-    order = tuple(args.order.split(","))
     config = grafting.GraftConfig(family_order=order)
     by_sentence: dict[int, list[StandoffAnnotation]] = {}
     for a in annotations:
@@ -187,7 +201,10 @@ def _cmd_rules(args) -> int:
 
 
 def _cmd_agreement(args) -> int:
-    report = taggers.agreement(_read_standoff(args.file_a), _read_standoff(args.file_b))
+    report = taggers.agreement(
+        _parse_file(args.file_a, taggers.parse_standoff),
+        _parse_file(args.file_b, taggers.parse_standoff),
+    )
     sys.stdout.write(report.format())
     return 0
 

@@ -258,7 +258,7 @@ def graft(
     for g in grafted:
         report.bump(g.outcome)
 
-    return _render(shadow), report
+    return _render(shadow.root), report
 
 
 def _compose(shadow: _Shadow, grafted: list[_Grafted]) -> None:
@@ -333,34 +333,32 @@ def _siblings(a: _Grafted, b: _Grafted) -> bool:
     )
 
 
-def _render(shadow: _Shadow) -> ParseTree:
-    def final_label(n: _GNode) -> str | None:
-        alive = n.alive_applied()
-        if not alive:
-            return None
-        chosen = max(alive, key=lambda e: e[3])
-        # Trigger-vs-target conflicts are adjudicated within the MN
-        # family only; a later family's tag stands.
-        if chosen[2] is Role.TRIGGER:
-            targets = [e for e in alive if e[2] is Role.TARGET]
-            if targets:
-                chosen = max(targets, key=lambda e: e[3])
-        return chosen[0]
+def _final_label(n: _GNode) -> str | None:
+    alive = n.alive_applied()
+    if not alive:
+        return None
+    chosen = max(alive, key=lambda e: e[3])
+    # Trigger-vs-target conflicts are adjudicated within the MN
+    # family only; a later family's tag stands.
+    if chosen[2] is Role.TRIGGER:
+        targets = [e for e in alive if e[2] is Role.TARGET]
+        if targets:
+            chosen = max(targets, key=lambda e: e[3])
+    return chosen[0]
 
-    def walk(n: _GNode) -> ParseTree:
-        tag = final_label(n)
-        inserted = n.source is None
-        if inserted:
-            label = tag if tag is not None else n.label
-        else:
-            label = n.label + ("-" + tag if tag is not None else "")
-        if not n.children:
-            return ParseTree(label, (), n.source.token)
-        kids = tuple(walk(c) for c in n.children)
-        if inserted and len(kids) == 1 and tag is None:
-            # An inserted node whose tag was dropped would be an empty
-            # shell; keep it with its original label for traceability.
-            label = n.label
-        return ParseTree(label, kids, None)
 
-    return walk(shadow.root)
+def _render(n: _GNode) -> ParseTree:
+    tag = _final_label(n)
+    inserted = n.source is None
+    if inserted:
+        label = tag if tag is not None else n.label
+    else:
+        label = n.label + ("-" + tag if tag is not None else "")
+    if not n.children:
+        return ParseTree(label, (), n.source.token)
+    kids = tuple(_render(c) for c in n.children)
+    if inserted and len(kids) == 1 and tag is None:
+        # An inserted node whose tag was dropped would be an empty
+        # shell; keep it with its original label for traceability.
+        label = n.label
+    return ParseTree(label, kids, None)

@@ -11,7 +11,9 @@ The on-disk format is one record per blank-line-separated block of
 
 ``Subcat`` repeats; the part after `` -- `` is an illustrative gloss.
 Unknown keys are preserved verbatim.  Lines starting with ``#`` are
-comments.
+comments.  Every ``String``, ``Trigger`` and ``Forms`` word must be one
+plain rule atom (``matcher.is_plain_word``), since rules match it
+literally; errors name the record's first line.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .matcher import is_plain_word, read_records
 from .tags import Modality, TagError
 
 
@@ -50,6 +53,10 @@ class LexiconEntry:
             raise LexiconError(f"entry {self.surface!r}: head {self.head!r} not in surface")
         if (self.pos[0].startswith("VB") or self.pos[0] == "MD") and not self.subcats:
             raise LexiconError(f"verbal entry {self.surface!r} has no subcategorization codes")
+        forms = (self.extra("Forms") or "").split()
+        for word in dict.fromkeys([*words, self.head, *forms]):
+            if not is_plain_word(word):
+                raise LexiconError(f"word {word!r} is not a plain rule atom")
 
     @property
     def words(self) -> tuple[str, ...]:
@@ -110,12 +117,16 @@ def lookup(
     return hits
 
 
-def _finish_record(fields: list[tuple[str, str]], ordinal: int) -> LexiconEntry:
+def _finish_record(lines: list[str]) -> LexiconEntry:
     surface = pos = modality_name = head = None
     subcats: list[str] = []
     glosses: list[str] = []
     extras: list[tuple[str, str]] = []
-    for key, value in fields:
+    for line in lines:
+        key, sep, value = line.partition(":")
+        if not sep:
+            raise LexiconError(f"not a 'Key: Value' line: {line!r}")
+        key, value = key.strip(), value.strip()
         if key == "String":
             surface = value
         elif key == "Pos":
@@ -131,15 +142,15 @@ def _finish_record(fields: list[tuple[str, str]], ordinal: int) -> LexiconEntry:
         else:
             extras.append((key, value))
     if surface is None:
-        raise LexiconError(f"record {ordinal}: missing String")
+        raise LexiconError("missing String")
     if modality_name is None:
-        raise LexiconError(f"record {ordinal}: missing Modality ({surface!r})")
+        raise LexiconError(f"missing Modality ({surface!r})")
     try:
         modality = _MODALITY_BY_NAME[modality_name]
     except KeyError:
-        raise LexiconError(f"record {ordinal}: unknown modality {modality_name!r}") from None
+        raise LexiconError(f"unknown modality {modality_name!r}") from None
     if pos is None:
-        raise LexiconError(f"record {ordinal}: missing Pos ({surface!r})")
+        raise LexiconError(f"missing Pos ({surface!r})")
     return LexiconEntry(
         surface=surface,
         pos=tuple(pos.split()),
@@ -153,22 +164,11 @@ def _finish_record(fields: list[tuple[str, str]], ordinal: int) -> LexiconEntry:
 
 def load_lexicon(text: str) -> Lexicon:
     entries: list[LexiconEntry] = []
-    fields: list[tuple[str, str]] = []
-    ordinal = 0
-    for raw in text.splitlines() + [""]:
-        line = raw.rstrip()
-        if line.startswith("#"):
-            continue
-        if not line:
-            if fields:
-                ordinal += 1
-                entries.append(_finish_record(fields, ordinal))
-                fields = []
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise LexiconError(f"not a 'Key: Value' line: {line!r}")
-        fields.append((key.strip(), value.strip()))
+    for lineno, lines in read_records(text):
+        try:
+            entries.append(_finish_record(lines))
+        except LexiconError as exc:
+            raise LexiconError(f"line {lineno}: record {len(entries) + 1}: {exc}") from None
     return Lexicon(tuple(entries))
 
 
@@ -191,7 +191,11 @@ def dump_lexicon(lexicon: Lexicon) -> str:
 
 def load_lexicon_file(path) -> Lexicon:
     with open(path, encoding="utf-8") as fh:
-        return load_lexicon(fh.read())
+        text = fh.read()
+    try:
+        return load_lexicon(text)
+    except LexiconError as exc:
+        raise LexiconError(f"{path}: {exc}") from None
 
 
 # TagError is re-exported so callers catching lexicon problems also see

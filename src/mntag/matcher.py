@@ -14,6 +14,11 @@ Patterns pair a node test with relation clauses::
 * ``$..`` requires a following sister.
 * Operands may be parenthesized sub-patterns.
 
+A plain atom tests label or token alike.  Lexicon words reach rules
+only as plain atoms bound into parsed templates, never as pattern text,
+and the lexicon rejects a word that rule text cannot spell as exactly
+one plain atom (``is_plain_word``).
+
 Actions follow the pattern, one per line::
 
     insert (TargReq) >2 target      # payload becomes the 2nd daughter
@@ -29,6 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby
 from typing import Callable, Iterator
 
 from .trees import ParseTree, iter_nodes
@@ -66,11 +72,6 @@ class NodeTest:
             return _compiled(self.regex).match(node.label) is not None
         assert self.alternatives is not None
         return any(node.label == a or node.token == a for a in self.alternatives)
-
-    def __str__(self) -> str:
-        if self.regex is not None:
-            return f"/{self.regex}/"
-        return "|".join(self.alternatives or ())
 
 
 _REGEX_CACHE: dict[str, re.Pattern] = {}
@@ -114,9 +115,8 @@ class ActionKind(Enum):
 class Action:
     kind: ActionKind
     capture: str
-    payload: ParseTree | None = None  # insert
+    label: str  # insert: the new leaf's label and token; augment: the suffix
     position: int | None = None  # insert, 1-based
-    label: str | None = None  # augment
 
 
 @dataclass(frozen=True)
@@ -229,21 +229,20 @@ def _parse_pattern_text(text: str) -> Pattern:
     return pattern
 
 
-_INSERT_RE = re.compile(r"insert\s+\((\S+)\)\s+>(\d+)\s+(\w+)\s*$")
+_INSERT_RE = re.compile(r"insert\s+\(([^\s()]+)\)\s+>(\d+)\s+(\w+)\s*$")
 _AUGMENT_RE = re.compile(r"augment\s+(\w+)\s+(\S+)\s*$")
 
 
 def _parse_action(line: str) -> Action:
     m = _INSERT_RE.match(line)
     if m:
-        payload_label, position, capture = m.group(1), int(m.group(2)), m.group(3)
+        label, position, capture = m.group(1), int(m.group(2)), m.group(3)
         if position < 1:
             raise PatternSyntaxError(f"insert position must be >= 1: {line!r}")
-        payload = ParseTree(payload_label, (), payload_label)
-        return Action(ActionKind.INSERT, capture, payload=payload, position=position)
+        return Action(ActionKind.INSERT, capture, label, position)
     m = _AUGMENT_RE.match(line)
     if m:
-        return Action(ActionKind.AUGMENT, m.group(1), label=m.group(2))
+        return Action(ActionKind.AUGMENT, m.group(1), m.group(2))
     raise PatternSyntaxError(f"unparseable action line {line!r}")
 
 
@@ -270,21 +269,35 @@ def parse_pattern(src: str, name: str = "rule") -> PatternRule:
     return PatternRule(name, pattern, tuple(actions), source=src.strip())
 
 
+def read_records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Blank-line-separated records, ``#`` comment lines dropped, each as
+    (number of its first line, its right-stripped lines).  Lexicon, rule
+    and template files share this layout."""
+    numbered_lines = enumerate(text.splitlines(), 1)
+    lines = [(n, raw.rstrip()) for n, raw in numbered_lines if not raw.startswith("#")]
+    for blank, group in groupby(lines, key=lambda item: not item[1]):
+        if not blank:
+            numbered = list(group)
+            yield numbered[0][0], [line for _, line in numbered]
+
+
 def parse_rules(text: str) -> list[PatternRule]:
-    """Parse a rule file: blank-line-separated records, ``#`` comments."""
+    """Parse a rule file: ``read_records`` records, one rule each."""
     rules = []
-    block: list[str] = []
-    for raw in text.splitlines() + [""]:
-        line = raw.rstrip()
-        if line.startswith("#"):
-            continue
-        if not line.strip():
-            if block:
-                rules.append(parse_pattern("\n".join(block), name=f"rule{len(rules) + 1}"))
-                block = []
-        else:
-            block.append(line)
+    for lineno, lines in read_records(text):
+        try:
+            rules.append(parse_pattern("\n".join(lines), name=f"rule{len(rules) + 1}"))
+        except PatternSyntaxError as exc:
+            raise PatternSyntaxError(f"line {lineno}: {exc}") from None
     return rules
+
+
+def is_plain_word(word: str) -> bool:
+    """True when rule text spells ``word`` as one plain atom testing exactly it."""
+    try:
+        return _parse_pattern_text(word) == Pattern(NodeTest((word,)))
+    except PatternSyntaxError:
+        return False
 
 
 def serialize_rules(rules) -> str:
@@ -395,12 +408,6 @@ def match(rule: PatternRule, tree: ParseTree) -> list[Match]:
 # Rewriting
 
 
-def _clone(tree: ParseTree) -> ParseTree:
-    if tree.is_leaf:
-        return ParseTree(tree.label, (), tree.token)
-    return ParseTree(tree.label, tuple(_clone(c) for c in tree.children), None)
-
-
 def _path_of(tree: ParseTree, target: ParseTree) -> tuple[int, ...]:
     def walk(n: ParseTree, path: tuple[int, ...]):
         if n is target:
@@ -439,17 +446,16 @@ def has_label_segment(label: str, segment: str) -> bool:
 def _apply_one(node: ParseTree, action: Action) -> tuple[ParseTree, bool, int | None]:
     """Returns (new node, changed, 0-based insert index or None)."""
     if action.kind is ActionKind.AUGMENT:
-        assert action.label is not None
         if has_label_segment(node.label, action.label):
             return node, False, None
         return ParseTree(node.label + "-" + action.label, node.children, node.token), True, None
-    assert action.payload is not None and action.position is not None
+    assert action.position is not None
     children = list(node.children)
     if node.is_leaf:
         # The word becomes a bare word leaf so markers can sit beside it.
         children = [ParseTree(node.token, (), node.token)]  # type: ignore[arg-type]
     idx = min(action.position - 1, len(children))
-    children.insert(idx, _clone(action.payload))
+    children.insert(idx, ParseTree(action.label, (), action.label))
     return ParseTree(node.label, tuple(children), None), True, idx
 
 

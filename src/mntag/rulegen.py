@@ -6,28 +6,25 @@ verbal sister in the same flattened clause) and ``VoicePassive`` on VBN
 nodes preceded in their clause by a form of be.
 
 ``expand_templates`` crosses the lexicon with a registry of named
-pattern templates.  A template holds ``{WORD}``, ``{TRIG}`` and
-``{TARG}`` placeholders; expansion binds ``{WORD}`` to an alternation
-of the trigger head's inflected forms and the tag placeholders to the
-canonical trigger/target tag strings for the entry's modality.
+pattern templates, each parsed once.  Binding an entry rebuilds the
+parsed rule: the ``{WORD}`` atom becomes a test for the trigger head's
+inflected forms, the ``{TRIG}``/``{TARG}`` labels the canonical tags for
+the entry's modality; ``source`` spells the result for display only.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .lexicon import Lexicon, LexiconEntry
-from .matcher import PatternRule, parse_pattern
+from .matcher import Action, Clause, NodeTest, Pattern, PatternRule, parse_pattern, read_records
 from .tags import MNTag, Modality, Role, is_tag_string
 from .trees import ParseTree, Span, spans_by_id
 
 log = logging.getLogger(__name__)
-
-#: Closed modal set; these words are never tagged as targets.
-MODAL_WORDS = frozenset(
-    ["can", "could", "may", "might", "must", "shall", "should", "will", "would", "need", "ought"]
-)
 
 BE_FORMS = frozenset(["be", "am", "is", "are", "was", "were", "been", "being", "'s", "'re", "'m"])
 HAVE_FORMS = frozenset(["have", "has", "had", "having", "'ve", "'d"])
@@ -178,61 +175,49 @@ def inflections(entry: LexiconEntry) -> tuple[str, ...]:
 # Templates
 
 
-@dataclass(frozen=True)
-class Template:
-    name: str
-    pattern_src: str
-    action_srcs: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        combined = self.pattern_src + " " + " ".join(self.action_srcs)
-        for placeholder in ("{WORD}", "{TRIG}", "{TARG}"):
-            if placeholder not in combined:
-                raise ValueError(f"template {self.name}: missing {placeholder}")
+WORD, TRIG, TARG = "{WORD}", "{TRIG}", "{TARG}"
+_PLACEHOLDER = re.compile("|".join(map(re.escape, (WORD, TRIG, TARG))))
 
 
 @dataclass(frozen=True)
 class TemplateRegistry:
-    templates: dict[str, Template]
+    """Parsed templates by subcat code, placeholders unbound."""
 
-    def get(self, code: str) -> Template | None:
+    templates: dict[str, PatternRule]
+
+    def get(self, code: str) -> PatternRule | None:
         return self.templates.get(code)
 
 
 def load_registry(text: str) -> TemplateRegistry:
-    """Parse a template file: ``template NAME`` header, pattern line,
-    action lines, blank-line separated, ``#`` comments."""
-    templates: dict[str, Template] = {}
-    block: list[str] = []
-
-    def finish(lines: list[str]) -> None:
-        if not lines:
-            return
-        header = lines[0]
-        if not header.startswith("template "):
-            raise ValueError(f"template record must start with 'template NAME': {header!r}")
-        name = header[len("template ") :].strip()
-        pattern_lines = [ln for ln in lines[1:] if not ln.startswith(("insert ", "augment "))]
-        action_lines = [ln for ln in lines[1:] if ln.startswith(("insert ", "augment "))]
-        if name in templates:
-            raise ValueError(f"duplicate template {name!r}")
-        templates[name] = Template(name, " ".join(pattern_lines), tuple(action_lines))
-
-    for raw in text.splitlines() + [""]:
-        line = raw.rstrip()
-        if line.startswith("#"):
-            continue
-        if not line.strip():
-            finish(block)
-            block = []
-        else:
-            block.append(line.strip())
+    """Parse a template file: ``read_records`` records of a ``template
+    NAME`` header, pattern line(s) and action lines.  Each template is
+    parsed here, once; errors name the template and its line."""
+    templates: dict[str, PatternRule] = {}
+    for lineno, lines in read_records(text):
+        header, *body = (line.strip() for line in lines)
+        name = header.removeprefix("template ").strip()
+        try:
+            if not header.startswith("template "):
+                raise ValueError("record must start with 'template NAME'")
+            if name in templates:
+                raise ValueError("duplicate template")
+            template = parse_pattern("\n".join(body), name=name)
+            labels = {action.label for action in template.actions}
+            if WORD in labels or WORD not in _atoms(template.pattern):
+                raise ValueError(f"{WORD} must be an atom of the pattern")
+            if {TRIG, TARG} - labels:
+                raise ValueError(f"missing action label {TRIG} or {TARG}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: template {name}: {exc}") from None
+        templates[name] = template
     return TemplateRegistry(templates)
 
 
-def load_registry_file(path) -> TemplateRegistry:
-    with open(path, encoding="utf-8") as fh:
-        return load_registry(fh.read())
+def _atoms(pattern: Pattern) -> Iterator[str]:
+    yield from pattern.test.alternatives or ()
+    for clause in pattern.clauses:
+        yield from _atoms(clause.operand)
 
 
 def default_registry() -> TemplateRegistry:
@@ -255,20 +240,29 @@ def expand_templates(lexicon: Lexicon, registry: TemplateRegistry) -> list[Patte
     list is deterministic."""
     rules: list[PatternRule] = []
     for entry in lexicon.entries:
-        word_alt = "|".join(inflections(entry))
-        substitutions = {
-            "{WORD}": word_alt,
-            "{TRIG}": trigger_tag(entry.modality),
-            "{TARG}": target_tag(entry.modality),
-        }
+        trig, targ = trigger_tag(entry.modality), target_tag(entry.modality)
+        atoms = {WORD: inflections(entry), TRIG: (trig,), TARG: (targ,)}
+        text = {placeholder: "|".join(values) for placeholder, values in atoms.items()}
         for code in entry.subcats:
             template = registry.get(code)
             if template is None:
                 log.warning("no template for subcat code %r (entry %r)", code, entry.surface)
                 continue
             name = f"{code}:{entry.surface}"
-            lines = [f"rule {name}", template.pattern_src, *template.action_srcs]
-            for placeholder, value in substitutions.items():
-                lines = [ln.replace(placeholder, value) for ln in lines]
-            rules.append(parse_pattern("\n".join(lines)))
+            pattern = _bind_pattern(template.pattern, atoms)
+            actions = tuple(
+                Action(a.kind, a.capture, text.get(a.label, a.label), a.position)
+                for a in template.actions
+            )
+            source = _PLACEHOLDER.sub(lambda m: text[m.group()], template.source)
+            rules.append(PatternRule(name, pattern, actions, source=f"rule {name}\n{source}"))
     return rules
+
+
+def _bind_pattern(pattern: Pattern, atoms: dict[str, tuple[str, ...]]) -> Pattern:
+    """The pattern with each placeholder alternative replaced by its values."""
+    test = pattern.test
+    if test.alternatives is not None:
+        test = NodeTest(tuple(v for a in test.alternatives for v in atoms.get(a, (a,))))
+    clauses = tuple(Clause(c.relation, _bind_pattern(c.operand, atoms)) for c in pattern.clauses)
+    return Pattern(test, pattern.capture, clauses)

@@ -322,14 +322,10 @@ def tag_structure(
     current = tree
 
     for rule in rules:
-        payloads = {}
-        for action in rule.actions:
-            if action.kind is matcher.ActionKind.INSERT and action.payload is not None:
-                payloads[action.capture] = action.payload.label
-            elif action.kind is matcher.ActionKind.AUGMENT and action.label is not None:
-                # Augment bakes the suffix in directly; the annotation
-                # is still recorded so standoff output stays complete.
-                payloads[action.capture] = action.label
+        # Insert and augment labels alike: augment bakes the suffix in
+        # directly, but the annotation is still recorded so standoff
+        # output stays complete.
+        payloads = {action.capture: action.label for action in rule.actions}
 
         def record(m: matcher.Match, before: ParseTree, rule=rule, payloads=payloads) -> None:
             spans = rulegen.word_spans(before)
@@ -376,28 +372,23 @@ def fold_markers(tree: ParseTree, annotations: Sequence[StandoffAnnotation]) -> 
     by_span: dict[Span, list[str]] = {}
     for a in annotations:
         by_span.setdefault(a.span, []).append(a.label)
-    spans = rulegen.word_spans(tree)
+    return _fold(tree, rulegen.word_spans(tree), by_span)
 
-    def suffixes_for(node: ParseTree, marker_labels: list[str]) -> list[str]:
-        if all(l in (rulegen.AUX_MARKER, rulegen.PASSIVE_MARKER) for l in marker_labels):
-            return []
+
+def _fold(node: ParseTree, spans: dict[int, Span], by_span: dict[Span, list[str]]) -> ParseTree:
+    if node.is_leaf:
+        return node
+    markers = [c.label for c in node.children if rulegen.is_marker_leaf(c)]
+    kept = [_fold(c, spans, by_span) for c in node.children if not rulegen.is_marker_leaf(c)]
+    label = node.label
+    if not all(l in (rulegen.AUX_MARKER, rulegen.PASSIVE_MARKER) for l in markers):
         labels = by_span.get(spans.get(id(node)), [])  # type: ignore[arg-type]
-        return sorted(set(labels), key=lambda l: (specificity_rank(parse_tag(l)), l))
-
-    def walk(node: ParseTree) -> ParseTree:
-        if node.is_leaf:
-            return node
-        markers = [c.label for c in node.children if rulegen.is_marker_leaf(c)]
-        kept = [walk(c) for c in node.children if not rulegen.is_marker_leaf(c)]
-        label = node.label
-        for suffix in suffixes_for(node, markers):
+        for suffix in sorted(set(labels), key=lambda l: (specificity_rank(parse_tag(l)), l)):
             if not matcher.has_label_segment(label, suffix):
                 label += "-" + suffix
-        if len(kept) == 1 and kept[0].is_leaf and kept[0].label == kept[0].token:
-            return ParseTree(label, (), kept[0].token)
-        return ParseTree(label, tuple(kept), None)
-
-    return walk(tree)
+    if len(kept) == 1 and kept[0].is_leaf and kept[0].label == kept[0].token:
+        return ParseTree(label, (), kept[0].token)
+    return ParseTree(label, tuple(kept), None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """End-to-end exercises of the ``mn`` command line."""
 
+from importlib.resources import files
+
 from conftest import DATA
 from mntag.cli import main, seed_lexicon_path
 
@@ -134,6 +136,26 @@ def test_negative_span_start_exits_2_naming_file_and_line(tmp_path, caplog):
     assert len(lines) == 2
 
 
+def test_graft_unknown_family_exits_2_naming_file_and_sentence(tmp_path, caplog):
+    rogue = tmp_path / "rogue.tsv"
+    rogue.write_text("0\t0\t1\tTargAble\tMN\n3\t0\t1\tPERSON\tXX\n")
+    assert run(
+        "graft", "--trees", TREES, "--standoff", rogue,
+        "--out", tmp_path / "o.ptb", "--report", tmp_path / "r.txt",
+    ) == 2
+    assert f"{rogue}: sentence 3: annotation family 'XX' not in family order NE,MN" in caplog.text
+
+
+def test_graft_span_past_sentence_exits_2_naming_file_and_sentence(tmp_path, caplog):
+    rogue = tmp_path / "rogue.tsv"
+    rogue.write_text("0\t0\t1\tTargAble\tMN\n1\t0\t99\tTargAble\tMN\n")
+    assert run(
+        "graft", "--trees", TREES, "--standoff", rogue,
+        "--out", tmp_path / "o.ptb", "--report", tmp_path / "r.txt",
+    ) == 2
+    assert f"{rogue}: sentence 1: annotation span Span(start=0, end=99) outside" in caplog.text
+
+
 def test_graft_family_order_changes_conflict_output(tmp_path):
     conflict = tmp_path / "conflict.tsv"
     # Pakistan in sentence 2 is both GPE and an MN target here.
@@ -174,12 +196,61 @@ def test_agreement_command_reports_100_for_identical(tmp_path, capsys):
     assert out.startswith("overlap: 100.0")
 
 
-def test_lexicon_validate(tmp_path, capsys):
+def test_lexicon_validate(tmp_path, capsys, caplog):
     assert run("lexicon", "validate", seed_lexicon_path()) == 0
     assert "25 entries" in capsys.readouterr().out
     bad = tmp_path / "bad.txt"
     bad.write_text("String: x\nPos: NN\nModality: Nope\n")
     assert run("lexicon", "validate", bad) == 2
+    # A word the rule text would read as an alternation.
+    bad.write_text("# comment\nString: a|VB\nPos: NN\nModality: Able\n")
+    assert run("lexicon", "validate", bad) == 2
+    assert run("rules", "--lexicon", bad, "--out", tmp_path / "r") == 2
+    assert run(
+        "tag", "--mode", "structure", "--lexicon", bad, "--in", TREES, "--out", tmp_path / "t",
+    ) == 2
+    message = f"{bad}: line 2: record 1: word 'a|VB' is not a plain rule atom"
+    assert caplog.text.count(message) == 3
+
+
+def test_rules_output_tags_like_generated_rules(tmp_path):
+    rules = tmp_path / "seed.rules"
+    assert run("rules", "--lexicon", seed_lexicon_path(), "--out", rules) == 0
+    outputs = []
+    for name, extra in (("generated", []), ("reread", ["--rules", rules])):
+        out, standoff = tmp_path / f"{name}.ptb", tmp_path / f"{name}.tsv"
+        assert run(
+            "tag", "--mode", "structure", "--lexicon", seed_lexicon_path(), *extra,
+            "--in", TREES, "--out", out, "--standoff", standoff,
+        ) == 0
+        outputs.append((out.read_bytes(), standoff.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_registry_file_is_read_and_checked_at_load(tmp_path, caplog):
+    shipped = files("mntag.data").joinpath("templates.txt").read_text("utf-8").rstrip("\n")
+    good, default, custom = tmp_path / "good.txt", tmp_path / "a.rules", tmp_path / "b.rules"
+    good.write_text(shipped + "\n")
+    assert run("rules", "--lexicon", seed_lexicon_path(), "--out", default) == 0
+    assert run(
+        "rules", "--lexicon", seed_lexicon_path(), "--registry", good, "--out", custom,
+    ) == 0
+    assert custom.read_bytes() == default.read_bytes()
+    # A syntax error in a template no lexicon entry uses.
+    bad = tmp_path / "bad.txt"
+    bad.write_text(
+        shipped + "\n\ntemplate Unused\nMD=trigger < {WORD} $.. (VB=target\n"
+        "insert ({TRIG}) >2 trigger\ninsert ({TARG}) >2 target\n"
+    )
+    assert run(
+        "rules", "--lexicon", seed_lexicon_path(), "--registry", bad, "--out", custom,
+    ) == 2
+    assert run(
+        "tag", "--mode", "structure", "--lexicon", seed_lexicon_path(), "--registry", bad,
+        "--in", TREES, "--out", tmp_path / "t.ptb",
+    ) == 2
+    line = len(shipped.splitlines()) + 2
+    assert caplog.text.count(f"{bad}: line {line}: template Unused: unexpected end") == 2
 
 
 def test_rules_override_replaces_generated(tmp_path):

@@ -35,10 +35,23 @@ def test_load_empty_text():
 
 
 def test_missing_fields_report_record_ordinal():
-    with pytest.raises(LexiconError, match="record 1"):
+    with pytest.raises(LexiconError, match="line 1: record 1"):
         load_lexicon("Pos: VB\nModality: Require\n")
-    with pytest.raises(LexiconError, match="record 2"):
+    with pytest.raises(LexiconError, match="line 11: record 2"):
         load_lexicon(NEED_RECORD + "\nString: foo\nPos: VB\nSubcat: x\n")
+
+
+@pytest.mark.parametrize("word", ["a|VB", "/^V/", "ok=trigger", "(x", "x)", "$..", "a<b"])
+@pytest.mark.parametrize("key", ["String", "Forms"])
+def test_words_rule_text_cannot_spell_are_rejected(key, word):
+    fields = {"String": "must", "Forms": "must", key: word}
+    text = (
+        f"# comment\n\nString: {fields['String']}\nPos: MD\nModality: Require\n"
+        f"Subcat: Modal-auxiliary-basic\nForms: {fields['Forms']}\n"
+    )
+    with pytest.raises(LexiconError) as info:
+        load_lexicon(text)
+    assert str(info.value) == f"line 3: record 1: word {word!r} is not a plain rule atom"
 
 
 def test_unknown_modality_rejected():

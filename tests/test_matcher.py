@@ -106,7 +106,7 @@ def test_self_feeding_rule_exhausts_budget():
 
 def test_rule_file_parsing_and_serialization():
     text = "# comment\nrule one\nNP < (DT the)\naugment x FOO\n"
-    with pytest.raises(PatternSyntaxError):
+    with pytest.raises(PatternSyntaxError, match="^line 2: "):
         parse_rules(text)  # x unbound
     rules = parse_rules("rule one\nNP=x < (DT the)\naugment x FOO\n\nVB=y\ninsert (T) >2 y\n")
     assert [r.name for r in rules] == ["one", "rule2"]

@@ -1,15 +1,18 @@
 import random
 
-from mntag.lexicon import load_lexicon
+from hypothesis import assume, given, settings, strategies as st
+from mntag.lexicon import LexiconError, load_lexicon
 import pytest
 
 from conftest import random_tree
 
-from mntag.matcher import parse_pattern
+from mntag import rulegen
+from mntag.matcher import match, parse_pattern, parse_rules, serialize_rules
 from mntag.rulegen import (
     expand_templates,
     inflections,
     is_marker_leaf,
+    load_registry,
     preprocess,
     word_spans,
     word_tokens,
@@ -132,6 +135,65 @@ def test_every_generated_rule_parses(seed_rules):
         reparsed = parse_pattern(rule.source, name=rule.name)
         assert reparsed.pattern == rule.pattern
         assert reparsed.actions == rule.actions
+
+
+def test_expansion_parses_nothing(seed_lexicon, registry, monkeypatch):
+    def no_parse(*args, **kwargs):
+        raise AssertionError("expansion parsed rule text")
+
+    monkeypatch.setattr(rulegen, "parse_pattern", no_parse)
+    rules = expand_templates(seed_lexicon, registry)
+    assert len(rules) == sum(len(e.subcats) for e in seed_lexicon.entries)
+
+
+_WORDS = ["a|VB", "/^V/", "ok=trigger", "(x", "$..", "!<", "=x", "x|", "{TRIG}", "{WORD}",
+          "#x", "x#", "go", "MD", "AUX", "TrigAble", "rule", "insert", "$", "!", "x/y"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(_WORDS), st.text(min_size=1, max_size=6)))
+def test_lexicon_words_are_matched_literally_or_rejected(word):
+    assume(word.split() == [word])  # whitespace separates Forms words
+    lexicon_text = (
+        "String: must\nPos: MD\nModality: Require\n"
+        f"Subcat: Modal-auxiliary-basic\nForms: {word}\n"
+    )
+    try:
+        lexicon = load_lexicon(lexicon_text)
+    except LexiconError as exc:
+        assert repr(word) in str(exc)
+        return
+    rules = expand_templates(lexicon, rulegen.default_registry())
+    tree = ParseTree("S", (ParseTree("MD", (), word), ParseTree("VB", (), "go")))
+    assert [m.captures["trigger"].token for m in match(rules[0], tree)] == [word]
+    reparsed = parse_rules(serialize_rules(rules))
+    assert [(r.pattern, r.actions) for r in reparsed] == [(r.pattern, r.actions) for r in rules]
+
+
+_ACTIONS = "insert ({TRIG}) >2 trigger\ninsert ({TARG}) >2 target"
+_GOOD_TEMPLATE = f"# comment\n\ntemplate ok\nMD=trigger < {{WORD}} $.. VB=target\n{_ACTIONS}\n"
+
+
+@pytest.mark.parametrize(
+    "name, body, message",
+    [
+        ("unused", "MD=trigger < {WORD} $.. (VB=target\n" + _ACTIONS, "unexpected end of pattern"),
+        ("unused", "MD=trigger < {WORD} $.. VB=target\ninsert ({TRIG}) >2 trigger", "missing"),
+        ("unused", "MD=trigger < /^{WORD}/ $.. VB=target\n" + _ACTIONS, "{WORD} must be an atom"),
+        (
+            "unused",
+            "MD=trigger < {WORD} $.. VB=target\naugment trigger {WORD}\n" + _ACTIONS,
+            "{WORD} must be an atom",
+        ),
+        ("ok", "MD=trigger < {WORD} $.. VB=target\n" + _ACTIONS, "duplicate template"),
+    ],
+)
+def test_bad_template_fails_at_load(name, body, message):
+    assert load_registry(_GOOD_TEMPLATE).get("ok").name == "ok"
+    with pytest.raises(ValueError) as info:
+        load_registry(_GOOD_TEMPLATE + f"\ntemplate {name}\n{body}\n")
+    assert str(info.value).startswith(f"line 8: template {name}: ")
+    assert message in str(info.value)
 
 
 def test_generated_need_passive_rule_mirrors_required_rule(seed_rules):
