@@ -26,7 +26,12 @@ from .tags import Modality, TagError
 
 
 class LexiconError(ValueError):
-    pass
+    """``record`` is the 0-based index of the entry at fault, when the
+    error is raised on a whole lexicon rather than one record."""
+
+    def __init__(self, message: str, record: int | None = None):
+        super().__init__(message)
+        self.record = record
 
 
 _MODALITY_BY_NAME = {m.value: m for m in Modality}
@@ -76,10 +81,10 @@ class Lexicon:
 
     def __post_init__(self) -> None:
         seen = set()
-        for e in self.entries:
+        for k, e in enumerate(self.entries):
             key = (e.surface.lower(), e.pos, e.modality)
             if key in seen:
-                raise LexiconError(f"duplicate entry {e.surface!r}/{'+'.join(e.pos)}")
+                raise LexiconError(f"duplicate entry {e.surface!r}/{'+'.join(e.pos)}", k)
             seen.add(key)
             self._index.setdefault(e.words[0].lower(), []).append(e)
 
@@ -163,13 +168,15 @@ def _finish_record(lines: list[str]) -> LexiconEntry:
 
 
 def load_lexicon(text: str) -> Lexicon:
+    records = list(read_records(text))
     entries: list[LexiconEntry] = []
-    for lineno, lines in read_records(text):
-        try:
+    try:
+        for _, lines in records:
             entries.append(_finish_record(lines))
-        except LexiconError as exc:
-            raise LexiconError(f"line {lineno}: record {len(entries) + 1}: {exc}") from None
-    return Lexicon(tuple(entries))
+        return Lexicon(tuple(entries))
+    except LexiconError as exc:
+        k = len(entries) if exc.record is None else exc.record
+        raise LexiconError(f"line {records[k][0]}: record {k + 1}: {exc}") from None
 
 
 def dump_lexicon(lexicon: Lexicon) -> str:

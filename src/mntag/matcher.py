@@ -24,6 +24,12 @@ Actions follow the pattern, one per line::
     insert (TargReq) >2 target      # payload becomes the 2nd daughter
     augment target TargReq          # append "-TargReq" to the label
 
+``match`` makes one walk over the tree and hands each node's parent and
+path down to the solver, so every capture comes with its path (child
+indexes from the root, ``Match.paths``) and actions locate captures by
+path, never by node identity; a tree that holds one node object at two
+places matches like an equal tree without sharing.
+
 ``apply`` rewrites to fixpoint, recomputing matches after every change
 and charging each change against a rewrite budget, so a rule that keeps
 re-enabling itself is reported instead of looping forever.
@@ -37,7 +43,10 @@ from enum import Enum
 from itertools import groupby
 from typing import Callable, Iterator
 
-from .trees import ParseTree, iter_nodes
+from .trees import ParseTree
+
+#: Child indexes leading from a tree's root to one of its nodes.
+TreePath = tuple[int, ...]
 
 _LEX = re.compile(r"!<|\$\.\.|[()]|/\^[^/\s]*/(?:=\w+)?|<|[^()<>\s]+")
 
@@ -309,33 +318,22 @@ def serialize_rules(rules) -> str:
 
 
 class Match:
-    """One binding environment: the root-test node plus named captures."""
+    """One binding environment: the root-test node plus named captures.
 
-    def __init__(self, root: ParseTree, captures: dict[str, ParseTree]):
+    ``paths`` maps each capture name to the captured node's path, the
+    child indexes leading to it from the root of the matched tree.
+    """
+
+    def __init__(
+        self, root: ParseTree, captures: dict[str, ParseTree], paths: dict[str, TreePath]
+    ):
         self.root = root
         self.captures = captures
+        self.paths = paths
 
     def __repr__(self) -> str:
         names = ", ".join(f"{k}={v.label}" for k, v in self.captures.items())
         return f"Match({self.root.label}; {names})"
-
-
-class _Index:
-    def __init__(self, tree: ParseTree):
-        self.parent: dict[int, ParseTree] = {}
-        self.child_pos: dict[int, int] = {}
-        for n in iter_nodes(tree):
-            for i, c in enumerate(n.children):
-                if id(c) in self.parent:
-                    raise ValueError("tree shares node objects; rebuild it first")
-                self.parent[id(c)] = n
-                self.child_pos[id(c)] = i
-
-    def following_sisters(self, node: ParseTree) -> tuple[ParseTree, ...]:
-        parent = self.parent.get(id(node))
-        if parent is None:
-            return ()
-        return parent.children[self.child_pos[id(node)] + 1 :]
 
 
 def _atom_self_token(operand: Pattern, node: ParseTree) -> bool:
@@ -346,61 +344,58 @@ def _atom_self_token(operand: Pattern, node: ParseTree) -> bool:
     )
 
 
-def _solve(pattern: Pattern, node: ParseTree, index: _Index) -> Iterator[dict]:
+def _solve(
+    pattern: Pattern, node: ParseTree, parent: ParseTree | None, path: TreePath
+) -> list[dict]:
+    """Every environment (capture name -> path) binding ``pattern`` at
+    ``node``, whose parent (None at the root) and path the caller knows."""
     if not pattern.test.matches(node):
-        return
-    env = {pattern.capture: node} if pattern.capture else {}
-    yield from _solve_clauses(pattern.clauses, 0, node, env, index)
+        return []
+    envs = [{pattern.capture: path} if pattern.capture else {}]
+    for clause in pattern.clauses:
+        if clause.relation is Relation.FOLLOWING_SISTER:
+            subs = _solve_among(clause.operand, parent, path[:-1], path[-1] + 1) if parent else []
+        elif _atom_self_token(clause.operand, node):
+            subs = [{}]
+        else:
+            subs = _solve_among(clause.operand, node, path, 0)
+        if clause.relation is Relation.NOT_CHILD:
+            if subs:
+                return []
+            continue
+        envs = [env | sub for env in envs for sub in subs]
+        if not envs:
+            return []
+    return envs
 
 
-def _child_satisfiable(operand: Pattern, node: ParseTree, index: _Index) -> bool:
-    if _atom_self_token(operand, node):
-        return True
-    return any(_first(_solve(operand, child, index)) for child in node.children)
-
-
-def _first(it: Iterator) -> bool:
-    for _ in it:
-        return True
-    return False
-
-
-def _solve_clauses(
-    clauses: tuple[Clause, ...], i: int, node: ParseTree, env: dict, index: _Index
-) -> Iterator[dict]:
-    if i == len(clauses):
-        yield env
-        return
-    clause = clauses[i]
-    if clause.relation is Relation.NOT_CHILD:
-        if not _child_satisfiable(clause.operand, node, index):
-            yield from _solve_clauses(clauses, i + 1, node, env, index)
-        return
-    if clause.relation is Relation.CHILD:
-        if _atom_self_token(clause.operand, node):
-            yield from _solve_clauses(clauses, i + 1, node, env, index)
-            return
-        candidates = node.children
-    else:
-        candidates = index.following_sisters(node)
-    for candidate in candidates:
-        for sub in _solve(clause.operand, candidate, index):
-            merged = env | sub
-            yield from _solve_clauses(clauses, i + 1, node, merged, index)
+def _solve_among(
+    operand: Pattern, owner: ParseTree, owner_path: TreePath, first: int
+) -> list[dict]:
+    """``_solve`` at each daughter of ``owner`` from index ``first`` on."""
+    kids = owner.children
+    return [
+        env
+        for k in range(first, len(kids))
+        for env in _solve(operand, kids[k], owner, owner_path + (k,))
+    ]
 
 
 def match(rule: PatternRule, tree: ParseTree) -> list[Match]:
     """All distinct binding environments, in document order of the node
     matching the pattern's root test."""
-    index = _Index(tree)
     seen: set[tuple] = set()
     out: list[Match] = []
-    for node in iter_nodes(tree):
-        for env in _solve(rule.pattern, node, index):
-            key = (id(node), tuple(sorted((k, id(v)) for k, v in env.items())))
+    stack: list[tuple[ParseTree, ParseTree | None, TreePath]] = [(tree, None, ())]
+    while stack:
+        node, parent, path = stack.pop()
+        for env in _solve(rule.pattern, node, parent, path):
+            key = (path, tuple(sorted(env.items())))
             if key not in seen:
                 seen.add(key)
-                out.append(Match(node, env))
+                out.append(Match(node, {k: _node_at(tree, p) for k, p in env.items()}, env))
+        kids = node.children
+        stack.extend((kids[k], node, path + (k,)) for k in range(len(kids) - 1, -1, -1))
     return out
 
 
@@ -408,29 +403,13 @@ def match(rule: PatternRule, tree: ParseTree) -> list[Match]:
 # Rewriting
 
 
-def _path_of(tree: ParseTree, target: ParseTree) -> tuple[int, ...]:
-    def walk(n: ParseTree, path: tuple[int, ...]):
-        if n is target:
-            return path
-        for i, c in enumerate(n.children):
-            found = walk(c, path + (i,))
-            if found is not None:
-                return found
-        return None
-
-    path = walk(tree, ())
-    if path is None:
-        raise ValueError("captured node is not in the tree")
-    return path
-
-
-def _node_at(tree: ParseTree, path: tuple[int, ...]) -> ParseTree:
+def _node_at(tree: ParseTree, path: TreePath) -> ParseTree:
     for i in path:
         tree = tree.children[i]
     return tree
 
 
-def _replace_at(tree: ParseTree, path: tuple[int, ...], new: ParseTree) -> ParseTree:
+def _replace_at(tree: ParseTree, path: TreePath, new: ParseTree) -> ParseTree:
     if not path:
         return new
     i = path[0]
@@ -462,7 +441,7 @@ def _apply_one(node: ParseTree, action: Action) -> tuple[ParseTree, bool, int | 
 def _apply_actions(
     tree: ParseTree, m: Match, actions: tuple[Action, ...]
 ) -> tuple[ParseTree, bool]:
-    paths = {name: _path_of(tree, node) for name, node in m.captures.items()}
+    paths = dict(m.paths)
     changed = False
     for action in actions:
         path = paths[action.capture]

@@ -213,6 +213,18 @@ def test_lexicon_validate(tmp_path, capsys, caplog):
     assert caplog.text.count(message) == 3
 
 
+def test_duplicate_lexicon_entry_names_line_and_record(tmp_path, caplog):
+    record = "String: x\nPos: NN\nModality: Able\n"
+    dup = tmp_path / "dup.txt"
+    dup.write_text(f"# comment\n{record}\nString: y\nPos: NN\nModality: Able\n\n{record}")
+    assert run("lexicon", "validate", dup) == 2
+    assert run(
+        "tag", "--mode", "structure", "--lexicon", dup, "--in", TREES, "--out", tmp_path / "t",
+    ) == 2
+    message = f"{dup}: line 10: record 3: duplicate entry 'x'/NN"
+    assert caplog.text.count(message) == 2
+
+
 def test_rules_output_tags_like_generated_rules(tmp_path):
     rules = tmp_path / "seed.rules"
     assert run("rules", "--lexicon", seed_lexicon_path(), "--out", rules) == 0

@@ -1,9 +1,11 @@
+import gc
 import random
 import re
 
 import pytest
 
 from conftest import random_pattern_rule, random_tree
+from mntag import matcher
 from mntag.matcher import (
     PatternRule,
     PatternSyntaxError,
@@ -183,6 +185,12 @@ def engine_match_set(rule, tree):
     }
 
 
+def node_at(tree, path):
+    for k in path:
+        tree = tree.children[k]
+    return tree
+
+
 def test_match_equals_brute_force_oracle():
     rng = random.Random(4242)
     checked = 0
@@ -190,6 +198,10 @@ def test_match_equals_brute_force_oracle():
         tree = random_tree(rng, max_nodes=12)
         rule = random_pattern_rule(rng, tree)
         assert engine_match_set(rule, tree) == oracle_match_set(rule, tree)
+        for m in match(rule, tree):
+            assert m.paths.keys() == m.captures.keys()
+            for name, node in m.captures.items():
+                assert node_at(tree, m.paths[name]) is node
         checked += 1
     assert checked == 1000
 
@@ -199,3 +211,51 @@ def test_match_order_is_document_order():
     tree = read_ptb("(S (NP (NN a) (NN b)) (NN c))")[0]
     tokens = [m.captures["x"].token for m in match(rule, tree)]
     assert tokens == ["a", "b", "c"]
+
+
+def test_shared_node_object_matches_like_a_copy():
+    nn = ParseTree("NN", (), "a")
+    shared = ParseTree("S", (nn, nn))
+    copy = read_ptb("(S (NN a) (NN a))")[0]
+    assert shared == copy
+    for src in ("S < NN=x", "NN=x $.. NN=y\naugment y TargAble"):
+        rule = parse_pattern(src)
+        found = [[(m.root, m.captures, m.paths) for m in match(rule, t)] for t in (shared, copy)]
+        assert found[0] == found[1]
+        assert apply(rule, shared) == apply(rule, copy)
+    assert len(match(parse_pattern("S < NN=x"), shared)) == 2
+    assert write_ptb(apply(rule, shared)) == "(S (NN a) (NN-TargAble a))"
+
+
+def test_apply_calls_match_once_per_rewrite_plus_once(monkeypatch):
+    trees = []
+    original = matcher.match
+
+    def counting(rule, tree):
+        trees.append(tree)
+        return original(rule, tree)
+
+    monkeypatch.setattr(matcher, "match", counting)
+    rule = parse_pattern("NN=x\naugment x TargAble")
+    rewrites = []
+    tree = read_ptb("(S (NN a) (NP (NN b)))")[0]
+    out = apply(rule, tree, on_rewrite=lambda m, before: rewrites.append(before))
+    assert write_ptb(out) == "(S (NN-TargAble a) (NP (NN-TargAble b)))"
+    assert len(rewrites) == 2
+    assert len(trees) == len(rewrites) + 1
+    assert trees[:-1] == rewrites
+
+
+def test_rewriting_leaves_no_reference_cycles():
+    rule = parse_pattern(PASSIVE_RULE)
+    tree = read_ptb(PASSIVE_TREE)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(1000):
+            rewrites = []
+            apply(rule, tree, on_rewrite=lambda m, before: rewrites.append(m))
+            assert len(rewrites) == 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
