@@ -16,7 +16,10 @@ Each annotation's token span is classified against the tree:
 
 The classification has one implementation, the working copy's
 ``same_span_chain`` and ``adjacent_daughters``; ``graft`` acts on it and
-``classify_span`` reports it.
+``classify_span`` reports it.  Spans in a tree nest or are disjoint, so
+every node covering a span is an ancestor of the span's first leaf:
+both, like the clause lookup for negation composition, are answered on
+that leaf's path to the root.
 
 Annotations are processed family by family (named entities before
 modality/negation by default) and within a family in ascending
@@ -38,7 +41,7 @@ from typing import Sequence
 
 from .tags import MNTag, Modality, Role, TagError, compose_negation, parse_tag, specificity_rank
 from .taggers import MN_FAMILY, NE_FAMILY, StandoffAnnotation
-from .trees import ParseTree, Span, base_category, spans_by_id
+from .trees import ParseTree, Span, base_category
 
 OUTCOMES = (
     "grafted-exact",
@@ -114,54 +117,62 @@ class _GNode:
         self.parent = None
         self.start = start
         self.end = end
-        self.applied = []  # list of [label, family, role, seq, alive]
+        self.applied = []  # the _Grafted records put on this node
         self.source = source  # the input node; None for an inserted node
         for c in children:
             c.parent = self
 
-    @property
-    def span(self) -> Span:
-        return Span(self.start, self.end)
-
     def alive_applied(self):
-        return [e for e in self.applied if e[4]]
+        return [g for g in self.applied if g.alive]
 
 
-def _build(node: ParseTree, spans: dict[int, Span]) -> _GNode:
-    span = spans[id(node)]
-    children = [_build(c, spans) for c in node.children]
-    return _GNode(node.label, children, span.start, span.end, node)
+def _build(node: ParseTree, leaves: list[_GNode]) -> _GNode:
+    start = len(leaves)
+    children = [_build(c, leaves) for c in node.children]
+    new = _GNode(node.label, children, start, start, node)
+    if not children:
+        leaves.append(new)
+    new.end = len(leaves)
+    return new
 
 
 class _Shadow:
     """Mutable working copy of a tree with live span bookkeeping."""
 
     def __init__(self, tree: ParseTree):
-        self.root = _build(tree, spans_by_id(tree))
-        self.size = self.root.end
+        self.leaves: list[_GNode] = []
+        self.root = _build(tree, self.leaves)
+        self.size = len(self.leaves)
 
-    def nodes(self):
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            yield n
-            stack.extend(reversed(n.children))
+    def _spine(self, span: Span) -> list[_GNode]:
+        """Ancestors of the span's first leaf, leaf included, that start at
+        ``span.start`` and end at or before ``span.end``; bottom first."""
+        spine = []
+        n = self.leaves[span.start]
+        while n is not None and n.start == span.start and n.end <= span.end:
+            spine.append(n)
+            n = n.parent
+        return spine
 
     def same_span_chain(self, span: Span) -> list[_GNode]:
         """Nodes whose span equals ``span``, topmost first."""
-        return [n for n in self.nodes() if n.start == span.start and n.end == span.end]
+        return [n for n in reversed(self._spine(span)) if n.end == span.end]
 
     def adjacent_daughters(self, span: Span):
-        for n in self.nodes():
-            kids = n.children
-            for i, kid in enumerate(kids):
-                if kid.start != span.start:
-                    continue
-                j = i
-                while j < len(kids) and kids[j].end < span.end:
-                    j += 1
-                if j < len(kids) and kids[j].end == span.end and (j - i + 1) < len(kids):
-                    return n, i, j
+        """``(parent, i, j)`` when daughters ``i..j`` of ``parent`` cover
+        exactly ``span`` and are not all of its daughters, else None."""
+        top = self._spine(span)[-1]
+        parent = top.parent
+        if parent is None:
+            return None
+        # ``parent`` is off the spine, so it starts before the span or
+        # ends after it: daughters i..j are never all of its daughters.
+        kids = parent.children
+        i = j = kids.index(top)
+        while j < len(kids) and kids[j].end < span.end:
+            j += 1
+        if j < len(kids) and kids[j].end == span.end:
+            return parent, i, j
         return None
 
     def insert(self, parent: _GNode, i: int, j: int, label: str) -> _GNode:
@@ -172,12 +183,13 @@ class _Shadow:
         return new
 
     def minimal_clause(self, span: Span) -> Span:
-        best = None
-        for n in self.nodes():
-            if base_category(n.label) == "S" and n.span.covers(span):
-                if best is None or (n.end - n.start) < (best.end - best.start):
-                    best = n.span
-        return best if best is not None else self.root.span
+        """Span of the smallest ``S`` covering ``span``, else the root's."""
+        n = self.leaves[span.start]
+        while n.parent is not None and not (
+            base_category(n.label) == "S" and n.end >= span.end
+        ):
+            n = n.parent
+        return Span(n.start, n.end)
 
 
 def _mn_tag(label: str) -> MNTag | None:
@@ -198,9 +210,14 @@ def _apply_key(a: StandoffAnnotation) -> tuple:
 class _Grafted:
     annotation: StandoffAnnotation
     outcome: str
-    nodes: list[_GNode]
-    entries: list[list]  # applied entries, shared with the nodes
-    label: str
+    nodes: list[_GNode]  # the nodes whose ``applied`` lists hold this record
+    seq: int
+    label: str  # composition may rewrite it
+    tag: MNTag | None  # ``label`` parsed
+
+    @property
+    def alive(self) -> bool:
+        return self.outcome != "dropped-uncomposable"
 
 
 def graft(
@@ -223,35 +240,20 @@ def graft(
             raise ValueError(f"annotation family {a.family!r} not in family order")
 
     grafted: list[_Grafted] = []
-    seq = 0
     for family in config.family_order:
         batch = sorted((a for a in annotations if a.family == family), key=_apply_key)
         for a in batch:
-            chain = shadow.same_span_chain(a.span)
-            if chain:
-                overlaid = any(n.alive_applied() for n in chain)
-                entries = []
-                for n in chain:
-                    role = getattr(_mn_tag(a.label), "role", None)
-                    entry = [a.label, a.family, role, seq, True]
-                    n.applied.append(entry)
-                    entries.append(entry)
-                grafted.append(
-                    _Grafted(a, "overlaid" if overlaid else "grafted-exact", chain, entries, a.label)
-                )
+            nodes = shadow.same_span_chain(a.span)
+            if nodes:
+                outcome = "overlaid" if any(n.alive_applied() for n in nodes) else "grafted-exact"
+            elif (where := shadow.adjacent_daughters(a.span)) is not None:
+                outcome, nodes = "grafted-inserted", [shadow.insert(*where, a.label)]
             else:
-                where = shadow.adjacent_daughters(a.span)
-                if where is None:
-                    grafted.append(_Grafted(a, "crossing-skipped", [], [], a.label))
-                    seq += 1
-                    continue
-                parent, i, j = where
-                new = shadow.insert(parent, i, j, a.label)
-                role = getattr(_mn_tag(a.label), "role", None)
-                entry = [a.label, a.family, role, seq, True]
-                new.applied.append(entry)
-                grafted.append(_Grafted(a, "grafted-inserted", [new], [entry], a.label))
-            seq += 1
+                outcome = "crossing-skipped"
+            g = _Grafted(a, outcome, nodes, len(grafted), a.label, _mn_tag(a.label))
+            for n in nodes:
+                n.applied.append(g)
+            grafted.append(g)
 
     _compose(shadow, grafted)
 
@@ -262,16 +264,12 @@ def graft(
 
 
 def _compose(shadow: _Shadow, grafted: list[_Grafted]) -> None:
-    mn = [g for g in grafted if g.annotation.family == MN_FAMILY and _mn_tag(g.label)]
+    mn = [g for g in grafted if g.annotation.family == MN_FAMILY and g.tag]
     triggers = [
-        g
-        for g in mn
-        if (t := _mn_tag(g.label)).role is Role.TRIGGER and t.modality is not Modality.NEGATION
+        g for g in mn if g.tag.role is Role.TRIGGER and g.tag.modality is not Modality.NEGATION
     ]
     negations = [
-        g
-        for g in mn
-        if (t := _mn_tag(g.label)).role is Role.TRIGGER and t.modality is Modality.NEGATION
+        g for g in mn if g.tag.role is Role.TRIGGER and g.tag.modality is Modality.NEGATION
     ]
     negations.sort(key=lambda g: g.annotation.span.start)
 
@@ -294,20 +292,17 @@ def _compose(shadow: _Shadow, grafted: list[_Grafted]) -> None:
         adjacent.sort(
             key=lambda t: (t.annotation.span.end != nspan.start, t.annotation.span.start)
         )
-        trig_tag = _mn_tag(adjacent[0].label)
+        trig_tag = adjacent[0].tag
         rewrote = False
         for g in mn:
-            tag = _mn_tag(g.label)
             if (
-                tag.role is Role.TARGET
-                and tag.modality is trig_tag.modality
-                and not tag.outer_not
+                g.tag.role is Role.TARGET
+                and g.tag.modality is trig_tag.modality
+                and not g.tag.outer_not
                 and clause.covers(g.annotation.span)
             ):
-                new_label = str(compose_negation(tag, True))
-                g.label = new_label
-                for entry in g.entries:
-                    entry[0] = new_label
+                g.tag = compose_negation(g.tag, True)
+                g.label = str(g.tag)
                 rewrote = True
         if rewrote:
             neg.outcome = "composed"
@@ -315,15 +310,9 @@ def _compose(shadow: _Shadow, grafted: list[_Grafted]) -> None:
     # Raw Negation targets left on words that carry other tags are
     # uncomposable nested modality; remove them.
     for g in mn:
-        tag = _mn_tag(g.label)
-        if tag.role is Role.TARGET and tag.modality is Modality.NEGATION:
-            own = {id(e) for e in g.entries}
-            nested = any(
-                id(other) not in own for node in g.nodes for other in node.alive_applied()
-            )
-            if nested and g.nodes:
-                for entry in g.entries:
-                    entry[4] = False
+        if g.tag.role is Role.TARGET and g.tag.modality is Modality.NEGATION:
+            nested = any(other is not g for n in g.nodes for other in n.alive_applied())
+            if nested:
                 g.outcome = "dropped-uncomposable"
 
 
@@ -337,14 +326,14 @@ def _final_label(n: _GNode) -> str | None:
     alive = n.alive_applied()
     if not alive:
         return None
-    chosen = max(alive, key=lambda e: e[3])
+    chosen = max(alive, key=lambda g: g.seq)
     # Trigger-vs-target conflicts are adjudicated within the MN
     # family only; a later family's tag stands.
-    if chosen[2] is Role.TRIGGER:
-        targets = [e for e in alive if e[2] is Role.TARGET]
+    if getattr(chosen.tag, "role", None) is Role.TRIGGER:
+        targets = [g for g in alive if getattr(g.tag, "role", None) is Role.TARGET]
         if targets:
-            chosen = max(targets, key=lambda e: e[3])
-    return chosen[0]
+            chosen = max(targets, key=lambda g: g.seq)
+    return chosen.label
 
 
 def _render(n: _GNode) -> ParseTree:

@@ -61,6 +61,10 @@ class PatternSyntaxError(ValueError):
         self.column = column
 
 
+#: Rewrites one ``apply`` call may make before it gives up on the rule.
+MAX_REWRITES = 100
+
+
 class RewriteBudgetError(RuntimeError):
     """A rule kept rewriting past its budget; it likely re-enables itself."""
 
@@ -464,7 +468,6 @@ def _apply_actions(
 def apply(
     rule: PatternRule,
     tree: ParseTree,
-    max_rewrites: int = 100,
     on_rewrite: Callable[[Match, ParseTree], None] | None = None,
 ) -> ParseTree:
     """Apply a rule to fixpoint: rewrite the first match that changes
@@ -472,7 +475,7 @@ def apply(
 
     ``on_rewrite`` is called with the match and the tree it was found in
     just before each change.  Raises RewriteBudgetError after
-    ``max_rewrites`` changes.
+    ``MAX_REWRITES`` changes.
     """
     rewrites = 0
     while True:
@@ -480,9 +483,9 @@ def apply(
         for m in match(rule, tree):
             new_tree, changed = _apply_actions(tree, m, rule.actions)
             if changed:
-                if rewrites >= max_rewrites:
+                if rewrites >= MAX_REWRITES:
                     raise RewriteBudgetError(
-                        f"rule {rule.name!r} exceeded its rewrite budget of {max_rewrites}"
+                        f"rule {rule.name!r} exceeded its rewrite budget of {MAX_REWRITES}"
                     )
                 rewrites += 1
                 if on_rewrite is not None:

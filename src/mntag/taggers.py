@@ -147,15 +147,12 @@ def _next_verb(tagged: Sequence[tuple[str, str]], start: int) -> int | None:
 class _RawAnn:
     span: Span
     tag: MNTag
-    link: int  # index of the rule application that produced it
     alive: bool = True
 
 
 @dataclass
 class _Link:
     modality: Modality | None
-    trigger_span: Span | None
-    target_span: Span | None
     trigger_ann: _RawAnn | None = None
     target_ann: _RawAnn | None = None
 
@@ -182,50 +179,42 @@ def _compose_pass(links: list[_Link], diagnostics: list[str], structure: bool) -
         for l in links
         if l.modality is not None
         and l.modality is not Modality.NEGATION
-        and l.trigger_span is not None
+        and l.trigger_ann is not None
     ]
-    trigger_spans = {l.trigger_span for l in mod_links}
+    trigger_spans = {l.trigger_ann.span for l in mod_links}
     for neg in links:
-        if neg.modality is not Modality.NEGATION or neg.trigger_span is None:
+        if neg.modality is not Modality.NEGATION or neg.trigger_ann is None:
             continue
+        nspan = neg.trigger_ann.span
         composed = False
         # Negation between a trigger and that trigger's target.
         straddled = [
             l
             for l in mod_links
-            if l.target_span is not None
-            and l.trigger_span.end <= neg.trigger_span.start
-            and neg.trigger_span.end <= l.target_span.start
+            if l.target_ann is not None
+            and l.trigger_ann.span.end <= nspan.start
+            and nspan.end <= l.target_ann.span.start
         ]
         if straddled:
-            link = max(straddled, key=lambda l: l.trigger_span.end)
-            if structure and link.target_span in trigger_spans:
+            link = max(straddled, key=lambda l: l.trigger_ann.span.end)
+            if structure and link.target_ann.span in trigger_spans:
                 continue
-            if link.target_ann is not None:
-                link.target_ann.tag = compose_negation(link.target_ann.tag, True)
-            if neg.target_ann is not None and neg.target_ann.span == link.target_span:
+            link.target_ann.tag = compose_negation(link.target_ann.tag, True)
+            if neg.target_ann is not None and neg.target_ann.span == link.target_ann.span:
                 neg.target_ann.alive = False
             composed = True
         elif structure:
-            following = [
-                l for l in mod_links if l.trigger_span.start == neg.trigger_span.end
-            ]
-            if following:
+            following = [l for l in mod_links if l.trigger_ann.span.start == nspan.end]
+            if following and following[0].target_ann is not None:
                 link = following[0]
-                if link.target_span in trigger_spans:
+                if link.target_ann.span in trigger_spans:
                     continue
-                if link.target_ann is not None:
-                    link.target_ann.tag = compose_negation(link.target_ann.tag, True)
-                    if (
-                        neg.target_ann is not None
-                        and neg.target_ann.span == link.trigger_span
-                    ):
-                        neg.target_ann.alive = False
-                    composed = True
+                link.target_ann.tag = compose_negation(link.target_ann.tag, True)
+                if neg.target_ann is not None and neg.target_ann.span == link.trigger_ann.span:
+                    neg.target_ann.alive = False
+                composed = True
         if not composed and neg.target_ann is None:
-            diagnostics.append(
-                f"negation trigger at {neg.trigger_span.start} has no target"
-            )
+            diagnostics.append(f"negation trigger at {nspan.start} has no target")
 
 
 def _finish_annotations(anns: list[_RawAnn], sentence: int) -> list[StandoffAnnotation]:
@@ -261,18 +250,12 @@ def tag_string(
 
     for i in range(len(tagged)):
         for entry, (start, end) in lookup(lexicon, tagged, i):
-            span = Span(start, end)
-            link = _Link(entry.modality, span, None)
-            trig = _RawAnn(span, MNTag(Role.TRIGGER, False, entry.modality, False), len(links))
-            link.trigger_ann = trig
+            trig = _RawAnn(Span(start, end), MNTag(Role.TRIGGER, False, entry.modality, False))
+            link = _Link(entry.modality, trig)
             anns.append(trig)
             j = _next_verb(tagged, end)
             if j is not None:
-                tspan = Span(j, j + 1)
-                link.target_span = tspan
-                targ = _RawAnn(
-                    tspan, MNTag(Role.TARGET, False, entry.modality, False), len(links)
-                )
+                targ = _RawAnn(Span(j, j + 1), MNTag(Role.TARGET, False, entry.modality, False))
                 link.target_ann = targ
                 anns.append(targ)
             elif entry.modality is not Modality.NEGATION:
@@ -329,8 +312,7 @@ def tag_structure(
 
         def record(m: matcher.Match, before: ParseTree, rule=rule, payloads=payloads) -> None:
             spans = rulegen.word_spans(before)
-            link = _Link(None, None, None)
-            link_id = len(links)
+            link = _Link(None)
             for capture, label in payloads.items():
                 node = m.captures.get(capture)
                 if node is None or id(node) not in spans:
@@ -339,14 +321,12 @@ def tag_structure(
                     tag = parse_tag(label)
                 except TagError:
                     continue  # non-MN payload: lands on the tree only
-                ann = _RawAnn(spans[id(node)], tag, link_id)
+                ann = _RawAnn(spans[id(node)], tag)
                 anns.append(ann)
                 if tag.role is Role.TRIGGER:
-                    link.trigger_span = ann.span
                     link.trigger_ann = ann
                     link.modality = tag.modality
                 else:
-                    link.target_span = ann.span
                     link.target_ann = ann
             if link.modality is None and link.target_ann is not None:
                 link.modality = link.target_ann.tag.modality

@@ -281,9 +281,3 @@ def write_ptb(tree: ParseTree) -> str:
 def read_ptb_file(path) -> list[ParseTree]:
     with open(path, encoding="utf-8") as fh:
         return read_ptb(fh.read())
-
-
-def write_ptb_file(path, trees) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in trees:
-            fh.write(write_ptb(t) + "\n")

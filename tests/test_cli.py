@@ -9,6 +9,8 @@ TREES = DATA / "corpus_trees.ptb"
 TOKENS = DATA / "corpus_tokens.tsv"
 GOLDEN = DATA / "golden_standoff.tsv"
 NE = DATA / "ne_sample.tsv"
+GOLDEN_GRAFTED = DATA / "golden_grafted.ptb"
+GOLDEN_GRAFT_REPORT = DATA / "golden_graft_report.txt"
 
 FIG1_LINE = (
     "Americans <TrigRequire should> <TargRequire know> that we <TrigAble can>"
@@ -92,6 +94,17 @@ def test_graft_pipeline_and_report(tmp_path):
     for key in ("grafted-exact", "grafted-inserted", "overlaid", "crossing-skipped",
                 "composed", "dropped-uncomposable"):
         assert f"{key}: " in text
+
+
+def test_graft_matches_golden_fixture(tmp_path):
+    out = tmp_path / "grafted.ptb"
+    report = tmp_path / "report.txt"
+    assert run(
+        "graft", "--trees", TREES, "--standoff", GOLDEN, "--standoff", NE,
+        "--order", "NE,MN", "--out", out, "--report", report,
+    ) == 0
+    assert out.read_bytes() == GOLDEN_GRAFTED.read_bytes()
+    assert report.read_bytes() == GOLDEN_GRAFT_REPORT.read_bytes()
 
 
 def test_graft_no_annotations_byte_identical(tmp_path):

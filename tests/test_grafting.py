@@ -3,9 +3,9 @@ import random
 import pytest
 
 from conftest import random_tree
-from mntag.grafting import GraftConfig, SpanCase, classify_span, graft
+from mntag.grafting import GraftConfig, SpanCase, _Shadow, classify_span, graft
 from mntag.taggers import StandoffAnnotation
-from mntag.trees import Span, iter_nodes, read_ptb, write_ptb
+from mntag.trees import ParseTree, Span, base_category, iter_nodes, read_ptb, write_ptb
 
 COMPOSITION_TREE = (
     "(S (NP (EX there)) (VP (VBZ is) (NP (NP (DT no) (NN difficulty))"
@@ -131,6 +131,66 @@ def test_classify_span_cases():
     assert classify_span(tree, Span(1, 3))[0] is SpanCase.CROSSING
     with pytest.raises(ValueError):
         classify_span(tree, Span(4, 9))
+
+
+def test_shared_node_object_grafts_like_a_copy():
+    we = read_ptb("(NP (PRP We))")[0]
+    vp = read_ptb("(VP (MD can) (VP (VB go)))")[0]
+    shared = ParseTree("S", (we, vp, we), None)
+    copy = read_ptb("(S (NP (PRP We)) (VP (MD can) (VP (VB go))) (NP (PRP We)))")[0]
+    assert shared == copy
+    anns = [
+        ne(0, 0, 1, "PER"),
+        ne(0, 3, 4, "ORG"),
+        mn(0, 1, 2, "TrigAble"),
+        mn(0, 2, 3, "TargAble"),
+        mn(0, 1, 3, "TargRequire"),
+        mn(0, 0, 2, "TargSucceed"),
+    ]
+    out, report = graft(shared, anns)
+    want, want_report = graft(copy, anns)
+    assert write_ptb(out) == write_ptb(want)
+    assert report.counts == want_report.counts
+    for start in range(4):
+        for end in range(start + 1, 5):
+            case, node = classify_span(shared, Span(start, end))
+            want_case, want_node = classify_span(copy, Span(start, end))
+            assert case is want_case and node == want_node
+
+
+def _shadow_spans(node, start, spans):
+    """(start, end) of every working-copy node, by counting leaves."""
+    end = start + 1 if not node.children else start
+    for child in node.children:
+        end = _shadow_spans(child, end, spans)
+    spans.append((node, start, end))
+    return end
+
+
+def test_minimal_clause_matches_brute_force_after_insertions():
+    rng = random.Random(4242)
+    inserted = inner = 0
+    for _ in range(300):
+        tree = random_tree(rng, max_nodes=16)
+        shadow = _Shadow(tree)
+        n = shadow.size
+        for _ in range(rng.randint(0, 4)):
+            start = rng.randrange(n)
+            where = shadow.adjacent_daughters(Span(start, rng.randint(start + 1, n)))
+            if where is not None:
+                shadow.insert(*where, rng.choice(["S", "X"]))
+                inserted += 1
+        spans = []
+        _shadow_spans(shadow.root, 0, spans)
+        assert all((g.start, g.end) == (s, e) for g, s, e in spans)
+        clauses = [(e - s, s, e) for g, s, e in spans if base_category(g.label) == "S"]
+        for start in range(n):
+            for end in range(start + 1, n + 1):
+                covering = [c for c in clauses if c[1] <= start and end <= c[2]]
+                want = Span(*min(covering)[1:]) if covering else Span(0, n)
+                assert shadow.minimal_clause(Span(start, end)) == want
+                inner += want != Span(0, n)
+    assert inserted > 100 and inner > 500
 
 
 def _classify_oracle(tree, span):
