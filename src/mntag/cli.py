@@ -15,7 +15,6 @@ from . import grafting, matcher, rulegen, taggers, trees
 from .lexicon import LexiconError, load_lexicon_file
 from .matcher import PatternSyntaxError, RewriteBudgetError
 from .taggers import StandoffAnnotation
-from .trees import PTBParseError
 
 log = logging.getLogger("mn")
 
@@ -69,11 +68,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_file(path, parse):
-    """``parse`` applied to the file's text; its errors name the file."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    """``parse`` applied to the file's text; its errors, and text that is
+    not UTF-8, name the file."""
     try:
-        return parse(text)
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -94,8 +93,7 @@ def _cmd_tag(args) -> int:
     annotations: list[StandoffAnnotation] = []
     if args.mode == "structure":
         rule_set = _load_rules(args)
-        with open(args.input, encoding="utf-8") as fh:
-            corpus = trees.read_ptb(fh.read())
+        corpus = _parse_file(args.input, trees.read_ptb)
         out_lines = []
         for i, tree in enumerate(corpus):
             prepared = rulegen.preprocess(trees.flatten(tree))
@@ -112,8 +110,7 @@ def _cmd_tag(args) -> int:
         output = "".join(line + "\n" for line in out_lines)
     else:
         lexicon = load_lexicon_file(args.lexicon)
-        with open(args.input, encoding="utf-8") as fh:
-            sentences = taggers.read_token_tsv(fh.read())
+        sentences = _parse_file(args.input, taggers.read_token_tsv)
         tagged_sentences = []
         out_lines = []
         for i, sentence in enumerate(sentences):
@@ -138,8 +135,7 @@ def _cmd_tag(args) -> int:
 
 
 def _cmd_graft(args) -> int:
-    with open(args.trees, encoding="utf-8") as fh:
-        corpus = trees.read_ptb(fh.read())
+    corpus = _parse_file(args.trees, trees.read_ptb)
     order = tuple(args.order.split(","))
     sizes = [len(tree.leaves()) for tree in corpus]
     annotations: list[StandoffAnnotation] = []
@@ -185,8 +181,7 @@ def _cmd_graft(args) -> int:
 
 
 def _cmd_trees(args, transform) -> int:
-    with open(args.input, encoding="utf-8") as fh:
-        corpus = trees.read_ptb(fh.read())
+    corpus = _parse_file(args.input, trees.read_ptb)
     with open(args.output, "w", encoding="utf-8") as fh:
         for tree in corpus:
             fh.write(trees.write_ptb(transform(tree)) + "\n")
@@ -237,7 +232,7 @@ def main(argv=None) -> int:
     except RewriteBudgetError as exc:
         log.error("rule application failed: %s", exc)
         return 1
-    except (PTBParseError, LexiconError, PatternSyntaxError, ValueError, OSError) as exc:
+    except (LexiconError, PatternSyntaxError, ValueError, OSError) as exc:
         log.error("%s", exc)
         return 2
     return 2

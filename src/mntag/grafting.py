@@ -199,10 +199,10 @@ def _mn_tag(label: str) -> MNTag | None:
         return None
 
 
-def _apply_key(a: StandoffAnnotation) -> tuple:
+def _apply_key(item: tuple[StandoffAnnotation, MNTag | None]) -> tuple:
     # Lower precedence first, so higher precedence overwrites.
-    tag = _mn_tag(a.label) if a.family == MN_FAMILY else None
-    rank = specificity_rank(tag) if tag is not None else 0
+    a, tag = item
+    rank = specificity_rank(tag) if tag is not None and a.family == MN_FAMILY else 0
     return (-rank, a.span.start, a.span.end, a.label)
 
 
@@ -241,8 +241,8 @@ def graft(
 
     grafted: list[_Grafted] = []
     for family in config.family_order:
-        batch = sorted((a for a in annotations if a.family == family), key=_apply_key)
-        for a in batch:
+        batch = [(a, _mn_tag(a.label)) for a in annotations if a.family == family]
+        for a, tag in sorted(batch, key=_apply_key):
             nodes = shadow.same_span_chain(a.span)
             if nodes:
                 outcome = "overlaid" if any(n.alive_applied() for n in nodes) else "grafted-exact"
@@ -250,7 +250,7 @@ def graft(
                 outcome, nodes = "grafted-inserted", [shadow.insert(*where, a.label)]
             else:
                 outcome = "crossing-skipped"
-            g = _Grafted(a, outcome, nodes, len(grafted), a.label, _mn_tag(a.label))
+            g = _Grafted(a, outcome, nodes, len(grafted), a.label, tag)
             for n in nodes:
                 n.applied.append(g)
             grafted.append(g)

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .lexicon import Lexicon, LexiconEntry
-from .matcher import Action, Clause, NodeTest, Pattern, PatternRule, parse_pattern, read_records
+from .matcher import Action, Clause, NodeTest, Pattern, PatternRule, TreePath
+from .matcher import parse_pattern, read_records
 from .tags import MNTag, Modality, Role, is_tag_string
-from .trees import ParseTree, Span, spans_by_id
+from .trees import ParseTree, Span
 
 log = logging.getLogger(__name__)
 
@@ -56,12 +57,15 @@ def word_tokens(tree: ParseTree) -> list[str]:
     return [n.token for n in word_leaves(tree)]  # type: ignore[misc]
 
 
-def word_spans(tree: ParseTree) -> dict[int, Span]:
-    """Map from node id to span over word-token indices (markers skipped).
-
-    Nodes whose yield is markers only are absent.
-    """
-    return spans_by_id(tree, is_word=lambda n: not is_marker_leaf(n))
+def word_spans(tree: ParseTree, path: TreePath) -> Span | None:
+    """Span over word-token indices (markers skipped) of the node at
+    ``path``; None when its yield is markers only."""
+    start = 0
+    for i in path:
+        start += sum(len(word_leaves(c)) for c in tree.children[:i])
+        tree = tree.children[i]
+    end = start + len(word_leaves(tree))
+    return Span(start, end) if end > start else None
 
 
 def _is_verbal_label(label: str) -> bool:

@@ -9,7 +9,10 @@ sitting between a trigger and that target folds NOT into the target's
 tag.
 
 The structure tagger applies generated pattern rules to flattened,
-preprocessed parse trees, then runs a negation-composition pass:
+preprocessed parse trees.  Each rewrite's captures are located by their
+match paths (``Match.paths``), and a capture's word span is counted
+along its path in the tree the match was found in.  Then the tagger
+runs a negation-composition pass:
 
 * a negation between a trigger and its target composes NOT into the
   target tag unless the target word is itself a trigger (nested
@@ -21,7 +24,8 @@ preprocessed parse trees, then runs a negation-composition pass:
 
 Finally the marker daughters inserted by the rules are folded into
 ``-`` label suffixes and the preprocessing markers are dropped, so the
-output tree carries the input's word yield plus tag suffixes.
+output tree carries the input's word yield plus tag suffixes; the fold
+counts word spans as it walks down the tree.
 """
 
 from __future__ import annotations
@@ -311,17 +315,16 @@ def tag_structure(
         payloads = {action.capture: action.label for action in rule.actions}
 
         def record(m: matcher.Match, before: ParseTree, rule=rule, payloads=payloads) -> None:
-            spans = rulegen.word_spans(before)
             link = _Link(None)
             for capture, label in payloads.items():
-                node = m.captures.get(capture)
-                if node is None or id(node) not in spans:
+                span = rulegen.word_spans(before, m.paths[capture])
+                if span is None:
                     continue
                 try:
                     tag = parse_tag(label)
                 except TagError:
                     continue  # non-MN payload: lands on the tree only
-                ann = _RawAnn(spans[id(node)], tag)
+                ann = _RawAnn(span, tag)
                 anns.append(ann)
                 if tag.role is Role.TRIGGER:
                     link.trigger_ann = ann
@@ -352,23 +355,32 @@ def fold_markers(tree: ParseTree, annotations: Sequence[StandoffAnnotation]) -> 
     by_span: dict[Span, list[str]] = {}
     for a in annotations:
         by_span.setdefault(a.span, []).append(a.label)
-    return _fold(tree, rulegen.word_spans(tree), by_span)
+    return _fold(tree, 0, by_span)[0]
 
 
-def _fold(node: ParseTree, spans: dict[int, Span], by_span: dict[Span, list[str]]) -> ParseTree:
+def _fold(node: ParseTree, start: int, by_span: dict[Span, list[str]]) -> tuple[ParseTree, int]:
+    """The folded node and the end of its word span, which begins at
+    ``start``; marker leaves never reach here, except as the root."""
     if node.is_leaf:
-        return node
-    markers = [c.label for c in node.children if rulegen.is_marker_leaf(c)]
-    kept = [_fold(c, spans, by_span) for c in node.children if not rulegen.is_marker_leaf(c)]
+        return node, start + 1
+    markers: list[str] = []
+    kept: list[ParseTree] = []
+    end = start
+    for c in node.children:
+        if rulegen.is_marker_leaf(c):
+            markers.append(c.label)
+        else:
+            c, end = _fold(c, end, by_span)
+            kept.append(c)
     label = node.label
-    if not all(l in (rulegen.AUX_MARKER, rulegen.PASSIVE_MARKER) for l in markers):
-        labels = by_span.get(spans.get(id(node)), [])  # type: ignore[arg-type]
+    if end > start and not all(l in (rulegen.AUX_MARKER, rulegen.PASSIVE_MARKER) for l in markers):
+        labels = by_span.get(Span(start, end), [])
         for suffix in sorted(set(labels), key=lambda l: (specificity_rank(parse_tag(l)), l)):
             if not matcher.has_label_segment(label, suffix):
                 label += "-" + suffix
     if len(kept) == 1 and kept[0].is_leaf and kept[0].label == kept[0].token:
-        return ParseTree(label, (), kept[0].token)
-    return ParseTree(label, tuple(kept), None)
+        return ParseTree(label, (), kept[0].token), end
+    return ParseTree(label, tuple(kept), None), end
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 _LABEL_BAD = re.compile(r"[\s()]")
 _PTB_TOKEN = re.compile(r"\(|\)|[^()\s]+")
@@ -28,11 +28,13 @@ _ESCAPES = (("(", "-LRB-"), (")", "-RRB-"))
 
 
 class PTBParseError(ValueError):
-    """Malformed S-expression input; ``offset`` is the byte position."""
+    """Malformed S-expression input; ``offset`` is the character position
+    where reading stopped and ``line`` the 1-based line of the fault."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} at offset {offset}")
+    def __init__(self, message: str, offset: int, line: int):
+        super().__init__(f"line {line}: {message} at offset {offset}")
         self.offset = offset
+        self.line = line
 
 
 def escape_token(token: str) -> str:
@@ -110,59 +112,16 @@ class Span:
         return self.start <= other.start and other.end <= self.end
 
 
-def spans_by_id(
-    tree: ParseTree, is_word: Callable[[ParseTree], bool] | None = None
-) -> dict[int, Span]:
-    """Map from node id to the span of the node's yield, in preorder.
-
-    Offsets count only the leaves ``is_word`` accepts (every leaf when it
-    is None), 0-based and end-exclusive; a node whose yield holds no
-    such leaf is absent.  Nodes are keyed by identity, so a tree that
-    holds one node object at two places is rejected.
-    """
-    spans: dict[int, Span] = {}
-    _walk_spans(tree, 0, spans, is_word)
-    return spans
-
-
-def _walk_spans(
-    n: ParseTree, start: int, spans: dict, is_word: Callable[[ParseTree], bool] | None
-) -> int:
-    # A module-level function, not a closure: a recursive closure is a
-    # reference cycle, which would keep ``spans`` alive until the cyclic
-    # garbage collector runs.
-    key = id(n)
-    if key in spans:
-        raise ValueError(f"node {n.label!r} occurs twice in the tree")
-    if n.is_leaf:
-        if is_word is not None and not is_word(n):
-            return start
-        spans[key] = Span(start, start + 1)
-        return start + 1
-    # Hold the preorder slot; filled or dropped once the yield is known.
-    spans[key] = None
-    pos = start
-    for child in n.children:
-        pos = _walk_spans(child, pos, spans, is_word)
-    if pos > start:
-        spans[key] = Span(start, pos)
-    else:
-        del spans[key]
-    return pos
-
-
-def node_spans(tree: ParseTree) -> list[tuple[ParseTree, Span]]:
-    """Every node paired with the span of its yield, in preorder."""
-    spans = spans_by_id(tree)
-    return [(n, spans[id(n)]) for n in iter_nodes(tree)]
-
-
 def node_span(tree: ParseTree, target: ParseTree) -> Span:
-    """Span of ``target``, located in ``tree`` by object identity."""
-    span = spans_by_id(tree).get(id(target))
-    if span is None:
-        raise ValueError("node does not belong to this tree")
-    return span
+    """Span of ``target``, located in ``tree`` by object identity; a node
+    object that occurs at several places is taken at its first."""
+    start = 0
+    for n in iter_nodes(tree):
+        if n is target:
+            return Span(start, start + len(n.leaves()))
+        if n.is_leaf:
+            start += 1
+    raise ValueError("node does not belong to this tree")
 
 
 def base_category(label: str) -> str:
@@ -213,6 +172,10 @@ def _atom_leaf(atom: str) -> ParseTree:
     return ParseTree(atom, (), unescape_token(atom))
 
 
+def _line(text: str, offset: int) -> int:
+    return text.count("\n", 0, offset) + 1
+
+
 def read_ptb(text: str) -> list[ParseTree]:
     """Parse a sequence of balanced S-expressions into trees.
 
@@ -228,10 +191,10 @@ def read_ptb(text: str) -> list[ParseTree]:
             stack.append([None, [], offset])
         elif tok == ")":
             if not stack:
-                raise PTBParseError("unbalanced ')'", offset)
+                raise PTBParseError("unbalanced ')'", offset, _line(text, offset))
             label, items, open_offset = stack.pop()
             if label is None or not items:
-                raise PTBParseError("empty node", open_offset)
+                raise PTBParseError("empty node", open_offset, _line(text, open_offset))
             children = tuple(
                 item if isinstance(item, ParseTree) else _atom_leaf(item) for item in items
             )
@@ -245,13 +208,16 @@ def read_ptb(text: str) -> list[ParseTree]:
                 trees.append(subtree)
         else:
             if not stack:
-                raise PTBParseError(f"unexpected atom {tok!r} outside a tree", offset)
+                raise PTBParseError(
+                    f"unexpected atom {tok!r} outside a tree", offset, _line(text, offset)
+                )
             if stack[-1][0] is None:
                 stack[-1][0] = tok
             else:
                 stack[-1][1].append(tok)
     if stack:
-        raise PTBParseError("unbalanced '('", len(text))
+        # The fault is the tree that never closes, so name its line.
+        raise PTBParseError("unbalanced '('", len(text), _line(text, stack[0][2]))
     return trees
 
 

@@ -1,6 +1,9 @@
 """End-to-end exercises of the ``mn`` command line."""
 
+import os
 from importlib.resources import files
+
+import pytest
 
 from conftest import DATA
 from mntag.cli import main, seed_lexicon_path
@@ -11,6 +14,7 @@ GOLDEN = DATA / "golden_standoff.tsv"
 NE = DATA / "ne_sample.tsv"
 GOLDEN_GRAFTED = DATA / "golden_grafted.ptb"
 GOLDEN_GRAFT_REPORT = DATA / "golden_graft_report.txt"
+GOLDEN_TAGGED = DATA / "golden_tagged.ptb"
 
 FIG1_LINE = (
     "Americans <TrigRequire should> <TargRequire know> that we <TrigAble can>"
@@ -31,6 +35,15 @@ def test_structure_mode_matches_golden_standoff(tmp_path):
     )
     assert code == 0
     assert standoff.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_structure_mode_matches_golden_trees(tmp_path):
+    out = tmp_path / "tagged.ptb"
+    assert run(
+        "tag", "--mode", "structure", "--lexicon", seed_lexicon_path(),
+        "--in", TREES, "--out", out,
+    ) == 0
+    assert out.read_bytes() == GOLDEN_TAGGED.read_bytes()
 
 
 def test_structure_mode_is_deterministic(tmp_path):
@@ -76,6 +89,28 @@ def test_tag_bad_input_exits_2(tmp_path):
         "tag", "--mode", "structure", "--lexicon", seed_lexicon_path(),
         "--in", bad, "--out", tmp_path / "x",
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["tag", "--mode", "structure", "--lexicon", seed_lexicon_path(), "--in"],
+        ["tag", "--mode", "string", "--lexicon", seed_lexicon_path(), "--in"],
+        ["graft", "--standoff", GOLDEN, "--report", os.devnull, "--trees"],
+        ["flatten", "--in"],
+        ["preprocess", "--in"],
+    ],
+    ids=["tag-structure", "tag-string", "graft", "flatten", "preprocess"],
+)
+@pytest.mark.parametrize(
+    "content, where", [(b"(S (NP (DT a)\n", "line 1"), (b"(S (NN \xff))\n", "position 7")]
+)
+def test_bad_input_file_exits_2_naming_file_and_line(tmp_path, caplog, command, content, where):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    assert run(*command, bad, "--out", tmp_path / "out") == 2
+    assert f"{bad}: " in caplog.text
+    assert where in caplog.text
 
 
 def test_graft_pipeline_and_report(tmp_path):

@@ -17,7 +17,7 @@ from mntag.rulegen import (
     word_spans,
     word_tokens,
 )
-from mntag.trees import ParseTree, Span, flatten, iter_nodes, read_ptb, write_ptb
+from mntag.trees import ParseTree, Span, flatten, read_ptb, write_ptb
 
 
 def test_preprocess_passive_clause():
@@ -75,34 +75,37 @@ def _with_markers(rng, tree):
 
 
 def _word_spans_oracle(tree):
-    """Spans found by counting the non-marker leaves before and inside
-    each node; marker-only nodes are absent."""
+    """Spans by path, found by counting the non-marker leaves before and
+    inside each node; marker-only nodes map to None."""
     leaves = tree.leaves()
     out = {}
-    for n in iter_nodes(tree):
+    stack = [(tree, ())]
+    while stack:
+        n, path = stack.pop()
+        stack.extend((c, path + (k,)) for k, c in enumerate(n.children))
         inside = [l for l in n.leaves() if not is_marker_leaf(l)]
         if not inside:
+            out[path] = None
             continue
         first = next(i for i, l in enumerate(leaves) if l is n.leaves()[0])
         before = sum(1 for l in leaves[:first] if not is_marker_leaf(l))
-        out[id(n)] = Span(before, before + len(inside))
+        out[path] = Span(before, before + len(inside))
     return out
 
 
 def test_word_tokens_exclude_markers():
     tree = preprocess(read_ptb("(S (NP (NNS Tents)) (VBP are) (VBN needed))")[0])
     assert word_tokens(tree) == ["Tents", "are", "needed"]
-    spans = word_spans(tree)
-    leaves = [n for n in tree.leaves() if is_marker_leaf(n)]
-    assert leaves and all(id(n) not in spans for n in leaves)
+    assert word_spans(tree, (2,)) == Span(2, 3)
+    marker_paths = [p for p, s in _word_spans_oracle(tree).items() if s is None]
+    assert marker_paths and all(word_spans(tree, p) is None for p in marker_paths)
     rng = random.Random(4242)
     marker_only = 0
     for _ in range(300):
         tree = _with_markers(rng, preprocess(random_tree(rng, max_nodes=14)))
-        assert word_spans(tree) == _word_spans_oracle(tree)
-        marker_only += sum(
-            1 for n in iter_nodes(tree) if n.leaves() and all(map(is_marker_leaf, n.leaves()))
-        )
+        oracle = _word_spans_oracle(tree)
+        assert {p: word_spans(tree, p) for p in oracle} == oracle
+        marker_only += sum(1 for s in oracle.values() if s is None)
     assert marker_only > 100
 
 

@@ -15,7 +15,7 @@ from mntag.taggers import (
     tag_string,
     tag_structure,
 )
-from mntag.trees import Span, flatten, read_ptb, write_ptb
+from mntag.trees import ParseTree, Span, flatten, read_ptb, write_ptb
 
 FIG1_TOKENS = [
     ("Americans", "NNPS"), ("should", "MD"), ("know", "VB"), ("that", "IN"),
@@ -163,6 +163,19 @@ def test_structure_tagger_preserves_word_yield(seed_rules):
     got = _by_token(flat.tokens(), result.annotations)
     assert got["reach"] == {"TargEffort", "TrigSucceed"}
     assert got["border"] == {"TargSucceed"}
+
+
+def test_shared_node_object_tags_like_a_copy(seed_rules):
+    we = read_ptb("(NP (PRP We))")[0]
+    # As read, and as flattened, where the modal rule fires.
+    for middle in ("(VP (MD can) (VP (VB go)))", "(MD can) (VB go)"):
+        shared = ParseTree("S", (we, *read_ptb(middle), we))
+        copy = read_ptb(f"(S (NP (PRP We)) {middle} (NP (PRP We)))")[0]
+        assert shared == copy
+        got, want = tag_structure(shared, seed_rules), tag_structure(copy, seed_rules)
+        assert (got.tree, got.annotations) == (want.tree, want.annotations)
+    assert [a.label for a in got.annotations] == ["TrigAble", "TargAble"]
+    assert write_ptb(got.tree) == "(S (NP (PRP We)) (MD-TrigAble can) (VB-TargAble go) (NP (PRP We)))"
 
 
 def test_render_inline_basics():

@@ -12,7 +12,6 @@ from mntag.trees import (
     flatten,
     iter_nodes,
     node_span,
-    node_spans,
     read_ptb,
     write_ptb,
 )
@@ -34,8 +33,16 @@ def test_read_unbalanced_reports_offset():
     with pytest.raises(PTBParseError) as err:
         read_ptb("(S (NP A")
     assert err.value.offset == 8
+    assert err.value.line == 1
     with pytest.raises(PTBParseError):
         read_ptb("(S (NP A)))")
+    with pytest.raises(PTBParseError, match=r"^line 3: unbalanced '\)' at offset 32$"):
+        read_ptb("(S (NP a))\n(S (NP b))\n(S (NP c)))\n")
+    # A tree that never closes is named by the line it opens on.
+    text = "(S (NP a))\n(S (NP b)\n\n"
+    with pytest.raises(PTBParseError) as err:
+        read_ptb(text)
+    assert (err.value.line, err.value.offset) == (2, len(text))
 
 
 def test_read_empty_node_rejected():
@@ -143,17 +150,14 @@ def test_node_span_basics():
     with pytest.raises(ValueError):
         node_span(tree, ParseTree("NN", (), "cat"))
     shared = ParseTree("NN", (), "cat")
-    with pytest.raises(ValueError, match="occurs twice"):
-        node_spans(ParseTree("NP", (shared, shared)))
+    assert node_span(ParseTree("NP", (shared, shared)), shared) == Span(0, 1)
 
 
 def test_spans_nest_or_are_disjoint():
     rng = random.Random(99)
     for _ in range(300):
         tree = random_tree(rng)
-        pairs = node_spans(tree)
-        assert all(node_span(tree, n) == s for n, s in pairs)
-        spans = [s for _, s in pairs]
+        spans = [node_span(tree, n) for n in iter_nodes(tree)]
         for a in spans:
             for b in spans:
                 nested = a.covers(b) or b.covers(a)
