@@ -86,18 +86,21 @@ def _load_rules(args) -> list[matcher.PatternRule]:
         if args.registry
         else rulegen.default_registry()
     )
-    return rulegen.expand_templates(lexicon, registry)
+    try:
+        return rulegen.expand_templates(lexicon, registry)
+    except LexiconError as exc:
+        raise LexiconError(f"{args.lexicon}: {exc}") from None
 
 
 def _cmd_tag(args) -> int:
     annotations: list[StandoffAnnotation] = []
     if args.mode == "structure":
-        rule_set = _load_rules(args)
+        index = matcher.RuleIndex(_load_rules(args))
         corpus = _parse_file(args.input, trees.read_ptb)
         out_lines = []
         for i, tree in enumerate(corpus):
             prepared = rulegen.preprocess(trees.flatten(tree))
-            result = taggers.tag_structure(prepared, rule_set, sentence=i)
+            result = taggers.tag_structure(prepared, index.candidates(prepared), sentence=i)
             for diag in result.diagnostics:
                 log.info("sentence %d: %s", i, diag)
             annotations.extend(result.annotations)

@@ -77,6 +77,8 @@ class LexiconEntry:
 @dataclass(frozen=True)
 class Lexicon:
     entries: tuple[LexiconEntry, ...]
+    #: Number of the first line of each entry's record, when read from text.
+    lines: tuple[int, ...] = field(default=(), compare=False, repr=False)
     _index: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -90,6 +92,12 @@ class Lexicon:
 
     def candidates(self, first_word: str) -> list[LexiconEntry]:
         return self._index.get(first_word.lower(), [])
+
+    def where(self, k: int) -> str:
+        """``line L: record K`` for the 0-based entry ``k``; ``record K``
+        alone when the lexicon was not read from text."""
+        record = f"record {k + 1}"
+        return f"line {self.lines[k]}: {record}" if self.lines else record
 
 
 def _pos_matches(token_pos: str, entry_pos: str) -> bool:
@@ -173,7 +181,7 @@ def load_lexicon(text: str) -> Lexicon:
     try:
         for _, lines in records:
             entries.append(_finish_record(lines))
-        return Lexicon(tuple(entries))
+        return Lexicon(tuple(entries), tuple(lineno for lineno, _ in records))
     except LexiconError as exc:
         k = len(entries) if exc.record is None else exc.record
         raise LexiconError(f"line {records[k][0]}: record {k + 1}: {exc}") from None
@@ -197,11 +205,12 @@ def dump_lexicon(lexicon: Lexicon) -> str:
 
 
 def load_lexicon_file(path) -> Lexicon:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    """``load_lexicon`` on the file's text; its errors, and text that is
+    not UTF-8, name the file."""
     try:
-        return load_lexicon(text)
-    except LexiconError as exc:
+        with open(path, encoding="utf-8") as fh:
+            return load_lexicon(fh.read())
+    except ValueError as exc:
         raise LexiconError(f"{path}: {exc}") from None
 
 

@@ -33,6 +33,10 @@ places matches like an equal tree without sharing.
 ``apply`` rewrites to fixpoint, recomputing matches after every change
 and charging each change against a rewrite budget, so a rule that keeps
 re-enabling itself is reported instead of looping forever.
+
+``RuleIndex`` picks, for one tree, the rules of a rule set that could
+fire on it: those whose anchor atom is among the tree's labels and
+tokens, and those with no anchor.
 """
 
 from __future__ import annotations
@@ -40,8 +44,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from itertools import groupby
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .trees import ParseTree
 
@@ -495,3 +500,95 @@ def apply(
                 break
         if not progressed:
             return tree
+
+
+# ---------------------------------------------------------------------------
+# Rule index
+
+
+def _required_tests(pattern: Pattern) -> Iterator[NodeTest]:
+    """Atom tests some node must pass for ``pattern`` to match: the root
+    test and those reached through ``<`` and ``$..``, never ``!<``."""
+    if pattern.test.alternatives is not None:
+        yield pattern.test
+    for clause in pattern.clauses:
+        if clause.relation is not Relation.NOT_CHILD:
+            yield from _required_tests(clause.operand)
+
+
+class RuleIndex:
+    """The rules of a rule set that could fire on a given tree.
+
+    Each rule gets an *anchor*: of its required atom tests
+    (``_required_tests``) that no rewrite can satisfy (see below), the
+    one whose atoms occur in the fewest rules' such tests, so a
+    ``{WORD}`` form wins over ``MD``, ``NP`` or ``S``.  A plain atom
+    matches only a node whose label or token equals it, and a ``<``
+    atom satisfied by a preterminal's own token needs that token too,
+    so a rule can match only while one of its anchor's atoms is a label
+    or token of the tree.
+
+    Soundness across rewrites: ``tag_structure`` applies the rules in
+    turn to one tree, and a rewrite adds only two kinds of label: an
+    insert's new leaf, whose label and token are the action label, and
+    an augmented label, which ends in ``-S`` for the augment suffix S
+    (an insert on a preterminal also adds a bare word leaf, but its
+    label is a token the tree already had).  No atom that equals an
+    insert label, or ends in ``-S`` for an augment suffix S of the rule
+    set, is ever part of an anchor, so every anchor atom present at a
+    rule's turn was present in the tree before the first rule ran.
+    Rewrites can also remove a label or a token (augment renames a node,
+    insert turns a preterminal into a phrase); that only makes the
+    filter offer more rules than can fire, never fewer.  A rule with no
+    usable test, such as a hand-written rule of regexes, has no anchor
+    and is always offered.
+    """
+
+    def __init__(self, rules: Sequence[PatternRule]):
+        self.rules = list(rules)
+        actions = [a for rule in self.rules for a in rule.actions]
+        inserted = {a.label for a in actions if a.kind is ActionKind.INSERT}
+        suffixes = tuple("-" + a.label for a in actions if a.kind is ActionKind.AUGMENT)
+        usable = [
+            [
+                t
+                for t in _required_tests(rule.pattern)
+                if not any(a in inserted or a.endswith(suffixes) for a in t.alternatives)
+            ]
+            for rule in self.rules
+        ]
+        rules_with: dict[str, set[int]] = {}
+        for k, tests in enumerate(usable):
+            for t in tests:
+                for atom in t.alternatives:
+                    rules_with.setdefault(atom, set()).add(k)
+
+        @cache
+        def reach(alternatives: tuple[str, ...]) -> int:
+            return len(set().union(*map(rules_with.get, alternatives)))
+
+        self._always: list[int] = []
+        self._by_atom: dict[str, list[int]] = {}
+        for k, tests in enumerate(usable):
+            if not tests:
+                self._always.append(k)
+                continue
+            anchor = min(tests, key=lambda t: reach(t.alternatives))
+            for atom in set(anchor.alternatives):
+                self._by_atom.setdefault(atom, []).append(k)
+
+    def candidates(self, tree: ParseTree) -> list[PatternRule]:
+        """In rule order, the rules whose anchor has an atom among the
+        tree's labels and tokens, plus every rule without an anchor."""
+        present: set[str] = set()
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            present.add(node.label)
+            if node.token is not None:
+                present.add(node.token)
+            stack.extend(node.children)
+        hits = set(self._always)
+        for atom in present & self._by_atom.keys():
+            hits.update(self._by_atom[atom])
+        return [self.rules[k] for k in sorted(hits)]

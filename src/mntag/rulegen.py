@@ -14,18 +14,15 @@ the entry's modality; ``source`` spells the result for display only.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .lexicon import Lexicon, LexiconEntry
+from .lexicon import Lexicon, LexiconEntry, LexiconError
 from .matcher import Action, Clause, NodeTest, Pattern, PatternRule, TreePath
 from .matcher import parse_pattern, read_records
 from .tags import MNTag, Modality, Role, is_tag_string
 from .trees import ParseTree, Span
-
-log = logging.getLogger(__name__)
 
 BE_FORMS = frozenset(["be", "am", "is", "are", "was", "were", "been", "being", "'s", "'re", "'m"])
 HAVE_FORMS = frozenset(["have", "has", "had", "having", "'ve", "'d"])
@@ -180,6 +177,7 @@ def inflections(entry: LexiconEntry) -> tuple[str, ...]:
 
 
 WORD, TRIG, TARG = "{WORD}", "{TRIG}", "{TARG}"
+_PLACEHOLDERS = frozenset([WORD, TRIG, TARG])
 _PLACEHOLDER = re.compile("|".join(map(re.escape, (WORD, TRIG, TARG))))
 
 
@@ -239,21 +237,21 @@ def target_tag(modality: Modality) -> str:
 
 
 def expand_templates(lexicon: Lexicon, registry: TemplateRegistry) -> list[PatternRule]:
-    """One rule per (entry, subcat code); unresolved codes are skipped
-    with a warning.  Expansion order follows the lexicon, so the rule
-    list is deterministic."""
+    """One rule per (entry, subcat code).  Expansion order follows the
+    lexicon, so the rule list is deterministic.  A subcat code with no
+    template raises ``LexiconError`` naming the entry's record."""
+    binders = {code: _binder(t.pattern) for code, t in registry.templates.items()}
     rules: list[PatternRule] = []
-    for entry in lexicon.entries:
+    for k, entry in enumerate(lexicon.entries):
         trig, targ = trigger_tag(entry.modality), target_tag(entry.modality)
         atoms = {WORD: inflections(entry), TRIG: (trig,), TARG: (targ,)}
         text = {placeholder: "|".join(values) for placeholder, values in atoms.items()}
         for code in entry.subcats:
             template = registry.get(code)
             if template is None:
-                log.warning("no template for subcat code %r (entry %r)", code, entry.surface)
-                continue
+                raise LexiconError(f"{lexicon.where(k)}: no template for subcat code {code!r}", k)
             name = f"{code}:{entry.surface}"
-            pattern = _bind_pattern(template.pattern, atoms)
+            pattern = binders[code](atoms)
             actions = tuple(
                 Action(a.kind, a.capture, text.get(a.label, a.label), a.position)
                 for a in template.actions
@@ -263,10 +261,26 @@ def expand_templates(lexicon: Lexicon, registry: TemplateRegistry) -> list[Patte
     return rules
 
 
-def _bind_pattern(pattern: Pattern, atoms: dict[str, tuple[str, ...]]) -> Pattern:
-    """The pattern with each placeholder alternative replaced by its values."""
-    test = pattern.test
-    if test.alternatives is not None:
-        test = NodeTest(tuple(v for a in test.alternatives for v in atoms.get(a, (a,))))
-    clauses = tuple(Clause(c.relation, _bind_pattern(c.operand, atoms)) for c in pattern.clauses)
-    return Pattern(test, pattern.capture, clauses)
+def _binder(pattern: Pattern) -> Callable[[dict[str, tuple[str, ...]]], Pattern]:
+    """A function from placeholder values to ``pattern`` with each
+    placeholder alternative replaced by its values.  Only the nodes on a
+    path to a placeholder are rebuilt; every clause with no placeholder
+    below it is the template's own, shared by all the bound rules."""
+    alts = pattern.test.alternatives or ()
+    bind_test = any(a in _PLACEHOLDERS for a in alts)
+    bound = [
+        (k, _binder(c.operand))
+        for k, c in enumerate(pattern.clauses)
+        if not _PLACEHOLDERS.isdisjoint(_atoms(c.operand))
+    ]
+
+    def bind(atoms: dict[str, tuple[str, ...]]) -> Pattern:
+        test = pattern.test
+        if bind_test:
+            test = NodeTest(tuple(v for a in alts for v in atoms.get(a, (a,))))
+        clauses = list(pattern.clauses)
+        for k, bind_operand in bound:
+            clauses[k] = Clause(clauses[k].relation, bind_operand(atoms))
+        return Pattern(test, pattern.capture, tuple(clauses))
+
+    return bind

@@ -299,8 +299,11 @@ def tag_structure(
 ) -> StructureResult:
     """Apply pattern rules to a flattened, preprocessed tree.
 
-    Returns the suffix-tagged tree (markers folded, word yield
-    preserved) plus the standoff annotations.
+    Every rule given is tried, in order.  Callers may pass a
+    pre-filtered list, such as ``matcher.RuleIndex.candidates(tree)``:
+    a rule that cannot match the tree changes nothing.  Returns the
+    suffix-tagged tree (markers folded, word yield preserved) plus the
+    standoff annotations.
     """
     diagnostics: list[str] = []
     links: list[_Link] = []

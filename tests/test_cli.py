@@ -113,6 +113,95 @@ def test_bad_input_file_exits_2_naming_file_and_line(tmp_path, caplog, command, 
     assert where in caplog.text
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["lexicon", "validate"],
+        ["tag", "--mode", "string", "--in", TOKENS, "--out", os.devnull, "--lexicon"],
+        ["rules", "--out", os.devnull, "--lexicon"],
+    ],
+    ids=["lexicon-validate", "tag-string", "rules"],
+)
+def test_lexicon_not_utf8_exits_2_naming_file(tmp_path, caplog, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"String: \xff\n")
+    assert run(*command, bad) == 2
+    assert f"{bad}: 'utf-8' codec can't decode byte 0xff in position 8" in caplog.text
+
+
+def test_unknown_subcat_code_exits_2_naming_file_line_and_record(tmp_path, caplog):
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text(
+        "# comment\nString: x\nPos: NN\nModality: Able\n\n"
+        "String: frob\nPos: VB\nModality: Able\nSubcat: NO-SUCH-CODE\n"
+    )
+    assert run("rules", "--lexicon", lexicon, "--out", tmp_path / "r") == 2
+    assert run(
+        "tag", "--mode", "structure", "--lexicon", lexicon, "--in", TREES, "--out", tmp_path / "t",
+    ) == 2
+    message = f"{lexicon}: line 6: record 2: no template for subcat code 'NO-SUCH-CODE'"
+    assert caplog.text.count(message) == 2
+
+
+def test_structure_tag_counts_the_benchmark_trace_check_relies_on(tmp_path, monkeypatch):
+    """Per sentence the tagger tries only the rules the index offers, and
+    tries each once plus once per rewrite; rules of nonce words are
+    never offered."""
+    from dataclasses import replace
+
+    from mntag import cli, matcher
+    from mntag.lexicon import Lexicon, dump_lexicon, load_lexicon_file
+
+    seed = load_lexicon_file(seed_lexicon_path())
+    nonce = [
+        replace(e, surface=word, head=word, extras=())
+        for e, word in zip(
+            [e for e in seed.entries if len(e.words) == 1], ["zqa", "zqb", "zqc", "zqd"]
+        )
+    ]
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text(dump_lexicon(Lexicon(seed.entries + tuple(nonce))))
+
+    offered: list[str] = []
+    counts = {"match": 0, "rewrite": 0, "fired": 0}
+    tag_structure, match, apply = cli.taggers.tag_structure, matcher.match, matcher.apply
+
+    def counting_tag_structure(tree, rules, sentence=0):
+        offered.extend(rule.name for rule in rules)
+        result = tag_structure(tree, rules, sentence=sentence)
+        counts["fired"] += len(result.fired_rules)
+        return result
+
+    def counting_match(rule, tree):
+        counts["match"] += 1
+        return match(rule, tree)
+
+    def counting_apply(rule, tree, on_rewrite=None):
+        def counted(m, before):
+            counts["rewrite"] += 1
+            if on_rewrite is not None:
+                on_rewrite(m, before)
+
+        return apply(rule, tree, on_rewrite=counted)
+
+    monkeypatch.setattr(cli.taggers, "tag_structure", counting_tag_structure)
+    monkeypatch.setattr(matcher, "match", counting_match)
+    monkeypatch.setattr(matcher, "apply", counting_apply)
+    standoff = tmp_path / "out.tsv"
+    assert run(
+        "tag", "--mode", "structure", "--lexicon", lexicon,
+        "--in", TREES, "--out", tmp_path / "out.ptb", "--standoff", standoff,
+    ) == 0
+    assert standoff.read_bytes() == GOLDEN.read_bytes()
+    assert counts["rewrite"] > 0
+    assert counts["match"] == len(offered) + counts["rewrite"]
+    assert counts["rewrite"] == counts["fired"]
+    nonce_names = {e.surface for e in nonce}
+    assert not [name for name in offered if name.split(":", 1)[1] in nonce_names]
+    rules = sum(len(e.subcats) for e in seed.entries + tuple(nonce))
+    assert len(offered) < 25 * rules
+
+
 def test_graft_pipeline_and_report(tmp_path):
     out = tmp_path / "grafted.ptb"
     report = tmp_path / "report.txt"

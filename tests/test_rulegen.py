@@ -1,7 +1,7 @@
 import random
 
 from hypothesis import assume, given, settings, strategies as st
-from mntag.lexicon import LexiconError, load_lexicon
+from mntag.lexicon import Lexicon, LexiconError, load_lexicon
 import pytest
 
 from conftest import random_tree
@@ -213,12 +213,30 @@ def test_generated_need_passive_rule_mirrors_required_rule(seed_rules):
     assert "needed" in need.source and "TrigRequire" in need.source
 
 
-def test_unresolved_codes_skipped_with_warning(registry, caplog):
-    lex = load_lexicon("String: frob\nPos: VB\nModality: Able\nSubcat: NO-SUCH-CODE\n")
-    with caplog.at_level("WARNING"):
-        rules = expand_templates(lex, registry)
-    assert rules == []
-    assert "NO-SUCH-CODE" in caplog.text
+def test_unresolved_code_raises_naming_record(registry):
+    lex = load_lexicon(
+        "String: x\nPos: NN\nModality: Able\n\n"
+        "String: frob\nPos: VB\nModality: Able\nSubcat: V3-I3-basic\nSubcat: NO-SUCH-CODE\n"
+    )
+    message = "^line 5: record 2: no template for subcat code 'NO-SUCH-CODE'$"
+    with pytest.raises(LexiconError, match=message):
+        expand_templates(lex, registry)
+    # A lexicon built in code has no lines to name.
+    with pytest.raises(LexiconError, match="^record 2: no template"):
+        expand_templates(Lexicon(lex.entries), registry)
+
+
+def test_bound_rules_share_placeholder_free_subtrees(seed_rules, registry):
+    """Binding rebuilds only the nodes above a placeholder; the rest are
+    the template's own objects, and the rules equal unshared copies."""
+    template = registry.get("V3-I3-basic").pattern
+    bound = [r for r in seed_rules if r.name.startswith("V3-I3-basic:")]
+    assert len(bound) > 1
+    for rule in bound:
+        negated, word, sister = rule.pattern.clauses
+        assert negated is template.clauses[0] and sister is template.clauses[2]
+        assert word.operand.test.alternatives[0] != rulegen.WORD
+        assert parse_pattern(rule.source).pattern == rule.pattern
 
 
 def test_empty_lexicon_expands_to_nothing(registry):

@@ -273,3 +273,140 @@ def test_string_vs_structure_agreement_baseline(seed_lexicon, seed_rules):
         )
     report = agreement(string_anns, structure_anns, len(trees), len(trees))
     assert report.overlap_rate == pytest.approx(AGREEMENT_BASELINE)
+
+
+# ---------------------------------------------------------------------------
+# RuleIndex differential: offering only the indexed rules tags the same
+
+
+INSERT_LABELS = ["TrigAble", "TargAble", "Ins"]
+AUGMENT_SUFFIXES = ["TargNegation", "Aug"]
+
+
+def _corpus_words() -> list[str]:
+    from conftest import DATA
+    from mntag.matcher import is_plain_word
+    from mntag.trees import read_ptb_file
+
+    words = {t for tree in read_ptb_file(DATA / "corpus_trees.ptb") for t in tree.tokens()}
+    return sorted(w for w in words if is_plain_word(w))
+
+
+def _with_words(tree: ParseTree, rng: random.Random, words: list[str]) -> ParseTree:
+    """``tree`` with each token replaced by one of ``words``."""
+    if tree.is_leaf:
+        word = rng.choice(words)
+        return ParseTree(word if tree.label == tree.token else tree.label, (), word)
+    return ParseTree(tree.label, tuple(_with_words(c, rng, words) for c in tree.children))
+
+
+def _random_rule_text(rng: random.Random, k: int, labels: list[str], words: list[str]) -> str:
+    """One rule record: a captured head over ``labels`` guarded against
+    its own insert, up to three `<`, `$..` or `!<` clauses over
+    ``labels`` and ``words`` (the labels hold insert labels and
+    augmented labels) or regexes, and an insert or augment action,
+    sometimes both.  A head never tests a word: inserting under a word's
+    preterminal makes a new leaf of that word, which the head would
+    match again, without end."""
+    captures = ["c0"]
+
+    def test(capture: bool, atoms: list[str] = labels + words) -> str:
+        r = rng.random()
+        if r < 0.2:
+            text = f"/^{rng.choice('NVSJ')}/"
+        elif r < 0.35:
+            text = "|".join(rng.sample(atoms, 2))
+        else:
+            text = rng.choice(atoms)
+        if capture and rng.random() < 0.4:
+            captures.append(f"c{len(captures)}")
+            text += "=" + captures[-1]
+        return text
+
+    insert = rng.choice(INSERT_LABELS)
+    parts = [test(False, labels) + "=c0"]
+    actions = []
+    if rng.random() < 0.6:
+        parts.append(f"!< {insert}")
+        actions.append(f"insert ({insert}) >{rng.randint(1, 2)} c0")
+    for _ in range(rng.randint(0, 3)):
+        relation = rng.choice(["<", "<", "$..", "!<"])
+        inner = test(relation != "!<")
+        if rng.random() < 0.3:
+            inner = f"({inner} < {test(relation != '!<')})"
+        parts.append(f"{relation} {inner}")
+    if not actions or rng.random() < 0.3:
+        actions.append(f"augment {rng.choice(captures)} {rng.choice(AUGMENT_SUFFIXES)}")
+    return "\n".join([f"rule r{k}", " ".join(parts), *actions])
+
+
+def _outcome(tree: ParseTree, rules) -> object:
+    from mntag.matcher import RewriteBudgetError
+
+    try:
+        return tag_structure(tree, rules)
+    except RewriteBudgetError as exc:
+        return str(exc)
+
+
+def test_rule_index_tags_like_every_rule_on_random_rule_sets():
+    from conftest import PHRASE_LABELS, POS_LABELS, random_tree
+    from mntag.matcher import RuleIndex, parse_rules
+
+    rng = random.Random(7)
+    vocabulary = _corpus_words()
+    labels = PHRASE_LABELS + POS_LABELS
+    created = INSERT_LABELS + [f"{l}-{s}" for l in labels for s in AUGMENT_SUFFIXES]
+    offered = tried = fired = 0
+    for _ in range(500):
+        words = rng.sample(vocabulary, 6)
+        atoms = labels + rng.sample(created, 6) + ["ZZZ"]
+        rules = parse_rules(
+            "\n\n".join(
+                _random_rule_text(rng, k, atoms, words) for k in range(rng.randint(2, 7))
+            )
+        )
+        index = RuleIndex(rules)
+        for _ in range(4):
+            tree = _with_words(random_tree(rng, max_nodes=14), rng, words)
+            candidates = index.candidates(tree)
+            want = _outcome(tree, rules)
+            assert _outcome(tree, candidates) == want
+            offered, tried = offered + len(candidates), tried + len(rules)
+            fired += len(want.fired_rules) if not isinstance(want, str) else 0
+    assert fired > 0 and offered < tried
+
+
+def test_rule_index_tags_the_corpus_like_every_seed_rule(seed_rules):
+    from conftest import DATA
+    from mntag.matcher import RuleIndex
+    from mntag.trees import read_ptb_file
+
+    index = RuleIndex(seed_rules)
+    corpus = read_ptb_file(DATA / "corpus_trees.ptb")
+    assert len(corpus) == 25
+    offered = 0
+    for tree in corpus:
+        prepared = preprocess(flatten(tree))
+        candidates = index.candidates(prepared)
+        assert tag_structure(prepared, candidates) == tag_structure(prepared, seed_rules)
+        offered += len(candidates)
+    assert offered < len(corpus) * len(seed_rules)
+
+
+def test_rule_index_offers_unanchored_rules_always():
+    from mntag.matcher import RuleIndex, parse_rules
+
+    rules = parse_rules(
+        "rule regex\n/^V/=v !< MD\naugment v Aug\n\n"
+        "rule inserted\nIns=i\naugment i Aug\n\n"
+        "rule created\nVB-Aug=v !< Ins $.. MD\ninsert (Ins) >1 v\n\n"
+        "rule anchored\nMD=m < must\naugment m Aug\n"
+    )
+    index = RuleIndex(rules)
+    names = lambda tree: [r.name for r in index.candidates(read_ptb(tree)[0])]
+    # Neither an insert label nor an augmented label anchors a rule,
+    # and "must" (in one rule) anchors over MD (in two).
+    assert names("(S (VB go))") == ["regex", "inserted"]
+    assert names("(S (MD can) (VB go))") == ["regex", "inserted", "created"]
+    assert names("(S (MD must) (VB go))") == ["regex", "inserted", "created", "anchored"]
