@@ -34,9 +34,22 @@ places matches like an equal tree without sharing.
 and charging each change against a rewrite budget, so a rule that keeps
 re-enabling itself is reported instead of looping forever.
 
+Before it walks, ``match`` checks the rule's required atom tests
+(``PatternRule.needs``: the root test and the tests reached through
+``<`` and ``$..``, never through ``!<``; regexes never count) against
+the tree's labels and tokens (``ParseTree.atoms``, computed once per
+tree).  A plain atom matches only a node whose label or token equals
+it, and a ``<`` atom satisfied by a preterminal's own token needs that
+token too, so when some required test has no atom in the tree the rule
+cannot match, and ``match`` returns ``[]`` at the cost of one set test.
+Most rules of a real lexicon name a word the sentence lacks.
+
 ``RuleIndex`` picks, for one tree, the rules of a rule set that could
 fire on it: those whose anchor atom is among the tree's labels and
-tokens, and those with no anchor.
+tokens, and those with no anchor.  It spares ``mn tag`` even the calls
+``match`` would turn down; its soundness also covers the rewrites
+earlier rules make to the tree, which ``match``'s own check, made on
+the tree it is given, does not need.
 """
 
 from __future__ import annotations
@@ -137,6 +150,16 @@ class Action:
     position: int | None = None  # insert, 1-based
 
 
+def _required_tests(pattern: Pattern) -> Iterator[NodeTest]:
+    """Atom tests some node must pass for ``pattern`` to match: the root
+    test and those reached through ``<`` and ``$..``, never ``!<``."""
+    if pattern.test.alternatives is not None:
+        yield pattern.test
+    for clause in pattern.clauses:
+        if clause.relation is not Relation.NOT_CHILD:
+            yield from _required_tests(clause.operand)
+
+
 @dataclass(frozen=True)
 class PatternRule:
     name: str
@@ -144,7 +167,13 @@ class PatternRule:
     actions: tuple[Action, ...]
     source: str = field(default="", compare=False)
 
+    #: The alternatives of every atom test the pattern requires
+    #: (``_required_tests``); some node must carry one atom of each.
+    needs: tuple[tuple[str, ...], ...] = field(init=False, compare=False, repr=False)
+
     def __post_init__(self) -> None:
+        needs = tuple(t.alternatives for t in _required_tests(self.pattern))
+        object.__setattr__(self, "needs", needs)
         names = self.pattern.capture_names()
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
@@ -310,12 +339,14 @@ def parse_rules(text: str) -> list[PatternRule]:
     return rules
 
 
+#: What ``_LEX`` reads as one atom token that ``_parse_test`` takes as
+#: itself: no regex or ``$..`` at the start, no capture or alternation.
+_PLAIN_WORD = re.compile(r"(?!/|\$\.\.)[^()<>\s=|]+")
+
+
 def is_plain_word(word: str) -> bool:
     """True when rule text spells ``word`` as one plain atom testing exactly it."""
-    try:
-        return _parse_pattern_text(word) == Pattern(NodeTest((word,)))
-    except PatternSyntaxError:
-        return False
+    return _PLAIN_WORD.fullmatch(word) is not None
 
 
 def serialize_rules(rules) -> str:
@@ -392,7 +423,19 @@ def _solve_among(
 
 def match(rule: PatternRule, tree: ParseTree) -> list[Match]:
     """All distinct binding environments, in document order of the node
-    matching the pattern's root test."""
+    matching the pattern's root test.
+
+    A rule with a required atom test that no label or token of the tree
+    passes returns ``[]`` without a walk."""
+    atoms = tree.atoms
+    for alternatives in rule.needs:
+        if atoms.isdisjoint(alternatives):
+            return []
+    return _walk(rule, tree)
+
+
+def _walk(rule: PatternRule, tree: ParseTree) -> list[Match]:
+    """``match`` by trying the pattern at every node."""
     seen: set[tuple] = set()
     out: list[Match] = []
     stack: list[tuple[ParseTree, ParseTree | None, TreePath]] = [(tree, None, ())]
@@ -506,27 +549,15 @@ def apply(
 # Rule index
 
 
-def _required_tests(pattern: Pattern) -> Iterator[NodeTest]:
-    """Atom tests some node must pass for ``pattern`` to match: the root
-    test and those reached through ``<`` and ``$..``, never ``!<``."""
-    if pattern.test.alternatives is not None:
-        yield pattern.test
-    for clause in pattern.clauses:
-        if clause.relation is not Relation.NOT_CHILD:
-            yield from _required_tests(clause.operand)
-
-
 class RuleIndex:
     """The rules of a rule set that could fire on a given tree.
 
     Each rule gets an *anchor*: of its required atom tests
-    (``_required_tests``) that no rewrite can satisfy (see below), the
+    (``PatternRule.needs``) that no rewrite can satisfy (see below), the
     one whose atoms occur in the fewest rules' such tests, so a
-    ``{WORD}`` form wins over ``MD``, ``NP`` or ``S``.  A plain atom
-    matches only a node whose label or token equals it, and a ``<``
-    atom satisfied by a preterminal's own token needs that token too,
-    so a rule can match only while one of its anchor's atoms is a label
-    or token of the tree.
+    ``{WORD}`` form wins over ``MD``, ``NP`` or ``S``.  As ``match``
+    relies on too, a rule can match only while one of its anchor's atoms
+    is a label or token of the tree.
 
     Soundness across rewrites: ``tag_structure`` applies the rules in
     turn to one tree, and a rewrite adds only two kinds of label: an
@@ -551,16 +582,16 @@ class RuleIndex:
         suffixes = tuple("-" + a.label for a in actions if a.kind is ActionKind.AUGMENT)
         usable = [
             [
-                t
-                for t in _required_tests(rule.pattern)
-                if not any(a in inserted or a.endswith(suffixes) for a in t.alternatives)
+                alternatives
+                for alternatives in rule.needs
+                if not any(a in inserted or a.endswith(suffixes) for a in alternatives)
             ]
             for rule in self.rules
         ]
         rules_with: dict[str, set[int]] = {}
         for k, tests in enumerate(usable):
-            for t in tests:
-                for atom in t.alternatives:
+            for alternatives in tests:
+                for atom in alternatives:
                     rules_with.setdefault(atom, set()).add(k)
 
         @cache
@@ -573,22 +604,13 @@ class RuleIndex:
             if not tests:
                 self._always.append(k)
                 continue
-            anchor = min(tests, key=lambda t: reach(t.alternatives))
-            for atom in set(anchor.alternatives):
+            for atom in set(min(tests, key=reach)):
                 self._by_atom.setdefault(atom, []).append(k)
 
     def candidates(self, tree: ParseTree) -> list[PatternRule]:
         """In rule order, the rules whose anchor has an atom among the
         tree's labels and tokens, plus every rule without an anchor."""
-        present: set[str] = set()
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            present.add(node.label)
-            if node.token is not None:
-                present.add(node.token)
-            stack.extend(node.children)
         hits = set(self._always)
-        for atom in present & self._by_atom.keys():
+        for atom in self._by_atom.keys() & tree.atoms:
             hits.update(self._by_atom[atom])
         return [self.rules[k] for k in sorted(hits)]

@@ -299,7 +299,9 @@ def tag_structure(
 ) -> StructureResult:
     """Apply pattern rules to a flattened, preprocessed tree.
 
-    Every rule given is tried, in order.  Callers may pass a
+    Every rule given is tried, in order.  An unfiltered rule list is
+    cheap: ``matcher.match`` turns down a rule whose required atoms are
+    absent from the tree without walking it.  Callers may still pass a
     pre-filtered list, such as ``matcher.RuleIndex.candidates(tree)``:
     a rule that cannot match the tree changes nothing.  Returns the
     suffix-tagged tree (markers folded, word yield preserved) plus the
@@ -310,36 +312,37 @@ def tag_structure(
     anns: list[_RawAnn] = []
     fired: list[str] = []
     current = tree
+    rule: matcher.PatternRule
+
+    def record(m: matcher.Match, before: ParseTree) -> None:
+        # ``apply`` calls this only during its own turn, so ``rule`` is
+        # the rule that rewrote.  Insert and augment labels alike:
+        # augment bakes the suffix in directly, but the annotation is
+        # still recorded so standoff output stays complete.
+        payloads = {action.capture: action.label for action in rule.actions}
+        link = _Link(None)
+        for capture, label in payloads.items():
+            span = rulegen.word_spans(before, m.paths[capture])
+            if span is None:
+                continue
+            try:
+                tag = parse_tag(label)
+            except TagError:
+                continue  # non-MN payload: lands on the tree only
+            ann = _RawAnn(span, tag)
+            anns.append(ann)
+            if tag.role is Role.TRIGGER:
+                link.trigger_ann = ann
+                link.modality = tag.modality
+            else:
+                link.target_ann = ann
+        if link.modality is None and link.target_ann is not None:
+            link.modality = link.target_ann.tag.modality
+        if link.trigger_ann is not None or link.target_ann is not None:
+            links.append(link)
+        fired.append(rule.name)
 
     for rule in rules:
-        # Insert and augment labels alike: augment bakes the suffix in
-        # directly, but the annotation is still recorded so standoff
-        # output stays complete.
-        payloads = {action.capture: action.label for action in rule.actions}
-
-        def record(m: matcher.Match, before: ParseTree, rule=rule, payloads=payloads) -> None:
-            link = _Link(None)
-            for capture, label in payloads.items():
-                span = rulegen.word_spans(before, m.paths[capture])
-                if span is None:
-                    continue
-                try:
-                    tag = parse_tag(label)
-                except TagError:
-                    continue  # non-MN payload: lands on the tree only
-                ann = _RawAnn(span, tag)
-                anns.append(ann)
-                if tag.role is Role.TRIGGER:
-                    link.trigger_ann = ann
-                    link.modality = tag.modality
-                else:
-                    link.target_ann = ann
-            if link.modality is None and link.target_ann is not None:
-                link.modality = link.target_ann.tag.modality
-            if link.trigger_ann is not None or link.target_ann is not None:
-                links.append(link)
-            fired.append(rule.name)
-
         current = matcher.apply(rule, current, on_rewrite=record)
 
     _compose_pass(links, diagnostics, structure=True)

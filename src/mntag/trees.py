@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 _LABEL_BAD = re.compile(r"[\s()]")
@@ -70,6 +71,20 @@ class ParseTree:
     @property
     def is_leaf(self) -> bool:
         return not self.children
+
+    @cached_property
+    def atoms(self) -> frozenset[str]:
+        """Every label and token in the tree; computed once, as the tree
+        never changes."""
+        atoms: set[str] = set()
+        stack = [self]
+        while stack:
+            n = stack.pop()
+            atoms.add(n.label)
+            if n.token is not None:
+                atoms.add(n.token)
+            stack.extend(n.children)
+        return frozenset(atoms)
 
     def leaves(self) -> list["ParseTree"]:
         return [n for n in iter_nodes(self) if n.is_leaf]
@@ -195,12 +210,12 @@ def read_ptb(text: str) -> list[ParseTree]:
             label, items, open_offset = stack.pop()
             if label is None or not items:
                 raise PTBParseError("empty node", open_offset, _line(text, open_offset))
-            children = tuple(
-                item if isinstance(item, ParseTree) else _atom_leaf(item) for item in items
-            )
             if len(items) == 1 and isinstance(items[0], str):
                 subtree = ParseTree(label, (), unescape_token(items[0]))
             else:
+                children = tuple(
+                    item if isinstance(item, ParseTree) else _atom_leaf(item) for item in items
+                )
                 subtree = ParseTree(label, children, None)
             if stack:
                 stack[-1][1].append(subtree)

@@ -143,24 +143,33 @@ def test_unknown_subcat_code_exits_2_naming_file_line_and_record(tmp_path, caplo
     assert caplog.text.count(message) == 2
 
 
-def test_structure_tag_counts_the_benchmark_trace_check_relies_on(tmp_path, monkeypatch):
-    """Per sentence the tagger tries only the rules the index offers, and
-    tries each once plus once per rewrite; rules of nonce words are
-    never offered."""
+def _nonce_padded_lexicon():
+    """The seed lexicon plus four entries for words no corpus tree holds,
+    and those four entries."""
     from dataclasses import replace
 
-    from mntag import cli, matcher
-    from mntag.lexicon import Lexicon, dump_lexicon, load_lexicon_file
+    from mntag.lexicon import Lexicon, load_lexicon_file
 
     seed = load_lexicon_file(seed_lexicon_path())
-    nonce = [
+    nonce = tuple(
         replace(e, surface=word, head=word, extras=())
         for e, word in zip(
             [e for e in seed.entries if len(e.words) == 1], ["zqa", "zqb", "zqc", "zqd"]
         )
-    ]
+    )
+    return Lexicon(seed.entries + nonce), nonce
+
+
+def test_structure_tag_counts_the_benchmark_trace_check_relies_on(tmp_path, monkeypatch):
+    """Per sentence the tagger tries only the rules the index offers, and
+    tries each once plus once per rewrite; rules of nonce words are
+    never offered."""
+    from mntag import cli, matcher
+    from mntag.lexicon import dump_lexicon
+
+    padded, nonce = _nonce_padded_lexicon()
     lexicon = tmp_path / "lexicon.txt"
-    lexicon.write_text(dump_lexicon(Lexicon(seed.entries + tuple(nonce))))
+    lexicon.write_text(dump_lexicon(padded))
 
     offered: list[str] = []
     counts = {"match": 0, "rewrite": 0, "fired": 0}
@@ -198,8 +207,47 @@ def test_structure_tag_counts_the_benchmark_trace_check_relies_on(tmp_path, monk
     assert counts["rewrite"] == counts["fired"]
     nonce_names = {e.surface for e in nonce}
     assert not [name for name in offered if name.split(":", 1)[1] in nonce_names]
-    rules = sum(len(e.subcats) for e in seed.entries + tuple(nonce))
+    rules = sum(len(e.subcats) for e in padded.entries)
     assert len(offered) < 25 * rules
+
+
+def test_unfiltered_structure_tag_counts_the_benchmark_trace_check_relies_on(monkeypatch):
+    """Given every rule, as the benchmark's per-sentence loop gives them,
+    the tagger calls ``match`` once per rule plus once per rewrite: a
+    rule ``match`` turns down without a walk still costs one call."""
+    from mntag import matcher, rulegen, taggers, trees
+
+    padded, _ = _nonce_padded_lexicon()
+    rules = rulegen.expand_templates(padded, rulegen.default_registry())
+    counts = {"match": 0, "walk": 0, "rewrite": 0, "fired": 0}
+    match, walk, apply = matcher.match, matcher._walk, matcher.apply
+
+    def counting_match(rule, tree):
+        counts["match"] += 1
+        return match(rule, tree)
+
+    def counting_walk(rule, tree):
+        counts["walk"] += 1
+        return walk(rule, tree)
+
+    def counting_apply(rule, tree, on_rewrite=None):
+        def counted(m, before):
+            counts["rewrite"] += 1
+            if on_rewrite is not None:
+                on_rewrite(m, before)
+
+        return apply(rule, tree, on_rewrite=counted)
+
+    monkeypatch.setattr(matcher, "match", counting_match)
+    monkeypatch.setattr(matcher, "_walk", counting_walk)
+    monkeypatch.setattr(matcher, "apply", counting_apply)
+    for k, tree in enumerate(trees.read_ptb_file(TREES)):
+        matches, rewrites = counts["match"], counts["rewrite"]
+        result = taggers.tag_structure(rulegen.preprocess(trees.flatten(tree)), rules, k)
+        counts["fired"] += len(result.fired_rules)
+        assert counts["match"] - matches == len(rules) + counts["rewrite"] - rewrites
+    assert counts["rewrite"] == counts["fired"] > 0
+    assert counts["walk"] < counts["match"]
 
 
 def test_graft_pipeline_and_report(tmp_path):

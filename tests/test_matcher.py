@@ -3,6 +3,7 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_pattern_rule, random_tree
 from mntag import matcher
@@ -259,3 +260,78 @@ def test_rewriting_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _parses_as_itself(word: str) -> bool:
+    """``is_plain_word`` by the parser: rule text ``word`` is one plain
+    atom testing exactly ``word``."""
+    try:
+        return matcher._parse_pattern_text(word) == matcher.Pattern(matcher.NodeTest((word,)))
+    except PatternSyntaxError:
+        return False
+
+
+_RULE_TEXT_PIECES = [
+    "(", ")", "<", "!<", ">", "$..", "$.", "$", ".", "/", "/^", "^", "=", "=c", "|",
+    "!", " ", "\t", "\n", "\u00a0", "\u2003", "\x1c", "a", "VB", "x1", "_", "\u00e9", "\u4e2d",
+]
+
+
+@given(
+    st.lists(st.sampled_from(_RULE_TEXT_PIECES) | st.characters(), max_size=8).map("".join)
+)
+@example("$...")
+@example("a$..b")
+@example("and/or")
+@example("/^V/")
+@example("/^V")
+@settings(max_examples=500, deadline=None)
+def test_plain_word_check_agrees_with_the_parser(word):
+    assert matcher.is_plain_word(word) == _parses_as_itself(word)
+
+
+def test_negated_atom_never_rejects():
+    rule = parse_pattern("VB=v !< MD")
+    tree = read_ptb("(S (VB go))")[0]
+    assert "MD" not in tree.atoms and rule.needs == (("VB",),)
+    assert len(match(rule, tree)) == 1
+
+
+def test_regex_test_never_rejects():
+    rule = parse_pattern("/^V/=v $.. (S < /^N/)")
+    tree = read_ptb("(X (VBZ is) (S (NNS tents)))")[0]
+    assert rule.needs == (("S",),)
+    assert len(match(rule, tree)) == 1
+
+
+def test_child_atom_met_by_own_token_matches():
+    rule = parse_pattern("VB=v < go")
+    tree = read_ptb("(S (VB go))")[0]
+    assert tree.atoms == {"S", "VB", "go"}
+    assert [m.paths for m in match(rule, tree)] == [{"v": (0,)}]
+
+
+def test_missing_root_atom_rejects_without_solving(monkeypatch):
+    calls = []
+    solve = matcher._solve
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(matcher, "_solve", counting)
+    rule = parse_pattern("MD=m < must")
+    assert match(rule, read_ptb("(S (VB must) (NN go))")[0]) == []
+    assert calls == []
+    assert len(match(rule, read_ptb("(S (MD must) (VB go))")[0])) == 1
+    assert calls
+
+
+def test_rewritten_tree_atoms_hold_inserted_and_augmented_labels():
+    rule = parse_pattern("VB=v !< Ins\ninsert (Ins) >1 v\naugment v Aug")
+    tree = read_ptb("(S (VB go))")[0]
+    out = apply(rule, tree)
+    assert write_ptb(out) == "(S (VB-Aug Ins go))"
+    assert {"Ins", "VB-Aug"} <= out.atoms
+    assert not {"Ins", "VB-Aug"} & tree.atoms
+    assert len(match(parse_pattern("VB-Aug < Ins"), out)) == 1

@@ -377,6 +377,43 @@ def test_rule_index_tags_like_every_rule_on_random_rule_sets():
     assert fired > 0 and offered < tried
 
 
+def test_match_equals_the_walk_on_random_rule_sets():
+    """``match`` finds what trying every node finds, on the trees the
+    tagger hands it: the relabelled tree and each rewrite of it."""
+    from conftest import PHRASE_LABELS, POS_LABELS, random_tree
+    from mntag.matcher import RewriteBudgetError, _walk, apply, match, parse_rules
+
+    def found(matches):
+        return [(m.root, m.captures, m.paths) for m in matches]
+
+    rng = random.Random(11)
+    vocabulary = _corpus_words()
+    labels = PHRASE_LABELS + POS_LABELS
+    created = INSERT_LABELS + [f"{l}-{s}" for l in labels for s in AUGMENT_SUFFIXES]
+    rejected = matched = 0
+    for _ in range(300):
+        words = rng.sample(vocabulary, 6)
+        atoms = labels + rng.sample(created, 6) + ["ZZZ"]
+        rules = parse_rules(
+            "\n\n".join(
+                _random_rule_text(rng, k, atoms, words) for k in range(rng.randint(2, 7))
+            )
+        )
+        for _ in range(3):
+            tree = _with_words(random_tree(rng, max_nodes=14), rng, words)
+            for rule in rules:
+                want = found(_walk(rule, tree))
+                got = found(match(rule, tree))
+                assert got == want
+                rejected += any(tree.atoms.isdisjoint(alts) for alts in rule.needs)
+                matched += bool(got)
+                try:
+                    tree = apply(rule, tree)
+                except RewriteBudgetError:
+                    pass
+    assert rejected > 0 and matched > 0
+
+
 def test_rule_index_tags_the_corpus_like_every_seed_rule(seed_rules):
     from conftest import DATA
     from mntag.matcher import RuleIndex
