@@ -31,6 +31,7 @@ counts word spans as it walks down the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Sequence
 
 from . import matcher, rulegen
@@ -299,26 +300,24 @@ def tag_structure(
 ) -> StructureResult:
     """Apply pattern rules to a flattened, preprocessed tree.
 
-    Every rule given is tried, in order.  An unfiltered rule list is
-    cheap: ``matcher.match`` turns down a rule whose required atoms are
-    absent from the tree without walking it.  Callers may still pass a
-    pre-filtered list, such as ``matcher.RuleIndex.candidates(tree)``:
-    a rule that cannot match the tree changes nothing.  Returns the
-    suffix-tagged tree (markers folded, word yield preserved) plus the
-    standoff annotations.
+    Every rule given is tried, in order.  A rule whose required atoms
+    are absent from the tree costs one call but no walk
+    (``matcher.match`` turns it down with a set test).  Callers may pass
+    a pre-filtered list, such as ``matcher.RuleIndex.candidates(tree)``,
+    to skip those calls too: a rule that cannot match the tree changes
+    nothing.  Returns the suffix-tagged tree (markers folded, word yield
+    preserved) plus the standoff annotations.
     """
     diagnostics: list[str] = []
     links: list[_Link] = []
     anns: list[_RawAnn] = []
     fired: list[str] = []
     current = tree
-    rule: matcher.PatternRule
 
-    def record(m: matcher.Match, before: ParseTree) -> None:
-        # ``apply`` calls this only during its own turn, so ``rule`` is
-        # the rule that rewrote.  Insert and augment labels alike:
-        # augment bakes the suffix in directly, but the annotation is
-        # still recorded so standoff output stays complete.
+    def record(rule: matcher.PatternRule, m: matcher.Match, before: ParseTree) -> None:
+        # Insert and augment labels alike: augment bakes the suffix in
+        # directly, but the annotation is still recorded so standoff
+        # output stays complete.
         payloads = {action.capture: action.label for action in rule.actions}
         link = _Link(None)
         for capture, label in payloads.items():
@@ -343,7 +342,7 @@ def tag_structure(
         fired.append(rule.name)
 
     for rule in rules:
-        current = matcher.apply(rule, current, on_rewrite=record)
+        current = matcher.apply(rule, current, on_rewrite=partial(record, rule))
 
     _compose_pass(links, diagnostics, structure=True)
     annotations = _finish_annotations(anns, sentence)
