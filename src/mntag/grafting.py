@@ -31,6 +31,13 @@ After grafting, a Negation trigger adjacent to a modality trigger in
 the same minimal clause composes NOT into that modality's target
 labels; leftover raw Negation targets on words that carry other tags
 are removed as uncomposable nested modality.
+
+The working copy holds no reference cycle.  Its references point down
+only: a node names its parent, and a graft record the nodes it was put
+on, by index into the copy's node list.  So refcounting frees each
+sentence's copy as soon as ``graft`` or ``classify_span`` returns or
+raises, and ``mn`` can run with the cycle collector paused (see
+``cli``).
 """
 
 from __future__ import annotations
@@ -104,6 +111,7 @@ class _GNode:
     __slots__ = (
         "label",
         "children",
+        "index",
         "parent",
         "start",
         "end",
@@ -111,25 +119,27 @@ class _GNode:
         "source",
     )
 
-    def __init__(self, label, children, start, end, source=None):
+    def __init__(self, nodes, label, children, start, end, source=None):
         self.label = label
         self.children = children
-        self.parent = None
+        self.index = len(nodes)  # this node's place in the working copy's ``nodes``
+        self.parent = None  # the parent's index; None at the root
         self.start = start
         self.end = end
         self.applied = []  # the _Grafted records put on this node
         self.source = source  # the input node; None for an inserted node
+        nodes.append(self)
         for c in children:
-            c.parent = self
+            c.parent = self.index
 
     def alive_applied(self):
         return [g for g in self.applied if g.alive]
 
 
-def _build(node: ParseTree, leaves: list[_GNode]) -> _GNode:
+def _build(node: ParseTree, nodes: list[_GNode], leaves: list[_GNode]) -> _GNode:
     start = len(leaves)
-    children = [_build(c, leaves) for c in node.children]
-    new = _GNode(node.label, children, start, start, node)
+    children = [_build(c, nodes, leaves) for c in node.children]
+    new = _GNode(nodes, node.label, children, start, start, node)
     if not children:
         leaves.append(new)
     new.end = len(leaves)
@@ -137,12 +147,17 @@ def _build(node: ParseTree, leaves: list[_GNode]) -> _GNode:
 
 
 class _Shadow:
-    """Mutable working copy of a tree with live span bookkeeping."""
+    """Mutable working copy of a tree with live span bookkeeping; it
+    holds no reference cycle (see the module docstring)."""
 
     def __init__(self, tree: ParseTree):
+        self.nodes: list[_GNode] = []
         self.leaves: list[_GNode] = []
-        self.root = _build(tree, self.leaves)
+        self.root = _build(tree, self.nodes, self.leaves)
         self.size = len(self.leaves)
+
+    def parent(self, n: _GNode) -> _GNode | None:
+        return None if n.parent is None else self.nodes[n.parent]
 
     def _spine(self, span: Span) -> list[_GNode]:
         """Ancestors of the span's first leaf, leaf included, that start at
@@ -151,7 +166,7 @@ class _Shadow:
         n = self.leaves[span.start]
         while n is not None and n.start == span.start and n.end <= span.end:
             spine.append(n)
-            n = n.parent
+            n = self.parent(n)
         return spine
 
     def same_span_chain(self, span: Span) -> list[_GNode]:
@@ -162,7 +177,7 @@ class _Shadow:
         """``(parent, i, j)`` when daughters ``i..j`` of ``parent`` cover
         exactly ``span`` and are not all of its daughters, else None."""
         top = self._spine(span)[-1]
-        parent = top.parent
+        parent = self.parent(top)
         if parent is None:
             return None
         # ``parent`` is off the spine, so it starts before the span or
@@ -177,9 +192,9 @@ class _Shadow:
 
     def insert(self, parent: _GNode, i: int, j: int, label: str) -> _GNode:
         grabbed = parent.children[i : j + 1]
-        new = _GNode(label, list(grabbed), grabbed[0].start, grabbed[-1].end)
+        new = _GNode(self.nodes, label, list(grabbed), grabbed[0].start, grabbed[-1].end)
         parent.children[i : j + 1] = [new]
-        new.parent = parent
+        new.parent = parent.index
         return new
 
     def minimal_clause(self, span: Span) -> Span:
@@ -188,7 +203,7 @@ class _Shadow:
         while n.parent is not None and not (
             base_category(n.label) == "S" and n.end >= span.end
         ):
-            n = n.parent
+            n = self.nodes[n.parent]
         return Span(n.start, n.end)
 
 
@@ -210,7 +225,7 @@ def _apply_key(item: tuple[StandoffAnnotation, MNTag | None]) -> tuple:
 class _Grafted:
     annotation: StandoffAnnotation
     outcome: str
-    nodes: list[_GNode]  # the nodes whose ``applied`` lists hold this record
+    nodes: list[int]  # indices of the nodes whose ``applied`` lists hold this record
     seq: int
     label: str  # composition may rewrite it
     tag: MNTag | None  # ``label`` parsed
@@ -250,7 +265,7 @@ def graft(
                 outcome, nodes = "grafted-inserted", [shadow.insert(*where, a.label)]
             else:
                 outcome = "crossing-skipped"
-            g = _Grafted(a, outcome, nodes, len(grafted), a.label, tag)
+            g = _Grafted(a, outcome, [n.index for n in nodes], len(grafted), a.label, tag)
             for n in nodes:
                 n.applied.append(g)
             grafted.append(g)
@@ -283,7 +298,7 @@ def _compose(shadow: _Shadow, grafted: list[_Grafted]) -> None:
             and (
                 t.annotation.span.end == nspan.start
                 or nspan.end == t.annotation.span.start
-                or _siblings(t, neg)
+                or _siblings(shadow, t, neg)
             )
         ]
         if not adjacent:
@@ -311,14 +326,19 @@ def _compose(shadow: _Shadow, grafted: list[_Grafted]) -> None:
     # uncomposable nested modality; remove them.
     for g in mn:
         if g.tag.role is Role.TARGET and g.tag.modality is Modality.NEGATION:
-            nested = any(other is not g for n in g.nodes for other in n.alive_applied())
+            nested = any(
+                other is not g for i in g.nodes for other in shadow.nodes[i].alive_applied()
+            )
             if nested:
                 g.outcome = "dropped-uncomposable"
 
 
-def _siblings(a: _Grafted, b: _Grafted) -> bool:
+def _siblings(shadow: _Shadow, a: _Grafted, b: _Grafted) -> bool:
+    nodes = shadow.nodes
     return any(
-        na.parent is not None and na.parent is nb.parent for na in a.nodes for nb in b.nodes
+        nodes[i].parent is not None and nodes[i].parent == nodes[j].parent
+        for i in a.nodes
+        for j in b.nodes
     )
 
 

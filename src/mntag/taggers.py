@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 from . import matcher, rulegen
 from .lexicon import Lexicon, lookup
 from .tags import MNTag, Modality, Role, TagError, compose_negation, parse_tag, specificity_rank
-from .trees import ParseTree, Span
+from .trees import LABEL_BAD, ParseTree, Span
 
 MN_FAMILY = "MN"
 NE_FAMILY = "NE"
@@ -83,6 +83,9 @@ def parse_standoff(text: str) -> list[StandoffAnnotation]:
         if len(parts) != 5:
             raise ValueError(f"standoff line {lineno}: expected 5 tab-separated fields")
         sentence, start, end, label, family = parts
+        if not label or LABEL_BAD.search(label):
+            # Graft puts the label into a tree, which could not hold it.
+            raise ValueError(f"standoff line {lineno}: bad label {label!r}")
         try:
             ann = StandoffAnnotation(int(sentence), Span(int(start), int(end)), label, family)
         except ValueError as exc:

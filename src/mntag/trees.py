@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-_LABEL_BAD = re.compile(r"[\s()]")
+# A node label is non-empty and holds none of these.
+LABEL_BAD = re.compile(r"[\s()]")
 _PTB_TOKEN = re.compile(r"\(|\)|[^()\s]+")
 
 _ESCAPES = (("(", "-LRB-"), (")", "-RRB-"))
@@ -59,7 +60,7 @@ class ParseTree:
     token: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.label or _LABEL_BAD.search(self.label):
+        if not self.label or LABEL_BAD.search(self.label):
             raise ValueError(f"bad node label {self.label!r}")
         if self.children:
             if self.token is not None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from pathlib import Path
@@ -76,6 +77,15 @@ def random_pattern_rule(rng: random.Random, tree: ParseTree) -> PatternRule:
             operand = simple(captures_ok)
         parts.append(f"{relation} {operand}")
     return parse_pattern(" ".join(parts))
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail the test that leaves the cycle collector paused, not a later one."""
+    yield
+    enabled = gc.isenabled()
+    gc.enable()
+    assert enabled, "the cycle collector was left disabled"
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,15 @@
 """End-to-end exercises of the ``mn`` command line."""
 
+import gc
 import os
 from importlib.resources import files
 
 import pytest
 
 from conftest import DATA
+from mntag import trees
 from mntag.cli import main, seed_lexicon_path
+from mntag.matcher import RewriteBudgetError
 
 TREES = DATA / "corpus_trees.ptb"
 TOKENS = DATA / "corpus_tokens.tsv"
@@ -341,6 +344,26 @@ def test_graft_span_past_sentence_exits_2_naming_file_and_sentence(tmp_path, cap
     assert f"{rogue}: sentence 1: annotation span Span(start=0, end=99) outside" in caplog.text
 
 
+@pytest.mark.parametrize(
+    "label, span", [("PER(x", "0\t1"), ("", "0\t1"), ("a b", "0\t1"), (")", "0\t2")],
+    ids=["paren", "empty", "space", "crossing-span"],
+)
+def test_standoff_label_a_tree_cannot_carry_exits_2_naming_file_and_line(
+    tmp_path, caplog, label, span
+):
+    rogue = tmp_path / "rogue.tsv"
+    rogue.write_text(f"0\t2\t3\tTargRequire\tMN\n0\t{span}\t{label}\tNE\n")
+    out = tmp_path / "o.ptb"
+    assert run(
+        "graft", "--trees", TREES, "--standoff", rogue,
+        "--out", out, "--report", tmp_path / "r.txt",
+    ) == 2
+    assert run("agreement", GOLDEN, rogue) == 2
+    message = f"{rogue}: standoff line 2: bad label {label!r}"
+    assert caplog.text.count(message) == 2
+    assert not out.exists()
+
+
 def test_graft_family_order_changes_conflict_output(tmp_path):
     conflict = tmp_path / "conflict.tsv"
     # Pakistan in sentence 2 is both GPE and an MN target here.
@@ -471,3 +494,85 @@ def test_structure_mode_inline(tmp_path):
         "--in", TREES, "--out", out, "--inline",
     ) == 0
     assert out.read_text().splitlines()[0] == FIG1_LINE
+
+
+def _repeated_corpus(tmp_path, copies):
+    """The corpus files ``copies`` times over, standoff sentences shifted."""
+    n = len(TREES.read_text().splitlines())
+    d = tmp_path / f"x{copies}"
+    d.mkdir()
+    (d / "trees.ptb").write_text(TREES.read_text() * copies)
+    (d / "tokens.tsv").write_text("\n".join([TOKENS.read_text()] * copies))
+    for source in (GOLDEN, NE):
+        rows = []
+        for k in range(copies):
+            for line in source.read_text().splitlines():
+                sentence, rest = line.split("\t", 1)
+                rows.append(f"{int(sentence) + k * n}\t{rest}\n")
+        (d / source.name).write_text("".join(rows))
+    return d
+
+
+def _cyclic_garbage(argv):
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(*argv) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("command", ["structure", "string", "graft"])
+def test_command_cyclic_garbage_does_not_grow_with_the_corpus(tmp_path, command):
+    # ``mn`` pauses the cycle collector, so per-sentence cycles would pile
+    # up until the command ends; what is left must not scale with input.
+    def argv(d):
+        if command == "graft":
+            return ["graft", "--trees", d / "trees.ptb", "--standoff", d / GOLDEN.name,
+                    "--standoff", d / NE.name, "--out", d / "out", "--report", d / "report"]
+        source = d / ("trees.ptb" if command == "structure" else "tokens.tsv")
+        return ["tag", "--mode", command, "--lexicon", seed_lexicon_path(), "--in", source,
+                "--out", d / "out", "--standoff", d / "standoff"]
+
+    once, eight = _repeated_corpus(tmp_path, 1), _repeated_corpus(tmp_path, 8)
+    assert _cyclic_garbage(argv(once)) == _cyclic_garbage(argv(eight))
+
+
+def _raise_uncaught(tree):
+    raise KeyError("boom")
+
+
+def _raise_budget(tree):
+    raise RewriteBudgetError("budget")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "content, flatten, outcome",
+    [
+        ("(S (NN a))\n", trees.flatten, 0),
+        ("(S (NN a)\n", trees.flatten, 2),
+        ("(S (NN a))\n", _raise_budget, 1),
+        ("(S (NN a))\n", _raise_uncaught, KeyError),
+    ],
+    ids=["exit-0", "exit-2", "exit-1", "uncaught"],
+)
+def test_main_restores_the_collector_state(
+    tmp_path, monkeypatch, enabled, content, flatten, outcome
+):
+    source = tmp_path / "in.ptb"
+    source.write_text(content)
+    monkeypatch.setattr(trees, "flatten", flatten)
+    argv = ["flatten", "--in", source, "--out", tmp_path / "out"]
+    if not enabled:
+        gc.disable()
+    try:
+        if isinstance(outcome, int):
+            assert run(*argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                run(*argv)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()

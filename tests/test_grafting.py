@@ -1,10 +1,11 @@
+import gc
 import random
 
 import pytest
 
-from conftest import random_tree
+from conftest import DATA, random_tree
 from mntag.grafting import GraftConfig, SpanCase, _Shadow, classify_span, graft
-from mntag.taggers import StandoffAnnotation
+from mntag.taggers import StandoffAnnotation, parse_standoff
 from mntag.trees import ParseTree, Span, base_category, iter_nodes, read_ptb, write_ptb
 
 COMPOSITION_TREE = (
@@ -288,3 +289,36 @@ def test_crossing_only_annotations_never_change_random_trees():
         assert report.counts["crossing-skipped"] == 1
         checked += 1
     assert checked > 50
+
+
+def test_graft_leaves_no_reference_cycles():
+    # ``mn`` runs with the cycle collector paused, so a graft that left
+    # cyclic garbage would hold every sentence's working copy to the end.
+    corpus = read_ptb((DATA / "corpus_trees.ptb").read_text())
+    annotations = parse_standoff((DATA / "golden_standoff.tsv").read_text())
+    annotations += parse_standoff((DATA / "ne_sample.tsv").read_text())
+    instances = [
+        (tree, [a for a in annotations if a.sentence == i]) for i, tree in enumerate(corpus)
+    ]
+    rng = random.Random(99)
+    for _ in range(300):
+        tree = random_tree(rng, max_nodes=16)
+        instances.append((tree, random_annotations(rng, tree)))
+    gc.collect()
+    gc.disable()
+    try:
+        for tree, anns in instances:
+            graft(tree, anns)
+            for a in anns:
+                classify_span(tree, a.span)
+            past = len(tree.tokens()) + 1
+            bad_calls = ((graft, [mn(0, 0, past, "TargAble")]), (classify_span, Span(0, past)))
+            for call, arg in bad_calls:
+                try:
+                    call(tree, arg)
+                except ValueError:  # the error path must leave no cycle either
+                    continue
+                raise AssertionError(f"{call.__name__} accepted a span past the sentence")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
