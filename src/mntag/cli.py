@@ -6,12 +6,15 @@ error.  Diagnostics go to stderr; data outputs stay machine-readable.
 Each command runs with the cyclic garbage collector paused, and
 ``main`` restores the collector's prior state however the command ends.
 This is safe because nothing a command builds per sentence holds a
-reference cycle: trees are immutable, the matcher's rewrites and
-graft's working copy point down only, so refcounting frees them.  The
-collector would free nothing, yet each of its full passes rescans every
-tree of the corpus.  Tests hold the invariant: a command's cyclic
-garbage must not grow with the corpus, and ``graft`` and ``apply``
-must leave none.
+reference cycle.  Trees are immutable, so a node refers only to nodes
+built before it; the one value a node gains later, its cached
+``atoms``, is a frozenset of strings.  Trees that share subtrees, as
+graft's output shares its input's, still point down only, and so do
+the matcher's rewrites and graft's working copy.  Refcounting frees
+them all.  The collector would free nothing, yet each of its full
+passes rescans every tree of the corpus.  Tests hold the invariant: a
+command's cyclic garbage must not grow with the corpus, and ``graft``
+and ``apply`` must leave none.
 """
 
 from __future__ import annotations

@@ -32,6 +32,11 @@ the same minimal clause composes NOT into that modality's target
 labels; leftover raw Negation targets on words that carry other tags
 are removed as uncomposable nested modality.
 
+The output tree shares every subtree graft did not change with the
+input: a node that carries no tag, was not inserted and whose children
+all render to the input children themselves is the input node.  Only
+tagged and inserted nodes and their ancestors are built anew.
+
 The working copy holds no reference cycle.  Its references point down
 only: a node names its parent, and a graft record the nodes it was put
 on, by index into the copy's node list.  So refcounting frees each
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import is_
 from typing import Sequence
 
 from .tags import MNTag, Modality, Role, TagError, compose_negation, parse_tag, specificity_rank
@@ -343,6 +349,8 @@ def _siblings(shadow: _Shadow, a: _Grafted, b: _Grafted) -> bool:
 
 
 def _final_label(n: _GNode) -> str | None:
+    if not n.applied:
+        return None
     alive = n.alive_applied()
     if not alive:
         return None
@@ -357,17 +365,20 @@ def _final_label(n: _GNode) -> str | None:
 
 
 def _render(n: _GNode) -> ParseTree:
+    """The output subtree for ``n``: the input subtree itself where graft
+    changed nothing in it, so the output shares every such subtree."""
     tag = _final_label(n)
-    inserted = n.source is None
-    if inserted:
-        label = tag if tag is not None else n.label
-    else:
-        label = n.label + ("-" + tag if tag is not None else "")
+    source = n.source
+    if source is None:
+        # An inserted node whose tag was dropped keeps the label it was
+        # inserted with, for traceability, rather than vanish.
+        kids = tuple([_render(c) for c in n.children])
+        return ParseTree(n.label if tag is None else tag, kids, None)
     if not n.children:
-        return ParseTree(label, (), n.source.token)
-    kids = tuple(_render(c) for c in n.children)
-    if inserted and len(kids) == 1 and tag is None:
-        # An inserted node whose tag was dropped would be an empty
-        # shell; keep it with its original label for traceability.
-        label = n.label
-    return ParseTree(label, kids, None)
+        return source if tag is None else ParseTree(f"{n.label}-{tag}", (), source.token)
+    kids = tuple([_render(c) for c in n.children])
+    if tag is not None:
+        return ParseTree(f"{n.label}-{tag}", kids, None)
+    if len(kids) == len(source.children) and all(map(is_, kids, source.children)):
+        return source
+    return ParseTree(n.label, kids, None)

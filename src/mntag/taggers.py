@@ -30,6 +30,7 @@ counts word spans as it walks down the tree.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Sequence
@@ -43,6 +44,10 @@ MN_FAMILY = "MN"
 NE_FAMILY = "NE"
 
 _SKIP_POS = frozenset(["RB", "RBR", "RBS", "TO"])
+
+# A standoff index as written: ASCII digits, optionally negative (which
+# the checks after parsing reject with a message of their own).
+_INDEX = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,10 @@ def parse_standoff(text: str) -> list[StandoffAnnotation]:
         if not label or LABEL_BAD.search(label):
             # Graft puts the label into a tree, which could not hold it.
             raise ValueError(f"standoff line {lineno}: bad label {label!r}")
+        for number in (sentence, start, end):
+            # ``int`` would also take ``1_0``, `` 1`` and non-ASCII digits.
+            if not _INDEX.fullmatch(number):
+                raise ValueError(f"standoff line {lineno}: bad integer {number!r}")
         try:
             ann = StandoffAnnotation(int(sentence), Span(int(start), int(end)), label, family)
         except ValueError as exc:
@@ -110,7 +119,13 @@ def read_token_tsv(text: str) -> list[list[tuple[str, str]]]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"token line {lineno}: expected 'token<TAB>POS'")
-        current.append((parts[0], parts[1]))
+        token, pos = parts
+        if token.split() != [token]:
+            # An empty token, or one holding whitespace, would not read
+            # back as one word from inline output: every later token
+            # would shift.
+            raise ValueError(f"token line {lineno}: bad token {token!r}")
+        current.append((token, pos))
     return sentences
 
 

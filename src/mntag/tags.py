@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 
 class Modality(Enum):
@@ -115,11 +116,15 @@ _MODALITY_NAMES = sorted(
 )
 
 
+@cache
 def parse_tag(s: str) -> MNTag:
     """Parse a canonical tag string such as ``TargNOTSucceedNegation``.
 
     Raises TagError naming the offending substring on malformed input
-    and on non-canonical combinations (``TrigRequireNegation``).
+    and on non-canonical combinations (``TrigRequireNegation``).  Results
+    are cached: at most 88 strings parse (role, NOT, 11 modality
+    spellings, Negation) and an ``MNTag`` is immutable, so callers may
+    share one.  A failure is not cached and raises again on every call.
     """
     if s.startswith(Role.TRIGGER.value):
         role = Role.TRIGGER

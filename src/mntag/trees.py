@@ -1,6 +1,10 @@
 """Constituency parse trees and Penn-Treebank-style S-expression I/O.
 
-Trees are immutable values.  A leaf holds a surface token; internal
+Trees are immutable values.  ``ParseTree`` is a slotted class that
+refuses every attribute write after construction, so building a node
+costs one call and its checks.  Since no node can change, trees may
+share nodes: graft's output, for one, shares with its input every
+subtree graft did not change.  A leaf holds a surface token; internal
 nodes hold ordered children.  Two leaf shapes occur in practice:
 
 * preterminals like ``(DT A)``, where the label is a category and the
@@ -18,7 +22,7 @@ heads as sisters.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Iterator
 
@@ -51,23 +55,64 @@ def unescape_token(atom: str) -> str:
     return atom
 
 
-@dataclass(frozen=True)
 class ParseTree:
-    """A labeled ordered tree; leaves carry tokens, internal nodes do not."""
+    """A labeled ordered tree; leaves carry tokens, internal nodes do not.
+
+    An immutable value: equality, hashing and ``repr`` go by label,
+    children and token, as for a frozen dataclass of those three fields.
+    """
+
+    # ``__dict__`` holds only the cached ``atoms``.
+    __slots__ = ("label", "children", "token", "__dict__")
 
     label: str
-    children: tuple["ParseTree", ...] = ()
-    token: str | None = None
+    children: tuple["ParseTree", ...]
+    token: str | None
 
-    def __post_init__(self) -> None:
-        if not self.label or LABEL_BAD.search(self.label):
-            raise ValueError(f"bad node label {self.label!r}")
-        if self.children:
-            if self.token is not None:
+    def __init__(
+        self, label: str, children: tuple["ParseTree", ...] = (), token: str | None = None
+    ) -> None:
+        if not label or LABEL_BAD.search(label):
+            raise ValueError(f"bad node label {label!r}")
+        if children:
+            if token is not None:
                 raise ValueError("internal node cannot carry a token")
-            object.__setattr__(self, "children", tuple(self.children))
-        elif self.token is None:
-            raise ValueError(f"leaf {self.label!r} must carry a token")
+            if children.__class__ is not tuple:
+                children = tuple(children)
+        elif token is None:
+            raise ValueError(f"leaf {label!r} must carry a token")
+        else:
+            children = ()
+        _set_label(self, label)
+        _set_children(self, children)
+        _set_token(self, token)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label, self.children, self.token) == (
+            other.label,
+            other.children,
+            other.token,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.children, self.token))
+
+    def __repr__(self) -> str:
+        return (
+            f"ParseTree(label={self.label!r}, children={self.children!r},"
+            f" token={self.token!r})"
+        )
+
+    def __reduce__(self):
+        return ParseTree, (self.label, self.children, self.token)
 
     @property
     def is_leaf(self) -> bool:
@@ -93,6 +138,13 @@ class ParseTree:
     def tokens(self) -> list[str]:
         """Left-to-right yield of the tree."""
         return [leaf.token for leaf in self.leaves()]  # type: ignore[misc]
+
+
+# ``__setattr__`` refuses every write, so ``__init__`` writes through the
+# slot descriptors.
+_set_label = ParseTree.label.__set__  # type: ignore[attr-defined]
+_set_children = ParseTree.children.__set__  # type: ignore[attr-defined]
+_set_token = ParseTree.token.__set__  # type: ignore[attr-defined]
 
 
 def leaf(label: str, token: str | None = None) -> ParseTree:
@@ -185,7 +237,7 @@ def flatten(tree: ParseTree) -> ParseTree:
 
 def _atom_leaf(atom: str) -> ParseTree:
     # Bare atom as a child: label keeps the escaped spelling.
-    return ParseTree(atom, (), unescape_token(atom))
+    return ParseTree(atom, (), unescape_token(atom) if "-" in atom else atom)
 
 
 def _line(text: str, offset: int) -> int:
@@ -196,45 +248,68 @@ def read_ptb(text: str) -> list[ParseTree]:
     """Parse a sequence of balanced S-expressions into trees.
 
     Whitespace between tokens is not significant; ``-LRB-``/``-RRB-``
-    atoms decode to literal parentheses in tokens.
+    atoms decode to literal parentheses in tokens.  A node's first item
+    is its label, and must be an atom.
     """
     trees: list[ParseTree] = []
-    # Each frame: [label or None, mixed list of ParseTree|str, open offset]
-    stack: list[list] = []
-    for m in _PTB_TOKEN.finditer(text):
-        tok, offset = m.group(), m.start()
+    stack: list[list] = []  # the enclosing open nodes' item lists
+    items: list | None = None  # the innermost open node's: label, then children
+    tokens = _PTB_TOKEN.findall(text)
+    for k, tok in enumerate(tokens):
         if tok == "(":
-            stack.append([None, [], offset])
+            if items is not None:
+                stack.append(items)
+            items = []
         elif tok == ")":
-            if not stack:
-                raise PTBParseError("unbalanced ')'", offset, _line(text, offset))
-            label, items, open_offset = stack.pop()
-            if label is None or not items:
-                raise PTBParseError("empty node", open_offset, _line(text, open_offset))
-            if len(items) == 1 and isinstance(items[0], str):
-                subtree = ParseTree(label, (), unescape_token(items[0]))
+            if items is None:
+                raise _fault(text, k, "unbalanced ')'")
+            label = items[0] if items else None
+            if label.__class__ is not str:
+                late = any(item.__class__ is str for item in items)
+                raise _fault(text, k, "missing label" if late else "empty node", at_open=True)
+            if len(items) < 2:
+                raise _fault(text, k, "empty node", at_open=True)
+            if len(items) == 2 and items[1].__class__ is str:
+                atom = items[1]
+                subtree = ParseTree(label, (), unescape_token(atom) if "-" in atom else atom)
             else:
-                children = tuple(
-                    item if isinstance(item, ParseTree) else _atom_leaf(item) for item in items
-                )
-                subtree = ParseTree(label, children, None)
+                del items[0]
+                children = [i if i.__class__ is ParseTree else _atom_leaf(i) for i in items]
+                subtree = ParseTree(label, tuple(children), None)
             if stack:
-                stack[-1][1].append(subtree)
+                items = stack.pop()
+                items.append(subtree)
             else:
                 trees.append(subtree)
+                items = None
+        elif items is None:
+            raise _fault(text, k, f"unexpected atom {tok!r} outside a tree")
         else:
-            if not stack:
-                raise PTBParseError(
-                    f"unexpected atom {tok!r} outside a tree", offset, _line(text, offset)
-                )
-            if stack[-1][0] is None:
-                stack[-1][0] = tok
-            else:
-                stack[-1][1].append(tok)
-    if stack:
-        # The fault is the tree that never closes, so name its line.
-        raise PTBParseError("unbalanced '('", len(text), _line(text, stack[0][2]))
+            items.append(tok)
+    if items is not None:
+        raise _fault(text, None, "unbalanced '('")
     return trees
+
+
+def _fault(text: str, stop: int | None, message: str, at_open: bool = False) -> PTBParseError:
+    """The error at token ``stop`` of ``text``, or at its end for None.
+
+    The offset is the token's, or with ``at_open`` that of the ``(``
+    opening the node the token closes; at the end it is the text's
+    length, and the line that of the tree that never closes.  It comes
+    from scanning the text again, so ``read_ptb`` pays for offsets only
+    when it fails.
+    """
+    opens: list[int] = []  # offsets of the ``(`` still open
+    for k, m in enumerate(_PTB_TOKEN.finditer(text)):
+        if k == stop:
+            offset = opens[-1] if at_open else m.start()
+            return PTBParseError(message, offset, _line(text, offset))
+        if m.group() == "(":
+            opens.append(m.start())
+        elif m.group() == ")":
+            opens.pop()
+    return PTBParseError(message, len(text), _line(text, opens[0]))
 
 
 # Punctuation preterminals keep their classic parenthesized form even

@@ -8,6 +8,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from mntag.lexicon import Lexicon, load_lexicon_file
 from mntag.matcher import PatternRule, parse_pattern
@@ -38,6 +39,24 @@ def random_tree(rng: random.Random, max_nodes: int = 12) -> ParseTree:
         return ParseTree(rng.choice(PHRASE_LABELS), children, None)
 
     return gen(0)
+
+
+PTB_TREES = [
+    b"(TOP (S (NP (DT the) (NN cat)) (VP (VBD sat) (RB not))))\n",
+    b"(S (NP (NNP Khan)) (VP (MD can) (VP (VB go))))\n",
+    b"(X a (Y b c))\n",
+]
+_PTB_PIECES = [
+    b"(", b")", b" ", b"\t", b"\n", b"S", b"NN", b"word", b"-LRB-", b"-RRB-", b"\xff", b"\xc3",
+    "é".encode(),
+]
+
+#: Tree file contents: whole trees, or trees cut and mixed with brackets,
+#: atoms, whitespace and bytes that are not UTF-8.
+ptb_files = st.one_of(
+    st.lists(st.sampled_from(PTB_TREES), max_size=4).map(b"".join),
+    st.lists(st.sampled_from(PTB_TREES + _PTB_PIECES), max_size=16).map(b"".join),
+)
 
 
 def random_pattern_rule(rng: random.Random, tree: ParseTree) -> PatternRule:

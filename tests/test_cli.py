@@ -119,6 +119,42 @@ def test_bad_input_file_exits_2_naming_file_and_line(tmp_path, caplog, command, 
 @pytest.mark.parametrize(
     "command",
     [
+        ["graft", "--standoff", GOLDEN, "--report", os.devnull, "--trees"],
+        ["flatten", "--in"],
+    ],
+    ids=["graft", "flatten"],
+)
+def test_tree_label_after_a_child_exits_2_naming_file_and_line(tmp_path, caplog, command):
+    # Once read as (S (NP (DT the))), and flattened or grafted as such.
+    bad = tmp_path / "bad.ptb"
+    bad.write_text("(S (NN a))\n(S ((DT the) NP))\n")
+    out = tmp_path / "out"
+    assert run(*command, bad, "--out", out) == 2
+    assert f"{bad}: line 2: missing label at offset 14" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "token", ["", " ", "a b"], ids=["empty", "space", "inner-space"]
+)
+def test_token_that_would_shift_inline_output_exits_2_naming_file_and_line(
+    tmp_path, caplog, token
+):
+    # An empty token once wrote "I  <TrigWant want> ...": one word short.
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(f"I\tPRP\n{token}\tNN\nwant\tVBP\nto\tTO\ngo\tVB\n")
+    out = tmp_path / "out.txt"
+    assert run(
+        "tag", "--mode", "string", "--lexicon", seed_lexicon_path(),
+        "--in", bad, "--out", out, "--inline",
+    ) == 2
+    assert f"{bad}: token line 2: bad token {token!r}" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
         ["lexicon", "validate"],
         ["tag", "--mode", "string", "--in", TOKENS, "--out", os.devnull, "--lexicon"],
         ["rules", "--out", os.devnull, "--lexicon"],
@@ -322,6 +358,28 @@ def test_negative_span_start_exits_2_naming_file_and_line(tmp_path, caplog):
     assert run("agreement", GOLDEN, rogue) == 2
     lines = [l for l in caplog.text.splitlines() if f"{rogue}: standoff line 2: " in l]
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize(
+    "fields, number",
+    [("0\t1_0\t1_1", "1_0"), ("0\t\u0663\t4", "\u0663"), ("0\t 1\t2", " 1"), ("+0\t1\t2", "+0")],
+    ids=["underscore", "arabic-indic-digit", "space", "plus"],
+)
+def test_standoff_index_not_plain_digits_exits_2_naming_file_and_line(
+    tmp_path, caplog, fields, number
+):
+    # ``int`` read these as 10, 3, 1 and 0.
+    rogue = tmp_path / "rogue.tsv"
+    rogue.write_text(f"0\t2\t3\tTargRequire\tMN\n{fields}\tPER\tNE\n", "utf-8")
+    out = tmp_path / "o.ptb"
+    assert run(
+        "graft", "--trees", TREES, "--standoff", rogue,
+        "--out", out, "--report", tmp_path / "r.txt",
+    ) == 2
+    assert run("agreement", GOLDEN, rogue) == 2
+    message = f"{rogue}: standoff line 2: bad integer {number!r}"
+    assert caplog.text.count(message) == 2
+    assert not out.exists()
 
 
 def test_graft_unknown_family_exits_2_naming_file_and_sentence(tmp_path, caplog):

@@ -1,8 +1,9 @@
-"""Fuzz the readers of ``mn graft`` through the command line.
+"""Fuzz the readers of ``mn graft`` and ``mn tag --mode string``
+through the command line.
 
-Whatever bytes the tree and standoff files hold, ``mn graft`` exits 0
-or 2, never with an uncaught exception, and every error it logs on exit
-2 names the file at fault.
+Whatever bytes the tree, standoff and token files hold, the command
+exits 0 or 2, never with an uncaught exception, and every error it logs
+on exit 2 names the file at fault.
 """
 
 import logging
@@ -11,22 +12,9 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import PTB_TREES, ptb_files
 from mntag import taggers, trees
-from mntag.cli import main
-
-_TREES = [
-    b"(TOP (S (NP (DT the) (NN cat)) (VP (VBD sat) (RB not))))\n",
-    b"(S (NP (NNP Khan)) (VP (MD can) (VP (VB go))))\n",
-    b"(X a (Y b c))\n",
-]
-_PTB_PIECES = [
-    b"(", b")", b" ", b"\t", b"\n", b"S", b"NN", b"word", b"-LRB-", b"\xff", b"\xc3", "é".encode()
-]
-
-ptb_files = st.one_of(
-    st.lists(st.sampled_from(_TREES), max_size=4).map(b"".join),
-    st.lists(st.sampled_from(_TREES + _PTB_PIECES), max_size=16).map(b"".join),
-)
+from mntag.cli import main, seed_lexicon_path
 
 _integers = st.one_of(
     st.integers(-2, 12),
@@ -76,7 +64,7 @@ def _offender(tree_path: Path, standoff_path: Path) -> Path:
 
 @settings(max_examples=300, deadline=None)
 @given(ptb_files, standoff_files)
-@example(_TREES[0], b"0\t0\t1\tPER(x\tNE\n")  # a label no tree node can carry
+@example(PTB_TREES[0], b"0\t0\t1\tPER(x\tNE\n")  # a label no tree node can carry
 def test_graft_exits_0_or_2_and_names_the_bad_file(tree_bytes, standoff_bytes):
     errors = _Errors()
     log = logging.getLogger("mn")
@@ -104,5 +92,54 @@ def test_graft_exits_0_or_2_and_names_the_bad_file(tree_bytes, standoff_bytes):
                 bad = _offender(tree_path, standoff_path)
                 for message in errors.messages:
                     assert str(bad) in message, message
+    finally:
+        log.removeHandler(errors)
+
+
+_words = st.one_of(
+    st.sampled_from(["I", "want", "to", "go", "can", "not", "must", "", " ", "a b", "\xa0"]),
+    st.text(max_size=3),
+)
+_pos = st.sampled_from(["PRP", "VBP", "TO", "VB", "MD", "RB", "NN", "", "x y"])
+_token_lines = st.one_of(
+    st.tuples(_words, _pos).map("\t".join),
+    st.sampled_from(["", "", "word", "a\tb\tc", "\t", "\tNN", "\xff"]),
+)
+token_files = st.tuples(
+    st.lists(_token_lines, max_size=12).map("\n".join), st.sampled_from([b"", b"\n", b"\xff\n"])
+).map(lambda parts: parts[0].encode("utf-8") + parts[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_files)
+@example(b"I\tPRP\n\tNN\nwant\tVBP\nto\tTO\ngo\tVB\n")  # an empty token
+def test_string_tag_exits_0_or_2_and_names_the_bad_file(token_bytes):
+    errors = _Errors()
+    log = logging.getLogger("mn")
+    log.addHandler(errors)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            source, inline, standoff = Path(tmp, "in.tsv"), Path(tmp, "out.txt"), Path(tmp, "s.tsv")
+            source.write_bytes(token_bytes)
+            code = main(
+                ["tag", "--mode", "string", "--lexicon", seed_lexicon_path(), "--in", str(source),
+                 "--out", str(inline), "--standoff", str(standoff), "--inline"]
+            )
+            assert code in (0, 2)
+            if code == 0:
+                assert not errors.messages
+                # Each token stays one word of the inline line, beside one
+                # ``<Tag`` word per annotation.
+                sentences = taggers.read_token_tsv(token_bytes.decode("utf-8"))
+                annotations = taggers.parse_standoff(standoff.read_text("utf-8"))
+                lines = inline.read_text("utf-8").splitlines()
+                assert len(lines) == len(sentences)
+                for i, (line, sentence) in enumerate(zip(lines, sentences)):
+                    opened = sum(1 for a in annotations if a.sentence == i)
+                    assert len(line.split()) == len(sentence) + opened, line
+            else:
+                assert errors.messages
+                for message in errors.messages:
+                    assert str(source) in message, message
     finally:
         log.removeHandler(errors)

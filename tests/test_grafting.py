@@ -56,8 +56,31 @@ def test_graft_overlay_ne_then_mn():
 def test_graft_empty_annotations_identity():
     tree = read_ptb(COMPOSITION_TREE)[0]
     out, report = graft(tree, [])
-    assert out == tree
+    assert out is tree
     assert report.total == 0
+
+
+def test_graft_output_shares_every_subtree_it_did_not_change():
+    tree = read_ptb(
+        "(TOP (S (S (NP (NNP Khan)) (VP (MD can) (VP (VB go))))"
+        " (CC and) (S (NP (PRP he)) (VP (VBD stayed)))))"
+    )[0]
+    first, cc, second = tree.children[0].children
+    out, _ = graft(tree, [mn(0, 1, 2, "TrigAble"), mn(0, 2, 3, "TargAble")])
+    assert write_ptb(out) == (
+        "(TOP (S (S (NP (NNP Khan)) (VP (MD-TrigAble can) (VP-TargAble (VB-TargAble go))))"
+        " (CC and) (S (NP (PRP he)) (VP (VBD stayed)))))"
+    )
+    out_first, out_cc, out_second = out.children[0].children
+    assert out_second is second and out_cc is cc
+    assert out_first is not first and out_first.children[0] is first.children[0]
+    # An inserted node changes its parent, not the daughters it takes.
+    out, report = graft(tree, [mn(0, 3, 6, "TargWant")])
+    assert report.counts["grafted-inserted"] == 1
+    out_first, inserted = out.children[0].children
+    assert out_first is first
+    assert inserted.label == "TargWant" and inserted.children[0] is cc
+    assert inserted.children[1] is second
 
 
 def test_graft_inserts_node_for_adjacent_daughters():

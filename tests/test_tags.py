@@ -32,6 +32,15 @@ def test_parse_tag_examples():
     assert parse_tag("TargNOTSucceedNegation") == MNTag(Role.TARGET, True, Modality.SUCCEED, True)
 
 
+def test_parse_tag_raises_on_every_call_and_shares_results():
+    for _ in range(3):
+        with pytest.raises(TagError, match="unknown modality name"):
+            parse_tag("TrigBogus")
+        with pytest.raises(TagError, match="not canonical"):
+            parse_tag("TrigRequireNegation")
+    assert parse_tag("TargNOTAble") is parse_tag("TargNOTAble")
+
+
 def test_parse_tag_accepts_both_firm_belief_spellings():
     with_underscore = parse_tag("TrigFirm_Belief")
     without = parse_tag("TrigFirmBelief")

@@ -1,9 +1,13 @@
+import copy
+import dataclasses
+import pickle
 import random
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_tree
+from conftest import ptb_files, random_tree
 from mntag.trees import (
     ParseTree,
     PTBParseError,
@@ -13,6 +17,7 @@ from mntag.trees import (
     iter_nodes,
     node_span,
     read_ptb,
+    unescape_token,
     write_ptb,
 )
 
@@ -50,6 +55,130 @@ def test_read_empty_node_rejected():
         read_ptb("( )")
     with pytest.raises(PTBParseError):
         read_ptb("(X)")
+    # No atom at all, so no label read late either.
+    with pytest.raises(PTBParseError, match=r"^line 1: empty node at offset 0$"):
+        read_ptb("((DT a) (NN b))")
+
+
+@pytest.mark.parametrize(
+    "text, line, offset",
+    [
+        ("((DT the) NP)", 1, 0),
+        ("((DT a) NP (NN b))", 1, 0),
+        ("(S (NP a))\n(S\n ((DT a) NP))", 3, 15),
+    ],
+)
+def test_read_label_after_a_child_rejected(text, line, offset):
+    # Once read as (NP (DT the)): an atom after a child was taken as the label.
+    with pytest.raises(PTBParseError) as err:
+        read_ptb(text)
+    assert str(err.value) == f"line {line}: missing label at offset {offset}"
+    assert (err.value.line, err.value.offset) == (line, offset)
+
+
+def _reference_read_ptb(text: str) -> list[ParseTree]:
+    """The two-pass reader ``read_ptb`` replaced, kept as the reference:
+    a ``re.Match`` and an offset per token.  One marked change: a node
+    whose label comes after a child raises "missing label" when it
+    closes, where this reader once took that atom as the label."""
+
+    def line_of(offset):
+        return text.count("\n", 0, offset) + 1
+
+    def atom_leaf(atom):
+        return ParseTree(atom, (), unescape_token(atom))
+
+    trees = []
+    stack = []
+    for m in re.finditer(r"\(|\)|[^()\s]+", text):
+        tok, offset = m.group(), m.start()
+        if tok == "(":
+            stack.append([None, [], offset, False])
+        elif tok == ")":
+            if not stack:
+                raise PTBParseError("unbalanced ')'", offset, line_of(offset))
+            label, items, open_offset, late_label = stack.pop()
+            if label is None or not items:
+                raise PTBParseError("empty node", open_offset, line_of(open_offset))
+            if late_label:  # the marked change
+                raise PTBParseError("missing label", open_offset, line_of(open_offset))
+            if len(items) == 1 and isinstance(items[0], str):
+                subtree = ParseTree(label, (), unescape_token(items[0]))
+            else:
+                children = tuple(
+                    item if isinstance(item, ParseTree) else atom_leaf(item) for item in items
+                )
+                subtree = ParseTree(label, children, None)
+            if stack:
+                stack[-1][1].append(subtree)
+            else:
+                trees.append(subtree)
+        else:
+            if not stack:
+                raise PTBParseError(
+                    f"unexpected atom {tok!r} outside a tree", offset, line_of(offset)
+                )
+            if stack[-1][0] is None:
+                stack[-1][0] = tok
+                stack[-1][3] = bool(stack[-1][1])  # the marked change
+            else:
+                stack[-1][1].append(tok)
+    if stack:
+        raise PTBParseError("unbalanced '('", len(text), line_of(stack[0][2]))
+    return trees
+
+
+def _read_outcome(read, text):
+    try:
+        return read(text)
+    except PTBParseError as exc:
+        return (str(exc), exc.line, exc.offset)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ptb_files.map(lambda data: data.decode("utf-8", "replace")))
+@example("((DT the) NP)")
+@example("(S (A -LRB-) -RRB- (B x-y) a-b)\n")
+@example("(S (NP a)\n(S\n")
+def test_read_ptb_matches_the_reference_reader(text):
+    expected = _read_outcome(_reference_read_ptb, text)
+    got = _read_outcome(read_ptb, text)
+    assert got == expected
+    if isinstance(got, list):
+        assert [repr(t) for t in got] == [repr(t) for t in expected]
+
+
+def test_tree_is_frozen():
+    tree = read_ptb("(S (NP (DT a)) b)")[0]
+    for name in ("label", "children", "token", "atoms", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(tree, name, "x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(tree, name)
+    assert tree.atoms == {"S", "NP", "DT", "a", "b"}
+    assert write_ptb(tree) == "(S (NP (DT a)) b)"
+
+
+def test_tree_value_semantics():
+    leaf_a = ParseTree("DT", (), "a")
+    assert repr(leaf_a) == "ParseTree(label='DT', children=(), token='a')"
+    tree = ParseTree("NP", [leaf_a], None)
+    assert tree.children == (leaf_a,) and type(tree.children) is tuple
+    assert repr(tree) == (
+        "ParseTree(label='NP', children=(ParseTree(label='DT', children=(), token='a'),),"
+        " token=None)"
+    )
+    twin = ParseTree(label="NP", children=(ParseTree("DT", token="a"),))
+    assert twin == tree and twin is not tree
+    assert hash(twin) == hash(tree) == hash(("NP", (leaf_a,), None))
+    assert len({tree, twin, leaf_a}) == 2
+    assert tree != ParseTree("NP", (ParseTree("DT", (), "b"),), None)
+    assert tree != ParseTree("NX", (leaf_a,), None)
+    assert (tree == ("NP", (leaf_a,), None)) is False
+    assert tree.__eq__("NP") is NotImplemented
+    for clone in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert clone == tree and hash(clone) == hash(tree)
+    assert ParseTree("DT", [], "a").children == ()
 
 
 def test_multiple_trees_and_sibling_tokens():
