@@ -32,7 +32,7 @@ from .tags import (
     parse_tag,
     specificity_rank,
 )
-from .trees import ParseTree, Span, flatten, node_span, read_ptb, write_ptb
+from .trees import ParseTree, Span, flatten, read_ptb, write_ptb
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "match",
     "menu_choice_to_tags",
     "negate_proposition",
-    "node_span",
     "parse_inline",
     "parse_pattern",
     "parse_rules",

@@ -113,6 +113,12 @@ def _cmd_tag(args) -> int:
         corpus = _parse_file(args.input, trees.read_ptb)
         out_lines = []
         for i, tree in enumerate(corpus):
+            # The tagger would take such a word for a marker and drop it.
+            marker = next(filter(rulegen.is_marker_leaf, trees.iter_nodes(tree)), None)
+            if marker is not None:
+                raise ValueError(
+                    f"{args.input}: sentence {i}: word {marker.token!r} is spelled like a marker"
+                )
             prepared = rulegen.preprocess(trees.flatten(tree))
             result = taggers.tag_structure(prepared, index.candidates(prepared), sentence=i)
             for diag in result.diagnostics:
@@ -154,7 +160,7 @@ def _cmd_tag(args) -> int:
 def _cmd_graft(args) -> int:
     corpus = _parse_file(args.trees, trees.read_ptb)
     order = tuple(args.order.split(","))
-    sizes = [len(tree.leaves()) for tree in corpus]
+    sizes = [trees.count_leaves(tree) for tree in corpus]
     annotations: list[StandoffAnnotation] = []
     for path in args.standoff:
         batch = _parse_file(path, taggers.parse_standoff)

@@ -30,7 +30,12 @@ tag regardless of arrival order.
 After grafting, a Negation trigger adjacent to a modality trigger in
 the same minimal clause composes NOT into that modality's target
 labels; leftover raw Negation targets on words that carry other tags
-are removed as uncomposable nested modality.
+are removed as uncomposable nested modality.  This is the structure
+tagger's composition made again by tree position, and it is kept for
+the nested modality the tagger leaves raw (see ``taggers``): of the
+25 golden test sentences it composes differently only at sentence 2,
+"could not reach semi-final" (``VB-TargNOTAble reach``), and sentence
+17, "did not want to succeed" (``VB-TargNOTWant succeed``).
 
 The output tree shares every subtree graft did not change with the
 input: a node that carries no tag, was not inserted and whose children

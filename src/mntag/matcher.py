@@ -28,7 +28,9 @@ Actions follow the pattern, one per line::
 path down to the solver, so every capture comes with its path (child
 indexes from the root, ``Match.paths``) and actions locate captures by
 path, never by node identity; a tree that holds one node object at two
-places matches like an equal tree without sharing.
+places matches like an equal tree without sharing.  A ``Match`` is its
+rule, the tree it was found in and those paths; it resolves the nodes
+it names (``root``, ``captures``) through the paths only when asked.
 
 ``apply`` rewrites to fixpoint, recomputing matches after every change
 and charging each change against a rewrite budget, so a rule that keeps
@@ -108,13 +110,7 @@ class NodeTest:
         return any(node.label == a or node.token == a for a in self.alternatives)
 
 
-_REGEX_CACHE: dict[str, re.Pattern] = {}
-
-
-def _compiled(src: str) -> re.Pattern:
-    if src not in _REGEX_CACHE:
-        _REGEX_CACHE[src] = re.compile(src)
-    return _REGEX_CACHE[src]
+_compiled = cache(re.compile)
 
 
 @dataclass(frozen=True)
@@ -360,19 +356,24 @@ def serialize_rules(rules) -> str:
 # Matching
 
 
+@dataclass(eq=False, slots=True)
 class Match:
-    """One binding environment: the root-test node plus named captures.
+    """One binding environment of ``rule`` in ``tree``: the path of the
+    node that passed the pattern's root test, and each capture name's
+    path.  ``root`` and ``captures`` look the nodes up through them."""
 
-    ``paths`` maps each capture name to the captured node's path, the
-    child indexes leading to it from the root of the matched tree.
-    """
+    rule: PatternRule
+    tree: ParseTree
+    root_path: TreePath
+    paths: dict[str, TreePath]
 
-    def __init__(
-        self, root: ParseTree, captures: dict[str, ParseTree], paths: dict[str, TreePath]
-    ):
-        self.root = root
-        self.captures = captures
-        self.paths = paths
+    @property
+    def root(self) -> ParseTree:
+        return _node_at(self.tree, self.root_path)
+
+    @property
+    def captures(self) -> dict[str, ParseTree]:
+        return {name: _node_at(self.tree, path) for name, path in self.paths.items()}
 
     def __repr__(self) -> str:
         names = ", ".join(f"{k}={v.label}" for k, v in self.captures.items())
@@ -448,7 +449,7 @@ def _walk(rule: PatternRule, tree: ParseTree) -> list[Match]:
             key = (path, tuple(sorted(env.items())))
             if key not in seen:
                 seen.add(key)
-                out.append(Match(node, {k: _node_at(tree, p) for k, p in env.items()}, env))
+                out.append(Match(rule, tree, path, env))
         kids = node.children
         stack.extend((kids[k], node, path + (k,)) for k in range(len(kids) - 1, -1, -1))
     return out

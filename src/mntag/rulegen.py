@@ -45,13 +45,16 @@ def is_marker_leaf(node: ParseTree) -> bool:
     return node.label in (AUX_MARKER, PASSIVE_MARKER) or is_tag_string(node.label)
 
 
-def word_leaves(tree: ParseTree) -> list[ParseTree]:
-    return [n for n in tree.leaves() if not is_marker_leaf(n)]
-
-
 def word_tokens(tree: ParseTree) -> list[str]:
     """The yield with marker leaves removed."""
-    return [n.token for n in word_leaves(tree)]  # type: ignore[misc]
+    return [n.token for n in tree.leaves() if not is_marker_leaf(n)]  # type: ignore[misc]
+
+
+def _word_count(tree: ParseTree) -> int:
+    """Leaves of ``tree`` that are words, not markers."""
+    if tree.children:
+        return sum(map(_word_count, tree.children))
+    return 0 if is_marker_leaf(tree) else 1
 
 
 def word_spans(tree: ParseTree, path: TreePath) -> Span | None:
@@ -59,9 +62,9 @@ def word_spans(tree: ParseTree, path: TreePath) -> Span | None:
     ``path``; None when its yield is markers only."""
     start = 0
     for i in path:
-        start += sum(len(word_leaves(c)) for c in tree.children[:i])
+        start += sum(map(_word_count, tree.children[:i]))
         tree = tree.children[i]
-    end = start + len(word_leaves(tree))
+    end = start + _word_count(tree)
     return Span(start, end) if end > start else None
 
 

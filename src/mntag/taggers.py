@@ -22,6 +22,16 @@ runs a negation-composition pass:
   nested-modality exemption;
 * otherwise the negation keeps its own raw Negation target.
 
+Graft runs a second composer (``grafting``), by tree position, and the
+two stay apart on purpose: one composer would need a switch set by its
+caller.  Run on this tagger's raw records of the 25-sentence test
+corpus, graft's pass gives this pass's result on 23 sentences.  It
+differs only where the target word is itself a trigger, which this pass
+must leave raw and graft must compose: sentence 2, "could not reach
+semi-final" (``reach`` keeps TargAble, TrigSucceed and TargNegation
+here; graft makes it TargNOTAble), and sentence 17, "did not want to
+succeed" (``succeed`` keeps TargWant here; graft makes it TargNOTWant).
+
 Finally the marker daughters inserted by the rules are folded into
 ``-`` label suffixes and the preprocessing markers are dropped, so the
 output tree carries the input's word yield plus tag suffixes; the fold
@@ -32,7 +42,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterable, Sequence
 
 from . import matcher, rulegen
@@ -332,11 +341,11 @@ def tag_structure(
     fired: list[str] = []
     current = tree
 
-    def record(rule: matcher.PatternRule, m: matcher.Match, before: ParseTree) -> None:
+    def record(m: matcher.Match, before: ParseTree) -> None:
         # Insert and augment labels alike: augment bakes the suffix in
         # directly, but the annotation is still recorded so standoff
         # output stays complete.
-        payloads = {action.capture: action.label for action in rule.actions}
+        payloads = {action.capture: action.label for action in m.rule.actions}
         link = _Link(None)
         for capture, label in payloads.items():
             span = rulegen.word_spans(before, m.paths[capture])
@@ -357,10 +366,10 @@ def tag_structure(
             link.modality = link.target_ann.tag.modality
         if link.trigger_ann is not None or link.target_ann is not None:
             links.append(link)
-        fired.append(rule.name)
+        fired.append(m.rule.name)
 
     for rule in rules:
-        current = matcher.apply(rule, current, on_rewrite=partial(record, rule))
+        current = matcher.apply(rule, current, on_rewrite=record)
 
     _compose_pass(links, diagnostics, structure=True)
     annotations = _finish_annotations(anns, sentence)

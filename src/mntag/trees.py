@@ -147,15 +147,6 @@ _set_children = ParseTree.children.__set__  # type: ignore[attr-defined]
 _set_token = ParseTree.token.__set__  # type: ignore[attr-defined]
 
 
-def leaf(label: str, token: str | None = None) -> ParseTree:
-    """Convenience leaf constructor; one argument makes a bare word leaf."""
-    return ParseTree(label, (), token if token is not None else label)
-
-
-def node(label: str, children) -> ParseTree:
-    return ParseTree(label, tuple(children), None)
-
-
 def iter_nodes(tree: ParseTree) -> Iterator[ParseTree]:
     """All nodes in preorder (document order)."""
     stack = [tree]
@@ -163,6 +154,11 @@ def iter_nodes(tree: ParseTree) -> Iterator[ParseTree]:
         n = stack.pop()
         yield n
         stack.extend(reversed(n.children))
+
+
+def count_leaves(tree: ParseTree) -> int:
+    """The number of leaves, counted without building a list of them."""
+    return sum(map(count_leaves, tree.children)) if tree.children else 1
 
 
 @dataclass(frozen=True)
@@ -178,18 +174,6 @@ class Span:
 
     def covers(self, other: "Span") -> bool:
         return self.start <= other.start and other.end <= self.end
-
-
-def node_span(tree: ParseTree, target: ParseTree) -> Span:
-    """Span of ``target``, located in ``tree`` by object identity; a node
-    object that occurs at several places is taken at its first."""
-    start = 0
-    for n in iter_nodes(tree):
-        if n is target:
-            return Span(start, start + len(n.leaves()))
-        if n.is_leaf:
-            start += 1
-    raise ValueError("node does not belong to this tree")
 
 
 def base_category(label: str) -> str:

@@ -153,6 +153,31 @@ def test_token_that_would_shift_inline_output_exits_2_naming_file_and_line(
 
 
 @pytest.mark.parametrize(
+    "tree, word",
+    [
+        ("(S (NP (NNP John)) (VP (VB hand AUX) (NP (NN TrigRequire))))", "AUX"),
+        ("(S (NP (NNP John)) (VP (VBZ is) (ADJP TargAble VoicePassive)))", "TargAble"),
+    ],
+    ids=["aux", "tag-and-passive"],
+)
+@pytest.mark.parametrize("inline", [[], ["--inline"]], ids=["tree", "inline"])
+def test_input_word_spelled_like_a_marker_exits_2_naming_file_and_sentence(
+    tmp_path, caplog, tree, word, inline
+):
+    """The tagger would take such a word for an inserted marker and drop
+    it from the output."""
+    bad = tmp_path / "bad.ptb"
+    bad.write_text(f"(S (NP (NNP John)) (VP (VBD left)))\n{tree}\n")
+    out = tmp_path / "out.txt"
+    assert run(
+        "tag", "--mode", "structure", "--lexicon", seed_lexicon_path(),
+        "--in", bad, "--out", out, *inline,
+    ) == 2
+    assert f"{bad}: sentence 1: word {word!r} is spelled like a marker" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command",
     [
         ["lexicon", "validate"],
@@ -400,6 +425,28 @@ def test_graft_span_past_sentence_exits_2_naming_file_and_sentence(tmp_path, cap
         "--out", tmp_path / "o.ptb", "--report", tmp_path / "r.txt",
     ) == 2
     assert f"{rogue}: sentence 1: annotation span Span(start=0, end=99) outside" in caplog.text
+
+
+def test_graft_span_end_is_checked_against_the_sentence_length(tmp_path, caplog):
+    size = len(trees.read_ptb_file(TREES)[1].tokens())
+    whole = tmp_path / "whole.tsv"
+    whole.write_text(f"1\t0\t{size}\tTargAble\tMN\n")
+    assert run(
+        "graft", "--trees", TREES, "--standoff", whole,
+        "--out", tmp_path / "o.ptb", "--report", tmp_path / "r.txt",
+    ) == 0
+    rogue = tmp_path / "rogue.tsv"
+    rogue.write_text(f"1\t1\t{size + 1}\tTargAble\tMN\n")
+    assert run(
+        "graft", "--trees", TREES, "--standoff", whole, "--standoff", rogue,
+        "--out", tmp_path / "o2.ptb", "--report", tmp_path / "r2.txt",
+    ) == 2
+    message = (
+        f"{rogue}: sentence 1: annotation span Span(start=1, end={size + 1})"
+        f" outside sentence of {size} tokens"
+    )
+    assert message in caplog.text
+    assert not (tmp_path / "o2.ptb").exists()
 
 
 @pytest.mark.parametrize(

@@ -125,6 +125,19 @@ def test_graft_drops_uncomposable_negation_target():
     assert report.counts["composed"] == 1
 
 
+def test_graft_composes_the_golden_standoff_only_where_the_target_is_a_trigger():
+    """Graft composes into a target word that is itself a trigger, which
+    the structure tagger leaves raw (module docstring): that happens at
+    corpus sentences 2 and 17 only."""
+    corpus = read_ptb((DATA / "corpus_trees.ptb").read_text())
+    golden = parse_standoff((DATA / "golden_standoff.tsv").read_text())
+    for i, tree in enumerate(corpus):
+        _, report = graft(tree, [a for a in golden if a.sentence == i])
+        expected = 1 if i in (2, 17) else 0
+        assert report.counts["composed"] == expected, i
+        assert report.counts["dropped-uncomposable"] == expected, i
+
+
 def test_graft_rejects_out_of_range_span():
     tree = read_ptb("(S (VB go))")[0]
     with pytest.raises(ValueError):

@@ -207,6 +207,32 @@ def test_match_equals_brute_force_oracle():
     assert checked == 1000
 
 
+def test_match_carries_its_rule_and_resolves_nodes_through_its_paths():
+    rng = random.Random(2718)
+    found = 0
+    for _ in range(300):
+        tree = random_tree(rng, max_nodes=12)
+        rule = random_pattern_rule(rng, tree)
+        for m in match(rule, tree):
+            assert m.rule is rule and m.tree is tree
+            assert m.root is node_at(tree, m.root_path)
+            captures = m.captures
+            assert captures.keys() == m.paths.keys()
+            for name, path in m.paths.items():
+                assert captures[name] is node_at(tree, path)
+            found += 1
+    assert found > 100
+
+
+def test_rewrite_callback_gets_the_match_of_its_rule_in_the_tree_before():
+    rule = parse_pattern(PASSIVE_RULE)
+    tree = read_ptb(PASSIVE_TREE)[0]
+    seen = []
+    apply(rule, tree, on_rewrite=lambda m, before: seen.append((m.rule, m.tree, before)))
+    assert len(seen) == 1
+    assert seen[0][0] is rule and seen[0][1] is seen[0][2] is tree
+
+
 def test_match_order_is_document_order():
     rule = parse_pattern("NN=x")
     tree = read_ptb("(S (NP (NN a) (NN b)) (NN c))")[0]

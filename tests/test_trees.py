@@ -8,14 +8,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import ptb_files, random_tree
+from mntag.rulegen import word_spans
 from mntag.trees import (
     ParseTree,
     PTBParseError,
     Span,
     base_category,
+    count_leaves,
     flatten,
     iter_nodes,
-    node_span,
     read_ptb,
     unescape_token,
     write_ptb,
@@ -271,22 +272,19 @@ def test_flatten_properties_random():
         assert _flatten_oracle_ok(flat)
 
 
-def test_node_span_basics():
-    tree = read_ptb("(S (NP (DT a) (NN cat)) (VP (VBD sat) (PRT (RP down)) (RB there)))")[0]
-    assert node_span(tree, tree) == Span(0, 5)
-    leaves = tree.leaves()
-    assert node_span(tree, leaves[3]) == Span(3, 4)
-    with pytest.raises(ValueError):
-        node_span(tree, ParseTree("NN", (), "cat"))
-    shared = ParseTree("NN", (), "cat")
-    assert node_span(ParseTree("NP", (shared, shared)), shared) == Span(0, 1)
+def _paths(tree, path=()):
+    yield path
+    for k, child in enumerate(tree.children):
+        yield from _paths(child, path + (k,))
 
 
 def test_spans_nest_or_are_disjoint():
     rng = random.Random(99)
     for _ in range(300):
         tree = random_tree(rng)
-        spans = [node_span(tree, n) for n in iter_nodes(tree)]
+        spans = [word_spans(tree, path) for path in _paths(tree)]
+        assert len(spans) == sum(1 for _ in iter_nodes(tree))
+        assert spans[0] == Span(0, count_leaves(tree)) == Span(0, len(tree.tokens()))
         for a in spans:
             for b in spans:
                 nested = a.covers(b) or b.covers(a)
