@@ -91,9 +91,27 @@ def _parse_file(path, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _check_labels(rule: matcher.PatternRule) -> None:
+    """Reject an action label the tagger's output could not fold back: an
+    insert leaf that is not a marker would stay in the tree as a word,
+    and an augment suffix must be one label segment."""
+    for action in rule.actions:
+        if action.kind is matcher.ActionKind.INSERT and not rulegen.is_marker_label(action.label):
+            raise PatternSyntaxError(
+                f"rule {rule.name}: insert label {action.label!r} is not a marker"
+                f" ({rulegen.AUX_MARKER}, {rulegen.PASSIVE_MARKER} or a tag)"
+            )
+        if action.kind is matcher.ActionKind.AUGMENT and (
+            "-" in action.label or trees.LABEL_BAD.search(action.label)
+        ):
+            raise PatternSyntaxError(
+                f"rule {rule.name}: augment suffix {action.label!r} is not one label segment"
+            )
+
+
 def _load_rules(args) -> list[matcher.PatternRule]:
     if getattr(args, "rules", None):
-        return _parse_file(args.rules, matcher.parse_rules)
+        return _parse_file(args.rules, lambda text: matcher.parse_rules(text, _check_labels))
     lexicon = load_lexicon_file(args.lexicon)
     registry = (
         _parse_file(args.registry, rulegen.load_registry)
@@ -101,15 +119,22 @@ def _load_rules(args) -> list[matcher.PatternRule]:
         else rulegen.default_registry()
     )
     try:
-        return rulegen.expand_templates(lexicon, registry)
+        rules = rulegen.expand_templates(lexicon, registry)
     except LexiconError as exc:
         raise LexiconError(f"{args.lexicon}: {exc}") from None
+    if args.registry:
+        for rule in rules:
+            try:
+                _check_labels(rule)
+            except PatternSyntaxError as exc:
+                raise PatternSyntaxError(f"{args.registry}: {exc}") from None
+    return rules
 
 
 def _cmd_tag(args) -> int:
     annotations: list[StandoffAnnotation] = []
     if args.mode == "structure":
-        index = matcher.RuleIndex(_load_rules(args))
+        rules = _load_rules(args)
         corpus = _parse_file(args.input, trees.read_ptb)
         out_lines = []
         for i, tree in enumerate(corpus):
@@ -120,7 +145,7 @@ def _cmd_tag(args) -> int:
                     f"{args.input}: sentence {i}: word {marker.token!r} is spelled like a marker"
                 )
             prepared = rulegen.preprocess(trees.flatten(tree))
-            result = taggers.tag_structure(prepared, index.candidates(prepared), sentence=i)
+            result = taggers.tag_structure(prepared, rules, sentence=i)
             for diag in result.diagnostics:
                 log.info("sentence %d: %s", i, diag)
             annotations.extend(result.annotations)

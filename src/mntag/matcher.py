@@ -44,17 +44,9 @@ tree).  A plain atom matches only a node whose label or token equals
 it, and a ``<`` atom satisfied by a preterminal's own token needs that
 token too, so when some required test has no atom in the tree the rule
 cannot match, and ``match`` returns ``[]`` at the cost of one set test.
-Most rules of a real lexicon name a word the sentence lacks.
-
-``RuleIndex`` picks, for one tree, the rules of a rule set that could
-fire on it: those whose anchor atom is among the tree's labels and
-tokens, and those with no anchor.  It rests on the same fact and reads
-the same ``needs`` and ``atoms``, but serves one caller: it spares
-``mn tag`` the ``apply`` and ``match`` call per rule that the check
-above still costs, which on a lexicon of some thousand rules outweighs
-the sentence's real work.  Its soundness must also cover the rewrites
-earlier rules make to the tree; the check in ``match``, made on the
-tree it is given, needs no such argument and holds for every caller.
+Most generated rules name only words the sentence lacks.  A test's
+alternatives are a set, so a generated word test over thousands of
+forms costs one hash lookup per atom, here and in ``NodeTest.matches``.
 """
 
 from __future__ import annotations
@@ -64,7 +56,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from itertools import groupby
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .trees import ParseTree
 
@@ -100,14 +92,17 @@ class Relation(Enum):
 
 @dataclass(frozen=True)
 class NodeTest:
-    alternatives: tuple[str, ...] | None = None
+    """An atom test (its alternatives, a set: order is never observable)
+    or an anchored prefix regex on the label."""
+
+    alternatives: frozenset[str] | None = None
     regex: str | None = None
 
     def matches(self, node: ParseTree) -> bool:
         if self.regex is not None:
             return _compiled(self.regex).match(node.label) is not None
         assert self.alternatives is not None
-        return any(node.label == a or node.token == a for a in self.alternatives)
+        return node.label in self.alternatives or node.token in self.alternatives
 
 
 _compiled = cache(re.compile)
@@ -168,7 +163,7 @@ class PatternRule:
 
     #: The alternatives of every atom test the pattern requires
     #: (``_required_tests``); some node must carry one atom of each.
-    needs: tuple[tuple[str, ...], ...] = field(init=False, compare=False, repr=False)
+    needs: tuple[frozenset[str], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         needs = tuple(t.alternatives for t in _required_tests(self.pattern))
@@ -220,10 +215,10 @@ def _parse_test(token: str, column: int) -> tuple[NodeTest, str | None]:
         token, _, name = token.rpartition("=")
         if not name.isidentifier():
             raise PatternSyntaxError(f"bad capture name {name!r}", column)
-    alts = tuple(token.split("|"))
+    alts = token.split("|")
     if not all(alts):
         raise PatternSyntaxError(f"bad label test {token!r}", column)
-    return NodeTest(alternatives=alts), name
+    return NodeTest(alternatives=frozenset(alts)), name
 
 
 def _parse_operand(toks: _Tokens) -> Pattern:
@@ -275,7 +270,7 @@ def _parse_pattern_text(text: str) -> Pattern:
     return pattern
 
 
-_INSERT_RE = re.compile(r"insert\s+\(([^\s()]+)\)\s+>(\d+)\s+(\w+)\s*$")
+_INSERT_RE = re.compile(r"insert\s+\(([^\s()]+)\)\s+>([0-9]+)\s+(\w+)\s*$")
 _AUGMENT_RE = re.compile(r"augment\s+(\w+)\s+(\S+)\s*$")
 
 
@@ -327,14 +322,21 @@ def read_records(text: str) -> Iterator[tuple[int, list[str]]]:
             yield numbered[0][0], [line for _, line in numbered]
 
 
-def parse_rules(text: str) -> list[PatternRule]:
-    """Parse a rule file: ``read_records`` records, one rule each."""
+def parse_rules(
+    text: str, check: Callable[[PatternRule], None] | None = None
+) -> list[PatternRule]:
+    """Parse a rule file: ``read_records`` records, one rule each.  A
+    ``PatternSyntaxError`` from ``check``, called on each rule, is
+    reported with the rule's line like a syntax error."""
     rules = []
     for lineno, lines in read_records(text):
         try:
-            rules.append(parse_pattern("\n".join(lines), name=f"rule{len(rules) + 1}"))
+            rule = parse_pattern("\n".join(lines), name=f"rule{len(rules) + 1}")
+            if check is not None:
+                check(rule)
         except PatternSyntaxError as exc:
             raise PatternSyntaxError(f"line {lineno}: {exc}") from None
+        rules.append(rule)
     return rules
 
 
@@ -527,7 +529,9 @@ def apply(
 
     ``on_rewrite`` is called with the match and the tree it was found in
     just before each change.  Raises RewriteBudgetError after
-    ``MAX_REWRITES`` changes.
+    ``MAX_REWRITES`` changes.  The budget is per call, so for a
+    generated rule it covers all the triggers of its (template,
+    modality) group in the tree.
     """
     rewrites = 0
     while True:
@@ -547,74 +551,3 @@ def apply(
                 break
         if not progressed:
             return tree
-
-
-# ---------------------------------------------------------------------------
-# Rule index
-
-
-class RuleIndex:
-    """The rules of a rule set that could fire on a given tree.
-
-    Each rule gets an *anchor*: of its required atom tests
-    (``PatternRule.needs``) that no rewrite can satisfy (see below), the
-    one whose atoms occur in the fewest rules' such tests, so a
-    ``{WORD}`` form wins over ``MD``, ``NP`` or ``S``.  As ``match``
-    relies on too, a rule can match only while one of its anchor's atoms
-    is a label or token of the tree.
-
-    Soundness across rewrites: ``tag_structure`` applies the rules in
-    turn to one tree, and a rewrite adds only two kinds of label: an
-    insert's new leaf, whose label and token are the action label, and
-    an augmented label, which ends in ``-S`` for the augment suffix S
-    (an insert on a preterminal also adds a bare word leaf, but its
-    label is a token the tree already had).  No atom that equals an
-    insert label, or ends in ``-S`` for an augment suffix S of the rule
-    set, is ever part of an anchor, so every anchor atom present at a
-    rule's turn was present in the tree before the first rule ran.
-    Rewrites can also remove a label or a token (augment renames a node,
-    insert turns a preterminal into a phrase); that only makes the
-    filter offer more rules than can fire, never fewer.  A rule with no
-    usable test, such as a hand-written rule of regexes, has no anchor
-    and is always offered.
-    """
-
-    def __init__(self, rules: Sequence[PatternRule]):
-        self.rules = list(rules)
-        actions = [a for rule in self.rules for a in rule.actions]
-        inserted = {a.label for a in actions if a.kind is ActionKind.INSERT}
-        suffixes = tuple("-" + a.label for a in actions if a.kind is ActionKind.AUGMENT)
-        usable = [
-            [
-                alternatives
-                for alternatives in rule.needs
-                if not any(a in inserted or a.endswith(suffixes) for a in alternatives)
-            ]
-            for rule in self.rules
-        ]
-        rules_with: dict[str, set[int]] = {}
-        for k, tests in enumerate(usable):
-            for alternatives in tests:
-                for atom in alternatives:
-                    rules_with.setdefault(atom, set()).add(k)
-
-        @cache
-        def reach(alternatives: tuple[str, ...]) -> int:
-            return len(set().union(*map(rules_with.get, alternatives)))
-
-        self._always: list[int] = []
-        self._by_atom: dict[str, list[int]] = {}
-        for k, tests in enumerate(usable):
-            if not tests:
-                self._always.append(k)
-                continue
-            for atom in set(min(tests, key=reach)):
-                self._by_atom.setdefault(atom, []).append(k)
-
-    def candidates(self, tree: ParseTree) -> list[PatternRule]:
-        """In rule order, the rules whose anchor has an atom among the
-        tree's labels and tokens, plus every rule without an anchor."""
-        hits = set(self._always)
-        for atom in self._by_atom.keys() & tree.atoms:
-            hits.update(self._by_atom[atom])
-        return [self.rules[k] for k in sorted(hits)]

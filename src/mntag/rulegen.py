@@ -6,10 +6,13 @@ verbal sister in the same flattened clause) and ``VoicePassive`` on VBN
 nodes preceded in their clause by a form of be.
 
 ``expand_templates`` crosses the lexicon with a registry of named
-pattern templates, each parsed once.  Binding an entry rebuilds the
-parsed rule: the ``{WORD}`` atom becomes a test for the trigger head's
-inflected forms, the ``{TRIG}``/``{TARG}`` labels the canonical tags for
-the entry's modality; ``source`` spells the result for display only.
+pattern templates, each parsed once, and binds one rule per (template,
+modality): the ``{WORD}`` atom becomes a test for the inflected forms of
+all the group's trigger heads, the ``{TRIG}``/``{TARG}`` labels the
+canonical tags for the modality.  Binding rebuilds the parsed rule, and
+``source`` spells the result for display only.  The rules tag as the
+paper's one rule per entry and template would (see ``expand_templates``
+for the one case that splits a group).
 """
 
 from __future__ import annotations
@@ -38,11 +41,14 @@ AUX_MARKER = "AUX"
 PASSIVE_MARKER = "VoicePassive"
 
 
+def is_marker_label(label: str) -> bool:
+    """True for a marker's spelling: ``AUX``, ``VoicePassive`` or a tag."""
+    return label in (AUX_MARKER, PASSIVE_MARKER) or is_tag_string(label)
+
+
 def is_marker_leaf(node: ParseTree) -> bool:
     """True for leaves inserted as markers rather than surface words."""
-    if not node.is_leaf or node.label != node.token:
-        return False
-    return node.label in (AUX_MARKER, PASSIVE_MARKER) or is_tag_string(node.label)
+    return node.is_leaf and node.label == node.token and is_marker_label(node.label)
 
 
 def word_tokens(tree: ParseTree) -> list[str]:
@@ -240,27 +246,57 @@ def target_tag(modality: Modality) -> str:
 
 
 def expand_templates(lexicon: Lexicon, registry: TemplateRegistry) -> list[PatternRule]:
-    """One rule per (entry, subcat code).  Expansion order follows the
-    lexicon, so the rule list is deterministic.  A subcat code with no
-    template raises ``LexiconError`` naming the entry's record."""
-    binders = {code: _binder(t.pattern) for code, t in registry.templates.items()}
-    rules: list[PatternRule] = []
+    """One rule per (subcat code, modality), named ``code:Modality``,
+    whose ``{WORD}`` test holds the forms of the group's entries.
+
+    The paper binds one rule per (entry, subcat code), in lexicon order.
+    Here a group's rule stands where its first entry's rule would, and
+    later entries' forms move up to it.  Rule order matters only between
+    rules that test one word: the ``!< /^Trig/`` guard lets the first
+    rule that reaches a trigger claim it, and an insert under a
+    preterminal hides its word from tests on that node or its parent
+    (templates test a preposition through its ``IN`` node, which no rule
+    inserts under).  So an entry starts a new rule for its group, same
+    name, placed last, when its forms would pass a rule that holds one
+    of them, or when either holds a form spelled like a template atom
+    (``MD``, ``for``).  The rules then tag as the per-entry rules do, on
+    trees whose words are not Penn tags a template tests by name (``NN``,
+    ``JJ``).  A subcat code with no template raises ``LexiconError``
+    naming the entry's record."""
+    templates = registry.templates
+    tested = frozenset(a for t in templates.values() for a in _atoms(t.pattern)) - _PLACEHOLDERS
+    groups: list[tuple[str, Modality, dict[str, None]]] = []
+    latest: dict[tuple[str, Modality], int] = {}
     for k, entry in enumerate(lexicon.entries):
-        trig, targ = trigger_tag(entry.modality), target_tag(entry.modality)
-        atoms = {WORD: inflections(entry), TRIG: (trig,), TARG: (targ,)}
-        text = {placeholder: "|".join(values) for placeholder, values in atoms.items()}
+        forms = inflections(entry)
+        words = tested.union(forms)
         for code in entry.subcats:
-            template = registry.get(code)
-            if template is None:
+            if code not in templates:
                 raise LexiconError(f"{lexicon.where(k)}: no template for subcat code {code!r}", k)
-            name = f"{code}:{entry.surface}"
-            pattern = binders[code](atoms)
-            actions = tuple(
-                Action(a.kind, a.capture, text.get(a.label, a.label), a.position)
-                for a in template.actions
-            )
-            source = _PLACEHOLDER.sub(lambda m: text[m.group()], template.source)
-            rules.append(PatternRule(name, pattern, actions, source=f"rule {name}\n{source}"))
+            key = (code, entry.modality)
+            at = latest.get(key)
+            passed = [] if at is None else groups[at + 1 :]
+            clash = bool(passed) and not tested.isdisjoint(forms)
+            if at is None or clash or any(not f.keys().isdisjoint(words) for _, _, f in passed):
+                latest[key] = len(groups)
+                groups.append((code, entry.modality, dict.fromkeys(forms)))
+            else:
+                groups[at][2].update(dict.fromkeys(forms))
+    binders = {code: _binder(t.pattern) for code, t in templates.items()}
+    rules: list[PatternRule] = []
+    for code, modality, forms in groups:
+        template = templates[code]
+        atoms = {WORD: tuple(forms), TRIG: (trigger_tag(modality),), TARG: (target_tag(modality),)}
+        text = {placeholder: "|".join(values) for placeholder, values in atoms.items()}
+        name = f"{code}:{modality.value}"
+        actions = tuple(
+            Action(a.kind, a.capture, text.get(a.label, a.label), a.position)
+            for a in template.actions
+        )
+        source = _PLACEHOLDER.sub(lambda m: text[m.group()], template.source)
+        rules.append(
+            PatternRule(name, binders[code](atoms), actions, source=f"rule {name}\n{source}")
+        )
     return rules
 
 
@@ -280,7 +316,7 @@ def _binder(pattern: Pattern) -> Callable[[dict[str, tuple[str, ...]]], Pattern]
     def bind(atoms: dict[str, tuple[str, ...]]) -> Pattern:
         test = pattern.test
         if bind_test:
-            test = NodeTest(tuple(v for a in alts for v in atoms.get(a, (a,))))
+            test = NodeTest(frozenset(v for a in alts for v in atoms.get(a, (a,))))
         clauses = list(pattern.clauses)
         for k, bind_operand in bound:
             clauses[k] = Clause(clauses[k].relation, bind_operand(atoms))

@@ -327,13 +327,12 @@ def tag_structure(
 ) -> StructureResult:
     """Apply pattern rules to a flattened, preprocessed tree.
 
-    Every rule given is tried, in order.  A rule whose required atoms
-    are absent from the tree costs one call but no walk
-    (``matcher.match`` turns it down with a set test).  Callers may pass
-    a pre-filtered list, such as ``matcher.RuleIndex.candidates(tree)``,
-    to skip those calls too: a rule that cannot match the tree changes
-    nothing.  Returns the suffix-tagged tree (markers folded, word yield
-    preserved) plus the standoff annotations.
+    Every rule given is applied, in order, each to fixpoint.  Generated
+    rules are one per (template, modality), about twenty whatever the
+    lexicon's size, and a rule whose required atoms are absent from the
+    tree costs one call but no walk (``matcher.match`` turns it down
+    with a set test).  Returns the suffix-tagged tree (markers folded,
+    word yield preserved) plus the standoff annotations.
     """
     diagnostics: list[str] = []
     links: list[_Link] = []

@@ -41,6 +41,14 @@ def random_tree(rng: random.Random, max_nodes: int = 12) -> ParseTree:
     return gen(0)
 
 
+def with_words(tree: ParseTree, rng: random.Random, words: list[str]) -> ParseTree:
+    """``tree`` with each token replaced by one of ``words``."""
+    if tree.is_leaf:
+        word = rng.choice(words)
+        return ParseTree(word if tree.label == tree.token else tree.label, (), word)
+    return ParseTree(tree.label, tuple(with_words(c, rng, words) for c in tree.children))
+
+
 PTB_TREES = [
     b"(TOP (S (NP (DT the) (NN cat)) (VP (VBD sat) (RB not))))\n",
     b"(S (NP (NNP Khan)) (VP (MD can) (VP (VB go))))\n",

@@ -225,66 +225,30 @@ def _nonce_padded_lexicon():
 
 
 def test_structure_tag_counts_the_benchmark_trace_check_relies_on(tmp_path, monkeypatch):
-    """Per sentence the tagger tries only the rules the index offers, and
-    tries each once plus once per rewrite; rules of nonce words are
-    never offered."""
-    from mntag import cli, matcher
+    """``mn tag`` gives the tagger every rule for every sentence, and the
+    tagger calls ``match`` once per rule plus once per rewrite; every
+    rewrite is a fired rule, and a rule ``match`` turns down without a
+    walk still costs one call.  Rules hold the nonce entries' forms
+    beside the seed's, yet no rewrite's trigger is a nonce word."""
+    from mntag import cli, matcher, rulegen
     from mntag.lexicon import dump_lexicon
 
     padded, nonce = _nonce_padded_lexicon()
     lexicon = tmp_path / "lexicon.txt"
     lexicon.write_text(dump_lexicon(padded))
 
-    offered: list[str] = []
-    counts = {"match": 0, "rewrite": 0, "fired": 0}
-    tag_structure, match, apply = cli.taggers.tag_structure, matcher.match, matcher.apply
+    offered: list[int] = []
+    triggers: list[str] = []
+    counts = {"match": 0, "walk": 0, "rewrite": 0, "fired": 0}
+    tag_structure, match, walk, apply = (
+        cli.taggers.tag_structure, matcher.match, matcher._walk, matcher.apply
+    )
 
     def counting_tag_structure(tree, rules, sentence=0):
-        offered.extend(rule.name for rule in rules)
+        offered.append(len(rules))
         result = tag_structure(tree, rules, sentence=sentence)
         counts["fired"] += len(result.fired_rules)
         return result
-
-    def counting_match(rule, tree):
-        counts["match"] += 1
-        return match(rule, tree)
-
-    def counting_apply(rule, tree, on_rewrite=None):
-        def counted(m, before):
-            counts["rewrite"] += 1
-            if on_rewrite is not None:
-                on_rewrite(m, before)
-
-        return apply(rule, tree, on_rewrite=counted)
-
-    monkeypatch.setattr(cli.taggers, "tag_structure", counting_tag_structure)
-    monkeypatch.setattr(matcher, "match", counting_match)
-    monkeypatch.setattr(matcher, "apply", counting_apply)
-    standoff = tmp_path / "out.tsv"
-    assert run(
-        "tag", "--mode", "structure", "--lexicon", lexicon,
-        "--in", TREES, "--out", tmp_path / "out.ptb", "--standoff", standoff,
-    ) == 0
-    assert standoff.read_bytes() == GOLDEN.read_bytes()
-    assert counts["rewrite"] > 0
-    assert counts["match"] == len(offered) + counts["rewrite"]
-    assert counts["rewrite"] == counts["fired"]
-    nonce_names = {e.surface for e in nonce}
-    assert not [name for name in offered if name.split(":", 1)[1] in nonce_names]
-    rules = sum(len(e.subcats) for e in padded.entries)
-    assert len(offered) < 25 * rules
-
-
-def test_unfiltered_structure_tag_counts_the_benchmark_trace_check_relies_on(monkeypatch):
-    """Given every rule, as the benchmark's per-sentence loop gives them,
-    the tagger calls ``match`` once per rule plus once per rewrite: a
-    rule ``match`` turns down without a walk still costs one call."""
-    from mntag import matcher, rulegen, taggers, trees
-
-    padded, _ = _nonce_padded_lexicon()
-    rules = rulegen.expand_templates(padded, rulegen.default_registry())
-    counts = {"match": 0, "walk": 0, "rewrite": 0, "fired": 0}
-    match, walk, apply = matcher.match, matcher._walk, matcher.apply
 
     def counting_match(rule, tree):
         counts["match"] += 1
@@ -297,21 +261,29 @@ def test_unfiltered_structure_tag_counts_the_benchmark_trace_check_relies_on(mon
     def counting_apply(rule, tree, on_rewrite=None):
         def counted(m, before):
             counts["rewrite"] += 1
+            triggers.extend(rulegen.word_tokens(m.captures["trigger"]))
             if on_rewrite is not None:
                 on_rewrite(m, before)
 
         return apply(rule, tree, on_rewrite=counted)
 
+    monkeypatch.setattr(cli.taggers, "tag_structure", counting_tag_structure)
     monkeypatch.setattr(matcher, "match", counting_match)
     monkeypatch.setattr(matcher, "_walk", counting_walk)
     monkeypatch.setattr(matcher, "apply", counting_apply)
-    for k, tree in enumerate(trees.read_ptb_file(TREES)):
-        matches, rewrites = counts["match"], counts["rewrite"]
-        result = taggers.tag_structure(rulegen.preprocess(trees.flatten(tree)), rules, k)
-        counts["fired"] += len(result.fired_rules)
-        assert counts["match"] - matches == len(rules) + counts["rewrite"] - rewrites
-    assert counts["rewrite"] == counts["fired"] > 0
+    standoff = tmp_path / "out.tsv"
+    assert run(
+        "tag", "--mode", "structure", "--lexicon", lexicon,
+        "--in", TREES, "--out", tmp_path / "out.ptb", "--standoff", standoff,
+    ) == 0
+    assert standoff.read_bytes() == GOLDEN.read_bytes()
+    rules = len(rulegen.expand_templates(padded, rulegen.default_registry()))
+    assert offered == [rules] * 25
+    assert counts["match"] == rules * 25 + counts["rewrite"]
+    assert counts["rewrite"] == counts["fired"] == len(triggers) > 0
     assert counts["walk"] < counts["match"]
+    nonce_forms = {form for e in nonce for form in rulegen.inflections(e)}
+    assert not nonce_forms & set(triggers)
 
 
 def test_graft_pipeline_and_report(tmp_path):
@@ -500,7 +472,7 @@ def test_rules_command_is_byte_deterministic(tmp_path):
     assert run("rules", "--lexicon", seed_lexicon_path(), "--out", a) == 0
     assert run("rules", "--lexicon", seed_lexicon_path(), "--out", b) == 0
     assert a.read_bytes() == b.read_bytes()
-    assert "V3-passive-basic:need" in a.read_text()
+    assert "rule V3-passive-basic:Require\n" in a.read_text()
 
 
 def test_agreement_command_reports_100_for_identical(tmp_path, capsys):
@@ -590,6 +562,55 @@ def test_rules_override_replaces_generated(tmp_path):
     text = standoff.read_text()
     assert "TrigBelief" in text
     assert "TrigRequire" not in text  # generated rules were not used
+
+
+_CAT = "(S (NP (NN cat)) (MD should) (VB go))\n"
+
+
+@pytest.mark.parametrize(
+    "action, message",
+    [
+        ("insert (TrigAble) >\u0663 x", "unparseable action line"),
+        ("insert (TrigAble) >\uff11 x", "unparseable action line"),
+        ("insert (Foo) >1 x", "rule bad: insert label 'Foo' is not a marker"),
+        ("insert (NN) >1 x", "rule bad: insert label 'NN' is not a marker"),
+        ("augment x A-B", "rule bad: augment suffix 'A-B' is not one label segment"),
+        ("augment x A(B", "rule bad: augment suffix 'A(B' is not one label segment"),
+    ],
+)
+def test_rule_file_action_the_tagger_cannot_fold_exits_2_naming_file_rule_and_line(
+    tmp_path, caplog, action, message
+):
+    """An insert position in digits other than ASCII, an insert label
+    that is not a marker (it would stay in the output as a word and
+    shift every later standoff index) and an augment suffix that is not
+    one label segment (``A-B`` re-augments until the budget runs out)."""
+    trees_in, rules = tmp_path / "in.ptb", tmp_path / "own.rules"
+    trees_in.write_text(_CAT)
+    rules.write_text(f"rule ok\nMD=m !< TrigRequire < should\ninsert (TrigRequire) >2 m\n\n"
+                     f"# the bad rule\nrule bad\nNN=x\n{action}\n")
+    assert run(
+        "tag", "--mode", "structure", "--lexicon", seed_lexicon_path(),
+        "--rules", rules, "--in", trees_in, "--out", tmp_path / "out.ptb",
+    ) == 2
+    assert f"{rules}: line 6: " in caplog.text and message in caplog.text
+
+
+def test_registry_action_the_tagger_cannot_fold_exits_2_naming_file_and_rule(tmp_path, caplog):
+    shipped = files("mntag.data").joinpath("templates.txt").read_text("utf-8")
+    registry = tmp_path / "templates.txt"
+    registry.write_text(
+        shipped.replace(
+            "insert ({TARG}) >2 target", "insert ({TARG}) >2 target\naugment target A-B", 1
+        )
+    )
+    for command in (
+        ["rules", "--out", tmp_path / "r"],
+        ["tag", "--mode", "structure", "--in", TREES, "--out", tmp_path / "t"],
+    ):
+        assert run(*command, "--lexicon", seed_lexicon_path(), "--registry", registry) == 2
+    message = f"{registry}: rule V3-passive-basic:Require: augment suffix 'A-B' is not one label"
+    assert caplog.text.count(message) == 2
 
 
 def test_structure_mode_inline(tmp_path):

@@ -1,9 +1,12 @@
-"""Fuzz the readers of ``mn graft`` and ``mn tag --mode string``
-through the command line.
+"""Fuzz the readers of ``mn graft``, ``mn tag --mode string`` and the
+rule reader of ``mn tag --mode structure --rules`` through the command
+line.
 
-Whatever bytes the tree, standoff and token files hold, the command
-exits 0 or 2, never with an uncaught exception, and every error it logs
-on exit 2 names the file at fault.
+Whatever bytes the tree, standoff, token and rule files hold, the
+command exits 0 or 2, never with an uncaught exception, and every error
+it logs on exit 2 names the file at fault.  A rule file may also hold a
+rule that rewrites without end, which exits 1 with the rewrite-budget
+message alone.
 """
 
 import logging
@@ -13,7 +16,7 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import PTB_TREES, ptb_files
-from mntag import taggers, trees
+from mntag import rulegen, taggers, trees
 from mntag.cli import main, seed_lexicon_path
 
 _integers = st.one_of(
@@ -141,5 +144,91 @@ def test_string_tag_exits_0_or_2_and_names_the_bad_file(token_bytes):
                 assert errors.messages
                 for message in errors.messages:
                     assert str(source) in message, message
+    finally:
+        log.removeHandler(errors)
+
+
+_GOOD_RULES = [
+    "rule must\nMD=m !< /^Trig/ < can $.. (VP < (VB=v !< /^Targ/))\n"
+    "insert (TrigAble) >2 m\ninsert (TargAble) >2 v",
+    "rule mark\nNN=x !< TargWant\naugment x TargWant",
+    "rule forever\nNN=x\ninsert (TrigAble) >1 x",
+]
+_pattern_pieces = st.sampled_from(
+    ["NN", "MD", "VP", "S", "can", "cat", "a", "x", "/^V/", "/^Trig/", "/^[/", "/x/", "(", ")",
+     "<", "!<", "$..", "=x", "=m", "|", "NN|MD", "a=b=c", "TrigAble", "AUX", "\u00e9"]
+)
+_action_labels = st.one_of(
+    st.sampled_from(
+        ["TrigAble", "TargNOTAble", "AUX", "VoicePassive", "Foo", "NN", "A-B", "A(B", "A)B", "",
+         "x y", "Trig", "TrigAble-TargAble"]
+    ),
+    st.text(max_size=3),
+)
+_positions = st.one_of(
+    st.integers(0, 3).map(str), st.sampled_from(["\u0663", "\uff11", "1_0", "-1", "", "x"])
+)
+_captures = st.sampled_from(["x", "m", "v", ""])
+_actions = st.one_of(
+    st.tuples(_action_labels, _positions, _captures).map(
+        lambda a: f"insert ({a[0]}) >{a[1]} {a[2]}"
+    ),
+    st.tuples(_captures, _action_labels).map(lambda a: f"augment {a[0]} {a[1]}"),
+)
+_wild_rules = st.tuples(
+    st.sampled_from(["", "rule r\n", "rule \n", "# comment\n"]),
+    st.lists(_pattern_pieces, min_size=1, max_size=8).map(" ".join),
+    st.lists(_actions, max_size=2),
+).map(lambda r: r[0] + r[1] + "".join("\n" + action for action in r[2]))
+
+rule_files = st.tuples(
+    st.lists(st.one_of(st.sampled_from(_GOOD_RULES), _wild_rules), max_size=3).map("\n\n".join),
+    st.sampled_from([b"", b"\n", b"\xff\n"]),
+).map(lambda parts: parts[0].encode("utf-8") + parts[1])
+
+_BUDGET_MESSAGE = "rule application failed: rule "
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_files)
+# Insert positions in Arabic-Indic and in fullwidth digits.
+@example(b"NN=x !< /^Trig/\ninsert (TrigAble) >\xd9\xa3 x\n")
+@example("NN=x !< /^Trig/\ninsert (TrigAble) >\uff11 x\n".encode())
+@example(b"NN=x !< Foo\ninsert (Foo) >1 x\n")  # an insert label that is not a marker
+@example(b"NN=x\naugment x A-B\n")  # an augment suffix of two label segments
+@example(b"NN=x\naugment x A(B\n")  # ... holding a character no label may hold
+@example(b"rule forever\nNN=x\ninsert (TrigAble) >1 x\n")  # rewrites without end
+def test_structure_tag_rules_exit_0_1_or_2_and_name_the_bad_file(rule_bytes):
+    errors = _Errors()
+    log = logging.getLogger("mn")
+    log.addHandler(errors)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            source, rules = Path(tmp, "in.ptb"), Path(tmp, "own.rules")
+            out, standoff = Path(tmp, "out.ptb"), Path(tmp, "out.tsv")
+            source.write_bytes(b"".join(PTB_TREES))
+            rules.write_bytes(rule_bytes)
+            code = main(
+                ["tag", "--mode", "structure", "--lexicon", seed_lexicon_path(),
+                 "--rules", str(rules), "--in", str(source), "--out", str(out),
+                 "--standoff", str(standoff)]
+            )
+            assert code in (0, 1, 2)
+            if code == 0:
+                assert not errors.messages
+                # Every insert is a marker the output folds away.
+                tagged = trees.read_ptb(out.read_text("utf-8"))
+                words = [t.tokens() for t in trees.read_ptb(source.read_text("utf-8"))]
+                assert [rulegen.word_tokens(t) for t in tagged] == words
+                for a in taggers.parse_standoff(standoff.read_text("utf-8")):
+                    assert a.span.end <= len(words[a.sentence])
+            elif code == 1:
+                assert len(errors.messages) == 1
+                assert errors.messages[0].startswith(_BUDGET_MESSAGE), errors.messages
+                assert "exceeded its rewrite budget" in errors.messages[0]
+            else:
+                assert errors.messages
+                for message in errors.messages:
+                    assert str(rules) in message, message
     finally:
         log.removeHandler(errors)

@@ -292,7 +292,8 @@ def _parses_as_itself(word: str) -> bool:
     """``is_plain_word`` by the parser: rule text ``word`` is one plain
     atom testing exactly ``word``."""
     try:
-        return matcher._parse_pattern_text(word) == matcher.Pattern(matcher.NodeTest((word,)))
+        parsed = matcher._parse_pattern_text(word)
+        return parsed == matcher.Pattern(matcher.NodeTest(frozenset([word])))
     except PatternSyntaxError:
         return False
 
@@ -319,14 +320,14 @@ def test_plain_word_check_agrees_with_the_parser(word):
 def test_negated_atom_never_rejects():
     rule = parse_pattern("VB=v !< MD")
     tree = read_ptb("(S (VB go))")[0]
-    assert "MD" not in tree.atoms and rule.needs == (("VB",),)
+    assert "MD" not in tree.atoms and rule.needs == (frozenset(["VB"]),)
     assert len(match(rule, tree)) == 1
 
 
 def test_regex_test_never_rejects():
     rule = parse_pattern("/^V/=v $.. (S < /^N/)")
     tree = read_ptb("(X (VBZ is) (S (NNS tents)))")[0]
-    assert rule.needs == (("S",),)
+    assert rule.needs == (frozenset(["S"]),)
     assert len(match(rule, tree)) == 1
 
 

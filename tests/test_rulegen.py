@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mntag.lexicon import Lexicon, LexiconError, load_lexicon
 import pytest
 
-from conftest import random_tree
+from conftest import random_tree, with_words
 
 from mntag import rulegen
 from mntag.matcher import match, parse_pattern, parse_rules, serialize_rules
@@ -146,7 +146,8 @@ def test_expansion_parses_nothing(seed_lexicon, registry, monkeypatch):
 
     monkeypatch.setattr(rulegen, "parse_pattern", no_parse)
     rules = expand_templates(seed_lexicon, registry)
-    assert len(rules) == sum(len(e.subcats) for e in seed_lexicon.entries)
+    groups = {(code, e.modality) for e in seed_lexicon.entries for code in e.subcats}
+    assert len(rules) == len(groups) == 22
 
 
 _WORDS = ["a|VB", "/^V/", "ok=trigger", "(x", "$..", "!<", "=x", "x|", "{TRIG}", "{WORD}",
@@ -201,16 +202,16 @@ def test_bad_template_fails_at_load(name, body, message):
 
 def test_generated_need_passive_rule_mirrors_required_rule(seed_rules):
     by_name = {r.name: r for r in seed_rules}
-    need = by_name["V3-passive-basic:need"]
-    required = parse_pattern(
-        "/^VB/=trigger !< /^Trig/ < require|requires|required|requiring < VoicePassive"
-        " $.. (S < (/^VB/=target !< AUX))\n"
+    rule = by_name["V3-passive-basic:Require"]
+    # The two Require entries with this code, need and require, share one
+    # rule; the forms of the first entry come first in the rule's source.
+    written = parse_pattern(
+        "/^VB/=trigger !< /^Trig/ < need|needs|needed|needing|require|requires|required|requiring"
+        " < VoicePassive $.. (S < (/^VB/=target !< AUX))\n"
         "insert (TrigRequire) >2 trigger\ninsert (TargRequire) >2 target"
     )
-    # Same shape: only the word alternation differs.
-    assert len(need.pattern.clauses) == len(required.pattern.clauses)
-    assert [c.relation for c in need.pattern.clauses] == [c.relation for c in required.pattern.clauses]
-    assert "needed" in need.source and "TrigRequire" in need.source
+    assert (rule.pattern, rule.actions) == (written.pattern, written.actions)
+    assert rule.source.splitlines()[1] == written.source.splitlines()[0]
 
 
 def test_unresolved_code_raises_naming_record(registry):
@@ -235,7 +236,7 @@ def test_bound_rules_share_placeholder_free_subtrees(seed_rules, registry):
     for rule in bound:
         negated, word, sister = rule.pattern.clauses
         assert negated is template.clauses[0] and sister is template.clauses[2]
-        assert word.operand.test.alternatives[0] != rulegen.WORD
+        assert rulegen.WORD not in word.operand.test.alternatives
         assert parse_pattern(rule.source).pattern == rule.pattern
 
 
@@ -269,3 +270,172 @@ def test_every_generated_rule_fires_on_the_corpus(seed_lexicon, seed_rules):
         fired.update(result.fired_rules)
     expected = {rule.name for rule in seed_rules}
     assert fired == expected
+
+
+# ---------------------------------------------------------------------------
+# Merged expansion against the per-entry expansion it replaced
+
+
+def _per_entry_rules(lexicon: Lexicon, registry) -> list:
+    """The expansion ``expand_templates`` replaced, kept as the reference:
+    the paper's one rule per (entry, subcat code), in lexicon order, each
+    spelled from its template's text and parsed."""
+    rules = []
+    for entry in lexicon.entries:
+        values = {
+            rulegen.WORD: "|".join(inflections(entry)),
+            rulegen.TRIG: rulegen.trigger_tag(entry.modality),
+            rulegen.TARG: rulegen.target_tag(entry.modality),
+        }
+        for code in entry.subcats:
+            text = rulegen._PLACEHOLDER.sub(lambda m: values[m.group()], registry.get(code).source)
+            rules.append(parse_pattern(text, name=f"{code}:{entry.surface}"))
+    return rules
+
+
+def _tagged(tree: ParseTree, rules) -> object:
+    from mntag.matcher import RewriteBudgetError
+    from mntag.taggers import tag_structure
+
+    try:
+        result = tag_structure(tree, rules)
+    except RewriteBudgetError:
+        return "rewrite budget exceeded"
+    return result.tree, result.annotations, result.diagnostics
+
+
+#: Forms the random lexicons share across codes and modalities: corpus
+#: triggers, and words spelled like atoms the templates test.
+_SHARED_FORMS = [
+    "can", "ca", "could", "need", "able", "not", "want", "hope", "reach", "for", "in", "MD"
+]
+_TREE_WORDS = _SHARED_FORMS + ["go", "win", "to", "a", "IN", "S", "NN"]
+_MODALITIES = ["Able", "Succeed", "Want", "Require", "Negation"]
+
+
+def _random_lexicon(rng: random.Random, codes: list[str]) -> Lexicon:
+    """Entries over few codes and modalities whose ``Forms`` overlap, so
+    one word often belongs to several groups."""
+    records = []
+    for k in range(rng.randint(2, 8)):
+        forms = " ".join(rng.sample(_SHARED_FORMS, rng.randint(1, 3)))
+        subcats = "".join(f"Subcat: {code}\n" for code in rng.sample(codes, rng.randint(1, 2)))
+        modality = rng.choice(_MODALITIES)
+        records.append(f"String: e{k}\nPos: VB\nModality: {modality}\n{subcats}Forms: {forms}\n")
+    return load_lexicon("\n".join(records))
+
+
+def expansion_differences(seed: int, lexicons: int, trees_per_lexicon: int):
+    """Tag the corpus trees, their copies with random words and random
+    trees with random words, under random lexicons expanded both ways.
+    Returns the trees tagged differently (lexicon text, tree) and the
+    number of trees some rule tagged."""
+    from conftest import DATA
+    from mntag.lexicon import dump_lexicon
+    from mntag.trees import read_ptb_file
+
+    rng = random.Random(seed)
+    registry = rulegen.default_registry()
+    corpus = [flatten(tree) for tree in read_ptb_file(DATA / "corpus_trees.ptb")]
+    differences, tagged = [], 0
+    for _ in range(lexicons):
+        lexicon = _random_lexicon(rng, rng.sample(sorted(registry.templates), 3))
+        merged, per_entry = expand_templates(lexicon, registry), _per_entry_rules(lexicon, registry)
+        # The lexicon's forms twice over, so that most trees hold triggers.
+        words = _TREE_WORDS + 2 * [form for e in lexicon.entries for form in inflections(e)]
+        for _ in range(trees_per_lexicon):
+            r = rng.random()
+            if r < 0.1:
+                tree = rng.choice(corpus)
+            elif r < 0.55:
+                tree = with_words(rng.choice(corpus), rng, words)
+            else:
+                tree = with_words(random_tree(rng, max_nodes=16), rng, words)
+            tree = preprocess(tree)
+            want = _tagged(tree, per_entry)
+            if _tagged(tree, merged) != want:
+                differences.append((dump_lexicon(lexicon), write_ptb(tree)))
+            tagged += isinstance(want, str) or bool(want[1])
+    return differences, tagged
+
+
+def test_merged_expansion_tags_like_the_per_entry_expansion():
+    differences, tagged = expansion_differences(seed=12, lexicons=400, trees_per_lexicon=8)
+    assert differences == []
+    assert tagged > 300
+
+
+def test_the_bench_padded_lexicon_expands_to_the_seed_rules(seed_rules, registry, monkeypatch):
+    """1600 entries, 1575 of them nonce copies of seed entries, bind the
+    seed lexicon's 22 rules; each copy's forms join its group's rule."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)  # dataclasses look it up
+    spec.loader.exec_module(inputs)
+    text, surfaces = inputs.padded_lexicon(inputs.load_corpus(), 1600, random.Random(1))
+    lexicon = load_lexicon(text)
+    rules = expand_templates(lexicon, registry)
+    assert len(lexicon.entries) == 1600 and len(seed_rules) == len(rules) == 22
+    assert [r.name for r in rules] == [r.name for r in seed_rules]
+    atoms = lambda rules: {atom for rule in rules for atom in rulegen._atoms(rule.pattern)}
+    padded = [e for e in lexicon.entries if e.surface in surfaces]
+    padded_forms = {form for e in padded for form in inflections(e)}
+    assert len(padded_forms) > 3000
+    assert atoms(rules) == atoms(seed_rules) | padded_forms
+
+
+_MODAL = "Pos: MD\nSubcat: Modal-auxiliary-basic\n"
+
+
+def test_a_form_of_two_groups_keeps_per_entry_precedence(registry):
+    """``ca`` is a Succeed form before it is an Able form.  Moving it up
+    to the Able rule would let Able claim it, so the later Able entry
+    starts a second Able rule after the Succeed rule."""
+    lexicon = load_lexicon(
+        f"String: can\nModality: Able\n{_MODAL}\n"
+        f"String: ca\nModality: Succeed\n{_MODAL}\n"
+        f"String: could\nModality: Able\n{_MODAL}Forms: could ca\n"
+    )
+    rules = expand_templates(lexicon, registry)
+    able, succeed = "Modal-auxiliary-basic:Able", "Modal-auxiliary-basic:Succeed"
+    assert [r.name for r in rules] == [able, succeed, able]
+    tree = preprocess(read_ptb("(S (NP (PRP They)) (MD ca) (RB n't) (VB win))")[0])
+    tagged = _tagged(tree, rules)
+    assert tagged == _tagged(tree, _per_entry_rules(lexicon, registry))
+    assert write_ptb(tagged[0]) == (
+        "(S (NP (PRP They)) (MD-TrigSucceed ca) (RB n't) (VB-TargSucceed win))"
+    )
+    # Without the Succeed entry between them, the Able entries share one rule.
+    lexicon = load_lexicon(
+        f"String: can\nModality: Able\n{_MODAL}\n"
+        f"String: could\nModality: Able\n{_MODAL}Forms: could ca\n"
+    )
+    assert [r.name for r in expand_templates(lexicon, registry)] == [able]
+
+
+def test_a_rewrite_does_not_hide_the_preposition_another_trigger_needs(registry):
+    """Two triggers of one group share a ``for`` PP complement.  Had the
+    template tested ``for`` on any daughter, an ``NN`` tagged ``for``
+    would be its own PP's target, and the insert under it would hide
+    the word from the other trigger's rule: which trigger fired would
+    hang on rule order.  Through the ``IN`` node the order is moot."""
+    lexicon = load_lexicon(
+        "String: need\nPos: VB\nModality: Succeed\nSubcat: I-FOR-basic\n\n"
+        "String: e1\nPos: VB\nModality: Succeed\nSubcat: I-FOR-basic\nForms: for\n"
+    )
+    rules, per_entry = expand_templates(lexicon, registry), _per_entry_rules(lexicon, registry)
+    assert len(rules) == 1
+    for text in [
+        "(S (VB for) (VBN need) (PP (DT a) (NN for)))",
+        "(S (VB for) (VBN need) (PP (IN for) (NN x)))",
+    ]:
+        tree = preprocess(read_ptb(text)[0])
+        assert _tagged(tree, rules) == _tagged(tree, per_entry)
+    assert write_ptb(_tagged(tree, rules)[0]) == (
+        "(S (VB-TrigSucceed for) (VBN-TrigSucceed need) (PP (IN for) (NN-TargSucceed x)))"
+    )

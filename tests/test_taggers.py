@@ -276,7 +276,7 @@ def test_string_vs_structure_agreement_baseline(seed_lexicon, seed_rules):
 
 
 # ---------------------------------------------------------------------------
-# RuleIndex differential: offering only the indexed rules tags the same
+# Random rule sets
 
 
 INSERT_LABELS = ["TrigAble", "TargAble", "Ins"]
@@ -290,14 +290,6 @@ def _corpus_words() -> list[str]:
 
     words = {t for tree in read_ptb_file(DATA / "corpus_trees.ptb") for t in tree.tokens()}
     return sorted(w for w in words if is_plain_word(w))
-
-
-def _with_words(tree: ParseTree, rng: random.Random, words: list[str]) -> ParseTree:
-    """``tree`` with each token replaced by one of ``words``."""
-    if tree.is_leaf:
-        word = rng.choice(words)
-        return ParseTree(word if tree.label == tree.token else tree.label, (), word)
-    return ParseTree(tree.label, tuple(_with_words(c, rng, words) for c in tree.children))
 
 
 def _random_rule_text(rng: random.Random, k: int, labels: list[str], words: list[str]) -> str:
@@ -340,47 +332,10 @@ def _random_rule_text(rng: random.Random, k: int, labels: list[str], words: list
     return "\n".join([f"rule r{k}", " ".join(parts), *actions])
 
 
-def _outcome(tree: ParseTree, rules) -> object:
-    from mntag.matcher import RewriteBudgetError
-
-    try:
-        return tag_structure(tree, rules)
-    except RewriteBudgetError as exc:
-        return str(exc)
-
-
-def test_rule_index_tags_like_every_rule_on_random_rule_sets():
-    from conftest import PHRASE_LABELS, POS_LABELS, random_tree
-    from mntag.matcher import RuleIndex, parse_rules
-
-    rng = random.Random(7)
-    vocabulary = _corpus_words()
-    labels = PHRASE_LABELS + POS_LABELS
-    created = INSERT_LABELS + [f"{l}-{s}" for l in labels for s in AUGMENT_SUFFIXES]
-    offered = tried = fired = 0
-    for _ in range(500):
-        words = rng.sample(vocabulary, 6)
-        atoms = labels + rng.sample(created, 6) + ["ZZZ"]
-        rules = parse_rules(
-            "\n\n".join(
-                _random_rule_text(rng, k, atoms, words) for k in range(rng.randint(2, 7))
-            )
-        )
-        index = RuleIndex(rules)
-        for _ in range(4):
-            tree = _with_words(random_tree(rng, max_nodes=14), rng, words)
-            candidates = index.candidates(tree)
-            want = _outcome(tree, rules)
-            assert _outcome(tree, candidates) == want
-            offered, tried = offered + len(candidates), tried + len(rules)
-            fired += len(want.fired_rules) if not isinstance(want, str) else 0
-    assert fired > 0 and offered < tried
-
-
 def test_match_equals_the_walk_on_random_rule_sets():
     """``match`` finds what trying every node finds, on the trees the
     tagger hands it: the relabelled tree and each rewrite of it."""
-    from conftest import PHRASE_LABELS, POS_LABELS, random_tree
+    from conftest import PHRASE_LABELS, POS_LABELS, random_tree, with_words
     from mntag.matcher import RewriteBudgetError, _walk, apply, match, parse_rules
 
     def found(matches):
@@ -400,7 +355,7 @@ def test_match_equals_the_walk_on_random_rule_sets():
             )
         )
         for _ in range(3):
-            tree = _with_words(random_tree(rng, max_nodes=14), rng, words)
+            tree = with_words(random_tree(rng, max_nodes=14), rng, words)
             for rule in rules:
                 want = found(_walk(rule, tree))
                 got = found(match(rule, tree))
@@ -412,38 +367,3 @@ def test_match_equals_the_walk_on_random_rule_sets():
                 except RewriteBudgetError:
                     pass
     assert rejected > 0 and matched > 0
-
-
-def test_rule_index_tags_the_corpus_like_every_seed_rule(seed_rules):
-    from conftest import DATA
-    from mntag.matcher import RuleIndex
-    from mntag.trees import read_ptb_file
-
-    index = RuleIndex(seed_rules)
-    corpus = read_ptb_file(DATA / "corpus_trees.ptb")
-    assert len(corpus) == 25
-    offered = 0
-    for tree in corpus:
-        prepared = preprocess(flatten(tree))
-        candidates = index.candidates(prepared)
-        assert tag_structure(prepared, candidates) == tag_structure(prepared, seed_rules)
-        offered += len(candidates)
-    assert offered < len(corpus) * len(seed_rules)
-
-
-def test_rule_index_offers_unanchored_rules_always():
-    from mntag.matcher import RuleIndex, parse_rules
-
-    rules = parse_rules(
-        "rule regex\n/^V/=v !< MD\naugment v Aug\n\n"
-        "rule inserted\nIns=i\naugment i Aug\n\n"
-        "rule created\nVB-Aug=v !< Ins $.. MD\ninsert (Ins) >1 v\n\n"
-        "rule anchored\nMD=m < must\naugment m Aug\n"
-    )
-    index = RuleIndex(rules)
-    names = lambda tree: [r.name for r in index.candidates(read_ptb(tree)[0])]
-    # Neither an insert label nor an augmented label anchors a rule,
-    # and "must" (in one rule) anchors over MD (in two).
-    assert names("(S (VB go))") == ["regex", "inserted"]
-    assert names("(S (MD can) (VB go))") == ["regex", "inserted", "created"]
-    assert names("(S (MD must) (VB go))") == ["regex", "inserted", "created", "anchored"]
