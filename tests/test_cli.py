@@ -286,6 +286,45 @@ def test_structure_tag_counts_the_benchmark_trace_check_relies_on(tmp_path, monk
     assert not nonce_forms & set(triggers)
 
 
+def test_unfiltered_structure_tag_counts_the_benchmark_trace_check_relies_on(monkeypatch):
+    """Given every rule, as the benchmark's per-sentence loop gives them,
+    the tagger calls ``match`` once per rule plus once per rewrite: a
+    rule ``match`` turns down without a walk still costs one call."""
+    from mntag import matcher, rulegen, taggers, trees
+
+    padded, _ = _nonce_padded_lexicon()
+    rules = rulegen.expand_templates(padded, rulegen.default_registry())
+    counts = {"match": 0, "walk": 0, "rewrite": 0, "fired": 0}
+    match, walk, apply = matcher.match, matcher._walk, matcher.apply
+
+    def counting_match(rule, tree):
+        counts["match"] += 1
+        return match(rule, tree)
+
+    def counting_walk(rule, tree):
+        counts["walk"] += 1
+        return walk(rule, tree)
+
+    def counting_apply(rule, tree, on_rewrite=None):
+        def counted(m, before):
+            counts["rewrite"] += 1
+            if on_rewrite is not None:
+                on_rewrite(m, before)
+
+        return apply(rule, tree, on_rewrite=counted)
+
+    monkeypatch.setattr(matcher, "match", counting_match)
+    monkeypatch.setattr(matcher, "_walk", counting_walk)
+    monkeypatch.setattr(matcher, "apply", counting_apply)
+    for k, tree in enumerate(trees.read_ptb_file(TREES)):
+        matches, rewrites = counts["match"], counts["rewrite"]
+        result = taggers.tag_structure(rulegen.preprocess(trees.flatten(tree)), rules, k)
+        counts["fired"] += len(result.fired_rules)
+        assert counts["match"] - matches == len(rules) + counts["rewrite"] - rewrites
+    assert counts["rewrite"] == counts["fired"] > 0
+    assert counts["walk"] < counts["match"]
+
+
 def test_graft_pipeline_and_report(tmp_path):
     out = tmp_path / "grafted.ptb"
     report = tmp_path / "report.txt"
