@@ -382,6 +382,11 @@ class Match:
         return f"Match({self.root.label}; {names})"
 
 
+# Module-level names for the relations ``_solve`` tests at every node it
+# tries: reading an enum member off its class is a descriptor call.
+_NOT_CHILD, _FOLLOWING_SISTER = Relation.NOT_CHILD, Relation.FOLLOWING_SISTER
+
+
 def _atom_self_token(operand: Pattern, node: ParseTree) -> bool:
     return (
         operand.is_plain_atom()
@@ -399,13 +404,13 @@ def _solve(
         return []
     envs = [{pattern.capture: path} if pattern.capture else {}]
     for clause in pattern.clauses:
-        if clause.relation is Relation.FOLLOWING_SISTER:
+        if clause.relation is _FOLLOWING_SISTER:
             subs = _solve_among(clause.operand, parent, path[:-1], path[-1] + 1) if parent else []
         elif _atom_self_token(clause.operand, node):
             subs = [{}]
         else:
             subs = _solve_among(clause.operand, node, path, 0)
-        if clause.relation is Relation.NOT_CHILD:
+        if clause.relation is _NOT_CHILD:
             if subs:
                 return []
             continue
@@ -441,19 +446,33 @@ def match(rule: PatternRule, tree: ParseTree) -> list[Match]:
 
 
 def _walk(rule: PatternRule, tree: ParseTree) -> list[Match]:
-    """``match`` by trying the pattern at every node."""
+    """``match`` by trying the pattern at every node that passes its
+    root test, in preorder."""
+    pattern = rule.pattern
+    alternatives = pattern.test.alternatives
+    regex = None if alternatives is not None else _compiled(pattern.test.regex).match
     seen: set[tuple] = set()
     out: list[Match] = []
     stack: list[tuple[ParseTree, ParseTree | None, TreePath]] = [(tree, None, ())]
+    pop, push = stack.pop, stack.append
     while stack:
-        node, parent, path = stack.pop()
-        for env in _solve(rule.pattern, node, parent, path):
-            key = (path, tuple(sorted(env.items())))
-            if key not in seen:
-                seen.add(key)
-                out.append(Match(rule, tree, path, env))
+        node, parent, path = pop()
+        # ``NodeTest.matches``, inlined: most nodes fail the root test.
+        if (
+            regex(node.label)
+            if regex is not None
+            else node.label in alternatives or node.token in alternatives
+        ):
+            for env in _solve(pattern, node, parent, path):
+                key = (path, tuple(sorted(env.items())))
+                if key not in seen:
+                    seen.add(key)
+                    out.append(Match(rule, tree, path, env))
         kids = node.children
-        stack.extend((kids[k], node, path + (k,)) for k in range(len(kids) - 1, -1, -1))
+        k = len(kids)
+        while k:
+            k -= 1
+            push((kids[k], node, path + (k,)))
     return out
 
 

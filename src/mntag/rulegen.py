@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import is_
 from typing import Callable, Iterator
 
 from .lexicon import Lexicon, LexiconEntry, LexiconError
 from .matcher import Action, Clause, NodeTest, Pattern, PatternRule, TreePath
 from .matcher import parse_pattern, read_records
-from .tags import MNTag, Modality, Role, is_tag_string
-from .trees import ParseTree, Span
+from .tags import TAG_SPELLINGS, MNTag, Modality, Role
+from .trees import ParseTree, Span, base_category
 
 BE_FORMS = frozenset(["be", "am", "is", "are", "was", "were", "been", "being", "'s", "'re", "'m"])
 HAVE_FORMS = frozenset(["have", "has", "had", "having", "'ve", "'d"])
@@ -41,14 +42,19 @@ AUX_MARKER = "AUX"
 PASSIVE_MARKER = "VoicePassive"
 
 
+#: Every marker spelling: ``AUX``, ``VoicePassive`` and each tag string.
+_MARKER_LABELS = TAG_SPELLINGS | {AUX_MARKER, PASSIVE_MARKER}
+
+
 def is_marker_label(label: str) -> bool:
     """True for a marker's spelling: ``AUX``, ``VoicePassive`` or a tag."""
-    return label in (AUX_MARKER, PASSIVE_MARKER) or is_tag_string(label)
+    return label in _MARKER_LABELS
 
 
 def is_marker_leaf(node: ParseTree) -> bool:
     """True for leaves inserted as markers rather than surface words."""
-    return node.is_leaf and node.label == node.token and is_marker_label(node.label)
+    # Only a leaf carries a token, so only a leaf's token equals its label.
+    return node.token == node.label and node.label in _MARKER_LABELS
 
 
 def word_tokens(tree: ParseTree) -> list[str]:
@@ -75,8 +81,6 @@ def word_spans(tree: ParseTree, path: TreePath) -> Span | None:
 
 
 def _is_verbal_label(label: str) -> bool:
-    from .trees import base_category
-
     base = base_category(label)
     return base in VERBAL_POS or base.startswith("VB")
 
@@ -92,15 +96,15 @@ def _leaf_word(child: ParseTree) -> str | None:
 
 
 def preprocess(tree: ParseTree) -> ParseTree:
-    """Attach AUX and VoicePassive marker daughters on a flattened tree."""
-    if tree.is_leaf:
+    """Attach AUX and VoicePassive marker daughters on a flattened tree.
+
+    A subtree that gains no marker is returned as it is, not copied."""
+    children = tree.children
+    if not children:
         return tree
-    children = list(tree.children)
     marks: dict[int, list[str]] = {}
     for i, child in enumerate(children):
-        if child.is_leaf and is_marker_leaf(child):
-            continue
-        if not _is_verbal_label(child.label):
+        if is_marker_leaf(child) or not _is_verbal_label(child.label):
             continue
         word = _leaf_word(child)
         if word is None:
@@ -118,12 +122,12 @@ def preprocess(tree: ParseTree) -> ParseTree:
             for earlier in children[:i]
         ):
             marks.setdefault(i, []).append(PASSIVE_MARKER)
-    new_children = []
-    for i, child in enumerate(children):
-        child = preprocess(child)
-        for marker in marks.get(i, []):
-            child = _attach_marker(child, marker)
-        new_children.append(child)
+    new_children = [preprocess(c) if c.children else c for c in children]
+    for i, markers in marks.items():
+        for marker in markers:
+            new_children[i] = _attach_marker(new_children[i], marker)
+    if all(map(is_, new_children, children)):
+        return tree
     return ParseTree(tree.label, tuple(new_children), None)
 
 

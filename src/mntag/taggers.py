@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Iterable, Sequence
 
 from . import matcher, rulegen
@@ -341,17 +342,17 @@ def tag_structure(
     current = tree
 
     def record(m: matcher.Match, before: ParseTree) -> None:
-        # Insert and augment labels alike: augment bakes the suffix in
-        # directly, but the annotation is still recorded so standoff
-        # output stays complete.
-        payloads = {action.capture: action.label for action in m.rule.actions}
+        # One annotation per action, in action order, so two actions on
+        # one capture record two.  Insert and augment labels alike:
+        # augment bakes the suffix in directly, but the annotation is
+        # still recorded so standoff output stays complete.
         link = _Link(None)
-        for capture, label in payloads.items():
-            span = rulegen.word_spans(before, m.paths[capture])
+        for action in m.rule.actions:
+            span = rulegen.word_spans(before, m.paths[action.capture])
             if span is None:
                 continue
             try:
-                tag = parse_tag(label)
+                tag = parse_tag(action.label)
             except TagError:
                 continue  # non-MN payload: lands on the tree only
             ann = _RawAnn(span, tag)
@@ -391,18 +392,20 @@ def fold_markers(tree: ParseTree, annotations: Sequence[StandoffAnnotation]) -> 
 
 def _fold(node: ParseTree, start: int, by_span: dict[Span, list[str]]) -> tuple[ParseTree, int]:
     """The folded node and the end of its word span, which begins at
-    ``start``; marker leaves never reach here, except as the root."""
-    if node.is_leaf:
+    ``start``; marker leaves never reach here, except as the root.  A
+    subtree the fold leaves unchanged is returned as it is, not copied."""
+    children = node.children
+    if not children:
         return node, start + 1
     markers: list[str] = []
     kept: list[ParseTree] = []
     end = start
-    for c in node.children:
+    for c in children:
         if rulegen.is_marker_leaf(c):
             markers.append(c.label)
         else:
-            c, end = _fold(c, end, by_span)
-            kept.append(c)
+            folded, end = _fold(c, end, by_span)
+            kept.append(folded)
     label = node.label
     if end > start and not all(l in (rulegen.AUX_MARKER, rulegen.PASSIVE_MARKER) for l in markers):
         labels = by_span.get(Span(start, end), [])
@@ -411,6 +414,8 @@ def _fold(node: ParseTree, start: int, by_span: dict[Span, list[str]]) -> tuple[
                 label += "-" + suffix
     if len(kept) == 1 and kept[0].is_leaf and kept[0].label == kept[0].token:
         return ParseTree(label, (), kept[0].token), end
+    if not markers and all(map(is_, kept, children)):
+        return node, end
     return ParseTree(label, tuple(kept), None), end
 
 

@@ -151,12 +151,32 @@ def parse_tag(s: str) -> MNTag:
     return MNTag(role, outer, modality, lexical)
 
 
+def _tag_spellings() -> frozenset[str]:
+    """Every string ``parse_tag`` accepts: of the 88 spellings role,
+    optional NOT, modality name, optional Negation, the 74 whose tag is
+    canonical."""
+    spellings = set()
+    for role in Role:
+        for outer in ("", "NOT"):
+            for name, _ in _MODALITY_NAMES:
+                for lexical in ("", "Negation"):
+                    s = role.value + outer + name + lexical
+                    try:
+                        parse_tag(s)
+                    except TagError:
+                        continue
+                    spellings.add(s)
+    return frozenset(spellings)
+
+
+#: The strings ``parse_tag`` accepts.
+TAG_SPELLINGS = _tag_spellings()
+
+
 def is_tag_string(s: str) -> bool:
-    try:
-        parse_tag(s)
-    except TagError:
-        return False
-    return True
+    """True when ``parse_tag(s)`` would succeed: one set lookup, built at
+    import, so testing a word costs no exception."""
+    return s in TAG_SPELLINGS
 
 
 def specificity_rank(tag: MNTag) -> int:

@@ -3,8 +3,10 @@
 Trees are immutable values.  ``ParseTree`` is a slotted class that
 refuses every attribute write after construction, so building a node
 costs one call and its checks.  Since no node can change, trees may
-share nodes: graft's output, for one, shares with its input every
-subtree graft did not change.  A leaf holds a surface token; internal
+share nodes: ``flatten``, ``rulegen.preprocess``, the structure
+tagger's marker fold and graft each return their input node wherever
+they change nothing below it, so their output shares every unchanged
+subtree with their input.  A leaf holds a surface token; internal
 nodes hold ordered children.  Two leaf shapes occur in practice:
 
 * preterminals like ``(DT A)``, where the label is a category and the
@@ -24,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
+from operator import is_
 from typing import Iterator
 
 # A node label is non-empty and holds none of these.
@@ -187,16 +190,10 @@ def base_category(label: str) -> str:
     return label.split("-", 1)[0]
 
 
-def _splices_out(child: ParseTree, parent_label: str) -> bool:
-    if child.is_leaf:
-        return False
-    child_base = base_category(child.label)
-    parent_base = base_category(parent_label)
-    if child_base == "VP":
-        return parent_base in ("VP", "S")
-    if child_base == "NP":
-        return parent_base in ("PP", "NP")
-    return False
+#: Parent base category -> the base category of the daughters it splices.
+#: Each spliced category splices itself, so a flattened daughter holds
+#: nothing its parent would splice, and one pass reaches the fixpoint.
+_SPLICED = {"VP": "VP", "S": "VP", "PP": "NP", "NP": "NP"}
 
 
 def flatten(tree: ParseTree) -> ParseTree:
@@ -204,18 +201,22 @@ def flatten(tree: ParseTree) -> ParseTree:
 
     A spliced node's children take its place in the parent, preserving
     order, so the yield never changes and the node count never grows.
+    A subtree with nothing to splice is returned as it is, not copied.
     """
-    if tree.is_leaf:
+    kids = tree.children
+    if not kids:
         return tree
-    children = [flatten(c) for c in tree.children]
-    changed = True
-    while changed:
-        changed = False
-        for i, child in enumerate(children):
-            if _splices_out(child, tree.label):
-                children[i : i + 1] = list(child.children)
-                changed = True
-                break
+    spliced = _SPLICED.get(base_category(tree.label))
+    children: list[ParseTree] = []
+    for child in kids:
+        if child.children:
+            child = flatten(child)
+            if spliced is not None and base_category(child.label) == spliced:
+                children.extend(child.children)
+                continue
+        children.append(child)
+    if len(children) == len(kids) and all(map(is_, children, kids)):
+        return tree
     return ParseTree(tree.label, tuple(children), None)
 
 

@@ -49,6 +49,48 @@ def with_words(tree: ParseTree, rng: random.Random, words: list[str]) -> ParseTr
     return ParseTree(tree.label, tuple(with_words(c, rng, words) for c in tree.children))
 
 
+#: Labels for ``stage_tree``: Penn verb tags, and phrase labels that
+#: ``flatten`` splices or keeps, some with a function suffix.
+STAGE_POS = ["VB", "VBD", "VBN", "VBZ", "VBG", "MD", "NN", "NNS", "DT", "RB", "JJ", "IN", "TO"]
+STAGE_PHRASES = ["S", "S", "VP", "VP", "NP", "NP-SBJ", "PP", "SBAR", "ADJP"]
+#: Preprocessing markers and tag strings, as the rules insert them.
+STAGE_MARKERS = ["AUX", "VoicePassive", "TrigAble", "TargAble", "TrigNegation", "TargNOTRequire"]
+#: Auxiliary forms, so that ``preprocess`` has auxiliaries to mark.
+STAGE_AUXILIARIES = ["is", "was", "were", "be", "been", "have", "has", "had", "do", "did"]
+
+
+def corpus_words() -> list[str]:
+    """The distinct tokens of the 25-sentence corpus, sorted."""
+    from mntag.trees import read_ptb_file
+
+    return sorted({t for tree in read_ptb_file(DATA / "corpus_trees.ptb") for t in tree.tokens()})
+
+
+def stage_tree(rng: random.Random, words: list[str]) -> ParseTree:
+    """A tree of the kind the structure tagger's stages meet: the shape
+    of a ``random_tree`` relabelled with Penn tags and ``words`` at the
+    leaves, and marker leaves put in beside some words and daughters."""
+
+    def marker() -> ParseTree:
+        label = rng.choice(STAGE_MARKERS)
+        return ParseTree(label, (), label)
+
+    def relabel(node: ParseTree) -> ParseTree:
+        if node.is_leaf:
+            word = rng.choice(words)
+            if node.label == node.token:
+                return ParseTree(word, (), word)
+            if rng.random() < 0.2:
+                return ParseTree(rng.choice(STAGE_POS), (ParseTree(word, (), word), marker()))
+            return ParseTree(rng.choice(STAGE_POS), (), word)
+        children = [relabel(c) for c in node.children]
+        if rng.random() < 0.15:
+            children.insert(rng.randint(0, len(children)), marker())
+        return ParseTree(rng.choice(STAGE_PHRASES), tuple(children))
+
+    return relabel(random_tree(rng, max_nodes=16))
+
+
 PTB_TREES = [
     b"(TOP (S (NP (DT the) (NN cat)) (VP (VBD sat) (RB not))))\n",
     b"(S (NP (NNP Khan)) (VP (MD can) (VP (VB go))))\n",

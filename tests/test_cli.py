@@ -18,6 +18,8 @@ NE = DATA / "ne_sample.tsv"
 GOLDEN_GRAFTED = DATA / "golden_grafted.ptb"
 GOLDEN_GRAFT_REPORT = DATA / "golden_graft_report.txt"
 GOLDEN_TAGGED = DATA / "golden_tagged.ptb"
+GOLDEN_FLAT = DATA / "golden_flat.ptb"
+GOLDEN_PREPROCESSED = DATA / "golden_preprocessed.ptb"
 
 FIG1_LINE = (
     "Americans <TrigRequire should> <TargRequire know> that we <TrigAble can>"
@@ -501,9 +503,11 @@ def test_flatten_and_preprocess_commands(tmp_path):
     flat = tmp_path / "flat.ptb"
     assert run("flatten", "--in", TREES, "--out", flat) == 0
     assert "(VP (MD" not in flat.read_text()
+    assert flat.read_bytes() == GOLDEN_FLAT.read_bytes()
     prep = tmp_path / "prep.ptb"
     assert run("preprocess", "--in", flat, "--out", prep) == 0
     assert "AUX" in prep.read_text() and "VoicePassive" in prep.read_text()
+    assert prep.read_bytes() == GOLDEN_PREPROCESSED.read_bytes()
 
 
 def test_rules_command_is_byte_deterministic(tmp_path):
@@ -601,6 +605,21 @@ def test_rules_override_replaces_generated(tmp_path):
     text = standoff.read_text()
     assert "TrigBelief" in text
     assert "TrigRequire" not in text  # generated rules were not used
+
+
+def test_two_actions_on_one_capture_record_both_annotations(tmp_path):
+    """Each action of a hand-written rule is one annotation, also when
+    two actions insert under one capture."""
+    trees_in, rules = tmp_path / "in.ptb", tmp_path / "own.rules"
+    trees_in.write_text("(S (NP (PRP He)) (MD can) (VB go))\n")
+    rules.write_text("rule both\nMD=m !< /^T/ < can\ninsert (TrigAble) >2 m\ninsert (TargAble) >2 m\n")
+    out, standoff = tmp_path / "out.ptb", tmp_path / "out.tsv"
+    assert run(
+        "tag", "--mode", "structure", "--lexicon", seed_lexicon_path(),
+        "--rules", rules, "--in", trees_in, "--out", out, "--standoff", standoff,
+    ) == 0
+    assert standoff.read_text() == "0\t1\t2\tTargAble\tMN\n0\t1\t2\tTrigAble\tMN\n"
+    assert out.read_text() == "(S (NP (PRP He)) (MD-TargAble-TrigAble can) (VB go))\n"
 
 
 _CAT = "(S (NP (NN cat)) (MD should) (VB go))\n"

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_pattern_rule, random_tree
+from conftest import STAGE_AUXILIARIES, corpus_words, random_pattern_rule, random_tree, stage_tree
 from mntag import matcher
 from mntag.matcher import (
     PatternRule,
@@ -17,7 +17,8 @@ from mntag.matcher import (
     parse_pattern,
     parse_rules,
 )
-from mntag.trees import ParseTree, iter_nodes, read_ptb, write_ptb
+from mntag.rulegen import preprocess
+from mntag.trees import ParseTree, flatten, iter_nodes, read_ptb, write_ptb
 
 PASSIVE_RULE = """\
 VB=trigger !< /^Trig/ < VoicePassive < required $.. (S < (VB=target !< AUX))
@@ -231,6 +232,89 @@ def test_rewrite_callback_gets_the_match_of_its_rule_in_the_tree_before():
     apply(rule, tree, on_rewrite=lambda m, before: seen.append((m.rule, m.tree, before)))
     assert len(seen) == 1
     assert seen[0][0] is rule and seen[0][1] is seen[0][2] is tree
+
+
+def _reference_walk(rule: PatternRule, tree: ParseTree) -> list:
+    """The walk that handed every node to the solver, and the solver it
+    called, kept as the reference: each match as (root path, capture
+    paths), in order."""
+
+    def self_token(operand, node):
+        return operand.is_plain_atom() and node.is_leaf and node.token in operand.test.alternatives
+
+    def solve(pattern, node, parent, path):
+        if not pattern.test.matches(node):
+            return []
+        envs = [{pattern.capture: path} if pattern.capture else {}]
+        for clause in pattern.clauses:
+            if clause.relation is Relation.FOLLOWING_SISTER:
+                subs = among(clause.operand, parent, path[:-1], path[-1] + 1) if parent else []
+            elif self_token(clause.operand, node):
+                subs = [{}]
+            else:
+                subs = among(clause.operand, node, path, 0)
+            if clause.relation is Relation.NOT_CHILD:
+                if subs:
+                    return []
+                continue
+            envs = [env | sub for env in envs for sub in subs]
+            if not envs:
+                return []
+        return envs
+
+    def among(operand, owner, owner_path, first):
+        kids = owner.children
+        return [
+            env
+            for k in range(first, len(kids))
+            for env in solve(operand, kids[k], owner, owner_path + (k,))
+        ]
+
+    seen, out = set(), []
+    stack = [(tree, None, ())]
+    while stack:
+        node, parent, path = stack.pop()
+        for env in solve(rule.pattern, node, parent, path):
+            key = (path, tuple(sorted(env.items())))
+            if key not in seen:
+                seen.add(key)
+                out.append((path, env))
+        kids = node.children
+        stack.extend((kids[k], node, path + (k,)) for k in range(len(kids) - 1, -1, -1))
+    return out
+
+
+def test_walk_matches_the_reference_walk(seed_rules):
+    """Random patterns over each tree's atoms, and the seed rules on each
+    tree and its rewrites: 2000 random trees, then the corpus trees
+    (where the seed rules fire), half of them with their words swapped."""
+    from conftest import DATA, with_words
+    from mntag.trees import read_ptb_file
+
+    rng = random.Random(2027)
+    words = corpus_words() + STAGE_AUXILIARIES
+    corpus = read_ptb_file(DATA / "corpus_trees.ptb")
+    shapes = [stage_tree(rng, words) for _ in range(2000)]
+    shapes += [rng.choice(corpus) for _ in range(250)]
+    shapes += [with_words(rng.choice(corpus), rng, words) for _ in range(250)]
+    found = rewritten = 0
+    for shape in shapes:
+        tree = preprocess(flatten(shape))
+        rules = [random_pattern_rule(rng, tree) for _ in range(2)]
+        for rule in rules + list(seed_rules):
+            # ``match`` walks only where the rule's required atoms occur.
+            if all(not tree.atoms.isdisjoint(alternatives) for alternatives in rule.needs):
+                got = [(m.root_path, m.paths) for m in matcher._walk(rule, tree)]
+                assert got == _reference_walk(rule, tree)
+                found += bool(got)
+            if rule in seed_rules:
+                before = tree
+                try:
+                    tree = apply(rule, tree)
+                except RewriteBudgetError:
+                    pass
+                rewritten += tree is not before
+    assert found > 1000 and rewritten > 300
 
 
 def test_match_order_is_document_order():

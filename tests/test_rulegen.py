@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mntag.lexicon import Lexicon, LexiconError, load_lexicon
 import pytest
 
-from conftest import random_tree, with_words
+from conftest import STAGE_AUXILIARIES, corpus_words, random_tree, stage_tree, with_words
 
 from mntag import rulegen
 from mntag.matcher import match, parse_pattern, parse_rules, serialize_rules
@@ -17,7 +17,7 @@ from mntag.rulegen import (
     word_spans,
     word_tokens,
 )
-from mntag.trees import ParseTree, Span, flatten, read_ptb, write_ptb
+from mntag.trees import ParseTree, Span, flatten, iter_nodes, read_ptb, write_ptb
 
 
 def test_preprocess_passive_clause():
@@ -41,7 +41,85 @@ def test_preprocess_skips_copular_be():
 
 def test_preprocess_no_auxiliaries_is_identity():
     tree = read_ptb("(S (NP (DT the) (NN cat)) (VBD sat))")[0]
-    assert preprocess(tree) == tree
+    assert preprocess(tree) is tree
+
+
+def test_preprocess_shares_the_subtrees_it_leaves_unmarked():
+    tree = read_ptb("(S (NP (DT the) (NN cat)) (VBD did) (VB go) (PP (IN to) (NN school)))")[0]
+    out = preprocess(tree)
+    assert write_ptb(out) == "(S (NP (DT the) (NN cat)) (VBD did AUX) (VB go) (PP (IN to) (NN school)))"
+    assert [a is b for a, b in zip(out.children, tree.children)] == [True, False, True, True]
+
+
+def _reference_preprocess(tree: ParseTree) -> ParseTree:
+    """The ``preprocess`` that built every internal node anew, kept as
+    the reference.  It uses the module's word and label tests."""
+    if tree.is_leaf:
+        return tree
+    children = list(tree.children)
+    marks: dict[int, list[str]] = {}
+    for i, child in enumerate(children):
+        if child.is_leaf and is_marker_leaf(child):
+            continue
+        if not rulegen._is_verbal_label(child.label):
+            continue
+        word = rulegen._leaf_word(child)
+        if word is None:
+            continue
+        lower = word.lower()
+        if lower in rulegen.AUX_CANDIDATE_WORDS and any(
+            rulegen._is_verbal_label(later.label) and not is_marker_leaf(later)
+            for later in children[i + 1 :]
+        ):
+            marks.setdefault(i, []).append(rulegen.AUX_MARKER)
+        if child.label.startswith("VBN") and any(
+            (w := rulegen._leaf_word(earlier)) is not None
+            and w.lower() in rulegen.BE_FORMS
+            and rulegen._is_verbal_label(earlier.label)
+            for earlier in children[:i]
+        ):
+            marks.setdefault(i, []).append(rulegen.PASSIVE_MARKER)
+    new_children = []
+    for i, child in enumerate(children):
+        child = _reference_preprocess(child)
+        for marker in marks.get(i, []):
+            child = rulegen._attach_marker(child, marker)
+        new_children.append(child)
+    return ParseTree(tree.label, tuple(new_children), None)
+
+
+def test_preprocess_matches_the_reference_and_returns_what_it_keeps():
+    rng = random.Random(2025)
+    # Auxiliaries weighted up, so that one in ten trees gains a marker.
+    words = corpus_words() + 20 * STAGE_AUXILIARIES
+    kept = marked = 0
+    for _ in range(2500):
+        tree = stage_tree(rng, words)
+        for given in (tree, flatten(tree)):
+            out = preprocess(given)
+            assert out == _reference_preprocess(given)
+            # A subtree comes back as itself exactly when it gains no marker.
+            for node in iter_nodes(given):
+                sub = preprocess(node)
+                assert (sub is node) == (sub == node)
+            kept += out is given
+            marked += out is not given
+    assert kept > 2000 and marked > 400
+
+
+def test_marker_leaf_test_is_the_tag_and_marker_spelling_test():
+    from mntag.tags import is_tag_string
+
+    rng = random.Random(5)
+    words = corpus_words() + STAGE_AUXILIARIES
+    markers = 0
+    for _ in range(500):
+        for node in iter_nodes(stage_tree(rng, words)):
+            spelled = node.label in ("AUX", "VoicePassive") or is_tag_string(node.label)
+            want = node.is_leaf and node.label == node.token and spelled
+            assert is_marker_leaf(node) == want
+            markers += want
+    assert markers > 100
 
 
 def test_preprocess_is_idempotent():

@@ -2,11 +2,15 @@ import random
 
 import pytest
 
+from conftest import STAGE_AUXILIARIES, corpus_words, stage_tree
+from mntag import matcher, rulegen
 from mntag.lexicon import lookup
 from mntag.rulegen import preprocess, word_tokens
+from mntag.tags import TAG_INVENTORY, parse_tag, specificity_rank
 from mntag.taggers import (
     StandoffAnnotation,
     agreement,
+    fold_markers,
     format_standoff,
     parse_inline,
     parse_standoff,
@@ -15,7 +19,7 @@ from mntag.taggers import (
     tag_string,
     tag_structure,
 )
-from mntag.trees import ParseTree, Span, flatten, read_ptb, write_ptb
+from mntag.trees import ParseTree, Span, flatten, iter_nodes, read_ptb, write_ptb
 
 FIG1_TOKENS = [
     ("Americans", "NNPS"), ("should", "MD"), ("know", "VB"), ("that", "IN"),
@@ -178,6 +182,82 @@ def test_shared_node_object_tags_like_a_copy(seed_rules):
     assert write_ptb(got.tree) == "(S (NP (PRP We)) (MD-TrigAble can) (VB-TargAble go) (NP (PRP We)))"
 
 
+def _reference_fold_markers(tree: ParseTree, annotations) -> ParseTree:
+    """The ``fold_markers`` that built every internal node anew, kept as
+    the reference."""
+    by_span = {}
+    for a in annotations:
+        by_span.setdefault(a.span, []).append(a.label)
+
+    def fold(node, start):
+        if node.is_leaf:
+            return node, start + 1
+        markers, kept, end = [], [], start
+        for c in node.children:
+            if rulegen.is_marker_leaf(c):
+                markers.append(c.label)
+            else:
+                c, end = fold(c, end)
+                kept.append(c)
+        label = node.label
+        if end > start and not all(l in (rulegen.AUX_MARKER, rulegen.PASSIVE_MARKER) for l in markers):
+            labels = by_span.get(Span(start, end), [])
+            for suffix in sorted(set(labels), key=lambda l: (specificity_rank(parse_tag(l)), l)):
+                if not matcher.has_label_segment(label, suffix):
+                    label += "-" + suffix
+        if len(kept) == 1 and kept[0].is_leaf and kept[0].label == kept[0].token:
+            return ParseTree(label, (), kept[0].token), end
+        return ParseTree(label, tuple(kept), None), end
+
+    return fold(tree, 0)[0]
+
+
+def _paths(tree, path=()):
+    yield path
+    for k, child in enumerate(tree.children):
+        yield from _paths(child, path + (k,))
+
+
+def test_fold_markers_matches_the_reference_and_returns_what_it_keeps():
+    rng = random.Random(2026)
+    words = corpus_words() + STAGE_AUXILIARIES
+    tags = [role + base for role in ("Trig", "Targ") for base in TAG_INVENTORY]
+    kept = folded = suffixed = 0
+    for _ in range(2500):
+        tree = stage_tree(rng, words)
+        # Tags on the word spans of some nodes, as the tagger records them.
+        spans = [rulegen.word_spans(tree, path) for path in _paths(tree)]
+        annotations = [
+            StandoffAnnotation(0, span, rng.choice(tags))
+            for span in rng.sample(spans, min(3, len(spans)))
+            if span is not None
+        ]
+        out = fold_markers(tree, annotations)
+        assert out == _reference_fold_markers(tree, annotations)
+        # A subtree comes back as itself exactly when the fold changes
+        # nothing in it; annotations change only nodes that hold markers.
+        for node in iter_nodes(tree):
+            sub = fold_markers(node, annotations)
+            assert (sub is node) == (sub == node)
+        kept += out is tree
+        folded += out is not tree
+        suffixed += any("-T" in n.label for n in iter_nodes(out))
+    assert kept > 500 and folded > 500 and suffixed > 200
+
+
+def test_fold_markers_returns_marker_free_subtrees_as_they_are():
+    tree = read_ptb("(S (NP (DT the) (NN cat)) (MD can TrigAble) (VB go TargAble) (. .))")[0]
+    annotations = [
+        StandoffAnnotation(0, Span(2, 3), "TrigAble"),
+        StandoffAnnotation(0, Span(3, 4), "TargAble"),
+    ]
+    out = fold_markers(tree, annotations)
+    assert write_ptb(out) == "(S (NP (DT the) (NN cat)) (MD-TrigAble can) (VB-TargAble go) (. .))"
+    assert out.children[0] is tree.children[0] and out.children[3] is tree.children[3]
+    free = read_ptb("(S (NP (DT the) (NN cat)) (VBD sat))")[0]
+    assert fold_markers(free, annotations) is free
+
+
 def test_render_inline_basics():
     anns = [StandoffAnnotation(0, Span(1, 2), "TrigRequire")]
     assert render_inline(["We", "should", "go"], anns) == "We <TrigRequire should> go"
@@ -284,12 +364,9 @@ AUGMENT_SUFFIXES = ["TargNegation", "Aug"]
 
 
 def _corpus_words() -> list[str]:
-    from conftest import DATA
     from mntag.matcher import is_plain_word
-    from mntag.trees import read_ptb_file
 
-    words = {t for tree in read_ptb_file(DATA / "corpus_trees.ptb") for t in tree.tokens()}
-    return sorted(w for w in words if is_plain_word(w))
+    return [w for w in corpus_words() if is_plain_word(w)]
 
 
 def _random_rule_text(rng: random.Random, k: int, labels: list[str], words: list[str]) -> str:

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mntag.tags import (
     TAG_INVENTORY,
@@ -9,6 +12,7 @@ from mntag.tags import (
     Role,
     TagError,
     compose_negation,
+    is_tag_string,
     menu_choice_to_tags,
     negate_proposition,
     parse_tag,
@@ -154,3 +158,41 @@ def test_menu_targets_stay_inside_inventory():
             assert target.base in TAG_INVENTORY
             assert "RequireNegation" not in str(target)
             assert "PermitNegation" not in str(target)
+
+
+def _parses(s: str) -> bool:
+    try:
+        parse_tag(s)
+    except TagError:
+        return False
+    return True
+
+
+#: Every modality spelling ``parse_tag`` reads, ``FirmBelief`` included.
+_SPELLINGS = [m.value for m in Modality] + ["FirmBelief"]
+
+
+def test_is_tag_string_agrees_with_parse_tag_on_every_spelling():
+    combos = [
+        role + outer + name + lexical
+        for role, outer, name, lexical in itertools.product(
+            ("Trig", "Targ"), ("", "NOT"), _SPELLINGS, ("", "Negation")
+        )
+    ]
+    assert len(combos) == len(set(combos)) == 88
+    for s in combos:
+        assert is_tag_string(s) == _parses(s), s
+    assert sum(map(is_tag_string, combos)) == 74
+    # Non-canonical spellings are not tags.
+    assert not is_tag_string("TrigRequireNegation")
+    assert not is_tag_string("TargNOTNegation")
+    assert is_tag_string("TrigFirmBelief") and is_tag_string("TargNOTFirm_BeliefNegation")
+
+
+_TAG_PIECES = ["Trig", "Targ", "NOT", "Negation", "Able", "Require", "Firm_Belief", "FirmBelief", "x", "-", ""]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(max_size=24), st.lists(st.sampled_from(_TAG_PIECES), max_size=5).map("".join)))
+def test_is_tag_string_agrees_with_parse_tag_on_any_text(s):
+    assert is_tag_string(s) == _parses(s)

@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import ptb_files, random_tree
+from conftest import STAGE_AUXILIARIES, corpus_words, ptb_files, random_tree, stage_tree
 from mntag.rulegen import word_spans
 from mntag.trees import (
     ParseTree,
@@ -270,6 +270,61 @@ def test_flatten_properties_random():
         assert flat.tokens() == tree.tokens()
         assert _count_nodes(flat) <= _count_nodes(tree)
         assert _flatten_oracle_ok(flat)
+
+
+def _reference_flatten(tree: ParseTree) -> ParseTree:
+    """The ``flatten`` that built every internal node anew, kept as the
+    reference."""
+
+    def splices_out(child, parent_label):
+        if child.is_leaf:
+            return False
+        child_base, parent_base = base_category(child.label), base_category(parent_label)
+        if child_base == "VP":
+            return parent_base in ("VP", "S")
+        if child_base == "NP":
+            return parent_base in ("PP", "NP")
+        return False
+
+    if tree.is_leaf:
+        return tree
+    children = [_reference_flatten(c) for c in tree.children]
+    changed = True
+    while changed:
+        changed = False
+        for i, child in enumerate(children):
+            if splices_out(child, tree.label):
+                children[i : i + 1] = list(child.children)
+                changed = True
+                break
+    return ParseTree(tree.label, tuple(children), None)
+
+
+def test_flatten_matches_the_reference_and_returns_what_it_keeps():
+    rng = random.Random(2024)
+    words = corpus_words() + STAGE_AUXILIARIES
+    kept = spliced = 0
+    for _ in range(2500):
+        tree = stage_tree(rng, words)
+        flat = flatten(tree)
+        assert flat == _reference_flatten(tree)
+        # A subtree comes back as itself exactly when nothing in it splices.
+        for node in iter_nodes(tree):
+            out = flatten(node)
+            assert (out is node) == (out == node)
+        kept += flat is tree
+        spliced += flat is not tree
+    assert kept > 500 and spliced > 500
+
+
+def test_flatten_returns_a_tree_with_nothing_to_splice():
+    tree = read_ptb("(S (NP (DT the) (NN cat)) (VBD sat) (PP (IN on) (DT the) (NN mat)))")[0]
+    assert flatten(tree) is tree
+    shell = read_ptb("(S (NP (DT the) (NN cat)) (VP (VBD sat) (PP (IN on) (NP (DT a) (NN mat)))))")[0]
+    flat = flatten(shell)
+    assert write_ptb(flat) == "(S (NP (DT the) (NN cat)) (VBD sat) (PP (IN on) (DT a) (NN mat)))"
+    assert flat.children[0] is shell.children[0]
+    assert flat.children[1] is shell.children[1].children[0]
 
 
 def _paths(tree, path=()):
