@@ -48,6 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tag.add_argument("--out", dest="output", required=True)
     tag.add_argument("--standoff", help="write standoff TSV here")
     tag.add_argument("--inline", action="store_true", help="write inline text instead")
+    tag.set_defaults(run=_cmd_tag)
 
     graft = sub.add_parser("graft", help="graft standoff annotations onto trees")
     graft.add_argument("--trees", required=True)
@@ -55,28 +56,34 @@ def _build_parser() -> argparse.ArgumentParser:
     graft.add_argument("--order", default="NE,MN", help="family order, e.g. NE,MN")
     graft.add_argument("--out", dest="output", required=True)
     graft.add_argument("--report", required=True)
+    graft.set_defaults(run=_cmd_graft)
 
     flat = sub.add_parser("flatten", help="flatten trees")
     flat.add_argument("--in", dest="input", required=True)
     flat.add_argument("--out", dest="output", required=True)
+    flat.set_defaults(run=_cmd_trees, transform=trees.flatten)
 
     prep = sub.add_parser("preprocess", help="insert AUX/VoicePassive markers")
     prep.add_argument("--in", dest="input", required=True)
     prep.add_argument("--out", dest="output", required=True)
+    prep.set_defaults(run=_cmd_trees, transform=rulegen.preprocess)
 
     rules = sub.add_parser("rules", help="dump the expanded rule set")
     rules.add_argument("--lexicon", required=True)
     rules.add_argument("--registry")
     rules.add_argument("--out", dest="output", required=True)
+    rules.set_defaults(run=_cmd_rules)
 
     agree = sub.add_parser("agreement", help="compare two standoff files")
     agree.add_argument("file_a")
     agree.add_argument("file_b")
+    agree.set_defaults(run=_cmd_agreement)
 
     lex = sub.add_parser("lexicon", help="lexicon utilities")
     lex_sub = lex.add_subparsers(dest="lexicon_command", required=True)
     validate = lex_sub.add_parser("validate", help="load and validate a lexicon file")
     validate.add_argument("path")
+    validate.set_defaults(run=_cmd_lexicon_validate)
 
     return parser
 
@@ -183,8 +190,8 @@ def _cmd_tag(args) -> int:
 
 
 def _cmd_graft(args) -> int:
+    config = grafting.GraftConfig(family_order=tuple(args.order.split(",")))
     corpus = _parse_file(args.trees, trees.read_ptb)
-    order = tuple(args.order.split(","))
     sizes = [trees.count_leaves(tree) for tree in corpus]
     annotations: list[StandoffAnnotation] = []
     for path in args.standoff:
@@ -200,7 +207,7 @@ def _cmd_graft(args) -> int:
             )
             return 2
         for a in batch:
-            if a.family not in order:
+            if a.family not in config.family_order:
                 raise ValueError(
                     f"{path}: sentence {a.sentence}: annotation family {a.family!r}"
                     f" not in family order {args.order}"
@@ -211,7 +218,6 @@ def _cmd_graft(args) -> int:
                     f" outside sentence of {sizes[a.sentence]} tokens"
                 )
         annotations.extend(batch)
-    config = grafting.GraftConfig(family_order=order)
     by_sentence: dict[int, list[StandoffAnnotation]] = {}
     for a in annotations:
         by_sentence.setdefault(a.sentence, []).append(a)
@@ -228,11 +234,11 @@ def _cmd_graft(args) -> int:
     return 0
 
 
-def _cmd_trees(args, transform) -> int:
+def _cmd_trees(args) -> int:
     corpus = _parse_file(args.input, trees.read_ptb)
     with open(args.output, "w", encoding="utf-8") as fh:
         for tree in corpus:
-            fh.write(trees.write_ptb(transform(tree)) + "\n")
+            fh.write(trees.write_ptb(args.transform(tree)) + "\n")
     return 0
 
 
@@ -266,30 +272,17 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        if args.command == "tag":
-            return _cmd_tag(args)
-        if args.command == "graft":
-            return _cmd_graft(args)
-        if args.command == "flatten":
-            return _cmd_trees(args, trees.flatten)
-        if args.command == "preprocess":
-            return _cmd_trees(args, rulegen.preprocess)
-        if args.command == "rules":
-            return _cmd_rules(args)
-        if args.command == "agreement":
-            return _cmd_agreement(args)
-        if args.command == "lexicon":
-            return _cmd_lexicon_validate(args)
+        return args.run(args)
     except RewriteBudgetError as exc:
         log.error("rule application failed: %s", exc)
         return 1
-    except (LexiconError, PatternSyntaxError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
+        # ``LexiconError`` and ``PatternSyntaxError`` are ``ValueError``s.
         log.error("%s", exc)
         return 2
     finally:
         if enabled:
             gc.enable()
-    return 2
 
 
 def seed_lexicon_path() -> str:

@@ -57,7 +57,8 @@ from enum import Enum
 from operator import is_
 from typing import Sequence
 
-from .tags import MNTag, Modality, Role, TagError, compose_negation, parse_tag, specificity_rank
+from .tags import TAG_SPELLINGS, MNTag, Modality, Role, compose_negation, parse_tag
+from .tags import specificity_rank
 from .taggers import MN_FAMILY, NE_FAMILY, StandoffAnnotation
 from .trees import ParseTree, Span, base_category
 
@@ -73,7 +74,13 @@ OUTCOMES = (
 
 @dataclass(frozen=True)
 class GraftConfig:
+    """Families are grafted in ``family_order``, each once."""
+
     family_order: tuple[str, ...] = (NE_FAMILY, MN_FAMILY)
+
+    def __post_init__(self) -> None:
+        if len(set(self.family_order)) != len(self.family_order):
+            raise ValueError(f"family order {','.join(self.family_order)} names a family twice")
 
 
 @dataclass
@@ -218,13 +225,6 @@ class _Shadow:
         return Span(n.start, n.end)
 
 
-def _mn_tag(label: str) -> MNTag | None:
-    try:
-        return parse_tag(label)
-    except TagError:
-        return None
-
-
 def _apply_key(item: tuple[StandoffAnnotation, MNTag | None]) -> tuple:
     # Lower precedence first, so higher precedence overwrites.
     a, tag = item
@@ -267,7 +267,11 @@ def graft(
 
     grafted: list[_Grafted] = []
     for family in config.family_order:
-        batch = [(a, _mn_tag(a.label)) for a in annotations if a.family == family]
+        batch = [
+            (a, parse_tag(a.label) if a.label in TAG_SPELLINGS else None)
+            for a in annotations
+            if a.family == family
+        ]
         for a, tag in sorted(batch, key=_apply_key):
             nodes = shadow.same_span_chain(a.span)
             if nodes:

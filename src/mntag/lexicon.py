@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .matcher import is_plain_word, read_records
-from .tags import Modality, TagError
+from .tags import MODALITY_BY_NAME, Modality
 
 
 class LexiconError(ValueError):
@@ -32,10 +32,6 @@ class LexiconError(ValueError):
     def __init__(self, message: str, record: int | None = None):
         super().__init__(message)
         self.record = record
-
-
-_MODALITY_BY_NAME = {m.value: m for m in Modality}
-_MODALITY_BY_NAME["FirmBelief"] = Modality.FIRM_BELIEF
 
 
 @dataclass(frozen=True)
@@ -159,7 +155,7 @@ def _finish_record(lines: list[str]) -> LexiconEntry:
     if modality_name is None:
         raise LexiconError(f"missing Modality ({surface!r})")
     try:
-        modality = _MODALITY_BY_NAME[modality_name]
+        modality = MODALITY_BY_NAME[modality_name]
     except KeyError:
         raise LexiconError(f"unknown modality {modality_name!r}") from None
     if pos is None:
@@ -214,13 +210,10 @@ def load_lexicon_file(path) -> Lexicon:
         raise LexiconError(f"{path}: {exc}") from None
 
 
-# TagError is re-exported so callers catching lexicon problems also see
-# bad modality names raised during tag construction.
 __all__ = [
     "Lexicon",
     "LexiconEntry",
     "LexiconError",
-    "TagError",
     "dump_lexicon",
     "load_lexicon",
     "load_lexicon_file",

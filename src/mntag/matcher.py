@@ -58,7 +58,7 @@ from functools import cache
 from itertools import groupby
 from typing import Callable, Iterator
 
-from .trees import ParseTree
+from .trees import ParseTree, insert_leaf
 
 #: Child indexes leading from a tree's root to one of its nodes.
 TreePath = tuple[int, ...]
@@ -506,13 +506,8 @@ def _apply_one(node: ParseTree, action: Action) -> tuple[ParseTree, bool, int | 
             return node, False, None
         return ParseTree(node.label + "-" + action.label, node.children, node.token), True, None
     assert action.position is not None
-    children = list(node.children)
-    if node.is_leaf:
-        # The word becomes a bare word leaf so markers can sit beside it.
-        children = [ParseTree(node.token, (), node.token)]  # type: ignore[arg-type]
-    idx = min(action.position - 1, len(children))
-    children.insert(idx, ParseTree(action.label, (), action.label))
-    return ParseTree(node.label, tuple(children), None), True, idx
+    idx = action.position - 1
+    return insert_leaf(node, idx, action.label), True, idx
 
 
 def _apply_actions(

@@ -18,7 +18,6 @@ for the one case that splits a group).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import is_
 from typing import Callable, Iterator
 
@@ -26,7 +25,7 @@ from .lexicon import Lexicon, LexiconEntry, LexiconError
 from .matcher import Action, Clause, NodeTest, Pattern, PatternRule, TreePath
 from .matcher import parse_pattern, read_records
 from .tags import TAG_SPELLINGS, MNTag, Modality, Role
-from .trees import ParseTree, Span, base_category
+from .trees import ParseTree, Span, base_category, insert_leaf
 
 BE_FORMS = frozenset(["be", "am", "is", "are", "was", "were", "been", "being", "'s", "'re", "'m"])
 HAVE_FORMS = frozenset(["have", "has", "had", "having", "'ve", "'d"])
@@ -132,13 +131,10 @@ def preprocess(tree: ParseTree) -> ParseTree:
 
 
 def _attach_marker(node: ParseTree, marker: str) -> ParseTree:
-    kids = list(node.children)
-    if node.is_leaf:
-        kids = [ParseTree(node.token, (), node.token)]  # type: ignore[arg-type]
-    if any(is_marker_leaf(k) and k.label == marker for k in kids):
+    # A preterminal whose word is spelled like the marker already has it.
+    if node.token == marker or any(is_marker_leaf(k) and k.label == marker for k in node.children):
         return node
-    kids.insert(min(1, len(kids)), ParseTree(marker, (), marker))
-    return ParseTree(node.label, tuple(kids), None)
+    return insert_leaf(node, 1, marker)
 
 
 # ---------------------------------------------------------------------------
@@ -194,21 +190,15 @@ _PLACEHOLDERS = frozenset([WORD, TRIG, TARG])
 _PLACEHOLDER = re.compile("|".join(map(re.escape, (WORD, TRIG, TARG))))
 
 
-@dataclass(frozen=True)
-class TemplateRegistry:
-    """Parsed templates by subcat code, placeholders unbound."""
-
-    templates: dict[str, PatternRule]
-
-    def get(self, code: str) -> PatternRule | None:
-        return self.templates.get(code)
+#: Parsed templates by subcat code, placeholders unbound.
+TemplateRegistry = dict[str, PatternRule]
 
 
 def load_registry(text: str) -> TemplateRegistry:
     """Parse a template file: ``read_records`` records of a ``template
     NAME`` header, pattern line(s) and action lines.  Each template is
     parsed here, once; errors name the template and its line."""
-    templates: dict[str, PatternRule] = {}
+    templates: TemplateRegistry = {}
     for lineno, lines in read_records(text):
         header, *body = (line.strip() for line in lines)
         name = header.removeprefix("template ").strip()
@@ -226,7 +216,7 @@ def load_registry(text: str) -> TemplateRegistry:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: template {name}: {exc}") from None
         templates[name] = template
-    return TemplateRegistry(templates)
+    return templates
 
 
 def _atoms(pattern: Pattern) -> Iterator[str]:
@@ -267,15 +257,14 @@ def expand_templates(lexicon: Lexicon, registry: TemplateRegistry) -> list[Patte
     trees whose words are not Penn tags a template tests by name (``NN``,
     ``JJ``).  A subcat code with no template raises ``LexiconError``
     naming the entry's record."""
-    templates = registry.templates
-    tested = frozenset(a for t in templates.values() for a in _atoms(t.pattern)) - _PLACEHOLDERS
+    tested = frozenset(a for t in registry.values() for a in _atoms(t.pattern)) - _PLACEHOLDERS
     groups: list[tuple[str, Modality, dict[str, None]]] = []
     latest: dict[tuple[str, Modality], int] = {}
     for k, entry in enumerate(lexicon.entries):
         forms = inflections(entry)
         words = tested.union(forms)
         for code in entry.subcats:
-            if code not in templates:
+            if code not in registry:
                 raise LexiconError(f"{lexicon.where(k)}: no template for subcat code {code!r}", k)
             key = (code, entry.modality)
             at = latest.get(key)
@@ -286,10 +275,10 @@ def expand_templates(lexicon: Lexicon, registry: TemplateRegistry) -> list[Patte
                 groups.append((code, entry.modality, dict.fromkeys(forms)))
             else:
                 groups[at][2].update(dict.fromkeys(forms))
-    binders = {code: _binder(t.pattern) for code, t in templates.items()}
+    binders = {code: _binder(t.pattern) for code, t in registry.items()}
     rules: list[PatternRule] = []
     for code, modality, forms in groups:
-        template = templates[code]
+        template = registry[code]
         atoms = {WORD: tuple(forms), TRIG: (trigger_tag(modality),), TARG: (target_tag(modality),)}
         text = {placeholder: "|".join(values) for placeholder, values in atoms.items()}
         name = f"{code}:{modality.value}"

@@ -47,7 +47,8 @@ from typing import Iterable, Sequence
 
 from . import matcher, rulegen
 from .lexicon import Lexicon, lookup
-from .tags import MNTag, Modality, Role, TagError, compose_negation, parse_tag, specificity_rank
+from .tags import TAG_SPELLINGS, MNTag, Modality, Role, compose_negation, parse_tag
+from .tags import specificity_rank
 from .trees import LABEL_BAD, ParseTree, Span
 
 MN_FAMILY = "MN"
@@ -348,13 +349,12 @@ def tag_structure(
         # still recorded so standoff output stays complete.
         link = _Link(None)
         for action in m.rule.actions:
+            if action.label not in TAG_SPELLINGS:
+                continue  # non-MN payload: lands on the tree only
             span = rulegen.word_spans(before, m.paths[action.capture])
             if span is None:
                 continue
-            try:
-                tag = parse_tag(action.label)
-            except TagError:
-                continue  # non-MN payload: lands on the tree only
+            tag = parse_tag(action.label)
             ann = _RawAnn(span, tag)
             anns.append(ann)
             if tag.role is Role.TRIGGER:
@@ -407,7 +407,7 @@ def _fold(node: ParseTree, start: int, by_span: dict[Span, list[str]]) -> tuple[
             folded, end = _fold(c, end, by_span)
             kept.append(folded)
     label = node.label
-    if end > start and not all(l in (rulegen.AUX_MARKER, rulegen.PASSIVE_MARKER) for l in markers):
+    if end > start and not TAG_SPELLINGS.isdisjoint(markers):
         labels = by_span.get(Span(start, end), [])
         for suffix in sorted(set(labels), key=lambda l: (specificity_rank(parse_tag(l)), l)):
             if not matcher.has_label_segment(label, suffix):
@@ -424,10 +424,9 @@ def _fold(node: ParseTree, start: int, by_span: dict[Span, list[str]]) -> tuple[
 
 
 def _inline_rank(label: str) -> tuple:
-    try:
-        tag = parse_tag(label)
-    except TagError:
+    if label not in TAG_SPELLINGS:
         return (999, 0, label)
+    tag = parse_tag(label)
     return (specificity_rank(tag), 0 if tag.role is Role.TRIGGER else 1, label)
 
 
@@ -517,22 +516,14 @@ class AgreementReport:
         return "\n".join(lines) + "\n"
 
 
-def agreement(
-    a: Sequence[StandoffAnnotation],
-    b: Sequence[StandoffAnnotation],
-    sentence_count_a: int | None = None,
-    sentence_count_b: int | None = None,
-) -> AgreementReport:
+def agreement(a: Sequence[StandoffAnnotation], b: Sequence[StandoffAnnotation]) -> AgreementReport:
     """Compare annotation lists, treating ``b`` as the reference.
 
     The overlap rate is the share of reference sentence-level tag sets
-    that ``a`` reproduces; per-label scores use exact span matches.
+    that ``a`` reproduces; per-label scores use exact span matches.  A
+    sentence neither list annotates counts for nothing, so the lists
+    need not name the same last sentence.
     """
-    count_a = sentence_count_a if sentence_count_a is not None else _count(a)
-    count_b = sentence_count_b if sentence_count_b is not None else _count(b)
-    if count_a != count_b:
-        raise ValueError(f"sentence counts differ: {count_a} vs {count_b}")
-
     labels_a: dict[int, set[str]] = {}
     labels_b: dict[int, set[str]] = {}
     for ann in a:
@@ -555,7 +546,3 @@ def agreement(
         lb = {t for t in set_b if t[3] == label}
         per_label[label] = LabelScores(len(la & lb), len(la), len(lb))
     return AgreementReport(rate, per_label)
-
-
-def _count(annotations: Sequence[StandoffAnnotation]) -> int:
-    return max((a.sentence for a in annotations), default=-1) + 1

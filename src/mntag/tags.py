@@ -107,13 +107,12 @@ TAG_INVENTORY: tuple[str, ...] = _inventory()
 
 _RANK = {base: i for i, base in enumerate(TAG_INVENTORY)}
 
-# Longest names first so Firm_Belief is not mis-read as Belief; the
-# spelling without the underscore is accepted on input only.
-_MODALITY_NAMES = sorted(
-    [(m.value, m) for m in Modality] + [("FirmBelief", Modality.FIRM_BELIEF)],
-    key=lambda kv: len(kv[0]),
-    reverse=True,
-)
+#: Every modality name read on input (tags, lexicon ``Modality`` lines),
+#: by name; the spelling ``FirmBelief`` is accepted on input only.
+MODALITY_BY_NAME = {m.value: m for m in Modality} | {"FirmBelief": Modality.FIRM_BELIEF}
+
+# Longest names first so Firm_Belief is not mis-read as Belief.
+_MODALITY_NAMES = sorted(MODALITY_BY_NAME.items(), key=lambda kv: len(kv[0]), reverse=True)
 
 
 @cache
@@ -169,14 +168,9 @@ def _tag_spellings() -> frozenset[str]:
     return frozenset(spellings)
 
 
-#: The strings ``parse_tag`` accepts.
+#: The strings ``parse_tag`` accepts, built at import: testing a label
+#: for a tag is one lookup here, and costs no exception.
 TAG_SPELLINGS = _tag_spellings()
-
-
-def is_tag_string(s: str) -> bool:
-    """True when ``parse_tag(s)`` would succeed: one set lookup, built at
-    import, so testing a word costs no exception."""
-    return s in TAG_SPELLINGS
 
 
 def specificity_rank(tag: MNTag) -> int:

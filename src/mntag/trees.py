@@ -14,7 +14,7 @@ nodes hold ordered children.  Two leaf shapes occur in practice:
 * bare word leaves, written as a lone atom inside a node, where label
   and token coincide.  ``(VB hand over)`` parses to a VB node over the
   bare word leaves ``hand`` and ``over``; marker daughters inserted by
-  tree rewriting use the same shape.
+  tree rewriting use the same shape (``insert_leaf``).
 
 ``flatten`` removes the intermediate VP and NP shells that verb- and
 noun-phrase recursion introduces, which puts complements next to their
@@ -148,6 +148,16 @@ class ParseTree:
 _set_label = ParseTree.label.__set__  # type: ignore[attr-defined]
 _set_children = ParseTree.children.__set__  # type: ignore[attr-defined]
 _set_token = ParseTree.token.__set__  # type: ignore[attr-defined]
+
+
+def insert_leaf(node: ParseTree, index: int, label: str) -> ParseTree:
+    """``node`` with a bare leaf ``label`` inserted at daughter ``index``,
+    or last when ``index`` is past the end.  A preterminal first becomes
+    a node over its word as a bare word leaf, so the new leaf can sit
+    beside the word."""
+    kids = list(node.children) or [ParseTree(node.token, (), node.token)]  # type: ignore[arg-type]
+    kids.insert(index, ParseTree(label, (), label))
+    return ParseTree(node.label, tuple(kids), None)
 
 
 def iter_nodes(tree: ParseTree) -> Iterator[ParseTree]:

@@ -524,6 +524,28 @@ def test_agreement_command_reports_100_for_identical(tmp_path, capsys):
     assert out.startswith("overlap: 100.0")
 
 
+def test_agreement_command_takes_files_that_end_at_different_sentences(tmp_path, capsys):
+    # A standoff file holds no sentence count: one that tags nothing in
+    # the last sentence describes the same corpus.
+    short = tmp_path / "short.tsv"
+    lines = GOLDEN.read_text().splitlines(keepends=True)
+    short.write_text("".join(line for line in lines if not line.startswith("24\t")))
+    assert run("agreement", short, GOLDEN) == 0
+    overlap = float(capsys.readouterr().out.splitlines()[0].removeprefix("overlap: "))
+    assert overlap < 100.0
+
+
+def test_graft_order_naming_a_family_twice_exits_2(tmp_path, caplog):
+    out = tmp_path / "grafted.ptb"
+    code = run(
+        "graft", "--trees", TREES, "--standoff", GOLDEN, "--order", "MN,MN",
+        "--out", out, "--report", tmp_path / "report.txt",
+    )
+    assert code == 2
+    assert "family order MN,MN names a family twice" in caplog.text
+    assert not out.exists()
+
+
 def test_lexicon_validate(tmp_path, capsys, caplog):
     assert run("lexicon", "validate", seed_lexicon_path()) == 0
     assert "25 entries" in capsys.readouterr().out

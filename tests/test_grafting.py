@@ -157,6 +157,11 @@ def test_graft_family_order_matters_only_on_conflicts():
     assert "GPE" in write_ptb(b) and "TargSucceed" in write_ptb(a)
 
 
+def test_graft_config_rejects_a_family_named_twice():
+    with pytest.raises(ValueError, match="family order MN,NE,MN names a family twice"):
+        GraftConfig(family_order=("MN", "NE", "MN"))
+
+
 def test_classify_span_cases():
     tree = read_ptb("(S (NP (DT the) (NN cat)) (VP (VBD sat) (RB down) (RB there) (RB now)))")[0]
     case, node = classify_span(tree, Span(0, 6))

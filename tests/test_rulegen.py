@@ -108,14 +108,14 @@ def test_preprocess_matches_the_reference_and_returns_what_it_keeps():
 
 
 def test_marker_leaf_test_is_the_tag_and_marker_spelling_test():
-    from mntag.tags import is_tag_string
+    from mntag.tags import TAG_SPELLINGS
 
     rng = random.Random(5)
     words = corpus_words() + STAGE_AUXILIARIES
     markers = 0
     for _ in range(500):
         for node in iter_nodes(stage_tree(rng, words)):
-            spelled = node.label in ("AUX", "VoicePassive") or is_tag_string(node.label)
+            spelled = node.label in ("AUX", "VoicePassive") or node.label in TAG_SPELLINGS
             want = node.is_leaf and node.label == node.token and spelled
             assert is_marker_leaf(node) == want
             markers += want
@@ -133,6 +133,17 @@ def test_perfect_have_is_not_passive():
     out = write_ptb(preprocess(tree))
     assert "VoicePassive" not in out
     assert "(VBP have AUX)" in out
+
+
+def test_preprocess_keeps_a_preterminal_whose_word_is_the_marker():
+    # (VBN VoicePassive) already carries the marker it would gain: it
+    # comes back as itself, and only ``was`` gains AUX.
+    alone = read_ptb("(S (VBN VoicePassive))")[0]
+    assert preprocess(alone) is alone
+    tree = read_ptb("(S (VBD was) (VBN VoicePassive))")[0]
+    out = preprocess(tree)
+    assert write_ptb(out) == "(S (VBD was AUX) (VBN VoicePassive))"
+    assert out.children[1] is tree.children[1]
 
 
 _MARKERS = ["AUX", "VoicePassive", "TrigAble", "TargNOTRequire"]
@@ -417,7 +428,7 @@ def expansion_differences(seed: int, lexicons: int, trees_per_lexicon: int):
     corpus = [flatten(tree) for tree in read_ptb_file(DATA / "corpus_trees.ptb")]
     differences, tagged = [], 0
     for _ in range(lexicons):
-        lexicon = _random_lexicon(rng, rng.sample(sorted(registry.templates), 3))
+        lexicon = _random_lexicon(rng, rng.sample(sorted(registry), 3))
         merged, per_entry = expand_templates(lexicon, registry), _per_entry_rules(lexicon, registry)
         # The lexicon's forms twice over, so that most trees hold triggers.
         words = _TREE_WORDS + 2 * [form for e in lexicon.entries for form in inflections(e)]

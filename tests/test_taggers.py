@@ -321,11 +321,6 @@ def test_agreement_identical_and_disjoint():
     assert agreement([], []).overlap_rate == 100.0
 
 
-def test_agreement_sentence_count_mismatch():
-    with pytest.raises(ValueError):
-        agreement([], [], sentence_count_a=2, sentence_count_b=3)
-
-
 def test_taggers_never_emit_firm_belief_without_trigger(seed_lexicon, seed_rules):
     # The no-trigger default is represented by absence of annotations.
     result = tag_string([("Tents", "NNS"), ("were", "VBD"), ("provided", "VBN")], seed_lexicon)
@@ -351,7 +346,7 @@ def test_string_vs_structure_agreement_baseline(seed_lexicon, seed_rules):
         structure_anns.extend(
             tag_structure(preprocess(flatten(tree)), seed_rules, sentence=i).annotations
         )
-    report = agreement(string_anns, structure_anns, len(trees), len(trees))
+    report = agreement(string_anns, structure_anns)
     assert report.overlap_rate == pytest.approx(AGREEMENT_BASELINE)
 
 

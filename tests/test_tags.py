@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from mntag.tags import (
     TAG_INVENTORY,
+    TAG_SPELLINGS,
     AnnotationChoice,
     MenuChoice,
     MNTag,
@@ -12,7 +13,6 @@ from mntag.tags import (
     Role,
     TagError,
     compose_negation,
-    is_tag_string,
     menu_choice_to_tags,
     negate_proposition,
     parse_tag,
@@ -172,7 +172,7 @@ def _parses(s: str) -> bool:
 _SPELLINGS = [m.value for m in Modality] + ["FirmBelief"]
 
 
-def test_is_tag_string_agrees_with_parse_tag_on_every_spelling():
+def test_tag_spellings_agree_with_parse_tag_on_every_spelling():
     combos = [
         role + outer + name + lexical
         for role, outer, name, lexical in itertools.product(
@@ -181,12 +181,12 @@ def test_is_tag_string_agrees_with_parse_tag_on_every_spelling():
     ]
     assert len(combos) == len(set(combos)) == 88
     for s in combos:
-        assert is_tag_string(s) == _parses(s), s
-    assert sum(map(is_tag_string, combos)) == 74
+        assert (s in TAG_SPELLINGS) == _parses(s), s
+    assert TAG_SPELLINGS <= set(combos) and len(TAG_SPELLINGS) == 74
     # Non-canonical spellings are not tags.
-    assert not is_tag_string("TrigRequireNegation")
-    assert not is_tag_string("TargNOTNegation")
-    assert is_tag_string("TrigFirmBelief") and is_tag_string("TargNOTFirm_BeliefNegation")
+    assert "TrigRequireNegation" not in TAG_SPELLINGS
+    assert "TargNOTNegation" not in TAG_SPELLINGS
+    assert "TrigFirmBelief" in TAG_SPELLINGS and "TargNOTFirm_BeliefNegation" in TAG_SPELLINGS
 
 
 _TAG_PIECES = ["Trig", "Targ", "NOT", "Negation", "Able", "Require", "Firm_Belief", "FirmBelief", "x", "-", ""]
@@ -194,5 +194,5 @@ _TAG_PIECES = ["Trig", "Targ", "NOT", "Negation", "Able", "Require", "Firm_Belie
 
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(st.text(max_size=24), st.lists(st.sampled_from(_TAG_PIECES), max_size=5).map("".join)))
-def test_is_tag_string_agrees_with_parse_tag_on_any_text(s):
-    assert is_tag_string(s) == _parses(s)
+def test_tag_spellings_agree_with_parse_tag_on_any_text(s):
+    assert (s in TAG_SPELLINGS) == _parses(s)

@@ -16,6 +16,7 @@ from mntag.trees import (
     base_category,
     count_leaves,
     flatten,
+    insert_leaf,
     iter_nodes,
     read_ptb,
     unescape_token,
@@ -331,6 +332,31 @@ def _paths(tree, path=()):
     yield path
     for k, child in enumerate(tree.children):
         yield from _paths(child, path + (k,))
+
+
+def test_insert_leaf_under_an_internal_node():
+    vp = read_ptb("(VP (VB go) (RB home))")[0]
+    first = insert_leaf(vp, 0, "AUX")
+    assert write_ptb(first) == "(VP AUX (VB go) (RB home))"
+    assert first.children[1:] == vp.children and first.children[1] is vp.children[0]
+    assert write_ptb(insert_leaf(vp, 1, "TrigAble")) == "(VP (VB go) TrigAble (RB home))"
+
+
+def test_insert_leaf_past_the_end_goes_last():
+    vp = read_ptb("(VP (VB go) (RB home))")[0]
+    assert write_ptb(insert_leaf(vp, 9, "AUX")) == "(VP (VB go) (RB home) AUX)"
+    assert insert_leaf(vp, 9, "AUX") == insert_leaf(vp, 2, "AUX")
+
+
+def test_insert_leaf_under_a_preterminal_makes_its_word_a_bare_leaf():
+    vb = read_ptb("(VB go)")[0]
+    before = insert_leaf(vb, 0, "AUX")
+    assert before == ParseTree("VB", (ParseTree("AUX", (), "AUX"), ParseTree("go", (), "go")))
+    after = insert_leaf(vb, 1, "VoicePassive")
+    assert write_ptb(after) == "(VB go VoicePassive)"
+    assert read_ptb(write_ptb(after))[0] == after
+    assert insert_leaf(vb, 5, "VoicePassive") == after
+    assert vb == read_ptb("(VB go)")[0]
 
 
 def test_spans_nest_or_are_disjoint():
