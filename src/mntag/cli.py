@@ -139,6 +139,11 @@ def _load_rules(args) -> list[matcher.PatternRule]:
 
 
 def _cmd_tag(args) -> int:
+    given = [f"--{name}" for name in ("rules", "registry") if getattr(args, name)]
+    if args.mode == "string" and given:
+        raise ValueError(f"{' and '.join(given)}: not used by --mode string")
+    if len(given) == 2:
+        raise ValueError("--registry: not used with --rules, which replaces the generated rules")
     annotations: list[StandoffAnnotation] = []
     if args.mode == "structure":
         rules = _load_rules(args)
@@ -196,16 +201,12 @@ def _cmd_graft(args) -> int:
     annotations: list[StandoffAnnotation] = []
     for path in args.standoff:
         batch = _parse_file(path, taggers.parse_standoff)
-        too_far = [a for a in batch if a.sentence >= len(corpus)]
-        if too_far:
-            log.error(
-                "sentence counts disagree: %s refers to sentence %d but %s has %d trees",
-                path,
-                max(a.sentence for a in too_far),
-                args.trees,
-                len(corpus),
+        last = max((a.sentence for a in batch), default=-1)
+        if last >= len(corpus):
+            raise ValueError(
+                f"{path}: sentence {last}: sentence counts disagree:"
+                f" {args.trees} has {len(corpus)} trees"
             )
-            return 2
         for a in batch:
             if a.family not in config.family_order:
                 raise ValueError(

@@ -29,8 +29,8 @@ tag regardless of arrival order.
 
 After grafting, a Negation trigger adjacent to a modality trigger in
 the same minimal clause composes NOT into that modality's target
-labels; leftover raw Negation targets on words that carry other tags
-are removed as uncomposable nested modality.  This is the structure
+labels; then each raw Negation target on words that carry other tags
+leaves its nodes as uncomposable nested modality.  This is the structure
 tagger's composition made again by tree position, and it is kept for
 the nested modality the tagger leaves raw (see ``taggers``): of the
 25 golden test sentences it composes differently only at sentence 2,
@@ -150,9 +150,6 @@ class _GNode:
         for c in children:
             c.parent = self.index
 
-    def alive_applied(self):
-        return [g for g in self.applied if g.alive]
-
 
 def _build(node: ParseTree, nodes: list[_GNode], leaves: list[_GNode]) -> _GNode:
     start = len(leaves)
@@ -232,18 +229,14 @@ def _apply_key(item: tuple[StandoffAnnotation, MNTag | None]) -> tuple:
     return (-rank, a.span.start, a.span.end, a.label)
 
 
-@dataclass
+@dataclass(eq=False)
 class _Grafted:
     annotation: StandoffAnnotation
     outcome: str
-    nodes: list[int]  # indices of the nodes whose ``applied`` lists hold this record
+    nodes: list[int]  # indices of the nodes it was put on, whose ``applied`` lists hold it
     seq: int
     label: str  # composition may rewrite it
     tag: MNTag | None  # ``label`` parsed
-
-    @property
-    def alive(self) -> bool:
-        return self.outcome != "dropped-uncomposable"
 
 
 def graft(
@@ -275,7 +268,7 @@ def graft(
         for a, tag in sorted(batch, key=_apply_key):
             nodes = shadow.same_span_chain(a.span)
             if nodes:
-                outcome = "overlaid" if any(n.alive_applied() for n in nodes) else "grafted-exact"
+                outcome = "overlaid" if any(n.applied for n in nodes) else "grafted-exact"
             elif (where := shadow.adjacent_daughters(a.span)) is not None:
                 outcome, nodes = "grafted-inserted", [shadow.insert(*where, a.label)]
             else:
@@ -341,11 +334,11 @@ def _compose(shadow: _Shadow, grafted: list[_Grafted]) -> None:
     # uncomposable nested modality; remove them.
     for g in mn:
         if g.tag.role is Role.TARGET and g.tag.modality is Modality.NEGATION:
-            nested = any(
-                other is not g for i in g.nodes for other in shadow.nodes[i].alive_applied()
-            )
-            if nested:
+            applied = [shadow.nodes[i].applied for i in g.nodes]
+            if any(other is not g for records in applied for other in records):
                 g.outcome = "dropped-uncomposable"
+                for records in applied:
+                    records.remove(g)
 
 
 def _siblings(shadow: _Shadow, a: _Grafted, b: _Grafted) -> bool:
@@ -360,14 +353,11 @@ def _siblings(shadow: _Shadow, a: _Grafted, b: _Grafted) -> bool:
 def _final_label(n: _GNode) -> str | None:
     if not n.applied:
         return None
-    alive = n.alive_applied()
-    if not alive:
-        return None
-    chosen = max(alive, key=lambda g: g.seq)
+    chosen = max(n.applied, key=lambda g: g.seq)
     # Trigger-vs-target conflicts are adjudicated within the MN
     # family only; a later family's tag stands.
     if getattr(chosen.tag, "role", None) is Role.TRIGGER:
-        targets = [g for g in alive if getattr(g.tag, "role", None) is Role.TARGET]
+        targets = [g for g in n.applied if getattr(g.tag, "role", None) is Role.TARGET]
         if targets:
             chosen = max(targets, key=lambda g: g.seq)
     return chosen.label

@@ -24,6 +24,11 @@ Actions follow the pattern, one per line::
     insert (TargReq) >2 target      # payload becomes the 2nd daughter
     augment target TargReq          # append "-TargReq" to the label
 
+A match's actions run in descending order of their capture's path, and
+one capture's actions in rule order.  An insert under the node at path
+P moves only the nodes below P, whose paths extend P and so sort after
+it: every action still to run finds its capture at its matched path.
+
 ``match`` makes one walk over the tree and hands each node's parent and
 path down to the solver, so every capture comes with its path (child
 indexes from the root, ``Match.paths``) and actions locate captures by
@@ -499,38 +504,27 @@ def has_label_segment(label: str, segment: str) -> bool:
     return segment in label.split("-")
 
 
-def _apply_one(node: ParseTree, action: Action) -> tuple[ParseTree, bool, int | None]:
-    """Returns (new node, changed, 0-based insert index or None)."""
+def _apply_one(node: ParseTree, action: Action) -> ParseTree | None:
+    """``node`` after ``action``, or None when the action changes nothing."""
     if action.kind is ActionKind.AUGMENT:
         if has_label_segment(node.label, action.label):
-            return node, False, None
-        return ParseTree(node.label + "-" + action.label, node.children, node.token), True, None
+            return None
+        return ParseTree(node.label + "-" + action.label, node.children, node.token)
     assert action.position is not None
-    idx = action.position - 1
-    return insert_leaf(node, idx, action.label), True, idx
+    return insert_leaf(node, action.position - 1, action.label)
 
 
-def _apply_actions(
-    tree: ParseTree, m: Match, actions: tuple[Action, ...]
-) -> tuple[ParseTree, bool]:
-    paths = dict(m.paths)
-    changed = False
-    for action in actions:
+def _apply_actions(m: Match) -> ParseTree | None:
+    """``m.tree`` after the rule's actions, run in the order the module
+    docstring gives, or None when none changes it."""
+    paths = m.paths
+    tree = m.tree
+    for action in sorted(m.rule.actions, key=lambda a: paths[a.capture], reverse=True):
         path = paths[action.capture]
-        node = _node_at(tree, path)
-        new_node, did, insert_idx = _apply_one(node, action)
-        if not did:
-            continue
-        changed = True
-        tree = _replace_at(tree, path, new_node)
-        if insert_idx is not None:
-            # Keep sibling paths of pending captures valid under the insert.
-            for other, opath in paths.items():
-                if other == action.capture or len(opath) <= len(path):
-                    continue
-                if opath[: len(path)] == path and opath[len(path)] >= insert_idx:
-                    paths[other] = path + (opath[len(path)] + 1,) + opath[len(path) + 1 :]
-    return tree, changed
+        node = _apply_one(_node_at(tree, path), action)
+        if node is not None:
+            tree = _replace_at(tree, path, node)
+    return None if tree is m.tree else tree
 
 
 def apply(
@@ -549,19 +543,17 @@ def apply(
     """
     rewrites = 0
     while True:
-        progressed = False
         for m in match(rule, tree):
-            new_tree, changed = _apply_actions(tree, m, rule.actions)
-            if changed:
-                if rewrites >= MAX_REWRITES:
-                    raise RewriteBudgetError(
-                        f"rule {rule.name!r} exceeded its rewrite budget of {MAX_REWRITES}"
-                    )
-                rewrites += 1
-                if on_rewrite is not None:
-                    on_rewrite(m, tree)
-                tree = new_tree
-                progressed = True
+            new_tree = _apply_actions(m)
+            if new_tree is not None:
                 break
-        if not progressed:
+        else:
             return tree
+        if rewrites >= MAX_REWRITES:
+            raise RewriteBudgetError(
+                f"rule {rule.name!r} exceeded its rewrite budget of {MAX_REWRITES}"
+            )
+        rewrites += 1
+        if on_rewrite is not None:
+            on_rewrite(m, tree)
+        tree = new_tree

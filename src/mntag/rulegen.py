@@ -9,8 +9,9 @@ nodes preceded in their clause by a form of be.
 pattern templates, each parsed once, and binds one rule per (template,
 modality): the ``{WORD}`` atom becomes a test for the inflected forms of
 all the group's trigger heads, the ``{TRIG}``/``{TARG}`` labels the
-canonical tags for the modality.  Binding rebuilds the parsed rule, and
-``source`` spells the result for display only.  The rules tag as the
+canonical tags for the modality.  Binding (``_bind``, plain recursion)
+rebuilds only the parts of the parsed template above a placeholder and
+shares the rest, and ``source`` spells the result for display only.  The rules tag as the
 paper's one rule per entry and template would (see ``expand_templates``
 for the one case that splits a group).
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import re
 from operator import is_
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .lexicon import Lexicon, LexiconEntry, LexiconError
 from .matcher import Action, Clause, NodeTest, Pattern, PatternRule, TreePath
@@ -275,7 +276,6 @@ def expand_templates(lexicon: Lexicon, registry: TemplateRegistry) -> list[Patte
                 groups.append((code, entry.modality, dict.fromkeys(forms)))
             else:
                 groups[at][2].update(dict.fromkeys(forms))
-    binders = {code: _binder(t.pattern) for code, t in registry.items()}
     rules: list[PatternRule] = []
     for code, modality, forms in groups:
         template = registry[code]
@@ -287,32 +287,24 @@ def expand_templates(lexicon: Lexicon, registry: TemplateRegistry) -> list[Patte
             for a in template.actions
         )
         source = _PLACEHOLDER.sub(lambda m: text[m.group()], template.source)
-        rules.append(
-            PatternRule(name, binders[code](atoms), actions, source=f"rule {name}\n{source}")
-        )
+        pattern = _bind(template.pattern, atoms)
+        rules.append(PatternRule(name, pattern, actions, source=f"rule {name}\n{source}"))
     return rules
 
 
-def _binder(pattern: Pattern) -> Callable[[dict[str, tuple[str, ...]]], Pattern]:
-    """A function from placeholder values to ``pattern`` with each
-    placeholder alternative replaced by its values.  Only the nodes on a
-    path to a placeholder are rebuilt; every clause with no placeholder
-    below it is the template's own, shared by all the bound rules."""
-    alts = pattern.test.alternatives or ()
-    bind_test = any(a in _PLACEHOLDERS for a in alts)
-    bound = [
-        (k, _binder(c.operand))
-        for k, c in enumerate(pattern.clauses)
-        if not _PLACEHOLDERS.isdisjoint(_atoms(c.operand))
-    ]
-
-    def bind(atoms: dict[str, tuple[str, ...]]) -> Pattern:
-        test = pattern.test
-        if bind_test:
-            test = NodeTest(frozenset(v for a in alts for v in atoms.get(a, (a,))))
-        clauses = list(pattern.clauses)
-        for k, bind_operand in bound:
-            clauses[k] = Clause(clauses[k].relation, bind_operand(atoms))
-        return Pattern(test, pattern.capture, tuple(clauses))
-
-    return bind
+def _bind(pattern: Pattern, atoms: dict[str, tuple[str, ...]]) -> Pattern:
+    """``pattern`` with each placeholder alternative replaced by its
+    values.  A sub-pattern with no placeholder, and a clause whose
+    operand has none, come back as the same objects, so every bound rule
+    shares them with the template."""
+    test = pattern.test
+    alts = test.alternatives or ()
+    if not _PLACEHOLDERS.isdisjoint(alts):
+        test = NodeTest(frozenset(v for a in alts for v in atoms.get(a, (a,))))
+    clauses = tuple(
+        c if (operand := _bind(c.operand, atoms)) is c.operand else Clause(c.relation, operand)
+        for c in pattern.clauses
+    )
+    if test is pattern.test and all(map(is_, clauses, pattern.clauses)):
+        return pattern
+    return Pattern(test, pattern.capture, clauses)

@@ -376,6 +376,43 @@ def test_graft_sentence_count_mismatch_exits_2(tmp_path):
     ) == 2
 
 
+def test_graft_standoff_past_the_last_tree_exits_2_naming_both_files(tmp_path, caplog):
+    rogue = tmp_path / "rogue.tsv"
+    rogue.write_text("0\t0\t1\tTargAble\tMN\n99\t0\t1\tTargAble\tMN\n")
+    assert run(
+        "graft", "--trees", TREES, "--standoff", rogue,
+        "--out", tmp_path / "o.ptb", "--report", tmp_path / "r.txt",
+    ) == 2
+    size = len(trees.read_ptb_file(TREES))
+    message = f"{rogue}: sentence 99: sentence counts disagree: {TREES} has {size} trees"
+    assert message in caplog.text
+
+
+@pytest.mark.parametrize(
+    "mode, flags, message",
+    [
+        ("string", ["--rules", TREES], "--rules: not used by --mode string"),
+        ("string", ["--registry", "/nonexistent"], "--registry: not used by --mode string"),
+        ("structure", ["--rules", "RULES", "--registry", "/nonexistent"],
+         "--registry: not used with --rules"),
+    ],
+    ids=["string-rules", "string-registry", "structure-rules-registry"],
+)
+def test_tag_rule_flags_the_mode_cannot_use_exit_2_naming_them(
+    tmp_path, caplog, mode, flags, message
+):
+    rules = tmp_path / "ok.txt"
+    rules.write_text("MD=m !< TrigAble\ninsert (TrigAble) >2 m\n")
+    flags = [rules if flag == "RULES" else flag for flag in flags]
+    out = tmp_path / "out"
+    assert run(
+        "tag", "--mode", mode, "--lexicon", seed_lexicon_path(),
+        "--in", TOKENS if mode == "string" else TREES, "--out", out, *flags,
+    ) == 2
+    assert message in caplog.text
+    assert not out.exists()
+
+
 def test_graft_negative_sentence_index_exits_2(tmp_path, caplog):
     rogue = tmp_path / "rogue.tsv"
     rogue.write_text("0\t0\t1\tTargAble\tMN\n-1\t0\t1\tTrigAble\tMN\n")

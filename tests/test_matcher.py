@@ -18,7 +18,7 @@ from mntag.matcher import (
     parse_rules,
 )
 from mntag.rulegen import preprocess
-from mntag.trees import ParseTree, flatten, iter_nodes, read_ptb, write_ptb
+from mntag.trees import ParseTree, flatten, insert_leaf, iter_nodes, read_ptb, write_ptb
 
 PASSIVE_RULE = """\
 VB=trigger !< /^Trig/ < VoicePassive < required $.. (S < (VB=target !< AUX))
@@ -446,3 +446,128 @@ def test_rewritten_tree_atoms_hold_inserted_and_augmented_labels():
     assert {"Ins", "VB-Aug"} <= out.atoms
     assert not {"Ins", "VB-Aug"} & tree.atoms
     assert len(match(parse_pattern("VB-Aug < Ins"), out)) == 1
+
+
+# ---------------------------------------------------------------------------
+# Rewrite order
+
+
+def test_insert_under_a_capture_leaves_a_lower_capture_in_place():
+    rule = parse_pattern("NP=x !< M < DT=y\ninsert (M) >1 x\ninsert (N) >2 y")
+    tree = read_ptb("(S (NP (DT the) (NN cat)) (VP (VBD sat)))")[0]
+    assert write_ptb(apply(rule, tree)) == "(S (NP M (DT the N) (NN cat)) (VP (VBD sat)))"
+
+
+def test_inserts_down_a_capture_chain_reach_every_capture():
+    rule = parse_pattern(
+        "S=s !< M < (NP=x < NN=y)\ninsert (M) >1 s\ninsert (M) >1 x\naugment y Aug"
+    )
+    tree = read_ptb("(S (NP (DT the) (NN cat)) (VP (VBD sat)))")[0]
+    assert write_ptb(apply(rule, tree)) == "(S M (NP M (DT the) (NN-Aug cat)) (VP (VBD sat)))"
+
+
+def _reference_apply_actions(tree: ParseTree, m, actions) -> tuple[ParseTree, bool]:
+    """The rewrite that ran a match's actions in rule order and patched
+    the paths of pending captures after each insert, kept as the
+    reference: (new tree, whether any action changed it)."""
+    paths = dict(m.paths)
+    changed = False
+    for action in actions:
+        path = paths[action.capture]
+        node = node_at(tree, path)
+        insert_idx = None
+        if action.kind is matcher.ActionKind.AUGMENT:
+            if matcher.has_label_segment(node.label, action.label):
+                continue
+            new_node = ParseTree(node.label + "-" + action.label, node.children, node.token)
+        else:
+            insert_idx = action.position - 1
+            new_node = insert_leaf(node, insert_idx, action.label)
+        changed = True
+        tree = matcher._replace_at(tree, path, new_node)
+        if insert_idx is not None:
+            for other, opath in paths.items():
+                if other == action.capture or len(opath) <= len(path):
+                    continue
+                if opath[: len(path)] == path and opath[len(path)] >= insert_idx:
+                    paths[other] = path + (opath[len(path)] + 1,) + opath[len(path) + 1 :]
+    return tree, changed
+
+
+def _reference_rewrite(rule: PatternRule, tree: ParseTree) -> ParseTree | None:
+    """One step of ``apply`` by the reference: the tree after the first
+    match whose actions change it, or None at the fixpoint."""
+    for m in match(rule, tree):
+        new_tree, changed = _reference_apply_actions(tree, m, rule.actions)
+        if changed:
+            return new_tree
+    return None
+
+
+def _chain_pattern(rng: random.Random, tree: ParseTree) -> matcher.Pattern:
+    """A pattern capturing every node on a random root-to-node path."""
+    path = []
+    node = tree
+    while node.children and rng.random() < 0.8:
+        k = rng.randrange(len(node.children))
+        path.append(k)
+        node = node.children[k]
+    text = None
+    for depth in range(len(path), -1, -1):
+        label = node_at(tree, path[:depth]).label
+        atom = f"{label}=c{depth}"
+        text = atom if text is None else f"{atom} < ({text})"
+    return parse_pattern(text).pattern
+
+
+class _Enough(Exception):
+    pass
+
+
+def test_apply_rewrites_like_the_reference():
+    """Rules of 2-3 actions (inserts at positions 1-3 and augments, on
+    any capture) over random patterns and capture chains: each rewrite
+    ``apply`` makes is the reference's next step, and it stops where
+    the reference does."""
+    rng = random.Random(1502)
+    steps = nested = 0
+    for trial in range(3000):
+        tree = random_tree(rng, max_nodes=12)
+        if trial % 2:
+            pattern = _chain_pattern(rng, tree)
+        else:
+            pattern = random_pattern_rule(rng, tree).pattern
+        names = pattern.capture_names()
+        if not names:
+            continue
+        actions = []
+        for _ in range(rng.randint(2, 3)):
+            capture = rng.choice(names)
+            if rng.random() < 0.7:
+                label, position = rng.choice(["M", "N"]), rng.randint(1, 3)
+                actions.append(matcher.Action(matcher.ActionKind.INSERT, capture, label, position))
+            else:
+                suffix = rng.choice(["Aug", "Bug"])
+                actions.append(matcher.Action(matcher.ActionKind.AUGMENT, capture, suffix))
+        rule = PatternRule("r", pattern, tuple(actions))
+        befores = []
+
+        def record(m, before):
+            befores.append(before)
+            if len(befores) > 4:
+                raise _Enough
+
+        try:
+            out = apply(rule, tree, on_rewrite=record)
+        except _Enough:
+            out = None
+        for before, after in zip(befores, befores[1:] + [out]):
+            if after is not None:
+                assert after == _reference_rewrite(rule, before)
+                steps += 1
+        if out is not None:
+            assert _reference_rewrite(rule, out) is None
+        for m in match(rule, tree):
+            moved = {m.paths[a.capture] for a in actions}
+            nested += any(p != q and q[: len(p)] == p for p in moved for q in moved)
+    assert steps > 2000 and nested > 400
