@@ -10,11 +10,16 @@ reference cycle.  Trees are immutable, so a node refers only to nodes
 built before it; the one value a node gains later, its cached
 ``atoms``, is a frozenset of strings.  Trees that share subtrees, as
 graft's output shares its input's, still point down only, and so do
-the matcher's rewrites and graft's working copy.  Refcounting frees
-them all.  The collector would free nothing, yet each of its full
-passes rescans every tree of the corpus.  Tests hold the invariant: a
-command's cyclic garbage must not grow with the corpus, and ``graft``
-and ``apply`` must leave none.
+the matcher's rewrites.  Graft's working copy is lists of node numbers
+and input nodes, with no object per node, and its records name nodes
+by number.  Refcounting frees them all.  The collector would free
+nothing, yet each of its full passes rescans every tree of the corpus.
+Tests hold the invariant: a command's cyclic garbage must not grow
+with the corpus, and ``graft`` and ``apply`` must leave none.
+
+``mn tag --rules`` replaces the rules generated from a lexicon, so it
+takes no ``--lexicon`` and no ``--registry``; every other ``mn tag``
+needs ``--lexicon``.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tag = sub.add_parser("tag", help="tag a corpus with modality/negation")
     tag.add_argument("--mode", choices=["string", "structure"], required=True)
-    tag.add_argument("--lexicon", required=True)
-    tag.add_argument("--rules", help="rule file overriding generated rules (structure mode)")
+    tag.add_argument("--lexicon", help="lexicon file (not used with --rules)")
+    tag.add_argument("--rules", help="rule file replacing generated rules (structure mode)")
     tag.add_argument("--registry", help="template registry file (structure mode)")
     tag.add_argument("--in", dest="input", required=True)
     tag.add_argument("--out", dest="output", required=True)
@@ -142,8 +147,14 @@ def _cmd_tag(args) -> int:
     given = [f"--{name}" for name in ("rules", "registry") if getattr(args, name)]
     if args.mode == "string" and given:
         raise ValueError(f"{' and '.join(given)}: not used by --mode string")
-    if len(given) == 2:
-        raise ValueError("--registry: not used with --rules, which replaces the generated rules")
+    if args.rules:
+        unused = [f"--{name}" for name in ("lexicon", "registry") if getattr(args, name)]
+        if unused:
+            raise ValueError(
+                f"{' and '.join(unused)}: not used with --rules, which replaces the generated rules"
+            )
+    elif not args.lexicon:
+        raise ValueError("--lexicon: required unless --rules is given")
     annotations: list[StandoffAnnotation] = []
     if args.mode == "structure":
         rules = _load_rules(args)
@@ -197,10 +208,9 @@ def _cmd_tag(args) -> int:
 def _cmd_graft(args) -> int:
     config = grafting.GraftConfig(family_order=tuple(args.order.split(",")))
     corpus = _parse_file(args.trees, trees.read_ptb)
-    sizes = [trees.count_leaves(tree) for tree in corpus]
+    batches = [(path, _parse_file(path, taggers.parse_standoff)) for path in args.standoff]
     annotations: list[StandoffAnnotation] = []
-    for path in args.standoff:
-        batch = _parse_file(path, taggers.parse_standoff)
+    for path, batch in batches:
         last = max((a.sentence for a in batch), default=-1)
         if last >= len(corpus):
             raise ValueError(
@@ -213,11 +223,6 @@ def _cmd_graft(args) -> int:
                     f"{path}: sentence {a.sentence}: annotation family {a.family!r}"
                     f" not in family order {args.order}"
                 )
-            if a.span.end > sizes[a.sentence]:
-                raise ValueError(
-                    f"{path}: sentence {a.sentence}: annotation span {a.span}"
-                    f" outside sentence of {sizes[a.sentence]} tokens"
-                )
         annotations.extend(batch)
     by_sentence: dict[int, list[StandoffAnnotation]] = {}
     for a in annotations:
@@ -225,7 +230,18 @@ def _cmd_graft(args) -> int:
     report = grafting.GraftReport()
     out_lines = []
     for i, tree in enumerate(corpus):
-        grafted, sentence_report = grafting.graft(tree, by_sentence.get(i, []), config)
+        try:
+            grafted, sentence_report = grafting.graft(tree, by_sentence.get(i, []), config)
+        except ValueError as exc:
+            # Families were checked above, so a span runs past the sentence:
+            # name the first file that holds one.
+            size = len(tree.tokens())
+            path = next(
+                path
+                for path, batch in batches
+                if any(a.sentence == i and a.span.end > size for a in batch)
+            )
+            raise ValueError(f"{path}: sentence {i}: {exc}") from None
         report.merge(sentence_report)
         out_lines.append(trees.write_ptb(grafted))
     with open(args.output, "w", encoding="utf-8") as fh:

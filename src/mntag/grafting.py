@@ -14,6 +14,14 @@ Each annotation's token span is classified against the tree:
 * Crossing brackets: the span straddles constituents; the tree is left
   alone.
 
+The working copy (``_Shadow``) holds no object per node.  One preorder
+pass numbers the input nodes and fills flat lists indexed by that
+number: each node's parent, the leaf positions where it starts and
+ends, the number after its subtree, and the input node itself.  An
+inserted node is numbered after the input nodes, and only the two
+nodes an insert touches get a child list of their own.  Graft records
+attach to node numbers through a dict.
+
 The classification has one implementation, the working copy's
 ``same_span_chain`` and ``adjacent_daughters``; ``graft`` acts on it and
 ``classify_span`` reports it.  Spans in a tree nest or are disjoint, so
@@ -35,23 +43,29 @@ tagger's composition made again by tree position, and it is kept for
 the nested modality the tagger leaves raw (see ``taggers``): of the
 25 golden test sentences it composes differently only at sentence 2,
 "could not reach semi-final" (``VB-TargNOTAble reach``), and sentence
-17, "did not want to succeed" (``VB-TargNOTWant succeed``).
+17, "did not want to succeed" (``VB-TargNOTWant succeed``).  Each
+negation finds the triggers and targets its clause covers by bisecting
+the sentence's records, sorted by span start, so it examines only the
+records inside its clause: a sentence of many clauses costs each
+negation no more than its own clause does.
 
 The output tree shares every subtree graft did not change with the
-input: a node that carries no tag, was not inserted and whose children
-all render to the input children themselves is the input node.  Only
-tagged and inserted nodes and their ancestors are built anew.
+input.  Rendering marks the nodes that carry a record (every inserted
+node carries its insert's) and their ancestors, and builds only those
+anew; every unmarked node is the input node itself, and so is a marked
+node whose records were all dropped and whose children are all the
+input children themselves.
 
-The working copy holds no reference cycle.  Its references point down
-only: a node names its parent, and a graft record the nodes it was put
-on, by index into the copy's node list.  So refcounting frees each
-sentence's copy as soon as ``graft`` or ``classify_span`` returns or
-raises, and ``mn`` can run with the cycle collector paused (see
-``cli``).
+The working copy holds no reference cycle: its lists hold numbers and
+input nodes, and a graft record names the nodes it was put on by
+number.  So refcounting frees each sentence's copy as soon as ``graft``
+or ``classify_span`` returns or raises, and ``mn`` can run with the
+cycle collector paused (see ``cli``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import is_
@@ -119,107 +133,137 @@ def classify_span(tree: ParseTree, span: Span) -> tuple[SpanCase, ParseTree | No
         raise ValueError(f"span {span} outside sentence of {shadow.size} tokens")
     chain = shadow.same_span_chain(span)
     if chain:
-        return SpanCase.EXACT, chain[0].source
+        return SpanCase.EXACT, shadow.source[chain[0]]
     if shadow.adjacent_daughters(span) is not None:
         return SpanCase.ADJACENT_DAUGHTERS, None
     return SpanCase.CROSSING, None
 
 
-class _GNode:
-    __slots__ = (
-        "label",
-        "children",
-        "index",
-        "parent",
-        "start",
-        "end",
-        "applied",
-        "source",
-    )
-
-    def __init__(self, nodes, label, children, start, end, source=None):
-        self.label = label
-        self.children = children
-        self.index = len(nodes)  # this node's place in the working copy's ``nodes``
-        self.parent = None  # the parent's index; None at the root
-        self.start = start
-        self.end = end
-        self.applied = []  # the _Grafted records put on this node
-        self.source = source  # the input node; None for an inserted node
-        nodes.append(self)
-        for c in children:
-            c.parent = self.index
-
-
-def _build(node: ParseTree, nodes: list[_GNode], leaves: list[_GNode]) -> _GNode:
-    start = len(leaves)
-    children = [_build(c, nodes, leaves) for c in node.children]
-    new = _GNode(nodes, node.label, children, start, start, node)
-    if not children:
-        leaves.append(new)
-    new.end = len(leaves)
-    return new
-
-
 class _Shadow:
-    """Mutable working copy of a tree with live span bookkeeping; it
-    holds no reference cycle (see the module docstring)."""
+    """Working copy of a tree as lists indexed by node number: the input
+    nodes in preorder, then inserted nodes in the order they were made.
+    It holds no reference cycle (see the module docstring)."""
 
     def __init__(self, tree: ParseTree):
-        self.nodes: list[_GNode] = []
-        self.leaves: list[_GNode] = []
-        self.root = _build(tree, self.nodes, self.leaves)
+        self.source: list[ParseTree | None] = []  # the input node; None for an inserted one
+        self.parent: list[int] = []  # -1 at the root
+        self.start: list[int] = []  # the node's span: leaves before it,
+        self.end: list[int] = []  # and leaves before it or under it
+        # Input nodes only: the number after the node's subtree, which is
+        # its next sibling's when it has one.
+        self.after: list[int] = []
+        self.leaves: list[int] = []  # the leaves' numbers, left to right
+        self.kids: dict[int, list[int]] = {}  # the children of the nodes an insert touched
+        self.labels: dict[int, str] = {}  # the inserted nodes' labels
+        _fill(tree, -1, self.source, self.parent, self.start, self.end, self.after, self.leaves)
         self.size = len(self.leaves)
 
-    def parent(self, n: _GNode) -> _GNode | None:
-        return None if n.parent is None else self.nodes[n.parent]
+    def children(self, n: int) -> list[int]:
+        kids = self.kids.get(n)
+        if kids is not None:
+            return kids
+        after = self.after
+        kids, k, stop = [], n + 1, after[n]
+        while k < stop:
+            kids.append(k)
+            k = after[k]
+        return kids
 
-    def _spine(self, span: Span) -> list[_GNode]:
+    def label(self, n: int) -> str:
+        source = self.source[n]
+        return self.labels[n] if source is None else source.label
+
+    def _spine(self, span: Span) -> list[int]:
         """Ancestors of the span's first leaf, leaf included, that start at
         ``span.start`` and end at or before ``span.end``; bottom first."""
+        s, e = span.start, span.end
+        start, end, parent = self.start, self.end, self.parent
         spine = []
-        n = self.leaves[span.start]
-        while n is not None and n.start == span.start and n.end <= span.end:
+        n = self.leaves[s]
+        while n >= 0 and start[n] == s and end[n] <= e:
             spine.append(n)
-            n = self.parent(n)
+            n = parent[n]
         return spine
 
-    def same_span_chain(self, span: Span) -> list[_GNode]:
+    def same_span_chain(self, span: Span) -> list[int]:
         """Nodes whose span equals ``span``, topmost first."""
-        return [n for n in reversed(self._spine(span)) if n.end == span.end]
+        e, end = span.end, self.end
+        return [n for n in reversed(self._spine(span)) if end[n] == e]
 
-    def adjacent_daughters(self, span: Span):
+    def adjacent_daughters(self, span: Span) -> tuple[int, int, int] | None:
         """``(parent, i, j)`` when daughters ``i..j`` of ``parent`` cover
         exactly ``span`` and are not all of its daughters, else None."""
         top = self._spine(span)[-1]
-        parent = self.parent(top)
-        if parent is None:
+        parent = self.parent[top]
+        if parent < 0:
             return None
         # ``parent`` is off the spine, so it starts before the span or
         # ends after it: daughters i..j are never all of its daughters.
-        kids = parent.children
+        kids, end = self.children(parent), self.end
         i = j = kids.index(top)
-        while j < len(kids) and kids[j].end < span.end:
+        while j < len(kids) and end[kids[j]] < span.end:
             j += 1
-        if j < len(kids) and kids[j].end == span.end:
+        if j < len(kids) and end[kids[j]] == span.end:
             return parent, i, j
         return None
 
-    def insert(self, parent: _GNode, i: int, j: int, label: str) -> _GNode:
-        grabbed = parent.children[i : j + 1]
-        new = _GNode(self.nodes, label, list(grabbed), grabbed[0].start, grabbed[-1].end)
-        parent.children[i : j + 1] = [new]
-        new.parent = parent.index
+    def insert(self, parent: int, i: int, j: int, label: str) -> int:
+        """Put a node labeled ``label`` over daughters ``i..j`` of
+        ``parent``; only it and ``parent`` get child lists of their own."""
+        kids = self.children(parent)
+        grabbed = kids[i : j + 1]
+        new = len(self.source)
+        self.source.append(None)
+        self.parent.append(parent)
+        self.start.append(self.start[grabbed[0]])
+        self.end.append(self.end[grabbed[-1]])
+        self.labels[new] = label
+        self.kids[new] = grabbed
+        self.kids[parent] = kids[:i] + [new] + kids[j + 1 :]
+        for k in grabbed:
+            self.parent[k] = new
         return new
 
     def minimal_clause(self, span: Span) -> Span:
         """Span of the smallest ``S`` covering ``span``, else the root's."""
+        parent, end = self.parent, self.end
         n = self.leaves[span.start]
-        while n.parent is not None and not (
-            base_category(n.label) == "S" and n.end >= span.end
+        while parent[n] >= 0 and not (
+            end[n] >= span.end and base_category(self.label(n)) == "S"
         ):
-            n = self.nodes[n.parent]
-        return Span(n.start, n.end)
+            n = parent[n]
+        return Span(self.start[n], end[n])
+
+
+def _fill(node, up, source, parent, start, end, after, leaves) -> None:
+    """Number ``node`` and its subtree in preorder under parent ``up``.
+
+    A module-level function, not a closure: a recursive closure is a
+    reference cycle.  Leaf daughters, about half of all nodes, are
+    numbered inline to save a call each; a leaf reaches this only as the
+    root.
+    """
+    n = len(source)
+    source.append(node)
+    parent.append(up)
+    start.append(len(leaves))
+    end.append(0)
+    after.append(0)
+    for child in node.children:
+        if child.children:
+            _fill(child, n, source, parent, start, end, after, leaves)
+        else:
+            k = len(source)
+            source.append(child)
+            parent.append(n)
+            start.append(len(leaves))
+            leaves.append(k)
+            end.append(len(leaves))
+            after.append(k + 1)
+    if not node.children:
+        leaves.append(n)
+    end[n] = len(leaves)
+    after[n] = len(source)
 
 
 def _apply_key(item: tuple[StandoffAnnotation, MNTag | None]) -> tuple:
@@ -233,7 +277,7 @@ def _apply_key(item: tuple[StandoffAnnotation, MNTag | None]) -> tuple:
 class _Grafted:
     annotation: StandoffAnnotation
     outcome: str
-    nodes: list[int]  # indices of the nodes it was put on, whose ``applied`` lists hold it
+    nodes: list[int]  # the numbers of the nodes it was put on
     seq: int
     label: str  # composition may rewrite it
     tag: MNTag | None  # ``label`` parsed
@@ -259,6 +303,7 @@ def graft(
             raise ValueError(f"annotation family {a.family!r} not in family order")
 
     grafted: list[_Grafted] = []
+    applied: dict[int, list[_Grafted]] = {}  # node number -> the records put on it
     for family in config.family_order:
         batch = [
             (a, parse_tag(a.label) if a.label in TAG_SPELLINGS else None)
@@ -268,40 +313,73 @@ def graft(
         for a, tag in sorted(batch, key=_apply_key):
             nodes = shadow.same_span_chain(a.span)
             if nodes:
-                outcome = "overlaid" if any(n.applied for n in nodes) else "grafted-exact"
+                # Records leave ``applied`` only in ``_compose``, after this.
+                outcome = "overlaid" if any(n in applied for n in nodes) else "grafted-exact"
             elif (where := shadow.adjacent_daughters(a.span)) is not None:
                 outcome, nodes = "grafted-inserted", [shadow.insert(*where, a.label)]
             else:
                 outcome = "crossing-skipped"
-            g = _Grafted(a, outcome, [n.index for n in nodes], len(grafted), a.label, tag)
+            g = _Grafted(a, outcome, nodes, len(grafted), a.label, tag)
             for n in nodes:
-                n.applied.append(g)
+                applied.setdefault(n, []).append(g)
             grafted.append(g)
 
-    _compose(shadow, grafted)
+    _compose(shadow, grafted, applied)
 
     for g in grafted:
         report.bump(g.outcome)
 
-    return _render(shadow.root), report
+    return _render(shadow, applied), report
 
 
-def _compose(shadow: _Shadow, grafted: list[_Grafted]) -> None:
+def _span_start(g: _Grafted) -> int:
+    return g.annotation.span.start
+
+
+def _compose(
+    shadow: _Shadow, grafted: list[_Grafted], applied: dict[int, list[_Grafted]]
+) -> None:
     mn = [g for g in grafted if g.annotation.family == MN_FAMILY and g.tag]
-    triggers = [
-        g for g in mn if g.tag.role is Role.TRIGGER and g.tag.modality is not Modality.NEGATION
-    ]
     negations = [
         g for g in mn if g.tag.role is Role.TRIGGER and g.tag.modality is Modality.NEGATION
     ]
-    negations.sort(key=lambda g: g.annotation.span.start)
+    if negations:
+        _compose_negations(shadow, mn, negations)
+
+    # Raw Negation targets left on words that carry other tags are
+    # uncomposable nested modality; remove them.
+    for g in mn:
+        if g.tag.role is Role.TARGET and g.tag.modality is Modality.NEGATION:
+            records = [applied[n] for n in g.nodes]
+            if any(other is not g for on_node in records for other in on_node):
+                g.outcome = "dropped-uncomposable"
+                for on_node in records:
+                    on_node.remove(g)
+
+
+def _compose_negations(shadow: _Shadow, mn: list[_Grafted], negations: list[_Grafted]) -> None:
+    """Compose each negation into the targets of the trigger it is
+    adjacent to in its minimal clause.  The triggers and targets a clause
+    covers are found by bisecting lists sorted by span start, so each
+    negation looks only at records inside its clause."""
+    # Stable sorts: records with one start stay in placement order.
+    triggers = sorted(
+        (g for g in mn if g.tag.role is Role.TRIGGER and g.tag.modality is not Modality.NEGATION),
+        key=_span_start,
+    )
+    targets = sorted((g for g in mn if g.tag.role is Role.TARGET), key=_span_start)
+    trigger_starts = [_span_start(g) for g in triggers]
+    target_starts = [_span_start(g) for g in targets]
+    negations.sort(key=_span_start)
 
     for neg in negations:
         nspan = neg.annotation.span
         clause = shadow.minimal_clause(nspan)
+        first = bisect_left(trigger_starts, clause.start)
+        stop = bisect_left(trigger_starts, clause.end, first)
         adjacent = [
             t
-            for t in triggers
+            for t in triggers[first:stop]
             if clause.covers(t.annotation.span)
             and (
                 t.annotation.span.end == nspan.start
@@ -311,73 +389,84 @@ def _compose(shadow: _Shadow, grafted: list[_Grafted]) -> None:
         ]
         if not adjacent:
             continue
-        # Prefer the trigger just before the negation (a modal), else after.
-        adjacent.sort(
-            key=lambda t: (t.annotation.span.end != nspan.start, t.annotation.span.start)
-        )
-        trig_tag = adjacent[0].tag
-        rewrote = False
-        for g in mn:
+        # Prefer the trigger just before the negation (a modal), else after;
+        # ``min`` keeps the first of equals, so ties go by placement.
+        trig_tag = min(
+            adjacent, key=lambda t: (t.annotation.span.end != nspan.start, _span_start(t))
+        ).tag
+        first = bisect_left(target_starts, clause.start)
+        stop = bisect_left(target_starts, clause.end, first)
+        for g in targets[first:stop]:
             if (
-                g.tag.role is Role.TARGET
-                and g.tag.modality is trig_tag.modality
+                g.tag.modality is trig_tag.modality
                 and not g.tag.outer_not
                 and clause.covers(g.annotation.span)
             ):
                 g.tag = compose_negation(g.tag, True)
                 g.label = str(g.tag)
-                rewrote = True
-        if rewrote:
-            neg.outcome = "composed"
-
-    # Raw Negation targets left on words that carry other tags are
-    # uncomposable nested modality; remove them.
-    for g in mn:
-        if g.tag.role is Role.TARGET and g.tag.modality is Modality.NEGATION:
-            applied = [shadow.nodes[i].applied for i in g.nodes]
-            if any(other is not g for records in applied for other in records):
-                g.outcome = "dropped-uncomposable"
-                for records in applied:
-                    records.remove(g)
+                neg.outcome = "composed"
 
 
 def _siblings(shadow: _Shadow, a: _Grafted, b: _Grafted) -> bool:
-    nodes = shadow.nodes
-    return any(
-        nodes[i].parent is not None and nodes[i].parent == nodes[j].parent
-        for i in a.nodes
-        for j in b.nodes
-    )
+    parent = shadow.parent
+    return any(parent[i] >= 0 and parent[i] == parent[j] for i in a.nodes for j in b.nodes)
 
 
-def _final_label(n: _GNode) -> str | None:
-    if not n.applied:
-        return None
-    chosen = max(n.applied, key=lambda g: g.seq)
+def _final_label(records: list[_Grafted]) -> str:
+    chosen = max(records, key=lambda g: g.seq)
     # Trigger-vs-target conflicts are adjudicated within the MN
     # family only; a later family's tag stands.
     if getattr(chosen.tag, "role", None) is Role.TRIGGER:
-        targets = [g for g in n.applied if getattr(g.tag, "role", None) is Role.TARGET]
+        targets = [g for g in records if getattr(g.tag, "role", None) is Role.TARGET]
         if targets:
             chosen = max(targets, key=lambda g: g.seq)
     return chosen.label
 
 
-def _render(n: _GNode) -> ParseTree:
-    """The output subtree for ``n``: the input subtree itself where graft
-    changed nothing in it, so the output shares every such subtree."""
-    tag = _final_label(n)
-    source = n.source
-    if source is None:
-        # An inserted node whose tag was dropped keeps the label it was
-        # inserted with, for traceability, rather than vanish.
-        kids = tuple([_render(c) for c in n.children])
-        return ParseTree(n.label if tag is None else tag, kids, None)
-    if not n.children:
-        return source if tag is None else ParseTree(f"{n.label}-{tag}", (), source.token)
-    kids = tuple([_render(c) for c in n.children])
+def _render(shadow: _Shadow, applied: dict[int, list[_Grafted]]) -> ParseTree:
+    """The output tree: only the nodes that carry a record, and their
+    ancestors, are rebuilt; every other subtree is the input's own."""
+    marked: set[int] = set()
+    parent = shadow.parent
+    for n in applied:  # every inserted node carries its insert's record
+        while n >= 0 and n not in marked:
+            marked.add(n)
+            n = parent[n]
+    if not marked:
+        return shadow.source[0]
+    return _rebuild(0, shadow, applied, marked)
+
+
+def _rebuild(
+    n: int, shadow: _Shadow, applied: dict[int, list[_Grafted]], marked: set[int]
+) -> ParseTree:
+    """The output subtree for marked node ``n``; it is still the input
+    subtree itself when graft changed nothing in it."""
+    records = applied.get(n)
+    tag = _final_label(records) if records else None
+    node = shadow.source[n]
+    kids = shadow.kids.get(n)
+    if kids is not None:
+        source = shadow.source
+        out = [_rebuild(k, shadow, applied, marked) if k in marked else source[k] for k in kids]
+        if node is None:
+            # An inserted node whose tag was dropped keeps the label it was
+            # inserted with, for traceability, rather than vanish.
+            return ParseTree(shadow.labels[n] if tag is None else tag, tuple(out), None)
+    elif node.children:
+        after = shadow.after
+        out, k = [], n + 1
+        for child in node.children:
+            if k in marked:
+                child = _rebuild(k, shadow, applied, marked)
+            out.append(child)
+            k = after[k]
+    elif tag is None:
+        return node
+    else:
+        return ParseTree(f"{node.label}-{tag}", (), node.token)
     if tag is not None:
-        return ParseTree(f"{n.label}-{tag}", kids, None)
-    if len(kids) == len(source.children) and all(map(is_, kids, source.children)):
-        return source
-    return ParseTree(n.label, kids, None)
+        return ParseTree(f"{node.label}-{tag}", tuple(out), None)
+    if len(out) == len(node.children) and all(map(is_, out, node.children)):
+        return node
+    return ParseTree(node.label, tuple(out), None)

@@ -24,7 +24,7 @@ heads as sisters.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 from operator import is_
 from typing import Iterator
@@ -169,24 +169,50 @@ def iter_nodes(tree: ParseTree) -> Iterator[ParseTree]:
         stack.extend(reversed(n.children))
 
 
-def count_leaves(tree: ParseTree) -> int:
-    """The number of leaves, counted without building a list of them."""
-    return sum(map(count_leaves, tree.children)) if tree.children else 1
-
-
-@dataclass(frozen=True)
 class Span:
-    """Token index range, 0-based and end-exclusive; never empty."""
+    """Token index range, 0-based and end-exclusive; never empty.
+
+    An immutable value, slotted like ``ParseTree``: equality, hashing and
+    ``repr`` go by start and end, as for a frozen dataclass of the two.
+    """
+
+    __slots__ = ("start", "end")
 
     start: int
     end: int
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.start >= self.end:
-            raise ValueError(f"bad span ({self.start}, {self.end})")
+    def __init__(self, start: int, end: int) -> None:
+        if start < 0 or start >= end:
+            raise ValueError(f"bad span ({start}, {end})")
+        _set_start(self, start)
+        _set_end(self, end)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.start == other.start and self.end == other.end
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.end))
+
+    def __repr__(self) -> str:
+        return f"Span(start={self.start!r}, end={self.end!r})"
+
+    def __reduce__(self):
+        return Span, (self.start, self.end)
 
     def covers(self, other: "Span") -> bool:
         return self.start <= other.start and other.end <= self.end
+
+
+_set_start = Span.start.__set__  # type: ignore[attr-defined]
+_set_end = Span.end.__set__  # type: ignore[attr-defined]
 
 
 def base_category(label: str) -> str:
@@ -313,16 +339,18 @@ _PUNCT_LABELS = frozenset([".", ",", ":", "``", "''", "#", "$", "-LRB-", "-RRB-"
 
 
 def _write(tree: ParseTree, allow_bare: bool) -> str:
-    if tree.is_leaf:
-        escaped = escape_token(tree.token)  # type: ignore[arg-type]
-        if tree.label == escaped and allow_bare and tree.label not in _PUNCT_LABELS:
-            return escaped
-        return f"({tree.label} {escaped})"
+    kids = tree.children
+    if not kids:
+        token: str = tree.token  # type: ignore[assignment]
+        if "(" in token or ")" in token:
+            token = escape_token(token)
+        if tree.label == token and allow_bare and tree.label not in _PUNCT_LABELS:
+            return token
+        return f"({tree.label} {token})"
     # A lone bare atom would read back as a preterminal, so bare word
     # leaves print unparenthesized only beside siblings.
-    bare_ok = len(tree.children) > 1
-    inner = " ".join(_write(c, bare_ok) for c in tree.children)
-    return f"({tree.label} {inner})"
+    bare_ok = len(kids) > 1
+    return f"({tree.label} {' '.join([_write(c, bare_ok) for c in kids])})"
 
 
 def write_ptb(tree: ParseTree) -> str:

@@ -393,10 +393,12 @@ def test_graft_standoff_past_the_last_tree_exits_2_naming_both_files(tmp_path, c
     [
         ("string", ["--rules", TREES], "--rules: not used by --mode string"),
         ("string", ["--registry", "/nonexistent"], "--registry: not used by --mode string"),
+        ("structure", ["--rules", "RULES"],
+         "--lexicon: not used with --rules, which replaces the generated rules"),
         ("structure", ["--rules", "RULES", "--registry", "/nonexistent"],
-         "--registry: not used with --rules"),
+         "--lexicon and --registry: not used with --rules"),
     ],
-    ids=["string-rules", "string-registry", "structure-rules-registry"],
+    ids=["string-rules", "string-registry", "structure-rules", "structure-rules-registry"],
 )
 def test_tag_rule_flags_the_mode_cannot_use_exit_2_naming_them(
     tmp_path, caplog, mode, flags, message
@@ -411,6 +413,14 @@ def test_tag_rule_flags_the_mode_cannot_use_exit_2_naming_them(
     ) == 2
     assert message in caplog.text
     assert not out.exists()
+
+
+def test_tag_without_lexicon_exits_2_unless_rules_replace_it(tmp_path, caplog):
+    for mode, given in (("string", TOKENS), ("structure", TREES)):
+        out = tmp_path / mode
+        assert run("tag", "--mode", mode, "--in", given, "--out", out) == 2
+        assert not out.exists()
+    assert caplog.text.count("--lexicon: required unless --rules is given") == 2
 
 
 def test_graft_negative_sentence_index_exits_2(tmp_path, caplog):
@@ -616,10 +626,11 @@ def test_rules_output_tags_like_generated_rules(tmp_path):
     rules = tmp_path / "seed.rules"
     assert run("rules", "--lexicon", seed_lexicon_path(), "--out", rules) == 0
     outputs = []
-    for name, extra in (("generated", []), ("reread", ["--rules", rules])):
+    runs = (("generated", ["--lexicon", seed_lexicon_path()]), ("reread", ["--rules", rules]))
+    for name, extra in runs:
         out, standoff = tmp_path / f"{name}.ptb", tmp_path / f"{name}.tsv"
         assert run(
-            "tag", "--mode", "structure", "--lexicon", seed_lexicon_path(), *extra,
+            "tag", "--mode", "structure", *extra,
             "--in", TREES, "--out", out, "--standoff", standoff,
         ) == 0
         outputs.append((out.read_bytes(), standoff.read_bytes()))
@@ -658,8 +669,7 @@ def test_rules_override_replaces_generated(tmp_path):
     out = tmp_path / "out.ptb"
     standoff = tmp_path / "out.tsv"
     assert run(
-        "tag", "--mode", "structure", "--lexicon", seed_lexicon_path(),
-        "--rules", rules, "--in", TREES, "--out", out, "--standoff", standoff,
+        "tag", "--mode", "structure", "--rules", rules, "--in", TREES, "--out", out, "--standoff", standoff,
     ) == 0
     text = standoff.read_text()
     assert "TrigBelief" in text
@@ -674,8 +684,7 @@ def test_two_actions_on_one_capture_record_both_annotations(tmp_path):
     rules.write_text("rule both\nMD=m !< /^T/ < can\ninsert (TrigAble) >2 m\ninsert (TargAble) >2 m\n")
     out, standoff = tmp_path / "out.ptb", tmp_path / "out.tsv"
     assert run(
-        "tag", "--mode", "structure", "--lexicon", seed_lexicon_path(),
-        "--rules", rules, "--in", trees_in, "--out", out, "--standoff", standoff,
+        "tag", "--mode", "structure", "--rules", rules, "--in", trees_in, "--out", out, "--standoff", standoff,
     ) == 0
     assert standoff.read_text() == "0\t1\t2\tTargAble\tMN\n0\t1\t2\tTrigAble\tMN\n"
     assert out.read_text() == "(S (NP (PRP He)) (MD-TargAble-TrigAble can) (VB go))\n"
@@ -707,8 +716,7 @@ def test_rule_file_action_the_tagger_cannot_fold_exits_2_naming_file_rule_and_li
     rules.write_text(f"rule ok\nMD=m !< TrigRequire < should\ninsert (TrigRequire) >2 m\n\n"
                      f"# the bad rule\nrule bad\nNN=x\n{action}\n")
     assert run(
-        "tag", "--mode", "structure", "--lexicon", seed_lexicon_path(),
-        "--rules", rules, "--in", trees_in, "--out", tmp_path / "out.ptb",
+        "tag", "--mode", "structure", "--rules", rules, "--in", trees_in, "--out", tmp_path / "out.ptb",
     ) == 2
     assert f"{rules}: line 6: " in caplog.text and message in caplog.text
 

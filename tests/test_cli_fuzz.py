@@ -209,9 +209,8 @@ def test_structure_tag_rules_exit_0_1_or_2_and_name_the_bad_file(rule_bytes):
             source.write_bytes(b"".join(PTB_TREES))
             rules.write_bytes(rule_bytes)
             code = main(
-                ["tag", "--mode", "structure", "--lexicon", seed_lexicon_path(),
-                 "--rules", str(rules), "--in", str(source), "--out", str(out),
-                 "--standoff", str(standoff)]
+                ["tag", "--mode", "structure", "--rules", str(rules), "--in", str(source),
+                 "--out", str(out), "--standoff", str(standoff)]
             )
             assert code in (0, 1, 2)
             if code == 0:

@@ -1,10 +1,22 @@
 import gc
 import random
+from operator import is_
 
 import pytest
 
 from conftest import DATA, random_tree
-from mntag.grafting import GraftConfig, SpanCase, _Shadow, classify_span, graft
+from mntag.grafting import (
+    OUTCOMES,
+    GraftConfig,
+    GraftReport,
+    SpanCase,
+    _apply_key,
+    _Grafted,
+    _Shadow,
+    classify_span,
+    graft,
+)
+from mntag.tags import TAG_SPELLINGS, Modality, Role, compose_negation, parse_tag
 from mntag.taggers import StandoffAnnotation, parse_standoff
 from mntag.trees import ParseTree, Span, base_category, iter_nodes, read_ptb, write_ptb
 
@@ -200,12 +212,13 @@ def test_shared_node_object_grafts_like_a_copy():
             assert case is want_case and node == want_node
 
 
-def _shadow_spans(node, start, spans):
-    """(start, end) of every working-copy node, by counting leaves."""
-    end = start + 1 if not node.children else start
-    for child in node.children:
-        end = _shadow_spans(child, end, spans)
-    spans.append((node, start, end))
+def _shadow_spans(shadow, n, start, spans):
+    """(number, start, end) of every working-copy node, by counting leaves."""
+    kids = shadow.children(n)
+    end = start if kids else start + 1
+    for k in kids:
+        end = _shadow_spans(shadow, k, end, spans)
+    spans.append((n, start, end))
     return end
 
 
@@ -223,9 +236,10 @@ def test_minimal_clause_matches_brute_force_after_insertions():
                 shadow.insert(*where, rng.choice(["S", "X"]))
                 inserted += 1
         spans = []
-        _shadow_spans(shadow.root, 0, spans)
-        assert all((g.start, g.end) == (s, e) for g, s, e in spans)
-        clauses = [(e - s, s, e) for g, s, e in spans if base_category(g.label) == "S"]
+        _shadow_spans(shadow, 0, 0, spans)
+        assert sorted(k for k, _, _ in spans) == list(range(len(shadow.source)))
+        assert all((shadow.start[k], shadow.end[k]) == (s, e) for k, s, e in spans)
+        clauses = [(e - s, s, e) for k, s, e in spans if base_category(shadow.label(k)) == "S"]
         for start in range(n):
             for end in range(start + 1, n + 1):
                 covering = [c for c in clauses if c[1] <= start and end <= c[2]]
@@ -363,3 +377,297 @@ def test_graft_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# The graft that built one ``_GNode`` per input node, rendered every node
+# again and tested each negation against every record of its sentence,
+# kept as the reference.
+
+
+class _RefNode:
+    __slots__ = ("label", "children", "index", "parent", "start", "end", "applied", "source")
+
+    def __init__(self, nodes, label, children, start, end, source=None):
+        self.label = label
+        self.children = children
+        self.index = len(nodes)
+        self.parent = None
+        self.start = start
+        self.end = end
+        self.applied = []
+        self.source = source
+        nodes.append(self)
+        for c in children:
+            c.parent = self.index
+
+
+def _ref_build(node, nodes, leaves):
+    start = len(leaves)
+    children = [_ref_build(c, nodes, leaves) for c in node.children]
+    new = _RefNode(nodes, node.label, children, start, start, node)
+    if not children:
+        leaves.append(new)
+    new.end = len(leaves)
+    return new
+
+
+class _RefShadow:
+    def __init__(self, tree):
+        self.nodes, self.leaves = [], []
+        self.root = _ref_build(tree, self.nodes, self.leaves)
+        self.size = len(self.leaves)
+
+    def parent(self, n):
+        return None if n.parent is None else self.nodes[n.parent]
+
+    def _spine(self, span):
+        spine = []
+        n = self.leaves[span.start]
+        while n is not None and n.start == span.start and n.end <= span.end:
+            spine.append(n)
+            n = self.parent(n)
+        return spine
+
+    def same_span_chain(self, span):
+        return [n for n in reversed(self._spine(span)) if n.end == span.end]
+
+    def adjacent_daughters(self, span):
+        top = self._spine(span)[-1]
+        parent = self.parent(top)
+        if parent is None:
+            return None
+        kids = parent.children
+        i = j = kids.index(top)
+        while j < len(kids) and kids[j].end < span.end:
+            j += 1
+        if j < len(kids) and kids[j].end == span.end:
+            return parent, i, j
+        return None
+
+    def insert(self, parent, i, j, label):
+        grabbed = parent.children[i : j + 1]
+        new = _RefNode(self.nodes, label, list(grabbed), grabbed[0].start, grabbed[-1].end)
+        parent.children[i : j + 1] = [new]
+        new.parent = parent.index
+        return new
+
+    def minimal_clause(self, span):
+        n = self.leaves[span.start]
+        while n.parent is not None and not (
+            base_category(n.label) == "S" and n.end >= span.end
+        ):
+            n = self.nodes[n.parent]
+        return Span(n.start, n.end)
+
+
+def _reference_graft(tree, annotations, config=None):
+    config = config or GraftConfig()
+    shadow = _RefShadow(tree)
+    report = GraftReport()
+    for a in annotations:
+        if a.span.end > shadow.size:
+            raise ValueError(f"annotation span {a.span} outside sentence of {shadow.size} tokens")
+        if a.family not in config.family_order:
+            raise ValueError(f"annotation family {a.family!r} not in family order")
+    grafted = []
+    for family in config.family_order:
+        batch = [
+            (a, parse_tag(a.label) if a.label in TAG_SPELLINGS else None)
+            for a in annotations
+            if a.family == family
+        ]
+        for a, tag in sorted(batch, key=_apply_key):
+            nodes = shadow.same_span_chain(a.span)
+            if nodes:
+                outcome = "overlaid" if any(n.applied for n in nodes) else "grafted-exact"
+            elif (where := shadow.adjacent_daughters(a.span)) is not None:
+                outcome, nodes = "grafted-inserted", [shadow.insert(*where, a.label)]
+            else:
+                outcome = "crossing-skipped"
+            g = _Grafted(a, outcome, [n.index for n in nodes], len(grafted), a.label, tag)
+            for n in nodes:
+                n.applied.append(g)
+            grafted.append(g)
+    _reference_compose(shadow, grafted)
+    for g in grafted:
+        report.bump(g.outcome)
+    return _reference_render(shadow.root), report
+
+
+def _reference_compose(shadow, grafted):
+    mn = [g for g in grafted if g.annotation.family == "MN" and g.tag]
+    triggers = [
+        g for g in mn if g.tag.role is Role.TRIGGER and g.tag.modality is not Modality.NEGATION
+    ]
+    negations = [
+        g for g in mn if g.tag.role is Role.TRIGGER and g.tag.modality is Modality.NEGATION
+    ]
+    negations.sort(key=lambda g: g.annotation.span.start)
+    for neg in negations:
+        nspan = neg.annotation.span
+        clause = shadow.minimal_clause(nspan)
+        adjacent = [
+            t
+            for t in triggers
+            if clause.covers(t.annotation.span)
+            and (
+                t.annotation.span.end == nspan.start
+                or nspan.end == t.annotation.span.start
+                or _reference_siblings(shadow, t, neg)
+            )
+        ]
+        if not adjacent:
+            continue
+        adjacent.sort(
+            key=lambda t: (t.annotation.span.end != nspan.start, t.annotation.span.start)
+        )
+        trig_tag = adjacent[0].tag
+        rewrote = False
+        for g in mn:
+            if (
+                g.tag.role is Role.TARGET
+                and g.tag.modality is trig_tag.modality
+                and not g.tag.outer_not
+                and clause.covers(g.annotation.span)
+            ):
+                g.tag = compose_negation(g.tag, True)
+                g.label = str(g.tag)
+                rewrote = True
+        if rewrote:
+            neg.outcome = "composed"
+    for g in mn:
+        if g.tag.role is Role.TARGET and g.tag.modality is Modality.NEGATION:
+            applied = [shadow.nodes[i].applied for i in g.nodes]
+            if any(other is not g for records in applied for other in records):
+                g.outcome = "dropped-uncomposable"
+                for records in applied:
+                    records.remove(g)
+
+
+def _reference_siblings(shadow, a, b):
+    nodes = shadow.nodes
+    return any(
+        nodes[i].parent is not None and nodes[i].parent == nodes[j].parent
+        for i in a.nodes
+        for j in b.nodes
+    )
+
+
+def _reference_final_label(n):
+    if not n.applied:
+        return None
+    chosen = max(n.applied, key=lambda g: g.seq)
+    if getattr(chosen.tag, "role", None) is Role.TRIGGER:
+        targets = [g for g in n.applied if getattr(g.tag, "role", None) is Role.TARGET]
+        if targets:
+            chosen = max(targets, key=lambda g: g.seq)
+    return chosen.label
+
+
+def _reference_render(n):
+    tag = _reference_final_label(n)
+    source = n.source
+    if source is None:
+        kids = tuple([_reference_render(c) for c in n.children])
+        return ParseTree(n.label if tag is None else tag, kids, None)
+    if not n.children:
+        return source if tag is None else ParseTree(f"{n.label}-{tag}", (), source.token)
+    kids = tuple([_reference_render(c) for c in n.children])
+    if tag is not None:
+        return ParseTree(f"{n.label}-{tag}", kids, None)
+    if len(kids) == len(source.children) and all(map(is_, kids, source.children)):
+        return source
+    return ParseTree(n.label, kids, None)
+
+
+MODALITIES = ["Able", "Require", "Succeed", "Want"]
+
+
+def composing_annotations(rng, tree):
+    """``random_annotations`` plus modality triggers with a negation just
+    after or just before them, and targets of the same modality or raw
+    Negation targets, some over more than one word."""
+    n = len(tree.tokens())
+    out = random_annotations(rng, tree)
+    for _ in range(rng.randint(0, 3)):
+        modality = rng.choice(MODALITIES)
+        at = rng.randrange(n)
+        out.append(mn(0, at, at + 1, f"Trig{modality}"))
+        near = at + 1 if rng.random() < 0.7 else at - 1
+        if 0 <= near < n:
+            out.append(mn(0, near, near + 1, "TrigNegation"))
+        start = rng.randrange(n)
+        end = rng.randint(start + 1, min(n, start + 3))
+        out.append(mn(0, start, end, rng.choice([f"Targ{modality}", "TargNegation"])))
+    return out
+
+
+def test_graft_matches_the_reference_graft_on_random_trees():
+    rng = random.Random(1616)
+    outcomes = dict.fromkeys(OUTCOMES, 0)
+    inner = 0  # negations whose minimal clause is an S below the root
+    for _ in range(2500):
+        tree = random_tree(rng, max_nodes=16)
+        anns = composing_annotations(rng, tree)
+        config = GraftConfig(rng.choice([("NE", "MN"), ("MN", "NE")]))
+        out, report = graft(tree, anns, config)
+        want, want_report = _reference_graft(tree, anns, config)
+        assert out == want
+        assert write_ptb(out) == write_ptb(want)
+        assert report.counts == want_report.counts
+        for k, v in report.counts.items():
+            outcomes[k] += v
+        size = len(tree.tokens())
+        shadow = _RefShadow(tree)
+        inner += sum(
+            shadow.minimal_clause(a.span) != Span(0, size)
+            for a in anns
+            if a.label == "TrigNegation"
+        )
+    assert all(v > 100 for v in outcomes.values()), outcomes
+    assert inner > 200
+
+
+CONJUNCT = "(S (NP (NNP Khan)) (VP (MD can) (RB not) (VP (VB go) (PP (IN to) (NP (NNP Lahore))))))"
+CONJUNCT_ANNOTATIONS = [
+    ne(0, 0, 1, "PER"),
+    mn(0, 1, 2, "TrigAble"),
+    mn(0, 2, 3, "TrigNegation"),
+    mn(0, 3, 4, "TargAble"),
+    mn(0, 3, 4, "TrigSucceed"),
+    mn(0, 5, 6, "TargSucceed"),
+    ne(0, 5, 6, "GPE"),
+]
+
+
+def test_negation_composition_work_grows_linearly_with_sentence_length(monkeypatch):
+    """Grafting 64 conjuncts as one sentence examines about as many
+    (negation, candidate) pairs as grafting them as 64 sentences; a
+    composer that tests each negation against every record of the
+    sentence examines 64 times as many."""
+    examined = [0]
+    covers = Span.covers
+
+    def counting_covers(self, other):
+        examined[0] += 1
+        return covers(self, other)
+
+    monkeypatch.setattr(Span, "covers", counting_covers)
+    conjuncts = 64
+    single = read_ptb(f"(TOP {CONJUNCT})")[0]
+    width = len(single.tokens()) + 1  # the conjunction follows
+    out, _ = graft(single, CONJUNCT_ANNOTATIONS)
+    alone = examined[0] * conjuncts
+    assert alone > 0
+
+    examined[0] = 0
+    joined = read_ptb("(TOP (S " + " (CC and) ".join([CONJUNCT] * conjuncts) + "))")[0]
+    anns = [
+        StandoffAnnotation(0, Span(a.span.start + k * width, a.span.end + k * width), a.label, a.family)
+        for k in range(conjuncts)
+        for a in CONJUNCT_ANNOTATIONS
+    ]
+    joined_out, report = graft(joined, anns)
+    assert report.counts["composed"] == conjuncts
+    assert joined_out.children[0].children[::2] == (out.children[0],) * conjuncts
+    assert examined[0] <= 2 * alone

@@ -14,7 +14,6 @@ from mntag.trees import (
     PTBParseError,
     Span,
     base_category,
-    count_leaves,
     flatten,
     insert_leaf,
     iter_nodes,
@@ -365,7 +364,7 @@ def test_spans_nest_or_are_disjoint():
         tree = random_tree(rng)
         spans = [word_spans(tree, path) for path in _paths(tree)]
         assert len(spans) == sum(1 for _ in iter_nodes(tree))
-        assert spans[0] == Span(0, count_leaves(tree)) == Span(0, len(tree.tokens()))
+        assert spans[0] == Span(0, len(tree.tokens()))
         for a in spans:
             for b in spans:
                 nested = a.covers(b) or b.covers(a)
@@ -387,3 +386,50 @@ def test_span_validation():
         Span(3, 3)
     with pytest.raises(ValueError):
         Span(-1, 2)
+
+
+def test_span_rejects_an_empty_or_negative_range_by_keyword_too():
+    for start, end in ((3, 3), (4, 3), (-1, 2), (-2, -1)):
+        with pytest.raises(ValueError, match=re.escape(f"bad span ({start}, {end})")):
+            Span(start=start, end=end)
+
+
+def test_span_equality_and_hash_go_by_start_and_end():
+    span = Span(1, 3)
+    assert span == Span(start=1, end=3) and span is not Span(1, 3)
+    assert span != Span(1, 4) and span != Span(0, 3)
+    assert hash(span) == hash(Span(1, 3)) == hash((1, 3))
+    assert len({span, Span(1, 3), Span(2, 3)}) == 2
+    assert (span == (1, 3)) is False
+    assert span.__eq__((1, 3)) is NotImplemented
+
+
+def test_span_repr_names_its_fields():
+    assert repr(Span(1, 99)) == "Span(start=1, end=99)"
+    assert f"{Span(0, 2)}" == "Span(start=0, end=2)"
+
+
+def test_span_covers():
+    outer = Span(2, 6)
+    assert outer.covers(outer)
+    assert outer.covers(Span(2, 3)) and outer.covers(Span(5, 6))
+    assert not outer.covers(Span(1, 3)) and not outer.covers(Span(5, 7))
+    assert not Span(3, 4).covers(outer)
+
+
+def test_span_copies_and_pickles_to_an_equal_value():
+    span = Span(2, 5)
+    for clone in (copy.copy(span), copy.deepcopy(span), pickle.loads(pickle.dumps(span))):
+        assert clone == span and hash(clone) == hash(span)
+        assert (clone.start, clone.end) == (2, 5)
+
+
+def test_span_is_frozen_and_slotted():
+    span = Span(0, 1)
+    for name in ("start", "end", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(span, name, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(span, name)
+    assert span == Span(0, 1)
+    assert not hasattr(span, "__dict__")
