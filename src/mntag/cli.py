@@ -162,8 +162,7 @@ def _cmd_tag(args) -> int:
         out_lines = []
         for i, tree in enumerate(corpus):
             # The tagger would take such a word for a marker and drop it.
-            marker = next(filter(rulegen.is_marker_leaf, trees.iter_nodes(tree)), None)
-            if marker is not None:
+            if (marker := next(filter(rulegen.is_marker_leaf, tree.leaves()), None)) is not None:
                 raise ValueError(
                     f"{args.input}: sentence {i}: word {marker.token!r} is spelled like a marker"
                 )

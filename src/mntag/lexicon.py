@@ -43,25 +43,23 @@ class LexiconEntry:
     subcats: tuple[str, ...] = ()
     glosses: tuple[str, ...] = ()
     extras: tuple[tuple[str, str], ...] = ()
+    #: ``surface`` split into words, once, at construction.
+    words: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        words = self.words
-        if len(self.pos) != len(words):
-            raise LexiconError(
-                f"entry {self.surface!r}: {len(words)} words but {len(self.pos)} POS tags"
-            )
-        if self.head.lower() not in [w.lower() for w in words]:
-            raise LexiconError(f"entry {self.surface!r}: head {self.head!r} not in surface")
-        if (self.pos[0].startswith("VB") or self.pos[0] == "MD") and not self.subcats:
-            raise LexiconError(f"verbal entry {self.surface!r} has no subcategorization codes")
+        surface, pos, head = self.surface, self.pos, self.head
+        words = tuple(surface.split())
+        object.__setattr__(self, "words", words)
+        if len(pos) != len(words):
+            raise LexiconError(f"entry {surface!r}: {len(words)} words but {len(pos)} POS tags")
+        if head not in words and head.lower() not in surface.lower().split():
+            raise LexiconError(f"entry {surface!r}: head {head!r} not in surface")
+        if (pos[0].startswith("VB") or pos[0] == "MD") and not self.subcats:
+            raise LexiconError(f"verbal entry {surface!r} has no subcategorization codes")
         forms = (self.extra("Forms") or "").split()
-        for word in dict.fromkeys([*words, self.head, *forms]):
+        for word in (*words, head, *forms):
             if not is_plain_word(word):
                 raise LexiconError(f"word {word!r} is not a plain rule atom")
-
-    @property
-    def words(self) -> tuple[str, ...]:
-        return tuple(self.surface.split())
 
     def extra(self, key: str) -> str | None:
         for k, v in self.extras:
@@ -78,12 +76,10 @@ class Lexicon:
     _index: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        seen = set()
+        first: dict[tuple, int] = {}
         for k, e in enumerate(self.entries):
-            key = (e.surface.lower(), e.pos, e.modality)
-            if key in seen:
+            if first.setdefault((e.surface.lower(), e.pos, e.modality), k) != k:
                 raise LexiconError(f"duplicate entry {e.surface!r}/{'+'.join(e.pos)}", k)
-            seen.add(key)
             self._index.setdefault(e.words[0].lower(), []).append(e)
 
     def candidates(self, first_word: str) -> list[LexiconEntry]:
@@ -94,11 +90,6 @@ class Lexicon:
         alone when the lexicon was not read from text."""
         record = f"record {k + 1}"
         return f"line {self.lines[k]}: {record}" if self.lines else record
-
-
-def _pos_matches(token_pos: str, entry_pos: str) -> bool:
-    # Entry tags are base categories: VB covers VBD/VBZ/..., MD is exact.
-    return token_pos == entry_pos or token_pos.startswith(entry_pos)
 
 
 def lookup(
@@ -117,8 +108,9 @@ def lookup(
         if end > len(tagged):
             continue
         window = tagged[position:end]
+        # An entry's POS is a base category: VB covers VBD, VBZ, ...
         if all(
-            tok.lower() == w.lower() and _pos_matches(pos, p)
+            tok.lower() == w.lower() and pos.startswith(p)
             for (tok, pos), w, p in zip(window, entry.words, entry.pos)
         ):
             hits.append((entry, (position, end)))
@@ -154,20 +146,13 @@ def _finish_record(lines: list[str]) -> LexiconEntry:
         raise LexiconError("missing String")
     if modality_name is None:
         raise LexiconError(f"missing Modality ({surface!r})")
-    try:
-        modality = MODALITY_BY_NAME[modality_name]
-    except KeyError:
-        raise LexiconError(f"unknown modality {modality_name!r}") from None
+    if (modality := MODALITY_BY_NAME.get(modality_name)) is None:
+        raise LexiconError(f"unknown modality {modality_name!r}")
     if pos is None:
         raise LexiconError(f"missing Pos ({surface!r})")
+    head = head if head is not None else (surface.split() or [""])[0]
     return LexiconEntry(
-        surface=surface,
-        pos=tuple(pos.split()),
-        modality=modality,
-        head=head if head is not None else surface.split()[0],
-        subcats=tuple(subcats),
-        glosses=tuple(glosses),
-        extras=tuple(extras),
+        surface, tuple(pos.split()), modality, head, tuple(subcats), tuple(glosses), tuple(extras)
     )
 
 

@@ -60,7 +60,6 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
-from itertools import groupby
 from typing import Callable, Iterator
 
 from .trees import ParseTree, insert_leaf
@@ -319,12 +318,16 @@ def read_records(text: str) -> Iterator[tuple[int, list[str]]]:
     """Blank-line-separated records, ``#`` comment lines dropped, each as
     (number of its first line, its right-stripped lines).  Lexicon, rule
     and template files share this layout."""
-    numbered_lines = enumerate(text.splitlines(), 1)
-    lines = [(n, raw.rstrip()) for n, raw in numbered_lines if not raw.startswith("#")]
-    for blank, group in groupby(lines, key=lambda item: not item[1]):
-        if not blank:
-            numbered = list(group)
-            yield numbered[0][0], [line for _, line in numbered]
+    record: list[str] = []
+    for n, line in enumerate(text.splitlines() + [""], 1):
+        if line := line.rstrip():
+            if line[0] != "#":
+                if not record:
+                    first = n
+                record.append(line)
+        elif record:
+            yield first, record
+            record = []
 
 
 def parse_rules(
@@ -352,7 +355,7 @@ _PLAIN_WORD = re.compile(r"(?!/|\$\.\.)[^()<>\s=|]+")
 
 def is_plain_word(word: str) -> bool:
     """True when rule text spells ``word`` as one plain atom testing exactly it."""
-    return _PLAIN_WORD.fullmatch(word) is not None
+    return word.isalpha() or _PLAIN_WORD.fullmatch(word) is not None
 
 
 def serialize_rules(rules) -> str:

@@ -5,20 +5,17 @@ test for: ``AUX`` on auxiliary uses of be/have/do (a form with a later
 verbal sister in the same flattened clause) and ``VoicePassive`` on VBN
 nodes preceded in their clause by a form of be.
 
-``expand_templates`` crosses the lexicon with a registry of named
-pattern templates, each parsed once, and binds one rule per (template,
-modality): the ``{WORD}`` atom becomes a test for the inflected forms of
-all the group's trigger heads, the ``{TRIG}``/``{TARG}`` labels the
-canonical tags for the modality.  Binding (``_bind``, plain recursion)
-rebuilds only the parts of the parsed template above a placeholder and
-shares the rest, and ``source`` spells the result for display only.  The rules tag as the
-paper's one rule per entry and template would (see ``expand_templates``
-for the one case that splits a group).
+``expand_templates`` binds one rule per (template, modality) into each
+template, parsed once: ``{WORD}`` to the forms of the group's trigger
+heads, ``{TRIG}``/``{TARG}`` to the modality's tags.  ``_bind`` rebuilds
+only what lies above a placeholder and shares the rest; ``source``
+spells the result for display only.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain, repeat
 from operator import is_
 from typing import Iterator
 
@@ -172,13 +169,11 @@ def inflections(entry: LexiconEntry) -> tuple[str, ...]:
     A ``Forms:`` line on the entry overrides the regular morphology;
     non-verb entries match their head word only.
     """
-    override = entry.extra("Forms")
-    if override:
+    if override := entry.extra("Forms"):
         return tuple(dict.fromkeys(override.split()))
     head = entry.head.lower()
     if entry.pos[0].startswith("VB"):
-        forms = [head, _third_singular(head), _past(head), _gerund(head)]
-        return tuple(dict.fromkeys(forms))
+        return tuple(dict.fromkeys([head, _third_singular(head), _past(head), _gerund(head)]))
     return (head,)
 
 
@@ -261,21 +256,30 @@ def expand_templates(lexicon: Lexicon, registry: TemplateRegistry) -> list[Patte
     tested = frozenset(a for t in registry.values() for a in _atoms(t.pattern)) - _PLACEHOLDERS
     groups: list[tuple[str, Modality, dict[str, None]]] = []
     latest: dict[tuple[str, Modality], int] = {}
+    # The latest group holding each form, and holding any tested atom.
+    last_with: dict[str, int] = {}
+    last_tested = -1
     for k, entry in enumerate(lexicon.entries):
         forms = inflections(entry)
-        words = tested.union(forms)
+        has_tested = not tested.isdisjoint(forms)
+        newest = max(map(last_with.get, forms, repeat(-1)))
         for code in entry.subcats:
             if code not in registry:
                 raise LexiconError(f"{lexicon.where(k)}: no template for subcat code {code!r}", k)
             key = (code, entry.modality)
-            at = latest.get(key)
-            passed = [] if at is None else groups[at + 1 :]
-            clash = bool(passed) and not tested.isdisjoint(forms)
-            if at is None or clash or any(not f.keys().isdisjoint(words) for _, _, f in passed):
-                latest[key] = len(groups)
-                groups.append((code, entry.modality, dict.fromkeys(forms)))
-            else:
-                groups[at][2].update(dict.fromkeys(forms))
+            at = latest.get(key, -1)
+            # The latest group the forms must not pass: any group if they hold a
+            # tested atom, else one holding a tested atom or one of the forms.
+            if at < 0 or (len(groups) - 1 if has_tested else max(last_tested, newest)) > at:
+                at = latest[key] = len(groups)
+                groups.append((code, entry.modality, {}))
+            newest = at
+            held = groups[at][2]
+            for form in forms:
+                held[form] = None
+                last_with[form] = at
+            if has_tested:
+                last_tested = at
     rules: list[PatternRule] = []
     for code, modality, forms in groups:
         template = registry[code]
@@ -300,7 +304,7 @@ def _bind(pattern: Pattern, atoms: dict[str, tuple[str, ...]]) -> Pattern:
     test = pattern.test
     alts = test.alternatives or ()
     if not _PLACEHOLDERS.isdisjoint(alts):
-        test = NodeTest(frozenset(v for a in alts for v in atoms.get(a, (a,))))
+        test = NodeTest(frozenset(chain.from_iterable(atoms.get(a, (a,)) for a in alts)))
     clauses = tuple(
         c if (operand := _bind(c.operand, atoms)) is c.operand else Clause(c.relation, operand)
         for c in pattern.clauses

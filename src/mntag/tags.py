@@ -30,6 +30,8 @@ class Modality(Enum):
     FIRM_BELIEF = "Firm_Belief"
     NEGATION = "Negation"
 
+    __hash__ = object.__hash__  # members are singletons: hash in C, not by name
+
 
 class Role(Enum):
     TRIGGER = "Trig"

@@ -136,7 +136,14 @@ class ParseTree:
         return frozenset(atoms)
 
     def leaves(self) -> list["ParseTree"]:
-        return [n for n in iter_nodes(self) if n.is_leaf]
+        leaves, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                stack += node.children[::-1]
+            else:
+                leaves.append(node)
+        return leaves
 
     def tokens(self) -> list[str]:
         """Left-to-right yield of the tree."""

@@ -20,6 +20,7 @@ GOLDEN_GRAFT_REPORT = DATA / "golden_graft_report.txt"
 GOLDEN_TAGGED = DATA / "golden_tagged.ptb"
 GOLDEN_FLAT = DATA / "golden_flat.ptb"
 GOLDEN_PREPROCESSED = DATA / "golden_preprocessed.ptb"
+GOLDEN_RULES = DATA / "golden_rules.txt"
 
 FIG1_LINE = (
     "Americans <TrigRequire should> <TargRequire know> that we <TrigAble can>"
@@ -563,6 +564,13 @@ def test_rules_command_is_byte_deterministic(tmp_path):
     assert run("rules", "--lexicon", seed_lexicon_path(), "--out", b) == 0
     assert a.read_bytes() == b.read_bytes()
     assert "rule V3-passive-basic:Require\n" in a.read_text()
+
+
+def test_rules_output_matches_golden_rules(tmp_path):
+    """``mn rules`` on the shipped seed lexicon, byte for byte."""
+    out = tmp_path / "seed.rules"
+    assert run("rules", "--lexicon", seed_lexicon_path(), "--out", out) == 0
+    assert out.read_bytes() == GOLDEN_RULES.read_bytes()
 
 
 def test_agreement_command_reports_100_for_identical(tmp_path, capsys):

@@ -1,23 +1,26 @@
-"""Fuzz the readers of ``mn graft``, ``mn tag --mode string`` and the
-rule reader of ``mn tag --mode structure --rules`` through the command
-line.
+"""Fuzz the readers of ``mn graft``, ``mn tag --mode string``, the rule
+reader of ``mn tag --mode structure --rules``, and the lexicon and
+template readers of ``mn lexicon validate``, ``mn rules`` and ``mn tag
+--mode structure --registry`` through the command line.
 
-Whatever bytes the tree, standoff, token and rule files hold, the
-command exits 0 or 2, never with an uncaught exception, and every error
-it logs on exit 2 names the file at fault.  A rule file may also hold a
-rule that rewrites without end, which exits 1 with the rewrite-budget
-message alone.
+Whatever bytes the tree, standoff, token, rule, lexicon and template
+files hold, the command exits 0 or 2, never with an uncaught exception,
+and every error it logs on exit 2 names the file at fault.  A rule file
+may also hold a rule that rewrites without end, which exits 1 with the
+rewrite-budget message alone.
 """
 
 import logging
 import tempfile
+from importlib.resources import files
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import PTB_TREES, ptb_files
+from conftest import DATA, PTB_TREES, ptb_files
 from mntag import rulegen, taggers, trees
 from mntag.cli import main, seed_lexicon_path
+from mntag.lexicon import LexiconError, load_lexicon
 
 _integers = st.one_of(
     st.integers(-2, 12),
@@ -229,5 +232,126 @@ def test_structure_tag_rules_exit_0_1_or_2_and_name_the_bad_file(rule_bytes):
                 assert errors.messages
                 for message in errors.messages:
                     assert str(rules) in message, message
+    finally:
+        log.removeHandler(errors)
+
+
+_SEED_LEXICON_LINES = Path(seed_lexicon_path()).read_text("utf-8").splitlines()
+_TEMPLATE_LINES = files("mntag.data").joinpath("templates.txt").read_text("utf-8").splitlines()
+#: Lines a lexicon edit may put in: bad and good fields, unknown keys,
+#: codes and modalities, words rule text cannot spell, forms spelled
+#: like tested atoms, and lines that are not fields.
+_LEXICON_PIECES = [
+    "", "# comment", " # not a comment", "no colon", ":", "String:", "String: need",
+    "String: a(b", "String: two words", "Pos:", "Pos: VB", "Pos: MD", "Pos: VB VB", " Pos : JJ",
+    "Modality:", "Modality: Able", "Modality: Nope", "Modality: FirmBelief", "Trigger:",
+    "Trigger: zz", "Trigger: need", "Subcat:", "Subcat: Nope-code",
+    "Subcat: Modal-auxiliary-basic -- He can go.", "Subcat: V3-I3-basic", "Forms: MD for",
+    "Forms: IN NN can", "Forms: a|b", "Forms: /x/", "Forms: $..", "Gloss: extra", "\xa0",
+]
+_TEMPLATE_PIECES = [
+    "", "# comment", "template X", "template V3-I3-basic", "template Modal-auxiliary-basic",
+    "/^VB/=trigger !< /^Trig/ < {WORD} $.. (S < (/^VB/=target !< AUX))",
+    "MD=trigger !< /^Trig/ < {WORD}", "NN=trigger !< /^Trig/ < (", "insert ({TRIG}) >2 trigger",
+    "insert ({TARG}) >2 target", "insert (Foo) >2 trigger", "augment target A-B",
+    "augment target {TARG}", "insert ({WORD}) >2 trigger", "{TRIG}",
+]
+
+
+def _edited(lines: list[str], pieces: list[str]):
+    """A file's lines after a few random line edits, with its line ends
+    and a possible bad byte at the end."""
+    edit = st.tuples(
+        st.sampled_from(["delete", "insert", "replace", "duplicate"]),
+        st.integers(0, 10**4),
+        st.sampled_from(pieces),
+    )
+
+    def apply(args) -> bytes:
+        edits, end, tail = args
+        out = list(lines)
+        for kind, at, piece in edits:
+            at %= len(out) + 1
+            if kind == "insert":
+                out.insert(at, piece)
+            elif at < len(out):
+                if kind == "delete":
+                    del out[at]
+                elif kind == "replace":
+                    out[at] = piece
+                else:
+                    out.insert(at, out[at])
+        return end.join(out).encode("utf-8") + tail
+
+    return st.tuples(
+        st.lists(edit, max_size=4),
+        st.sampled_from(["\n", "\r\n"]),
+        st.sampled_from([b"", b"\n", b"\xff\n"]),
+    ).map(apply)
+
+
+lexicon_files = _edited(_SEED_LEXICON_LINES, _LEXICON_PIECES)
+template_files = _edited(_TEMPLATE_LINES, _TEMPLATE_PIECES)
+
+
+def _tag_offender(lexicon_path: Path, registry_path: Path) -> Path:
+    """The file ``mn tag`` must blame, in the order it reads them: the
+    lexicon, the registry, a subcat code the registry lacks (the
+    lexicon's), then an action label the output cannot fold (the
+    registry's)."""
+    try:
+        lexicon = load_lexicon(lexicon_path.read_bytes().decode("utf-8"))
+    except ValueError:
+        return lexicon_path
+    try:
+        registry = rulegen.load_registry(registry_path.read_bytes().decode("utf-8"))
+    except ValueError:
+        return registry_path
+    try:
+        rulegen.expand_templates(lexicon, registry)
+    except LexiconError:
+        return lexicon_path
+    return registry_path
+
+
+_SHIPPED_TEMPLATES = "\n".join(_TEMPLATE_LINES).encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(lexicon_files, template_files)
+# A record with no surface word and no Trigger to take as its head.
+@example(b"String:\nPos:\nModality: Able\n", _SHIPPED_TEMPLATES)
+@example(b"String:\nPos: VB\nModality: Able\nSubcat: V3-I3-basic\n", _SHIPPED_TEMPLATES)
+def test_lexicon_and_template_readers_exit_0_or_2_and_name_the_bad_file(
+    lexicon_bytes, template_bytes
+):
+    """``mn lexicon validate``, ``mn rules`` and ``mn tag --mode structure``
+    on edited copies of the shipped lexicon and templates."""
+    errors = _Errors()
+    log = logging.getLogger("mn")
+    log.addHandler(errors)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            lexicon, registry = Path(tmp, "lex.txt"), Path(tmp, "templates.txt")
+            lexicon.write_bytes(lexicon_bytes)
+            registry.write_bytes(template_bytes)
+            out, standoff = Path(tmp, "out"), Path(tmp, "out.tsv")
+            runs = [
+                (["lexicon", "validate", str(lexicon)], lexicon),
+                (["rules", "--lexicon", str(lexicon), "--out", str(out)], lexicon),
+                (["tag", "--mode", "structure", "--lexicon", str(lexicon), "--registry",
+                  str(registry), "--in", str(DATA / "corpus_trees.ptb"), "--out", str(out),
+                  "--standoff", str(standoff)], _tag_offender(lexicon, registry)),
+            ]
+            for argv, offender in runs:
+                errors.messages.clear()
+                code = main(argv)
+                assert code in (0, 2), argv
+                if code == 0:
+                    assert not errors.messages
+                else:
+                    assert errors.messages
+                    for message in errors.messages:
+                        assert str(offender) in message, message
     finally:
         log.removeHandler(errors)

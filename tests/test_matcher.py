@@ -117,6 +117,56 @@ def test_rule_file_parsing_and_serialization():
 
 
 # ---------------------------------------------------------------------------
+# Record reader against the grouping it replaced
+
+
+def _reference_read_records(text: str) -> list:
+    """``read_records`` before it became one loop, kept as the reference:
+    comment lines dropped first, then runs of non-blank lines grouped."""
+    from itertools import groupby
+
+    numbered_lines = enumerate(text.splitlines(), 1)
+    lines = [(n, raw.rstrip()) for n, raw in numbered_lines if not raw.startswith("#")]
+    records = []
+    for blank, group in groupby(lines, key=lambda item: not item[1]):
+        if not blank:
+            numbered = list(group)
+            records.append((numbered[0][0], [line for _, line in numbered]))
+    return records
+
+
+#: Lines a record file may hold: fields, comments (only a ``#`` in the
+#: first column starts one), blank and whitespace-only lines, trailing
+#: whitespace, and characters ``splitlines`` breaks at.
+_RECORD_LINES = [
+    "String: need", "Pos: VB", "Subcat: V3-I3-basic -- They need to go.", "template T",
+    "NN=x < a", "insert (TrigAble) >2 x", "Forms: can ca  ", "x\t", "", "", "   ", "\t",
+    "# comment", "#", "#String: x", " # not a comment", "\xa0", "a\x0cb", "a\x1cb", "a\u2028b",
+]
+
+
+def test_read_records_equals_the_reference_on_random_texts():
+    """First line numbers and lines equal the reference's on texts with
+    comments inside and between records, whitespace-only lines, CRLF
+    and mixed line ends, and leading and trailing blank lines."""
+    rng = random.Random(5)
+    seen_comment_inside = 0
+    for _ in range(3000):
+        lines = [rng.choice(_RECORD_LINES) for _ in range(rng.randint(0, 14))]
+        lines = [""] * rng.randint(0, 2) + lines + [""] * rng.randint(0, 2)
+        ends = rng.choice([["\n"], ["\r\n"], ["\n", "\r\n", "\r"]])
+        text = "".join(line + rng.choice(ends) for line in lines)
+        if rng.random() < 0.3:
+            text = text.rstrip("\r\n")  # no line end after the last line
+        got = list(matcher.read_records(text))
+        assert got == _reference_read_records(text), text
+        seen_comment_inside += any(
+            a and b.startswith("#") and c for a, b, c in zip(lines, lines[1:], lines[2:])
+        )
+    assert seen_comment_inside > 300
+
+
+# ---------------------------------------------------------------------------
 # Brute-force oracle equivalence
 
 

@@ -454,9 +454,8 @@ def test_merged_expansion_tags_like_the_per_entry_expansion():
     assert tagged > 300
 
 
-def test_the_bench_padded_lexicon_expands_to_the_seed_rules(seed_rules, registry, monkeypatch):
-    """1600 entries, 1575 of them nonce copies of seed entries, bind the
-    seed lexicon's 22 rules; each copy's forms join its group's rule."""
+def _bench_inputs(monkeypatch):
+    """``bench/inputs.py``, which builds the benchmark's padded lexicon."""
     import importlib.util
     import sys
     from pathlib import Path
@@ -466,6 +465,13 @@ def test_the_bench_padded_lexicon_expands_to_the_seed_rules(seed_rules, registry
     inputs = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, inputs)  # dataclasses look it up
     spec.loader.exec_module(inputs)
+    return inputs
+
+
+def test_the_bench_padded_lexicon_expands_to_the_seed_rules(seed_rules, registry, monkeypatch):
+    """1600 entries, 1575 of them nonce copies of seed entries, bind the
+    seed lexicon's 22 rules; each copy's forms join its group's rule."""
+    inputs = _bench_inputs(monkeypatch)
     text, surfaces = inputs.padded_lexicon(inputs.load_corpus(), 1600, random.Random(1))
     lexicon = load_lexicon(text)
     rules = expand_templates(lexicon, registry)
@@ -528,3 +534,115 @@ def test_a_rewrite_does_not_hide_the_preposition_another_trigger_needs(registry)
     assert write_ptb(_tagged(tree, rules)[0]) == (
         "(S (VB-TrigSucceed for) (VBN-TrigSucceed need) (PP (IN for) (NN-TargSucceed x)))"
     )
+
+
+# ---------------------------------------------------------------------------
+# Indexed grouping against the scan it replaced
+
+
+def _reference_expand(lexicon: Lexicon, registry) -> list:
+    """The expansion before groups were indexed, kept as the reference:
+    each (entry, code) scans every group after its key's latest group
+    for a tested atom or one of the entry's forms."""
+    from mntag.lexicon import LexiconError
+    from mntag.matcher import Action, PatternRule
+
+    tested = frozenset(a for t in registry.values() for a in rulegen._atoms(t.pattern))
+    tested -= rulegen._PLACEHOLDERS
+    groups, latest = [], {}
+    for k, entry in enumerate(lexicon.entries):
+        forms = inflections(entry)
+        words = tested.union(forms)
+        for code in entry.subcats:
+            if code not in registry:
+                raise LexiconError(f"{lexicon.where(k)}: no template for subcat code {code!r}", k)
+            key = (code, entry.modality)
+            at = latest.get(key)
+            passed = [] if at is None else groups[at + 1 :]
+            clash = bool(passed) and not tested.isdisjoint(forms)
+            if at is None or clash or any(not f.keys().isdisjoint(words) for _, _, f in passed):
+                latest[key] = len(groups)
+                groups.append((code, entry.modality, dict.fromkeys(forms)))
+            else:
+                groups[at][2].update(dict.fromkeys(forms))
+    rules = []
+    for code, modality, forms in groups:
+        template = registry[code]
+        atoms = {
+            rulegen.WORD: tuple(forms),
+            rulegen.TRIG: (rulegen.trigger_tag(modality),),
+            rulegen.TARG: (rulegen.target_tag(modality),),
+        }
+        text = {placeholder: "|".join(values) for placeholder, values in atoms.items()}
+        name = f"{code}:{modality.value}"
+        actions = tuple(
+            Action(a.kind, a.capture, text.get(a.label, a.label), a.position)
+            for a in template.actions
+        )
+        source = rulegen._PLACEHOLDER.sub(lambda m: text[m.group()], template.source)
+        pattern = _reference_bind(template.pattern, atoms)
+        rules.append(PatternRule(name, pattern, actions, source=f"rule {name}\n{source}"))
+    return rules
+
+
+def _reference_bind(pattern, atoms):
+    from mntag.matcher import Clause, NodeTest, Pattern
+
+    test = pattern.test
+    alts = test.alternatives or ()
+    if not rulegen._PLACEHOLDERS.isdisjoint(alts):
+        test = NodeTest(frozenset(v for a in alts for v in atoms.get(a, (a,))))
+    clauses = tuple(Clause(c.relation, _reference_bind(c.operand, atoms)) for c in pattern.clauses)
+    return Pattern(test, pattern.capture, clauses)
+
+
+def _spelled(rules) -> list:
+    """Each rule as its name, source, actions and pattern (``source``
+    takes no part in rule equality)."""
+    return [(r.name, r.source, r.actions, r.pattern) for r in rules]
+
+
+#: Words spelled like atoms the templates test, which split groups.
+_TESTED_FORMS = ["MD", "for", "IN", "NN", "in"]
+
+
+def _tested_atom_lexicon(rng: random.Random, codes: list[str]) -> Lexicon:
+    """Entries whose ``Forms`` draw on a few shared words and, early and
+    late in the lexicon, on words spelled like tested atoms."""
+    shared = ["can", "could", "need", "want", "go", "win"]
+    records = []
+    size = rng.randint(3, 12)
+    for k in range(size):
+        forms = rng.sample(shared, rng.randint(0, 2)) + [f"w{k}"]
+        if rng.random() < (0.6 if k in (0, 1, size - 2, size - 1) else 0.15):
+            forms.insert(rng.randrange(len(forms) + 1), rng.choice(_TESTED_FORMS))
+        subcats = "".join(f"Subcat: {code}\n" for code in rng.sample(codes, rng.randint(1, 2)))
+        modality = rng.choice(_MODALITIES[:3])
+        records.append(
+            f"String: e{k}\nPos: VB\nModality: {modality}\n{subcats}Forms: {' '.join(forms)}\n"
+        )
+    return load_lexicon("\n".join(records))
+
+
+def test_expansion_equals_the_reference(registry, monkeypatch):
+    """Rule for rule, as the scan over later groups bound them: on the
+    bench padded lexicons, and on random lexicons whose forms overlap
+    across groups and hold tested atoms.  Fails if the tested-atom index
+    is dropped, or if a form's first group stands for its latest."""
+    inputs = _bench_inputs(monkeypatch)
+    corpus = inputs.load_corpus()
+    lexicons = [
+        load_lexicon(inputs.padded_lexicon(corpus, 1600, random.Random(seed))[0])
+        for seed in (1, 2, 3)
+    ]
+    rng = random.Random(17)
+    codes = sorted(registry)
+    for n in range(600):
+        make = _random_lexicon if n % 2 else _tested_atom_lexicon
+        lexicons.append(make(rng, rng.sample(codes, 3)))
+    split = 0
+    for lexicon in lexicons:
+        rules = expand_templates(lexicon, registry)
+        assert _spelled(rules) == _spelled(_reference_expand(lexicon, registry))
+        split += len(rules) > len({r.name for r in rules})
+    assert split > 300  # most lexicons split some group
