@@ -188,10 +188,11 @@ def _cmd_tag(args) -> int:
             for diag in result.diagnostics:
                 log.info("sentence %d: %s", i, diag)
             annotations.extend(result.annotations)
-            tagged_sentences.append(result.tokens)
-            out_lines.append(
-                taggers.render_inline([t.token for t in result.tokens], result.annotations)
-            )
+            if args.inline:
+                words = [t.token for t in result.tokens]
+                out_lines.append(taggers.render_inline(words, result.annotations))
+            else:
+                tagged_sentences.append(result.tokens)
         if args.inline:
             output = "".join(line + "\n" for line in out_lines)
         else:

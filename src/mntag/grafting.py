@@ -31,9 +31,9 @@ that leaf's path to the root.
 
 Annotations are processed family by family (named entities before
 modality/negation by default) and within a family in ascending
-precedence, so the highest-precedence tag lands last and wins
-conflicts.  A word tagged as both trigger and target keeps the target
-tag regardless of arrival order.
+precedence, so the highest-precedence tag lands last in its node's
+records and wins conflicts.  A word tagged as both trigger and target
+keeps the target tag regardless of arrival order.
 
 After grafting, a Negation trigger adjacent to a modality trigger in
 the same minimal clause composes NOT into that modality's target
@@ -278,7 +278,6 @@ class _Grafted:
     annotation: StandoffAnnotation
     outcome: str
     nodes: list[int]  # the numbers of the nodes it was put on
-    seq: int
     label: str  # composition may rewrite it
     tag: MNTag | None  # ``label`` parsed
 
@@ -319,7 +318,7 @@ def graft(
                 outcome, nodes = "grafted-inserted", [shadow.insert(*where, a.label)]
             else:
                 outcome = "crossing-skipped"
-            g = _Grafted(a, outcome, nodes, len(grafted), a.label, tag)
+            g = _Grafted(a, outcome, nodes, a.label, tag)
             for n in nodes:
                 applied.setdefault(n, []).append(g)
             grafted.append(g)
@@ -413,13 +412,15 @@ def _siblings(shadow: _Shadow, a: _Grafted, b: _Grafted) -> bool:
 
 
 def _final_label(records: list[_Grafted]) -> str:
-    chosen = max(records, key=lambda g: g.seq)
+    # A node's records are in placement order (``_compose`` only removes
+    # them), so the latest is the last.
+    chosen = records[-1]
     # Trigger-vs-target conflicts are adjudicated within the MN
     # family only; a later family's tag stands.
     if getattr(chosen.tag, "role", None) is Role.TRIGGER:
         targets = [g for g in records if getattr(g.tag, "role", None) is Role.TARGET]
         if targets:
-            chosen = max(targets, key=lambda g: g.seq)
+            chosen = targets[-1]
     return chosen.label
 
 

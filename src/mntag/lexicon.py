@@ -19,6 +19,7 @@ literally; errors name the record's first line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .matcher import is_plain_word, read_records
@@ -73,17 +74,23 @@ class Lexicon:
     entries: tuple[LexiconEntry, ...]
     #: Number of the first line of each entry's record, when read from text.
     lines: tuple[int, ...] = field(default=(), compare=False, repr=False)
-    _index: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         first: dict[tuple, int] = {}
         for k, e in enumerate(self.entries):
             if first.setdefault((e.surface.lower(), e.pos, e.modality), k) != k:
                 raise LexiconError(f"duplicate entry {e.surface!r}/{'+'.join(e.pos)}", k)
-            self._index.setdefault(e.words[0].lower(), []).append(e)
+
+    @cached_property
+    def _by_first_word(self) -> dict[str, list[LexiconEntry]]:
+        # Built on the first lookup: only the string tagger looks entries up.
+        index: dict[str, list[LexiconEntry]] = {}
+        for e in self.entries:
+            index.setdefault(e.words[0].lower(), []).append(e)
+        return index
 
     def candidates(self, first_word: str) -> list[LexiconEntry]:
-        return self._index.get(first_word.lower(), [])
+        return self._by_first_word.get(first_word.lower(), [])
 
     def where(self, k: int) -> str:
         """``line L: record K`` for the 0-based entry ``k``; ``record K``

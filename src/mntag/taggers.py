@@ -177,17 +177,15 @@ def _next_verb(tagged: Sequence[tuple[str, str]], start: int) -> int | None:
     return None
 
 
-@dataclass
+@dataclass(eq=False)  # ``anns.remove`` finds an annotation by identity
 class _RawAnn:
     span: Span
     tag: MNTag
-    alive: bool = True
 
 
 @dataclass
 class _Link:
-    modality: Modality | None
-    trigger_ann: _RawAnn | None = None
+    trigger_ann: _RawAnn  # its tag names the link's modality
     target_ann: _RawAnn | None = None
 
 
@@ -198,7 +196,9 @@ class TagResult:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def _compose_pass(links: list[_Link], diagnostics: list[str], structure: bool) -> None:
+def _compose_pass(
+    links: list[_Link], anns: list[_RawAnn], diagnostics: list[str], structure: bool
+) -> None:
     """Fold negation links into the modality links they scope over.
 
     The string tagger composes only between a trigger and its target.
@@ -206,18 +206,13 @@ def _compose_pass(links: list[_Link], diagnostics: list[str], structure: bool) -
     immediately before a trigger also composes into that trigger's
     target, and composition is skipped when the word that would receive
     the rewritten tag is itself a trigger; the raw tags stay for
-    downstream composition during grafting.
+    downstream composition during grafting.  A negation composed onto
+    its own raw target's word removes that target from ``anns``.
     """
-    mod_links = [
-        l
-        for l in links
-        if l.modality is not None
-        and l.modality is not Modality.NEGATION
-        and l.trigger_ann is not None
-    ]
+    mod_links = [l for l in links if l.trigger_ann.tag.modality is not Modality.NEGATION]
     trigger_spans = {l.trigger_ann.span for l in mod_links}
     for neg in links:
-        if neg.modality is not Modality.NEGATION or neg.trigger_ann is None:
+        if neg.trigger_ann.tag.modality is not Modality.NEGATION:
             continue
         nspan = neg.trigger_ann.span
         composed = False
@@ -235,7 +230,7 @@ def _compose_pass(links: list[_Link], diagnostics: list[str], structure: bool) -
                 continue
             link.target_ann.tag = compose_negation(link.target_ann.tag, True)
             if neg.target_ann is not None and neg.target_ann.span == link.target_ann.span:
-                neg.target_ann.alive = False
+                anns.remove(neg.target_ann)
             composed = True
         elif structure:
             following = [l for l in mod_links if l.trigger_ann.span.start == nspan.end]
@@ -245,7 +240,7 @@ def _compose_pass(links: list[_Link], diagnostics: list[str], structure: bool) -
                     continue
                 link.target_ann.tag = compose_negation(link.target_ann.tag, True)
                 if neg.target_ann is not None and neg.target_ann.span == link.trigger_ann.span:
-                    neg.target_ann.alive = False
+                    anns.remove(neg.target_ann)
                 composed = True
         if not composed and neg.target_ann is None:
             diagnostics.append(f"negation trigger at {nspan.start} has no target")
@@ -255,8 +250,6 @@ def _finish_annotations(anns: list[_RawAnn], sentence: int) -> list[StandoffAnno
     seen = set()
     out = []
     for ann in anns:
-        if not ann.alive:
-            continue
         key = (ann.span, str(ann.tag))
         if key in seen:
             continue
@@ -285,7 +278,7 @@ def tag_string(
     for i in range(len(tagged)):
         for entry, (start, end) in lookup(lexicon, tagged, i):
             trig = _RawAnn(Span(start, end), MNTag(Role.TRIGGER, False, entry.modality, False))
-            link = _Link(entry.modality, trig)
+            link = _Link(trig)
             anns.append(trig)
             j = _next_verb(tagged, end)
             if j is not None:
@@ -298,13 +291,13 @@ def tag_string(
                 )
             links.append(link)
 
-    _compose_pass(links, diagnostics, structure=False)
+    _compose_pass(links, anns, diagnostics, structure=False)
     annotations = _finish_annotations(anns, sentence)
 
     tag_sets: list[set[MNTag]] = [set() for _ in tagged]
-    for a in annotations:
-        for k in range(a.span.start, a.span.end):
-            tag_sets[k].add(parse_tag(a.label))
+    for ann in anns:
+        for k in range(ann.span.start, ann.span.end):
+            tag_sets[k].add(ann.tag)
     tokens = [
         TaggedToken(tok, pos, frozenset(tag_sets[k]))
         for k, (tok, pos) in enumerate(tagged)
@@ -347,7 +340,7 @@ def tag_structure(
         # one capture record two.  Insert and augment labels alike:
         # augment bakes the suffix in directly, but the annotation is
         # still recorded so standoff output stays complete.
-        link = _Link(None)
+        trigger = target = None
         for action in m.rule.actions:
             if action.label not in TAG_SPELLINGS:
                 continue  # non-MN payload: lands on the tree only
@@ -358,20 +351,17 @@ def tag_structure(
             ann = _RawAnn(span, tag)
             anns.append(ann)
             if tag.role is Role.TRIGGER:
-                link.trigger_ann = ann
-                link.modality = tag.modality
+                trigger = ann
             else:
-                link.target_ann = ann
-        if link.modality is None and link.target_ann is not None:
-            link.modality = link.target_ann.tag.modality
-        if link.trigger_ann is not None or link.target_ann is not None:
-            links.append(link)
+                target = ann
+        if trigger is not None:
+            links.append(_Link(trigger, target))
         fired.append(m.rule.name)
 
     for rule in rules:
         current = matcher.apply(rule, current, on_rewrite=record)
 
-    _compose_pass(links, diagnostics, structure=True)
+    _compose_pass(links, anns, diagnostics, structure=True)
     annotations = _finish_annotations(anns, sentence)
     folded = fold_markers(current, annotations)
     return StructureResult(folded, annotations, diagnostics, fired)

@@ -21,6 +21,9 @@ GOLDEN_TAGGED = DATA / "golden_tagged.ptb"
 GOLDEN_FLAT = DATA / "golden_flat.ptb"
 GOLDEN_PREPROCESSED = DATA / "golden_preprocessed.ptb"
 GOLDEN_RULES = DATA / "golden_rules.txt"
+GOLDEN_STRING_TOKENS = DATA / "golden_string_tokens.tsv"
+GOLDEN_STRING_INLINE = DATA / "golden_string_inline.txt"
+GOLDEN_STRING_STANDOFF = DATA / "golden_string_standoff.tsv"
 
 FIG1_LINE = (
     "Americans <TrigRequire should> <TargRequire know> that we <TrigAble can>"
@@ -73,6 +76,22 @@ def test_string_mode_inline_reproduces_first_sentence(tmp_path):
     ) == 0
     first = out.read_text().splitlines()[0]
     assert first == FIG1_LINE
+
+
+@pytest.mark.parametrize(
+    "inline, golden",
+    [([], GOLDEN_STRING_TOKENS), (["--inline"], GOLDEN_STRING_INLINE)],
+    ids=["tokens", "inline"],
+)
+def test_string_mode_matches_golden_output_and_standoff(tmp_path, inline, golden):
+    out = tmp_path / "out"
+    standoff = tmp_path / "standoff.tsv"
+    assert run(
+        "tag", "--mode", "string", "--lexicon", seed_lexicon_path(),
+        "--in", TOKENS, "--out", out, "--standoff", standoff, *inline,
+    ) == 0
+    assert out.read_bytes() == golden.read_bytes()
+    assert standoff.read_bytes() == GOLDEN_STRING_STANDOFF.read_bytes()
 
 
 def test_tag_empty_input(tmp_path):

@@ -1,5 +1,6 @@
 import gc
 import random
+from dataclasses import dataclass
 from operator import is_
 
 import pytest
@@ -11,7 +12,6 @@ from mntag.grafting import (
     GraftReport,
     SpanCase,
     _apply_key,
-    _Grafted,
     _Shadow,
     classify_span,
     graft,
@@ -460,6 +460,18 @@ class _RefShadow:
         return Span(n.start, n.end)
 
 
+@dataclass(eq=False)
+class _RefGrafted:
+    """A graft record numbered in placement order: ``seq`` picks the latest."""
+
+    annotation: StandoffAnnotation
+    outcome: str
+    nodes: list
+    seq: int
+    label: str
+    tag: object
+
+
 def _reference_graft(tree, annotations, config=None):
     config = config or GraftConfig()
     shadow = _RefShadow(tree)
@@ -484,7 +496,7 @@ def _reference_graft(tree, annotations, config=None):
                 outcome, nodes = "grafted-inserted", [shadow.insert(*where, a.label)]
             else:
                 outcome = "crossing-skipped"
-            g = _Grafted(a, outcome, [n.index for n in nodes], len(grafted), a.label, tag)
+            g = _RefGrafted(a, outcome, [n.index for n in nodes], len(grafted), a.label, tag)
             for n in nodes:
                 n.applied.append(g)
             grafted.append(g)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from mntag.lexicon import LexiconError, dump_lexicon, load_lexicon, lookup
@@ -105,6 +107,16 @@ def test_lookup_case_insensitive_words():
     lex = load_lexicon("String: Need\nPos: VB\nModality: Require\nSubcat: V3-I3-basic\n")
     assert len(lookup(lex, [("need", "VB")], 0)) == 1
     assert len(lookup(lex, [("NEED", "VB")], 0)) == 1
+
+
+def test_lookup_index_is_no_field_and_leaves_equality_and_repr_alone(seed_lexicon):
+    fresh = load_lexicon(dump_lexicon(seed_lexicon))
+    before = repr(fresh)
+    assert lookup(fresh, [("should", "MD")], 0)
+    assert fresh == load_lexicon(dump_lexicon(seed_lexicon))
+    assert hash(fresh) == hash(load_lexicon(dump_lexicon(seed_lexicon)))
+    assert repr(fresh) == before
+    assert [f.name for f in dataclasses.fields(fresh)] == ["entries", "lines"]
 
 
 def test_head_must_be_a_surface_word():
