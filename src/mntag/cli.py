@@ -32,7 +32,7 @@ from importlib.resources import files
 
 from . import grafting, matcher, rulegen, taggers, trees
 from .lexicon import LexiconError, load_lexicon_file
-from .matcher import PatternSyntaxError, RewriteBudgetError
+from .matcher import RewriteBudgetError
 from .taggers import StandoffAnnotation
 
 log = logging.getLogger("mn")
@@ -103,27 +103,12 @@ def _parse_file(path, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _check_labels(rule: matcher.PatternRule) -> None:
-    """Reject an action label the tagger's output could not fold back: an
-    insert leaf that is not a marker would stay in the tree as a word,
-    and an augment suffix must be one label segment."""
-    for action in rule.actions:
-        if action.kind is matcher.ActionKind.INSERT and not rulegen.is_marker_label(action.label):
-            raise PatternSyntaxError(
-                f"rule {rule.name}: insert label {action.label!r} is not a marker"
-                f" ({rulegen.AUX_MARKER}, {rulegen.PASSIVE_MARKER} or a tag)"
-            )
-        if action.kind is matcher.ActionKind.AUGMENT and (
-            "-" in action.label or trees.LABEL_BAD.search(action.label)
-        ):
-            raise PatternSyntaxError(
-                f"rule {rule.name}: augment suffix {action.label!r} is not one label segment"
-            )
-
-
 def _load_rules(args) -> list[matcher.PatternRule]:
     if getattr(args, "rules", None):
-        return _parse_file(args.rules, lambda text: matcher.parse_rules(text, _check_labels))
+        return _parse_file(
+            args.rules,
+            lambda text: matcher.parse_rules(text, lambda r: rulegen._check_labels(r.actions)),
+        )
     lexicon = load_lexicon_file(args.lexicon)
     registry = (
         _parse_file(args.registry, rulegen.load_registry)
@@ -131,16 +116,9 @@ def _load_rules(args) -> list[matcher.PatternRule]:
         else rulegen.default_registry()
     )
     try:
-        rules = rulegen.expand_templates(lexicon, registry)
+        return rulegen.expand_templates(lexicon, registry)
     except LexiconError as exc:
         raise LexiconError(f"{args.lexicon}: {exc}") from None
-    if args.registry:
-        for rule in rules:
-            try:
-                _check_labels(rule)
-            except PatternSyntaxError as exc:
-                raise PatternSyntaxError(f"{args.registry}: {exc}") from None
-    return rules
 
 
 def _cmd_tag(args) -> int:

@@ -27,12 +27,8 @@ from .tags import MODALITY_BY_NAME, Modality
 
 
 class LexiconError(ValueError):
-    """``record`` is the 0-based index of the entry at fault, when the
-    error is raised on a whole lexicon rather than one record."""
-
-    def __init__(self, message: str, record: int | None = None):
-        super().__init__(message)
-        self.record = record
+    """A bad entry or lexicon; a lexicon's errors name the record at
+    fault through ``Lexicon.where``."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,9 @@ class Lexicon:
         first: dict[tuple, int] = {}
         for k, e in enumerate(self.entries):
             if first.setdefault((e.surface.lower(), e.pos, e.modality), k) != k:
-                raise LexiconError(f"duplicate entry {e.surface!r}/{'+'.join(e.pos)}", k)
+                raise LexiconError(
+                    f"{self.where(k)}: duplicate entry {e.surface!r}/{'+'.join(e.pos)}"
+                )
 
     @cached_property
     def _by_first_word(self) -> dict[str, list[LexiconEntry]]:
@@ -165,14 +163,15 @@ def _finish_record(lines: list[str]) -> LexiconEntry:
 
 def load_lexicon(text: str) -> Lexicon:
     records = list(read_records(text))
+    lines = tuple(lineno for lineno, _ in records)
     entries: list[LexiconEntry] = []
-    try:
-        for _, lines in records:
-            entries.append(_finish_record(lines))
-        return Lexicon(tuple(entries), tuple(lineno for lineno, _ in records))
-    except LexiconError as exc:
-        k = len(entries) if exc.record is None else exc.record
-        raise LexiconError(f"line {records[k][0]}: record {k + 1}: {exc}") from None
+    for k, (_, fields) in enumerate(records):
+        try:
+            entries.append(_finish_record(fields))
+        except LexiconError as exc:
+            # ``where`` names a record from the lines alone.
+            raise LexiconError(f"{Lexicon((), lines).where(k)}: {exc}") from None
+    return Lexicon(tuple(entries), lines)
 
 
 def dump_lexicon(lexicon: Lexicon) -> str:

@@ -334,16 +334,19 @@ def parse_rules(
     text: str, check: Callable[[PatternRule], None] | None = None
 ) -> list[PatternRule]:
     """Parse a rule file: ``read_records`` records, one rule each.  A
-    ``PatternSyntaxError`` from ``check``, called on each rule, is
-    reported with the rule's line like a syntax error."""
+    syntax error is reported with its rule's line, and a
+    ``PatternSyntaxError`` from ``check``, called on each rule, with the
+    rule's line and name."""
     rules = []
     for lineno, lines in read_records(text):
+        where = f"line {lineno}"
         try:
             rule = parse_pattern("\n".join(lines), name=f"rule{len(rules) + 1}")
+            where += f": rule {rule.name}"
             if check is not None:
                 check(rule)
         except PatternSyntaxError as exc:
-            raise PatternSyntaxError(f"line {lineno}: {exc}") from None
+            raise PatternSyntaxError(f"{where}: {exc}") from None
         rules.append(rule)
     return rules
 
@@ -407,7 +410,8 @@ def _solve(
     pattern: Pattern, node: ParseTree, parent: ParseTree | None, path: TreePath
 ) -> list[dict]:
     """Every environment (capture name -> path) binding ``pattern`` at
-    ``node``, whose parent (None at the root) and path the caller knows."""
+    ``node``, each once, whose parent (None at the root) and path the
+    caller knows."""
     if not pattern.test.matches(node):
         return []
     envs = [{pattern.capture: path} if pattern.capture else {}]
@@ -431,13 +435,20 @@ def _solve(
 def _solve_among(
     operand: Pattern, owner: ParseTree, owner_path: TreePath, first: int
 ) -> list[dict]:
-    """``_solve`` at each daughter of ``owner`` from index ``first`` on."""
+    """``_solve`` at each daughter of ``owner`` from index ``first`` on,
+    each environment once.  Only an uncaptured operand binds one
+    environment at two daughters: the empty one when it captures
+    nothing, or one whose captures all lie beyond its ``$..``."""
     kids = owner.children
-    return [
+    envs = [
         env
         for k in range(first, len(kids))
         for env in _solve(operand, kids[k], owner, owner_path + (k,))
     ]
+    if operand.capture is None and len(envs) > 1:
+        # An operand's environments all bind its captures in one order.
+        envs = list({tuple(env.values()): env for env in envs}.values())
+    return envs
 
 
 def match(rule: PatternRule, tree: ParseTree) -> list[Match]:
@@ -459,7 +470,6 @@ def _walk(rule: PatternRule, tree: ParseTree) -> list[Match]:
     pattern = rule.pattern
     alternatives = pattern.test.alternatives
     regex = None if alternatives is not None else _compiled(pattern.test.regex).match
-    seen: set[tuple] = set()
     out: list[Match] = []
     stack: list[tuple[ParseTree, ParseTree | None, TreePath]] = [(tree, None, ())]
     pop, push = stack.pop, stack.append
@@ -472,10 +482,7 @@ def _walk(rule: PatternRule, tree: ParseTree) -> list[Match]:
             else node.label in alternatives or node.token in alternatives
         ):
             for env in _solve(pattern, node, parent, path):
-                key = (path, tuple(sorted(env.items())))
-                if key not in seen:
-                    seen.add(key)
-                    out.append(Match(rule, tree, path, env))
+                out.append(Match(rule, tree, path, env))
         kids = node.children
         k = len(kids)
         while k:

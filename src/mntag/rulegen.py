@@ -17,13 +17,13 @@ from __future__ import annotations
 import re
 from itertools import chain, repeat
 from operator import is_
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .lexicon import Lexicon, LexiconEntry, LexiconError
-from .matcher import Action, Clause, NodeTest, Pattern, PatternRule, TreePath
-from .matcher import parse_pattern, read_records
+from .matcher import Action, ActionKind, Clause, NodeTest, Pattern, PatternRule
+from .matcher import PatternSyntaxError, TreePath, parse_pattern, read_records
 from .tags import TAG_SPELLINGS, MNTag, Modality, Role
-from .trees import ParseTree, Span, base_category, insert_leaf
+from .trees import LABEL_BAD, ParseTree, Span, base_category, insert_leaf
 
 BE_FORMS = frozenset(["be", "am", "is", "are", "was", "were", "been", "being", "'s", "'re", "'m"])
 HAVE_FORMS = frozenset(["have", "has", "had", "having", "'ve", "'d"])
@@ -46,6 +46,22 @@ _MARKER_LABELS = TAG_SPELLINGS | {AUX_MARKER, PASSIVE_MARKER}
 def is_marker_label(label: str) -> bool:
     """True for a marker's spelling: ``AUX``, ``VoicePassive`` or a tag."""
     return label in _MARKER_LABELS
+
+
+def _check_labels(actions: Iterable[Action]) -> None:
+    """Reject an action label the tagger's output could not fold back: an
+    insert leaf that is not a marker would stay in the tree as a word,
+    and an augment suffix must be one label segment."""
+    for action in actions:
+        if action.kind is ActionKind.INSERT and not is_marker_label(action.label):
+            raise PatternSyntaxError(
+                f"insert label {action.label!r} is not a marker"
+                f" ({AUX_MARKER}, {PASSIVE_MARKER} or a tag)"
+            )
+        if action.kind is ActionKind.AUGMENT and (
+            "-" in action.label or LABEL_BAD.search(action.label)
+        ):
+            raise PatternSyntaxError(f"augment suffix {action.label!r} is not one label segment")
 
 
 def is_marker_leaf(node: ParseTree) -> bool:
@@ -193,7 +209,8 @@ TemplateRegistry = dict[str, PatternRule]
 def load_registry(text: str) -> TemplateRegistry:
     """Parse a template file: ``read_records`` records of a ``template
     NAME`` header, pattern line(s) and action lines.  Each template is
-    parsed here, once; errors name the template and its line."""
+    parsed and its action labels checked here, once, whether or not an
+    entry uses it; errors name the template and its line."""
     templates: TemplateRegistry = {}
     for lineno, lines in read_records(text):
         header, *body = (line.strip() for line in lines)
@@ -209,6 +226,8 @@ def load_registry(text: str) -> TemplateRegistry:
                 raise ValueError(f"{WORD} must be an atom of the pattern")
             if {TRIG, TARG} - labels:
                 raise ValueError(f"missing action label {TRIG} or {TARG}")
+            # Expansion binds {TRIG} and {TARG} to tags, which fold back.
+            _check_labels(a for a in template.actions if a.label not in (TRIG, TARG))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: template {name}: {exc}") from None
         templates[name] = template
@@ -265,7 +284,7 @@ def expand_templates(lexicon: Lexicon, registry: TemplateRegistry) -> list[Patte
         newest = max(map(last_with.get, forms, repeat(-1)))
         for code in entry.subcats:
             if code not in registry:
-                raise LexiconError(f"{lexicon.where(k)}: no template for subcat code {code!r}", k)
+                raise LexiconError(f"{lexicon.where(k)}: no template for subcat code {code!r}")
             key = (code, entry.modality)
             at = latest.get(key, -1)
             # The latest group the forms must not pass: any group if they hold a

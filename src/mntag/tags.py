@@ -17,7 +17,10 @@ from functools import cache
 
 
 class Modality(Enum):
-    """Closed set of modalities, plus the Negation pseudo-modality."""
+    """Closed set of modalities, plus the Negation pseudo-modality.
+
+    Declaration order is precedence order, highest first
+    (``TAG_INVENTORY``, ``specificity_rank``)."""
 
     REQUIRE = "Require"
     PERMIT = "Permit"
@@ -82,25 +85,15 @@ class MNTag:
 
 
 def _inventory() -> tuple[str, ...]:
-    ordered = [
-        Modality.REQUIRE,
-        Modality.PERMIT,
-        Modality.SUCCEED,
-        Modality.EFFORT,
-        Modality.INTEND,
-        Modality.ABLE,
-        Modality.WANT,
-        Modality.BELIEF,
-        Modality.FIRM_BELIEF,
-    ]
     out: list[str] = []
-    for mod in ordered:
+    for mod in Modality:
         out.append(mod.value)
+        if mod is Modality.NEGATION:
+            continue  # takes no NOT or Negation marks
         out.append("NOT" + mod.value)
         if mod not in _DUAL:
             out.append(mod.value + "Negation")
             out.append("NOT" + mod.value + "Negation")
-    out.append(Modality.NEGATION.value)
     return tuple(out)
 
 

@@ -761,8 +761,33 @@ def test_registry_action_the_tagger_cannot_fold_exits_2_naming_file_and_rule(tmp
         ["tag", "--mode", "structure", "--in", TREES, "--out", tmp_path / "t"],
     ):
         assert run(*command, "--lexicon", seed_lexicon_path(), "--registry", registry) == 2
-    message = f"{registry}: rule V3-passive-basic:Require: augment suffix 'A-B' is not one label"
+    message = f"{registry}: line 18: template V3-passive-basic: augment suffix 'A-B' is not one"
     assert caplog.text.count(message) == 2
+
+
+@pytest.mark.parametrize(
+    "action, message",
+    [
+        ("augment target A-B", "augment suffix 'A-B' is not one label segment"),
+        ("insert (Foo) >1 target", "insert label 'Foo' is not a marker"),
+    ],
+)
+def test_registry_action_in_a_template_no_entry_uses_exits_2(tmp_path, caplog, action, message):
+    """Labels are checked when the registry loads, not when a lexicon
+    entry binds the template: a template no entry names fails too."""
+    shipped = files("mntag.data").joinpath("templates.txt").read_text("utf-8")
+    lines = len(shipped.splitlines())
+    registry = tmp_path / "templates.txt"
+    registry.write_text(
+        f"{shipped}\ntemplate Unused\nVB=trigger < {{WORD}} $.. NN=target\n"
+        f"insert ({{TRIG}}) >2 trigger\ninsert ({{TARG}}) >2 target\n{action}\n"
+    )
+    for command in (
+        ["rules", "--out", tmp_path / "r"],
+        ["tag", "--mode", "structure", "--in", TREES, "--out", tmp_path / "t"],
+    ):
+        assert run(*command, "--lexicon", seed_lexicon_path(), "--registry", registry) == 2
+    assert caplog.text.count(f"{registry}: line {lines + 2}: template Unused: {message}") == 2
 
 
 def test_structure_mode_inline(tmp_path):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import re
 
@@ -284,53 +285,65 @@ def test_rewrite_callback_gets_the_match_of_its_rule_in_the_tree_before():
     assert seen[0][0] is rule and seen[0][1] is seen[0][2] is tree
 
 
-def _reference_walk(rule: PatternRule, tree: ParseTree) -> list:
-    """The walk that handed every node to the solver, and the solver it
-    called, kept as the reference: each match as (root path, capture
-    paths), in order."""
+def _reference_self_token(operand, node):
+    return operand.is_plain_atom() and node.is_leaf and node.token in operand.test.alternatives
 
-    def self_token(operand, node):
-        return operand.is_plain_atom() and node.is_leaf and node.token in operand.test.alternatives
 
-    def solve(pattern, node, parent, path):
-        if not pattern.test.matches(node):
-            return []
-        envs = [{pattern.capture: path} if pattern.capture else {}]
-        for clause in pattern.clauses:
-            if clause.relation is Relation.FOLLOWING_SISTER:
-                subs = among(clause.operand, parent, path[:-1], path[-1] + 1) if parent else []
-            elif self_token(clause.operand, node):
-                subs = [{}]
-            else:
-                subs = among(clause.operand, node, path, 0)
-            if clause.relation is Relation.NOT_CHILD:
-                if subs:
-                    return []
-                continue
-            envs = [env | sub for env in envs for sub in subs]
-            if not envs:
+def _reference_solve(pattern, node, parent, path):
+    """The solver the reference walk calls: an environment comes once
+    for each way it binds, so one reached two ways comes twice."""
+    if not pattern.test.matches(node):
+        return []
+    envs = [{pattern.capture: path} if pattern.capture else {}]
+    for clause in pattern.clauses:
+        if clause.relation is Relation.FOLLOWING_SISTER:
+            subs = []
+            if parent is not None:
+                subs = _reference_among(clause.operand, parent, path[:-1], path[-1] + 1)
+        elif _reference_self_token(clause.operand, node):
+            subs = [{}]
+        else:
+            subs = _reference_among(clause.operand, node, path, 0)
+        if clause.relation is Relation.NOT_CHILD:
+            if subs:
                 return []
-        return envs
+            continue
+        envs = [env | sub for env in envs for sub in subs]
+        if not envs:
+            return []
+    return envs
 
-    def among(operand, owner, owner_path, first):
-        kids = owner.children
-        return [
-            env
-            for k in range(first, len(kids))
-            for env in solve(operand, kids[k], owner, owner_path + (k,))
-        ]
 
-    seen, out = set(), []
+def _reference_among(operand, owner, owner_path, first):
+    kids = owner.children
+    return [
+        env
+        for k in range(first, len(kids))
+        for env in _reference_solve(operand, kids[k], owner, owner_path + (k,))
+    ]
+
+
+def _preorder(tree: ParseTree):
+    """(node, parent, path) for every node, in preorder."""
     stack = [(tree, None, ())]
     while stack:
         node, parent, path = stack.pop()
-        for env in solve(rule.pattern, node, parent, path):
+        yield node, parent, path
+        kids = node.children
+        stack.extend((kids[k], node, path + (k,)) for k in range(len(kids) - 1, -1, -1))
+
+
+def _reference_walk(rule: PatternRule, tree: ParseTree) -> list:
+    """The walk that handed every node to the solver, and the solver it
+    called, kept as the reference: each match as (root path, capture
+    paths), in order, an environment reached two ways kept once."""
+    seen, out = set(), []
+    for node, parent, path in _preorder(tree):
+        for env in _reference_solve(rule.pattern, node, parent, path):
             key = (path, tuple(sorted(env.items())))
             if key not in seen:
                 seen.add(key)
                 out.append((path, env))
-        kids = node.children
-        stack.extend((kids[k], node, path + (k,)) for k in range(len(kids) - 1, -1, -1))
     return out
 
 
@@ -365,6 +378,86 @@ def test_walk_matches_the_reference_walk(seed_rules):
                     pass
                 rewritten += tree is not before
     assert found > 1000 and rewritten > 300
+
+
+@pytest.mark.parametrize(
+    "pattern, text, expected",
+    [
+        ("NP < DT", "(NP (DT a) (DT b))", [((), {})]),
+        ("NN $.. DT", "(NP (NN x) (DT a) (DT b))", [((0,), {})]),
+        ("S < (NP=n < DT)", "(S (NP (DT a) (DT b)))", [((), {"n": (0,)})]),
+        ("S < (NP=n $.. DT)", "(S (NP (NN a)) (DT b) (DT c))", [((), {"n": (0,)})]),
+        # Two NP daughters reach one DT capture through their ``$..``.
+        ("S < (NP $.. DT=x)", "(S (NP a) (NP b) (DT c))", [((), {"x": (2,)})]),
+        (
+            "S < (NP $.. DT=x)",
+            "(S (NP a) (DT b) (NP c) (DT d))",
+            [((), {"x": (1,)}), ((), {"x": (3,)})],
+        ),
+    ],
+)
+def test_an_environment_two_daughters_bind_matches_once(pattern, text, expected):
+    """A capture-free operand that several daughters pass adds one
+    binding, on its own, under ``$..`` or inside a captured operand; so
+    does an uncaptured operand whose capture its daughters reach alike."""
+    tree = read_ptb(text)[0]
+    assert [(m.root_path, m.paths) for m in match(parse_pattern(pattern), tree)] == expected
+
+
+def _repeating_tree(rng: random.Random) -> ParseTree:
+    """A random tree over two phrase labels, two POS labels and two
+    words, so that many daughters of one node pass one test."""
+
+    def gen(depth: int) -> ParseTree:
+        if depth == 3 or (depth and rng.random() < 0.4):
+            word = rng.choice("xy")
+            return ParseTree(word if rng.random() < 0.2 else rng.choice("AB"), (), word)
+        return ParseTree(rng.choice("PQ"), tuple(gen(depth + 1) for _ in range(rng.randint(2, 4))))
+
+    return gen(0)
+
+
+def _repeating_pattern(rng: random.Random) -> PatternRule:
+    """A random pattern over the labels and words of ``_repeating_tree``
+    whose operands hold clauses of their own, ``$..`` included."""
+    counter = itertools.count()
+
+    def pattern(depth: int, captures_ok: bool) -> str:
+        text = rng.choice(["P|Q", "P", "/^P/", "A|B", "A", "x"])
+        if captures_ok and rng.random() < 0.2:
+            text += f"=c{next(counter)}"
+        # Only a phrase has daughters; any node may have sisters.
+        relations = ["<", "<", "!<", "$.."] if text[0] in "P/" else ["$.."]
+        parts = [text]
+        for _ in range(rng.randint(1 if depth == 0 else 0, 2 - depth)):
+            relation = rng.choice(relations)
+            parts.append(f"{relation} ({pattern(depth + 1, captures_ok and relation != '!<')})")
+        return " ".join(parts)
+
+    return parse_pattern(pattern(0, True))
+
+
+def test_walk_matches_the_reference_walk_where_bindings_repeat():
+    """Trees that repeat labels and patterns with ``$..`` inside their
+    operands: the reference solver reaches many environments more than
+    once, empty and with captures, and ``_walk`` gives each once."""
+    rng = random.Random(1931)
+    found = repeated_empty = repeated_captures = 0
+    for _ in range(2000):
+        tree = _repeating_tree(rng)
+        rule = _repeating_pattern(rng)
+        got = [(m.root_path, m.paths) for m in matcher._walk(rule, tree)]
+        assert got == _reference_walk(rule, tree)
+        found += len(got)
+        for node, parent, path in _preorder(tree):
+            envs = _reference_solve(rule.pattern, node, parent, path)
+            distinct = {tuple(sorted(env.items())) for env in envs}
+            repeats = len(envs) - len(distinct)
+            if () in distinct:
+                repeated_empty += repeats
+            else:
+                repeated_captures += repeats
+    assert found > 1500 and repeated_empty > 400 and repeated_captures > 200
 
 
 def test_match_order_is_document_order():

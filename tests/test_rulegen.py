@@ -278,6 +278,16 @@ _GOOD_TEMPLATE = f"# comment\n\ntemplate ok\nMD=trigger < {{WORD}} $.. VB=target
             "MD=trigger < {WORD} $.. VB=target\naugment trigger {WORD}\n" + _ACTIONS,
             "{WORD} must be an atom",
         ),
+        (
+            "unused",
+            "MD=trigger < {WORD} $.. VB=target\naugment target A-B\n" + _ACTIONS,
+            "augment suffix 'A-B' is not one label segment",
+        ),
+        (
+            "unused",
+            "MD=trigger < {WORD} $.. VB=target\ninsert (Foo) >1 target\n" + _ACTIONS,
+            "insert label 'Foo' is not a marker",
+        ),
         ("ok", "MD=trigger < {WORD} $.. VB=target\n" + _ACTIONS, "duplicate template"),
     ],
 )
@@ -555,7 +565,7 @@ def _reference_expand(lexicon: Lexicon, registry) -> list:
         words = tested.union(forms)
         for code in entry.subcats:
             if code not in registry:
-                raise LexiconError(f"{lexicon.where(k)}: no template for subcat code {code!r}", k)
+                raise LexiconError(f"{lexicon.where(k)}: no template for subcat code {code!r}")
             key = (code, entry.modality)
             at = latest.get(key)
             passed = [] if at is None else groups[at + 1 :]

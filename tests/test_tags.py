@@ -29,6 +29,23 @@ def test_inventory_has_33_tags_in_precedence_order():
     assert "NOTSucceedNegation" in TAG_INVENTORY
 
 
+def test_inventory_is_pinned():
+    """The whole precedence order, spelled out: ``TAG_INVENTORY`` follows
+    the declaration order of ``Modality``, so reordering it fails here."""
+    assert TAG_INVENTORY == (
+        "Require", "NOTRequire",
+        "Permit", "NOTPermit",
+        "Succeed", "NOTSucceed", "SucceedNegation", "NOTSucceedNegation",
+        "Effort", "NOTEffort", "EffortNegation", "NOTEffortNegation",
+        "Intend", "NOTIntend", "IntendNegation", "NOTIntendNegation",
+        "Able", "NOTAble", "AbleNegation", "NOTAbleNegation",
+        "Want", "NOTWant", "WantNegation", "NOTWantNegation",
+        "Belief", "NOTBelief", "BeliefNegation", "NOTBeliefNegation",
+        "Firm_Belief", "NOTFirm_Belief", "Firm_BeliefNegation", "NOTFirm_BeliefNegation",
+        "Negation",
+    )
+
+
 def test_parse_tag_examples():
     tag = parse_tag("TargNOTAble")
     assert tag == MNTag(Role.TARGET, True, Modality.ABLE, False)
