@@ -16,6 +16,10 @@ nodes hold ordered children.  Two leaf shapes occur in practice:
   bare word leaves ``hand`` and ``over``; marker daughters inserted by
   tree rewriting use the same shape (``insert_leaf``).
 
+``read_ptb`` takes a one-word node such as ``(DT the)`` as one token,
+and within one call builds each leaf spelling once, so equal leaves are
+one shared node.
+
 ``flatten`` removes the intermediate VP and NP shells that verb- and
 noun-phrase recursion introduces, which puts complements next to their
 heads as sisters.
@@ -31,7 +35,9 @@ from typing import Iterator
 
 # A node label is non-empty and holds none of these.
 LABEL_BAD = re.compile(r"[\s()]")
-_PTB_TOKEN = re.compile(r"\(|\)|[^()\s]+")
+# A token is a one-word node such as ``(DT the)``, whatever its spacing,
+# a bracket, or an atom.
+_PTB_TOKEN = re.compile(r"\(\s*[^()\s]+\s+[^()\s]+\s*\)|\(|\)|[^()\s]+")
 
 _ESCAPES = (("(", "-LRB-"), (")", "-RRB-"))
 
@@ -263,9 +269,15 @@ def flatten(tree: ParseTree) -> ParseTree:
     return ParseTree(tree.label, tuple(children), None)
 
 
-def _atom_leaf(atom: str) -> ParseTree:
-    # Bare atom as a child: label keeps the escaped spelling.
-    return ParseTree(atom, (), unescape_token(atom) if "-" in atom else atom)
+def _new_leaf(leaves: dict[str, ParseTree], tok: str) -> ParseTree:
+    """The leaf token ``tok`` spells, built and kept in ``leaves``: a
+    one-word node, or a bare atom whose label keeps the escaped spelling."""
+    if tok[0] == "(":
+        label, atom = tok[1:-1].split()
+    else:
+        label = atom = tok
+    leaf = leaves[tok] = ParseTree(label, (), unescape_token(atom) if "-" in atom else atom)
+    return leaf
 
 
 def _line(text: str, offset: int) -> int:
@@ -277,11 +289,13 @@ def read_ptb(text: str) -> list[ParseTree]:
 
     Whitespace between tokens is not significant; ``-LRB-``/``-RRB-``
     atoms decode to literal parentheses in tokens.  A node's first item
-    is its label, and must be an atom.
+    is its label, and must be an atom.  Leaves spelled alike within one
+    call are one node, built once.
     """
     trees: list[ParseTree] = []
     stack: list[list] = []  # the enclosing open nodes' item lists
     items: list | None = None  # the innermost open node's: label, then children
+    leaves: dict[str, ParseTree] = {}  # leaf token -> its leaf
     tokens = _PTB_TOKEN.findall(text)
     for k, tok in enumerate(tokens):
         if tok == "(":
@@ -297,19 +311,24 @@ def read_ptb(text: str) -> list[ParseTree]:
                 raise _fault(text, k, "missing label" if late else "empty node", at_open=True)
             if len(items) < 2:
                 raise _fault(text, k, "empty node", at_open=True)
-            if len(items) == 2 and items[1].__class__ is str:
-                atom = items[1]
-                subtree = ParseTree(label, (), unescape_token(atom) if "-" in atom else atom)
-            else:
-                del items[0]
-                children = [i if i.__class__ is ParseTree else _atom_leaf(i) for i in items]
-                subtree = ParseTree(label, tuple(children), None)
+            del items[0]
+            children = [
+                i if i.__class__ is ParseTree else leaves.get(i) or _new_leaf(leaves, i)
+                for i in items
+            ]
+            subtree = ParseTree(label, tuple(children), None)
             if stack:
                 items = stack.pop()
                 items.append(subtree)
             else:
                 trees.append(subtree)
                 items = None
+        elif tok[0] == "(":
+            leaf = leaves.get(tok) or _new_leaf(leaves, tok)
+            if items is None:
+                trees.append(leaf)
+            else:
+                items.append(leaf)
         elif items is None:
             raise _fault(text, k, f"unexpected atom {tok!r} outside a tree")
         else:

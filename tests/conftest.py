@@ -99,6 +99,10 @@ PTB_TREES = [
 _PTB_PIECES = [
     b"(", b")", b" ", b"\t", b"\n", b"S", b"NN", b"word", b"-LRB-", b"-RRB-", b"\xff", b"\xc3",
     "é".encode(),
+    # Whitespace beyond space, tab and newline, and a one-word node, which
+    # the reader takes as one token.
+    b"\r", b"\x0b", b"\x0c", b"\x1c", "\x85".encode(), "\u00a0".encode(), "\u2003".encode(),
+    b"(A b)",
 ]
 
 #: Tree file contents: whole trees, or trees cut and mixed with brackets,

@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import STAGE_AUXILIARIES, corpus_words, ptb_files, random_tree, stage_tree
+from conftest import DATA, STAGE_AUXILIARIES, corpus_words, ptb_files, random_tree, stage_tree
 from mntag.rulegen import word_spans
 from mntag.trees import (
     ParseTree,
@@ -141,6 +141,13 @@ def _read_outcome(read, text):
 @example("((DT the) NP)")
 @example("(S (A -LRB-) -RRB- (B x-y) a-b)\n")
 @example("(S (NP a)\n(S\n")
+@example("( DT  the )")
+@example("(DT\nthe)")
+@example("(DT the)(DT the)")
+@example("((DT the))")
+@example("(A b c)")
+@example("(DT the")
+@example("(A\x1cb)")
 def test_read_ptb_matches_the_reference_reader(text):
     expected = _read_outcome(_reference_read_ptb, text)
     got = _read_outcome(read_ptb, text)
@@ -180,6 +187,22 @@ def test_tree_value_semantics():
     for clone in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
         assert clone == tree and hash(clone) == hash(tree)
     assert ParseTree("DT", [], "a").children == ()
+
+
+def test_one_read_builds_each_leaf_spelling_once():
+    """Equal leaves within one ``read_ptb`` call are one node; two calls
+    share none, so the lookup dies with its call."""
+    # The preprocessed corpus adds bare word leaves: markers and the words beside them.
+    text = (DATA / "corpus_trees.ptb").read_text() + (DATA / "golden_preprocessed.ptb").read_text()
+    leaves = [leaf for tree in read_ptb(text + text) for leaf in tree.leaves()]
+    spellings = {(leaf.label, leaf.token) for leaf in leaves}
+    assert len({id(leaf) for leaf in leaves}) == len(spellings) < len(leaves)
+    assert ("DT", "the") in spellings and ("AUX", "AUX") in spellings and ("is", "is") in spellings
+    first, second = read_ptb(text), read_ptb(text)
+    assert first == second
+    assert not {id(leaf) for tree in first for leaf in tree.leaves()} & {
+        id(leaf) for tree in second for leaf in tree.leaves()
+    }
 
 
 def test_multiple_trees_and_sibling_tokens():
