@@ -25,7 +25,6 @@ needs ``--lexicon``.
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import logging
 import sys
@@ -39,10 +38,7 @@ from .taggers import StandoffAnnotation
 log = logging.getLogger("mn")
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The ``mn`` parser, built on the first ``main`` call and kept: each
-    ``parse_args`` fills a new namespace, so no call sees another's."""
     parser = argparse.ArgumentParser(
         prog="mn", description="Modality/negation tagging and tree grafting."
     )

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import DATA
 from mntag import trees
-from mntag.cli import _build_parser, main, seed_lexicon_path
+from mntag.cli import main, seed_lexicon_path
 from mntag.matcher import RewriteBudgetError
 
 TREES = DATA / "corpus_trees.ptb"
@@ -374,26 +374,6 @@ def test_graft_matches_golden_fixture(tmp_path):
     ) == 0
     assert out.read_bytes() == GOLDEN_GRAFTED.read_bytes()
     assert report.read_bytes() == GOLDEN_GRAFT_REPORT.read_bytes()
-
-
-def test_second_main_call_counts_only_its_own_standoff_files(tmp_path):
-    """The parser is built once per process; an ``append`` list or a
-    subcommand default of one call must not reach the next."""
-    assert _build_parser() is _build_parser()
-    first = tmp_path / "first.txt"
-    assert run(
-        "graft", "--trees", TREES, "--standoff", GOLDEN, "--standoff", NE,
-        "--order", "NE,MN", "--out", tmp_path / "first.ptb", "--report", first,
-    ) == 0
-    assert first.read_bytes() == GOLDEN_GRAFT_REPORT.read_bytes()
-    second = tmp_path / "second.txt"
-    assert run(
-        "graft", "--trees", TREES, "--standoff", NE,
-        "--order", "NE,MN", "--out", tmp_path / "second.ptb", "--report", second,
-    ) == 0
-    # Each annotation has one outcome.
-    counts = [int(line.split(": ")[1]) for line in second.read_text().splitlines()]
-    assert sum(counts) == len(NE.read_text().splitlines())
 
 
 def test_graft_no_annotations_byte_identical(tmp_path):
@@ -872,23 +852,21 @@ def _raise_budget(tree):
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize(
-    "content, write, outcome",
+    "content, flatten, outcome",
     [
-        ("(S (NN a))\n", trees.write_ptb, 0),
-        ("(S (NN a)\n", trees.write_ptb, 2),
+        ("(S (NN a))\n", trees.flatten, 0),
+        ("(S (NN a)\n", trees.flatten, 2),
         ("(S (NN a))\n", _raise_budget, 1),
         ("(S (NN a))\n", _raise_uncaught, KeyError),
     ],
     ids=["exit-0", "exit-2", "exit-1", "uncaught"],
 )
 def test_main_restores_the_collector_state(
-    tmp_path, monkeypatch, enabled, content, write, outcome
+    tmp_path, monkeypatch, enabled, content, flatten, outcome
 ):
     source = tmp_path / "in.ptb"
     source.write_text(content)
-    # The command looks ``write_ptb`` up when it runs; its ``flatten`` is
-    # bound into the parser, which is built once per process.
-    monkeypatch.setattr(trees, "write_ptb", write)
+    monkeypatch.setattr(trees, "flatten", flatten)
     argv = ["flatten", "--in", source, "--out", tmp_path / "out"]
     if not enabled:
         gc.disable()
