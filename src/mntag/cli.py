@@ -187,7 +187,7 @@ def _cmd_graft(args) -> int:
     config = grafting.GraftConfig(family_order=tuple(args.order.split(",")))
     corpus = _parse_file(args.trees, trees.read_ptb)
     batches = [(path, _parse_file(path, taggers.parse_standoff)) for path in args.standoff]
-    annotations: list[StandoffAnnotation] = []
+    by_sentence: dict[int, list[StandoffAnnotation]] = {}
     for path, batch in batches:
         last = max((a.sentence for a in batch), default=-1)
         if last >= len(corpus):
@@ -196,28 +196,23 @@ def _cmd_graft(args) -> int:
                 f" {args.trees} has {len(corpus)} trees"
             )
         for a in batch:
-            if a.family not in config.family_order:
-                raise ValueError(
-                    f"{path}: sentence {a.sentence}: annotation family {a.family!r}"
-                    f" not in family order {args.order}"
-                )
-        annotations.extend(batch)
-    by_sentence: dict[int, list[StandoffAnnotation]] = {}
-    for a in annotations:
-        by_sentence.setdefault(a.sentence, []).append(a)
+            by_sentence.setdefault(a.sentence, []).append(a)
     report = grafting.GraftReport()
     out_lines = []
     for i, tree in enumerate(corpus):
         try:
             grafted, sentence_report = grafting.graft(tree, by_sentence.get(i, []), config)
         except ValueError as exc:
-            # Families were checked above, so a span runs past the sentence:
-            # name the first file that holds one.
+            # Graft refused a span past the sentence or a family outside
+            # the order: name the first file that holds one.
             size = len(tree.tokens())
             path = next(
                 path
                 for path, batch in batches
-                if any(a.sentence == i and a.span.end > size for a in batch)
+                if any(
+                    a.sentence == i and (a.span.end > size or a.family not in config.family_order)
+                    for a in batch
+                )
             )
             raise ValueError(f"{path}: sentence {i}: {exc}") from None
         report.merge(sentence_report)

@@ -5,7 +5,8 @@ Each annotation's token span is classified against the tree:
 * Exact: some constituent covers exactly the span.  The tag is grafted
   as a ``-`` label suffix on every node of the same-span ancestor
   chain, so a tag on a word inside unary shells reaches the highest
-  constituent with that yield.
+  constituent with that yield; a label that already has the tag as a
+  segment keeps it once (``trees.add_suffix``).
 * Adjacent daughters: the span covers a contiguous proper subsequence
   of one node's daughters.  A new node labeled with the tag is
   inserted to dominate exactly those daughters.
@@ -52,9 +53,9 @@ negation no more than its own clause does.
 The output tree shares every subtree graft did not change with the
 input.  Rendering marks the nodes that carry a record (every inserted
 node carries its insert's) and their ancestors, and builds only those
-anew; every unmarked node is the input node itself, and so is a marked
-node whose records were all dropped and whose children are all the
-input children themselves.
+anew, through ``trees.rebuilt``: every unmarked node is the input node
+itself, and so is a marked node whose label gains no tag and whose
+children are all the input children themselves.
 
 The working copy holds no reference cycle: its lists hold numbers and
 input nodes, and a graft record names the nodes it was put on by
@@ -68,13 +69,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import is_
 from typing import Sequence
 
 from .tags import TAG_SPELLINGS, MNTag, Modality, Role, compose_negation, parse_tag
 from .tags import specificity_rank
 from .taggers import MN_FAMILY, NE_FAMILY, StandoffAnnotation
-from .trees import ParseTree, Span, base_category
+from .trees import ParseTree, Span, add_suffix, base_category, rebuilt
 
 OUTCOMES = (
     "grafted-exact",
@@ -299,7 +299,8 @@ def graft(
         if a.span.end > shadow.size:
             raise ValueError(f"annotation span {a.span} outside sentence of {shadow.size} tokens")
         if a.family not in config.family_order:
-            raise ValueError(f"annotation family {a.family!r} not in family order")
+            order = ",".join(config.family_order)
+            raise ValueError(f"annotation family {a.family!r} not in family order {order}")
 
     grafted: list[_Grafted] = []
     applied: dict[int, list[_Grafted]] = {}  # node number -> the records put on it
@@ -454,7 +455,7 @@ def _rebuild(
             # An inserted node whose tag was dropped keeps the label it was
             # inserted with, for traceability, rather than vanish.
             return ParseTree(shadow.labels[n] if tag is None else tag, tuple(out), None)
-    elif node.children:
+    else:
         after = shadow.after
         out, k = [], n + 1
         for child in node.children:
@@ -462,12 +463,4 @@ def _rebuild(
                 child = _rebuild(k, shadow, applied, marked)
             out.append(child)
             k = after[k]
-    elif tag is None:
-        return node
-    else:
-        return ParseTree(f"{node.label}-{tag}", (), node.token)
-    if tag is not None:
-        return ParseTree(f"{node.label}-{tag}", tuple(out), None)
-    if len(out) == len(node.children) and all(map(is_, out, node.children)):
-        return node
-    return ParseTree(node.label, tuple(out), None)
+    return rebuilt(node, out, None if tag is None else add_suffix(node.label, tag))

@@ -62,7 +62,7 @@ from enum import Enum
 from functools import cache
 from typing import Callable, Iterator
 
-from .trees import ParseTree, insert_leaf
+from .trees import ParseTree, add_suffix, insert_leaf, rebuilt
 
 #: Child indexes leading from a tree's root to one of its nodes.
 TreePath = tuple[int, ...]
@@ -510,16 +510,11 @@ def _replace_at(tree: ParseTree, path: TreePath, new: ParseTree) -> ParseTree:
     return ParseTree(tree.label, tuple(children), None)
 
 
-def has_label_segment(label: str, segment: str) -> bool:
-    return segment in label.split("-")
-
-
 def _apply_one(node: ParseTree, action: Action) -> ParseTree | None:
     """``node`` after ``action``, or None when the action changes nothing."""
     if action.kind is ActionKind.AUGMENT:
-        if has_label_segment(node.label, action.label):
-            return None
-        return ParseTree(node.label + "-" + action.label, node.children, node.token)
+        new = rebuilt(node, node.children, add_suffix(node.label, action.label))
+        return None if new is node else new
     assert action.position is not None
     return insert_leaf(node, action.position - 1, action.label)
 

@@ -23,7 +23,7 @@ from .lexicon import Lexicon, LexiconEntry, LexiconError
 from .matcher import Action, ActionKind, Clause, NodeTest, Pattern, PatternRule
 from .matcher import PatternSyntaxError, TreePath, parse_pattern, read_records
 from .tags import TAG_SPELLINGS, MNTag, Modality, Role
-from .trees import LABEL_BAD, ParseTree, Span, base_category, insert_leaf
+from .trees import LABEL_BAD, ParseTree, Span, base_category, insert_leaf, rebuilt
 
 BE_FORMS = frozenset(["be", "am", "is", "are", "was", "were", "been", "being", "'s", "'re", "'m"])
 HAVE_FORMS = frozenset(["have", "has", "had", "having", "'ve", "'d"])
@@ -139,9 +139,7 @@ def preprocess(tree: ParseTree) -> ParseTree:
     for i, markers in marks.items():
         for marker in markers:
             new_children[i] = _attach_marker(new_children[i], marker)
-    if all(map(is_, new_children, children)):
-        return tree
-    return ParseTree(tree.label, tuple(new_children), None)
+    return rebuilt(tree, new_children)
 
 
 def _attach_marker(node: ParseTree, marker: str) -> ParseTree:

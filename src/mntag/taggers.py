@@ -42,14 +42,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import is_
 from typing import Iterable, Sequence
 
 from . import matcher, rulegen
 from .lexicon import Lexicon, lookup
 from .tags import TAG_SPELLINGS, MNTag, Modality, Role, compose_negation, parse_tag
 from .tags import specificity_rank
-from .trees import LABEL_BAD, ParseTree, Span
+from .trees import LABEL_BAD, ParseTree, Span, add_suffix, rebuilt
 
 MN_FAMILY = "MN"
 NE_FAMILY = "NE"
@@ -399,14 +398,11 @@ def _fold(node: ParseTree, start: int, by_span: dict[Span, list[str]]) -> tuple[
     label = node.label
     if end > start and not TAG_SPELLINGS.isdisjoint(markers):
         labels = by_span.get(Span(start, end), [])
-        for suffix in sorted(set(labels), key=lambda l: (specificity_rank(parse_tag(l)), l)):
-            if not matcher.has_label_segment(label, suffix):
-                label += "-" + suffix
+        for suffix in sorted(labels, key=lambda l: (specificity_rank(parse_tag(l)), l)):
+            label = add_suffix(label, suffix)
     if len(kept) == 1 and kept[0].is_leaf and kept[0].label == kept[0].token:
         return ParseTree(label, (), kept[0].token), end
-    if not markers and all(map(is_, kept, children)):
-        return node, end
-    return ParseTree(label, tuple(kept), None), end
+    return rebuilt(node, kept, label), end
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ Trees are immutable values.  ``ParseTree`` is a slotted class that
 refuses every attribute write after construction, so building a node
 costs one call and its checks.  Since no node can change, trees may
 share nodes: ``flatten``, ``rulegen.preprocess``, the structure
-tagger's marker fold and graft each return their input node wherever
-they change nothing below it, so their output shares every unchanged
-subtree with their input.  A leaf holds a surface token; internal
-nodes hold ordered children.  Two leaf shapes occur in practice:
+tagger's marker fold, the matcher's ``augment`` and graft build each
+node through ``rebuilt``, which returns the input node wherever nothing
+changed, so their output shares every unchanged subtree with their
+input.  A leaf holds a surface token; internal nodes hold ordered
+children.  Two leaf shapes occur in practice:
 
 * preterminals like ``(DT A)``, where the label is a category and the
   token is the word, and
@@ -33,7 +34,7 @@ import re
 from dataclasses import FrozenInstanceError
 from functools import cached_property
 from operator import is_
-from typing import Iterator
+from typing import Iterator, Sequence
 
 # A node label is non-empty and holds none of these.
 LABEL_BAD = re.compile(r"[\s()]")
@@ -175,6 +176,18 @@ def insert_leaf(node: ParseTree, index: int, label: str) -> ParseTree:
     return ParseTree(node.label, tuple(kids), None)
 
 
+def rebuilt(node: ParseTree, children: Sequence[ParseTree], label: str | None = None) -> ParseTree:
+    """``node`` with ``children`` and ``label`` (None keeps its own): the
+    node itself when both are its own, each child the very same object;
+    else a new node, which keeps a leaf's token."""
+    if label is None:
+        label = node.label
+    kids = node.children
+    if label == node.label and len(children) == len(kids) and all(map(is_, children, kids)):
+        return node
+    return ParseTree(label, tuple(children), node.token)
+
+
 def iter_nodes(tree: ParseTree) -> Iterator[ParseTree]:
     """All nodes in preorder (document order)."""
     stack = [tree]
@@ -241,6 +254,16 @@ def base_category(label: str) -> str:
     return label.split("-", 1)[0]
 
 
+def has_label_segment(label: str, segment: str) -> bool:
+    """Whether ``segment``, one or more whole ``-`` segments, is in ``label``."""
+    return f"-{segment}-" in f"-{label}-"
+
+
+def add_suffix(label: str, suffix: str) -> str:
+    """``label`` with ``-suffix`` appended, unless it already has that segment."""
+    return label if has_label_segment(label, suffix) else f"{label}-{suffix}"
+
+
 #: Parent base category -> the base category of the daughters it splices.
 #: Each spliced category splices itself, so a flattened daughter holds
 #: nothing its parent would splice, and one pass reaches the fixpoint.
@@ -266,9 +289,7 @@ def flatten(tree: ParseTree) -> ParseTree:
                 children.extend(child.children)
                 continue
         children.append(child)
-    if len(children) == len(kids) and all(map(is_, children, kids)):
-        return tree
-    return ParseTree(tree.label, tuple(children), None)
+    return rebuilt(tree, children)
 
 
 def _new_leaf(leaves: dict[str, ParseTree], tok: str) -> ParseTree:

@@ -507,6 +507,21 @@ def test_graft_span_past_sentence_exits_2_naming_file_and_sentence(tmp_path, cap
     assert f"{rogue}: sentence 1: annotation span Span(start=0, end=99) outside" in caplog.text
 
 
+def test_graft_names_the_first_sentence_with_a_fault_whatever_its_kind(tmp_path, caplog):
+    # Each annotation is checked once, by graft, sentence by sentence: a
+    # span fault in one file comes before a family fault later in another.
+    spans = tmp_path / "spans.tsv"
+    spans.write_text("0\t0\t1\tTargAble\tMN\n1\t0\t99\tTargAble\tMN\n")
+    families = tmp_path / "families.tsv"
+    families.write_text("3\t0\t1\tPERSON\tXX\n")
+    assert run(
+        "graft", "--trees", TREES, "--standoff", families, "--standoff", spans,
+        "--out", tmp_path / "o.ptb", "--report", tmp_path / "r.txt",
+    ) == 2
+    assert f"{spans}: sentence 1: annotation span Span(start=0, end=99) outside" in caplog.text
+    assert str(families) not in caplog.text
+
+
 def test_graft_span_end_is_checked_against_the_sentence_length(tmp_path, caplog):
     size = len(trees.read_ptb_file(TREES)[1].tokens())
     whole = tmp_path / "whole.tsv"

@@ -576,20 +576,28 @@ def _reference_final_label(n):
     return chosen.label
 
 
+def _reference_suffixed(label, tag):
+    """``label`` with ``-tag``, unless its segments already hold the tag's."""
+    segments, want = label.split("-"), tag.split("-")
+    if any(segments[i : i + len(want)] == want for i in range(len(segments))):
+        return label
+    return f"{label}-{tag}"
+
+
 def _reference_render(n):
     tag = _reference_final_label(n)
     source = n.source
     if source is None:
         kids = tuple([_reference_render(c) for c in n.children])
         return ParseTree(n.label if tag is None else tag, kids, None)
+    label = n.label if tag is None else _reference_suffixed(n.label, tag)
     if not n.children:
-        return source if tag is None else ParseTree(f"{n.label}-{tag}", (), source.token)
+        return source if label == n.label else ParseTree(label, (), source.token)
     kids = tuple([_reference_render(c) for c in n.children])
-    if tag is not None:
-        return ParseTree(f"{n.label}-{tag}", kids, None)
-    if len(kids) == len(source.children) and all(map(is_, kids, source.children)):
+    unchanged = len(kids) == len(source.children) and all(map(is_, kids, source.children))
+    if label == n.label and unchanged:
         return source
-    return ParseTree(n.label, kids, None)
+    return ParseTree(label, kids, None)
 
 
 MODALITIES = ["Able", "Require", "Succeed", "Want"]
@@ -638,6 +646,30 @@ def test_graft_matches_the_reference_graft_on_random_trees():
         )
     assert all(v > 100 for v in outcomes.values()), outcomes
     assert inner > 200
+
+
+def test_grafting_again_with_the_same_annotations_changes_nothing():
+    rng = random.Random(2121)
+    for _ in range(1000):
+        tree = random_tree(rng, max_nodes=16)
+        anns = composing_annotations(rng, tree)
+        config = GraftConfig(rng.choice([("NE", "MN"), ("MN", "NE")]))
+        once, _ = graft(tree, anns, config)
+        twice, _ = graft(once, anns, config)
+        assert twice is once
+        assert _reference_graft(once, anns, config)[0] == once
+
+
+def test_regrafting_the_golden_grafted_corpus_returns_it_byte_for_byte():
+    # A tag a label already carries as a segment is not appended again.
+    text = (DATA / "golden_grafted.ptb").read_text()
+    annotations = parse_standoff((DATA / "golden_standoff.tsv").read_text())
+    annotations += parse_standoff((DATA / "ne_sample.tsv").read_text())
+    lines = []
+    for i, tree in enumerate(read_ptb(text)):
+        out, _ = graft(tree, [a for a in annotations if a.sentence == i])
+        lines.append(write_ptb(out) + "\n")
+    assert "".join(lines) == text
 
 
 CONJUNCT = "(S (NP (NNP Khan)) (VP (MD can) (RB not) (VP (VB go) (PP (IN to) (NP (NNP Lahore))))))"

@@ -19,7 +19,15 @@ from mntag.matcher import (
     parse_rules,
 )
 from mntag.rulegen import preprocess
-from mntag.trees import ParseTree, flatten, insert_leaf, iter_nodes, read_ptb, write_ptb
+from mntag.trees import (
+    ParseTree,
+    flatten,
+    has_label_segment,
+    insert_leaf,
+    iter_nodes,
+    read_ptb,
+    write_ptb,
+)
 
 PASSIVE_RULE = """\
 VB=trigger !< /^Trig/ < VoicePassive < required $.. (S < (VB=target !< AUX))
@@ -620,7 +628,7 @@ def _reference_apply_actions(tree: ParseTree, m, actions) -> tuple[ParseTree, bo
         node = node_at(tree, path)
         insert_idx = None
         if action.kind is matcher.ActionKind.AUGMENT:
-            if matcher.has_label_segment(node.label, action.label):
+            if has_label_segment(node.label, action.label):
                 continue
             new_node = ParseTree(node.label + "-" + action.label, node.children, node.token)
         else:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import STAGE_AUXILIARIES, corpus_words, stage_tree
-from mntag import matcher, rulegen
+from mntag import rulegen
 from mntag.lexicon import lookup
 from mntag.rulegen import preprocess, word_tokens
 from mntag.tags import TAG_INVENTORY, parse_tag, specificity_rank
@@ -19,7 +19,7 @@ from mntag.taggers import (
     tag_string,
     tag_structure,
 )
-from mntag.trees import ParseTree, Span, flatten, iter_nodes, read_ptb, write_ptb
+from mntag.trees import ParseTree, Span, flatten, has_label_segment, iter_nodes, read_ptb, write_ptb
 
 FIG1_TOKENS = [
     ("Americans", "NNPS"), ("should", "MD"), ("know", "VB"), ("that", "IN"),
@@ -203,7 +203,7 @@ def _reference_fold_markers(tree: ParseTree, annotations) -> ParseTree:
         if end > start and not all(l in (rulegen.AUX_MARKER, rulegen.PASSIVE_MARKER) for l in markers):
             labels = by_span.get(Span(start, end), [])
             for suffix in sorted(set(labels), key=lambda l: (specificity_rank(parse_tag(l)), l)):
-                if not matcher.has_label_segment(label, suffix):
+                if not has_label_segment(label, suffix):
                     label += "-" + suffix
         if len(kept) == 1 and kept[0].is_leaf and kept[0].label == kept[0].token:
             return ParseTree(label, (), kept[0].token), end

@@ -13,11 +13,14 @@ from mntag.trees import (
     ParseTree,
     PTBParseError,
     Span,
+    add_suffix,
     base_category,
     flatten,
+    has_label_segment,
     insert_leaf,
     iter_nodes,
     read_ptb,
+    rebuilt,
     unescape_token,
     write_ptb,
 )
@@ -379,6 +382,66 @@ def test_insert_leaf_under_a_preterminal_makes_its_word_a_bare_leaf():
     assert read_ptb(write_ptb(after))[0] == after
     assert insert_leaf(vb, 5, "VoicePassive") == after
     assert vb == read_ptb("(VB go)")[0]
+
+
+def test_rebuilt_returns_the_node_itself_when_nothing_changed():
+    np = read_ptb("(NP (DT the) (NN cat))")[0]
+    assert rebuilt(np, list(np.children)) is np
+    assert rebuilt(np, np.children, "NP") is np
+    leaf = np.children[0]
+    assert rebuilt(leaf, []) is leaf
+    assert rebuilt(leaf, (), "DT") is leaf
+
+
+def test_rebuilt_builds_a_new_node_for_a_new_child_label_or_length():
+    np = read_ptb("(NP (DT the) (NN cat))")[0]
+    dog = ParseTree("NN", (), "dog")
+    swapped = rebuilt(np, [np.children[0], dog])
+    assert write_ptb(swapped) == "(NP (DT the) (NN dog))"
+    assert swapped.children[0] is np.children[0]
+    # An equal child that is another object still makes a new node.
+    other_cat = ParseTree("NN", (), "cat")
+    assert rebuilt(np, [np.children[0], other_cat]) is not np
+    # A prefix of the node's own children is a change, not a match.
+    prefix = rebuilt(np, np.children[:1])
+    assert prefix is not np and write_ptb(prefix) == "(NP (DT the))"
+    relabeled = rebuilt(np, np.children, "NP-PER")
+    assert write_ptb(relabeled) == "(NP-PER (DT the) (NN cat))"
+    assert relabeled.children is np.children
+
+
+def test_rebuilt_keeps_a_leafs_token():
+    leaf = ParseTree("MD", (), "should")
+    tagged = rebuilt(leaf, (), "MD-TrigRequire")
+    assert tagged == ParseTree("MD-TrigRequire", (), "should")
+
+
+def test_add_suffix_appends_a_new_segment_and_skips_one_the_label_has():
+    assert add_suffix("MD", "TrigRequire") == "MD-TrigRequire"
+    assert add_suffix("MD-TrigRequire", "TrigRequire") == "MD-TrigRequire"
+    assert add_suffix("NP-PER-TrigAble", "PER") == "NP-PER-TrigAble"
+    # Segments are whole: a segment that only starts or ends alike is new.
+    assert add_suffix("MD-TrigRequired", "TrigRequire") == "MD-TrigRequired-TrigRequire"
+    assert add_suffix("NP-XPER", "PER") == "NP-XPER-PER"
+    assert add_suffix("-LRB-", "PER") == "-LRB--PER"
+    assert add_suffix("-LRB--PER", "PER") == "-LRB--PER"
+    # A suffix of several segments is skipped where it stands whole.
+    assert add_suffix("NP-B-PER", "B-PER") == "NP-B-PER"
+    assert add_suffix("NP-B-X-PER", "B-PER") == "NP-B-X-PER-B-PER"
+
+
+def _reference_has_segments(label, suffix):
+    segments, want = label.split("-"), suffix.split("-")
+    return any(segments[i : i + len(want)] == want for i in range(len(segments)))
+
+
+@given(
+    st.lists(st.sampled_from(["NP", "PER", "B", "", "TrigAble"]), min_size=1, max_size=5),
+    st.lists(st.sampled_from(["NP", "PER", "B", "TrigAble"]), min_size=1, max_size=3),
+)
+def test_has_label_segment_matches_whole_segments(label_parts, suffix_parts):
+    label, suffix = "-".join(label_parts), "-".join(suffix_parts)
+    assert has_label_segment(label, suffix) == _reference_has_segments(label, suffix)
 
 
 def test_spans_nest_or_are_disjoint():
