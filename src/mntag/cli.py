@@ -152,10 +152,10 @@ def _cmd_tag(args) -> int:
             if args.inline:
                 out_lines.append(
                     taggers.render_inline(rulegen.word_tokens(result.tree), result.annotations)
+                    + "\n"
                 )
             else:
-                out_lines.append(trees.write_ptb(result.tree))
-        output = "".join(line + "\n" for line in out_lines)
+                out_lines.append(trees.write_ptb(result.tree) + "\n")
     else:
         lexicon = load_lexicon_file(args.lexicon)
         sentences = _parse_file(args.input, taggers.read_token_tsv)
@@ -168,15 +168,14 @@ def _cmd_tag(args) -> int:
             annotations.extend(result.annotations)
             if args.inline:
                 words = [t.token for t in result.tokens]
-                out_lines.append(taggers.render_inline(words, result.annotations))
+                out_lines.append(taggers.render_inline(words, result.annotations) + "\n")
             else:
                 tagged_sentences.append(result.tokens)
-        if args.inline:
-            output = "".join(line + "\n" for line in out_lines)
-        else:
-            output = taggers.format_token_tsv(tagged_sentences)
+        if not args.inline:
+            out_lines = [taggers.format_token_tsv(tagged_sentences)]
+    # Written only once every sentence is done, so a failed run writes no output.
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(output)
+        fh.writelines(out_lines)
     if args.standoff:
         with open(args.standoff, "w", encoding="utf-8") as fh:
             fh.write(taggers.format_standoff(annotations))
@@ -216,9 +215,9 @@ def _cmd_graft(args) -> int:
             )
             raise ValueError(f"{path}: sentence {i}: {exc}") from None
         report.merge(sentence_report)
-        out_lines.append(trees.write_ptb(grafted))
+        out_lines.append(trees.write_ptb(grafted) + "\n")
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("".join(line + "\n" for line in out_lines))
+        fh.writelines(out_lines)
     with open(args.report, "w", encoding="utf-8") as fh:
         fh.write(report.format())
     return 0

@@ -67,7 +67,7 @@ class TaggedToken:
     tags: frozenset[MNTag] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StandoffAnnotation:
     """One tag over a token span, decoupled from any tree."""
 
@@ -89,7 +89,10 @@ def format_standoff(annotations: Iterable[StandoffAnnotation]) -> str:
 
 
 def parse_standoff(text: str) -> list[StandoffAnnotation]:
+    """The annotations of a standoff file; labels and families spelled
+    alike are one string within one call."""
     out = []
+    strings: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -106,7 +109,12 @@ def parse_standoff(text: str) -> list[StandoffAnnotation]:
             if not _INDEX.fullmatch(number):
                 raise ValueError(f"standoff line {lineno}: bad integer {number!r}")
         try:
-            ann = StandoffAnnotation(int(sentence), Span(int(start), int(end)), label, family)
+            ann = StandoffAnnotation(
+                int(sentence),
+                Span(int(start), int(end)),
+                strings.setdefault(label, label),
+                strings.setdefault(family, family),
+            )
         except ValueError as exc:
             raise ValueError(f"standoff line {lineno}: {exc}") from None
         if ann.sentence < 0:

@@ -18,10 +18,13 @@ children.  Two leaf shapes occur in practice:
   tree rewriting use the same shape (``insert_leaf``).
 
 ``read_ptb`` takes a one-word node such as ``(DT the)`` as one token,
-and within one call builds each leaf spelling once, so equal leaves are
-one shared node.  That pays where leaf spellings repeat, as they do in
-treebanks of natural sentences; a file in which no spelling repeats
-reads a little slower for the lookup.
+and a bracket with the label after it, ``(NP``, as another.  Within one
+call it builds each distinct token once, so equal leaves are one shared
+node and equal labels one shared string.  Shared leaves pay where leaf
+spellings repeat, as they do in treebanks of natural sentences; a file
+in which no spelling repeats reads a little slower for the lookup.
+Labels repeat in any treebank.  The text is tokenized a few KiB at a
+time, so the reader's peak stays close to the trees it returns.
 
 ``flatten`` removes the intermediate VP and NP shells that verb- and
 noun-phrase recursion introduces, which puts complements next to their
@@ -39,8 +42,8 @@ from typing import Iterator, Sequence
 # A node label is non-empty and holds none of these.
 LABEL_BAD = re.compile(r"[\s()]")
 # A token is a one-word node such as ``(DT the)``, whatever its spacing,
-# a bracket, or an atom.
-_PTB_TOKEN = re.compile(r"\(\s*[^()\s]+\s+[^()\s]+\s*\)|\(|\)|[^()\s]+")
+# a ``(`` with the label after it, a bracket, or an atom.
+_PTB_TOKEN = re.compile(r"\(\s*[^()\s]+\s+[^()\s]+\s*\)|\(\s*[^()\s]+|\(|\)|[^()\s]+")
 
 _ESCAPES = (("(", "-LRB-"), (")", "-RRB-"))
 
@@ -292,19 +295,34 @@ def flatten(tree: ParseTree) -> ParseTree:
     return rebuilt(tree, children)
 
 
-def _new_leaf(leaves: dict[str, ParseTree], tok: str) -> ParseTree:
-    """The leaf token ``tok`` spells, built and kept in ``leaves``: a
+def _new_leaf(built: dict[str, ParseTree | str], tok: str) -> ParseTree:
+    """The leaf token ``tok`` spells, built and kept in ``built``: a
     one-word node, or a bare atom whose label keeps the escaped spelling."""
     if tok[0] == "(":
         label, atom = tok[1:-1].split()
     else:
         label = atom = tok
-    leaf = leaves[tok] = ParseTree(label, (), unescape_token(atom) if "-" in atom else atom)
+    label = built.setdefault("(" + label, label)
+    leaf = built[tok] = ParseTree(label, (), unescape_token(atom) if "-" in atom else atom)
     return leaf
+
+
+def _new_label(built: dict[str, ParseTree | str], tok: str) -> str:
+    """The label a ``(LABEL`` token opens a node with, kept in ``built``
+    under the token and under ``(`` and the label, so that labels spelled
+    alike are one string whatever the spacing."""
+    label = tok[1:].lstrip()
+    label = built[tok] = built.setdefault("(" + label, label)
+    return label
 
 
 def _line(text: str, offset: int) -> int:
     return text.count("\n", 0, offset) + 1
+
+
+#: Characters of text tokenized at a time; a chunk ends just before a
+#: ``(``, which only ever starts a token, so no cut splits one.
+_CHUNK = 1 << 12
 
 
 def read_ptb(text: str) -> list[ParseTree]:
@@ -312,50 +330,58 @@ def read_ptb(text: str) -> list[ParseTree]:
 
     Whitespace between tokens is not significant; ``-LRB-``/``-RRB-``
     atoms decode to literal parentheses in tokens.  A node's first item
-    is its label, and must be an atom.  Leaves spelled alike within one
-    call are one node, built once.
+    is its label, and must be an atom.  Within one call each distinct
+    token is built once: leaves spelled alike are one node, and labels
+    spelled alike are one string.  The text is tokenized a chunk at a
+    time, so the tokens of the whole text are never held at once.
     """
     trees: list[ParseTree] = []
-    stack: list[list] = []  # the enclosing open nodes' item lists
-    items: list | None = None  # the innermost open node's: label, then children
-    leaves: dict[str, ParseTree] = {}  # leaf token -> its leaf
-    tokens = _PTB_TOKEN.findall(text)
-    for k, tok in enumerate(tokens):
-        if tok == "(":
-            if items is not None:
-                stack.append(items)
-            items = []
-        elif tok == ")":
-            if items is None:
-                raise _fault(text, k, "unbalanced ')'")
-            label = items[0] if items else None
-            if label.__class__ is not str:
-                late = any(item.__class__ is str for item in items)
-                raise _fault(text, k, "missing label" if late else "empty node", at_open=True)
-            if len(items) < 2:
-                raise _fault(text, k, "empty node", at_open=True)
-            del items[0]
-            children = [
-                i if i.__class__ is ParseTree else leaves.get(i) or _new_leaf(leaves, i)
-                for i in items
-            ]
-            subtree = ParseTree(label, tuple(children), None)
-            if stack:
-                items = stack.pop()
-                items.append(subtree)
-            else:
-                trees.append(subtree)
-                items = None
-        elif tok[0] == "(":
-            leaf = leaves.get(tok) or _new_leaf(leaves, tok)
-            if items is None:
-                trees.append(leaf)
-            else:
-                items.append(leaf)
-        elif items is None:
-            raise _fault(text, k, f"unexpected atom {tok!r} outside a tree")
-        else:
-            items.append(tok)
+    stack: list[tuple] = []  # the enclosing open nodes' (label, children)
+    # The innermost open node's label, and its children (None outside a
+    # tree).  The label is None after a bare ``(``, and False once an atom
+    # follows a child there: a label read late, refused when the node closes.
+    label: str | bool | None = None
+    items: list[ParseTree] | None = None
+    built: dict[str, ParseTree | str] = {}  # token -> its leaf or label; "(" + label -> label
+    pos, size, base = 0, len(text), 0
+    while pos < size:
+        cut = text.find("(", pos + _CHUNK)
+        if cut < 0:
+            cut = size
+        tokens = _PTB_TOKEN.findall(text, pos, cut)
+        for k, tok in enumerate(tokens, base):
+            if tok == ")":
+                if items is None:
+                    raise _fault(text, k, "unbalanced ')'")
+                if label.__class__ is not str or not items:
+                    message = "missing label" if label is False else "empty node"
+                    raise _fault(text, k, message, at_open=True)
+                subtree = ParseTree(label, tuple(items), None)
+                if stack:
+                    label, items = stack.pop()
+                    items.append(subtree)
+                else:
+                    trees.append(subtree)
+                    items = None
+            elif tok[0] != "(":  # a bare atom
+                if items is None:
+                    raise _fault(text, k, f"unexpected atom {tok!r} outside a tree")
+                if label is None:
+                    label = False
+                items.append(built.get(tok) or _new_leaf(built, tok))
+            elif tok[-1] == ")":  # a one-word node
+                leaf = built.get(tok) or _new_leaf(built, tok)
+                if items is None:
+                    trees.append(leaf)
+                else:
+                    items.append(leaf)
+            else:  # ``(LABEL``, or a bare ``(``
+                if items is not None:
+                    stack.append((label, items))
+                label = (built.get(tok) or _new_label(built, tok)) if len(tok) > 1 else None
+                items = []
+        base += len(tokens)
+        pos = cut
     if items is not None:
         raise _fault(text, None, "unbalanced '('")
     return trees
@@ -375,10 +401,11 @@ def _fault(text: str, stop: int | None, message: str, at_open: bool = False) -> 
         if k == stop:
             offset = opens[-1] if at_open else m.start()
             return PTBParseError(message, offset, _line(text, offset))
-        if m.group() == "(":
-            opens.append(m.start())
-        elif m.group() == ")":
+        tok = m.group()
+        if tok == ")":
             opens.pop()
+        elif tok[0] == "(" and tok[-1] != ")":  # ``(`` or ``(LABEL``
+            opens.append(m.start())
     return PTBParseError(message, len(text), _line(text, opens[0]))
 
 

@@ -103,6 +103,8 @@ _PTB_PIECES = [
     # the reader takes as one token.
     b"\r", b"\x0b", b"\x0c", b"\x1c", "\x85".encode(), "\u00a0".encode(), "\u2003".encode(),
     b"(A b)",
+    # A bracket with its label after it, which the reader also takes as one token.
+    b"(NP", b"( NP", b"(\nVP",
 ]
 
 #: Tree file contents: whole trees, or trees cut and mixed with brackets,

@@ -1,8 +1,11 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 
-from conftest import STAGE_AUXILIARIES, corpus_words, stage_tree
+from conftest import DATA, STAGE_AUXILIARIES, corpus_words, stage_tree
 from mntag import rulegen
 from mntag.lexicon import lookup
 from mntag.rulegen import preprocess, word_tokens
@@ -310,6 +313,35 @@ def test_standoff_tsv_round_trip():
     text = format_standoff(anns)
     assert parse_standoff(text) == sorted(anns, key=StandoffAnnotation.sort_key)
     assert parse_standoff("") == []
+
+
+def test_standoff_annotation_is_frozen_and_slotted():
+    ann = StandoffAnnotation(0, Span(1, 2), "TrigAble", "MN")
+    assert not hasattr(ann, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ann.label = "TrigWant"
+    # Some Pythons raise TypeError here: the slotted class is a copy of the
+    # one its generated ``__setattr__`` names.
+    with pytest.raises((AttributeError, TypeError)):
+        ann.other = 1
+
+
+def test_standoff_annotation_copies_and_pickles_to_an_equal_value():
+    ann = StandoffAnnotation(300, Span(2, 5), "TargNOTAble", "MN")
+    for clone in (copy.copy(ann), copy.deepcopy(ann), pickle.loads(pickle.dumps(ann))):
+        assert clone == ann and hash(clone) == hash(ann)
+        assert (clone.sentence, clone.span, clone.label, clone.family) == (
+            300, Span(2, 5), "TargNOTAble", "MN"
+        )
+
+
+def test_one_parse_standoff_call_shares_equal_labels_and_families():
+    text = (DATA / "golden_standoff.tsv").read_text() + (DATA / "ne_sample.tsv").read_text()
+    anns = parse_standoff(text + text)
+    for field in ("label", "family"):
+        values = [getattr(a, field) for a in anns]
+        assert len({id(v) for v in values}) == len(set(values)) < len(values)
+    assert {a.family for a in anns} == {"MN", "NE"}
 
 
 def test_agreement_identical_and_disjoint():

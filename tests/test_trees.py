@@ -3,10 +3,13 @@ import dataclasses
 import pickle
 import random
 import re
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mntag.trees
 from conftest import DATA, STAGE_AUXILIARIES, corpus_words, ptb_files, random_tree, stage_tree
 from mntag.rulegen import word_spans
 from mntag.trees import (
@@ -157,6 +160,56 @@ def test_read_ptb_matches_the_reference_reader(text):
     assert got == expected
     if isinstance(got, list):
         assert [repr(t) for t in got] == [repr(t) for t in expected]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@settings(max_examples=200, deadline=None)
+@given(ptb_files.map(lambda data: data.decode("utf-8", "replace")))
+@example("( NP")
+@example("(\nNP")
+@example("(S ((DT the) NP))")
+@example("(S (S) (NP a))")
+@example("(X ( NP (DT a)) (\nNP b c)\n(Y))")
+@example("(S (NP a)) (VP (VB go)) x")
+def test_read_ptb_in_small_chunks_matches_the_reference_reader(chunk, text):
+    """A chunk ends just before a ``(``, so however small the chunks,
+    no token is cut and every error keeps its message, line and offset."""
+    expected = _read_outcome(_reference_read_ptb, text)
+    with mock.patch.object(mntag.trees, "_CHUNK", chunk):
+        got = _read_outcome(read_ptb, text)
+    assert got == expected
+    if isinstance(got, list):
+        assert [repr(t) for t in got] == [repr(t) for t in expected]
+
+
+def test_one_read_builds_each_label_spelling_once():
+    """Equal labels within one ``read_ptb`` call are one string, however
+    the bracket before them is spaced and whether they open a node, label
+    a one-word node or are a bare word."""
+    text = (
+        (DATA / "corpus_trees.ptb").read_text()
+        + (DATA / "golden_preprocessed.ptb").read_text()
+        + "(S ( NP (DT a)) (\nNP b NP) (VP\t(VB go)))\n"
+    )
+    labels = [node.label for tree in read_ptb(text) for node in iter_nodes(tree)]
+    assert len({id(label) for label in labels}) == len(set(labels)) < len(labels)
+
+
+def test_read_ptb_peaks_close_to_what_it_keeps():
+    """The text is tokenized a chunk at a time, so the tokens of the whole
+    text are never held at once beside the trees built from them."""
+    text = (DATA / "corpus_trees.ptb").read_text() * 40
+    assert len(text) > 2 * mntag.trees._CHUNK
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        corpus = read_ptb(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == 40 * len((DATA / "corpus_trees.ptb").read_text().splitlines())
+    assert peak - start <= 1.2 * (kept - start)
 
 
 def test_tree_is_frozen():
