@@ -10,8 +10,8 @@ from .grafting import GraftConfig, GraftReport, SpanCase, classify_span, graft
 from .lexicon import Lexicon, LexiconEntry, dump_lexicon, load_lexicon, lookup
 from .matcher import Match, PatternRule, apply, match, parse_pattern, parse_rules
 from .rulegen import TemplateRegistry, default_registry, expand_templates, preprocess
+from .standoff import StandoffAnnotation
 from .taggers import (
-    StandoffAnnotation,
     TaggedToken,
     agreement,
     parse_inline,

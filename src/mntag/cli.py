@@ -33,7 +33,7 @@ from importlib.resources import files
 from . import grafting, matcher, rulegen, taggers, trees
 from .lexicon import LexiconError, load_lexicon_file
 from .matcher import RewriteBudgetError
-from .taggers import StandoffAnnotation
+from .standoff import StandoffAnnotation, format_standoff, parse_standoff
 
 log = logging.getLogger("mn")
 
@@ -178,14 +178,14 @@ def _cmd_tag(args) -> int:
         fh.writelines(out_lines)
     if args.standoff:
         with open(args.standoff, "w", encoding="utf-8") as fh:
-            fh.write(taggers.format_standoff(annotations))
+            fh.write(format_standoff(annotations))
     return 0
 
 
 def _cmd_graft(args) -> int:
     config = grafting.GraftConfig(family_order=tuple(args.order.split(",")))
     corpus = _parse_file(args.trees, trees.read_ptb)
-    batches = [(path, _parse_file(path, taggers.parse_standoff)) for path in args.standoff]
+    batches = [(path, _parse_file(path, parse_standoff)) for path in args.standoff]
     by_sentence: dict[int, list[StandoffAnnotation]] = {}
     for path, batch in batches:
         last = max((a.sentence for a in batch), default=-1)
@@ -201,19 +201,14 @@ def _cmd_graft(args) -> int:
     for i, tree in enumerate(corpus):
         try:
             grafted, sentence_report = grafting.graft(tree, by_sentence.get(i, []), config)
-        except ValueError as exc:
-            # Graft refused a span past the sentence or a family outside
-            # the order: name the first file that holds one.
-            size = len(tree.tokens())
-            path = next(
-                path
-                for path, batch in batches
-                if any(
-                    a.sentence == i and (a.span.end > size or a.family not in config.family_order)
-                    for a in batch
-                )
-            )
-            raise ValueError(f"{path}: sentence {i}: {exc}") from None
+        except ValueError:
+            # Name the first file whose annotations graft refuses alone.
+            for path, batch in batches:
+                try:
+                    grafting.graft(tree, [a for a in batch if a.sentence == i], config)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: sentence {i}: {exc}") from None
+            raise
         report.merge(sentence_report)
         out_lines.append(trees.write_ptb(grafted) + "\n")
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -240,8 +235,8 @@ def _cmd_rules(args) -> int:
 
 def _cmd_agreement(args) -> int:
     report = taggers.agreement(
-        _parse_file(args.file_a, taggers.parse_standoff),
-        _parse_file(args.file_b, taggers.parse_standoff),
+        _parse_file(args.file_a, parse_standoff),
+        _parse_file(args.file_b, parse_standoff),
     )
     sys.stdout.write(report.format())
     return 0

@@ -34,7 +34,8 @@ Annotations are processed family by family (named entities before
 modality/negation by default) and within a family in ascending
 precedence, so the highest-precedence tag lands last in its node's
 records and wins conflicts.  A word tagged as both trigger and target
-keeps the target tag regardless of arrival order.
+keeps the target tag regardless of arrival order; only MN labels are
+tags, so an NE label spelled like a trigger stands like any NE label.
 
 After grafting, a Negation trigger adjacent to a modality trigger in
 the same minimal clause composes NOT into that modality's target
@@ -71,9 +72,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
+from .standoff import MN_FAMILY, NE_FAMILY, StandoffAnnotation
 from .tags import TAG_SPELLINGS, MNTag, Modality, Role, compose_negation, parse_tag
 from .tags import specificity_rank
-from .taggers import MN_FAMILY, NE_FAMILY, StandoffAnnotation
 from .trees import ParseTree, Span, add_suffix, base_category, rebuilt
 
 OUTCOMES = (
@@ -269,7 +270,7 @@ def _fill(node, up, source, parent, start, end, after, leaves) -> None:
 def _apply_key(item: tuple[StandoffAnnotation, MNTag | None]) -> tuple:
     # Lower precedence first, so higher precedence overwrites.
     a, tag = item
-    rank = specificity_rank(tag) if tag is not None and a.family == MN_FAMILY else 0
+    rank = specificity_rank(tag) if tag is not None else 0
     return (-rank, a.span.start, a.span.end, a.label)
 
 
@@ -279,7 +280,7 @@ class _Grafted:
     outcome: str
     nodes: list[int]  # the numbers of the nodes it was put on
     label: str  # composition may rewrite it
-    tag: MNTag | None  # ``label`` parsed
+    tag: MNTag | None  # ``label`` parsed, for an MN family label only
 
 
 def graft(
@@ -306,7 +307,7 @@ def graft(
     applied: dict[int, list[_Grafted]] = {}  # node number -> the records put on it
     for family in config.family_order:
         batch = [
-            (a, parse_tag(a.label) if a.label in TAG_SPELLINGS else None)
+            (a, parse_tag(a.label) if family == MN_FAMILY and a.label in TAG_SPELLINGS else None)
             for a in annotations
             if a.family == family
         ]
@@ -339,7 +340,7 @@ def _span_start(g: _Grafted) -> int:
 def _compose(
     shadow: _Shadow, grafted: list[_Grafted], applied: dict[int, list[_Grafted]]
 ) -> None:
-    mn = [g for g in grafted if g.annotation.family == MN_FAMILY and g.tag]
+    mn = [g for g in grafted if g.tag]
     negations = [
         g for g in mn if g.tag.role is Role.TRIGGER and g.tag.modality is Modality.NEGATION
     ]
@@ -402,7 +403,7 @@ def _compose_negations(shadow: _Shadow, mn: list[_Grafted], negations: list[_Gra
                 and not g.tag.outer_not
                 and clause.covers(g.annotation.span)
             ):
-                g.tag = compose_negation(g.tag, True)
+                g.tag = compose_negation(g.tag)
                 g.label = str(g.tag)
                 neg.outcome = "composed"
 

@@ -40,24 +40,21 @@ counts word spans as it walks down the tree.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from . import matcher, rulegen
+from . import matcher, rulegen, standoff
 from .lexicon import Lexicon, lookup
+from .standoff import MN_FAMILY, StandoffAnnotation
 from .tags import TAG_SPELLINGS, MNTag, Modality, Role, compose_negation, parse_tag
 from .tags import specificity_rank
-from .trees import LABEL_BAD, ParseTree, Span, add_suffix, rebuilt
+from .trees import ParseTree, Span, add_suffix, rebuilt
 
-MN_FAMILY = "MN"
-NE_FAMILY = "NE"
+# The benchmark's graft loop (``bench/workloads.py``) reads standoff
+# through this name until the benchmark is next revised.
+parse_standoff = standoff.parse_standoff
 
 _SKIP_POS = frozenset(["RB", "RBR", "RBS", "TO"])
-
-# A standoff index as written: ASCII digits, optionally negative (which
-# the checks after parsing reject with a message of their own).
-_INDEX = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -65,62 +62,6 @@ class TaggedToken:
     token: str
     pos: str
     tags: frozenset[MNTag] = frozenset()
-
-
-@dataclass(frozen=True, slots=True)
-class StandoffAnnotation:
-    """One tag over a token span, decoupled from any tree."""
-
-    sentence: int
-    span: Span
-    label: str
-    family: str = MN_FAMILY
-
-    def sort_key(self):
-        return (self.sentence, self.span.start, self.span.end, self.family, self.label)
-
-
-def format_standoff(annotations: Iterable[StandoffAnnotation]) -> str:
-    lines = [
-        f"{a.sentence}\t{a.span.start}\t{a.span.end}\t{a.label}\t{a.family}"
-        for a in sorted(annotations, key=StandoffAnnotation.sort_key)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_standoff(text: str) -> list[StandoffAnnotation]:
-    """The annotations of a standoff file; labels and families spelled
-    alike are one string within one call."""
-    out = []
-    strings: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ValueError(f"standoff line {lineno}: expected 5 tab-separated fields")
-        sentence, start, end, label, family = parts
-        if not label or LABEL_BAD.search(label):
-            # Graft puts the label into a tree, which could not hold it.
-            raise ValueError(f"standoff line {lineno}: bad label {label!r}")
-        for number in (sentence, start, end):
-            # ``int`` would also take ``1_0``, `` 1`` and non-ASCII digits.
-            if not _INDEX.fullmatch(number):
-                raise ValueError(f"standoff line {lineno}: bad integer {number!r}")
-        try:
-            ann = StandoffAnnotation(
-                int(sentence),
-                Span(int(start), int(end)),
-                strings.setdefault(label, label),
-                strings.setdefault(family, family),
-            )
-        except ValueError as exc:
-            raise ValueError(f"standoff line {lineno}: {exc}") from None
-        if ann.sentence < 0:
-            raise ValueError(f"standoff line {lineno}: negative sentence index {ann.sentence}")
-        out.append(ann)
-    return out
 
 
 def read_token_tsv(text: str) -> list[list[tuple[str, str]]]:
@@ -235,7 +176,7 @@ def _compose_pass(
             link = max(straddled, key=lambda l: l.trigger_ann.span.end)
             if structure and link.target_ann.span in trigger_spans:
                 continue
-            link.target_ann.tag = compose_negation(link.target_ann.tag, True)
+            link.target_ann.tag = compose_negation(link.target_ann.tag)
             if neg.target_ann is not None and neg.target_ann.span == link.target_ann.span:
                 anns.remove(neg.target_ann)
             composed = True
@@ -245,7 +186,7 @@ def _compose_pass(
                 link = following[0]
                 if link.target_ann.span in trigger_spans:
                     continue
-                link.target_ann.tag = compose_negation(link.target_ann.tag, True)
+                link.target_ann.tag = compose_negation(link.target_ann.tag)
                 if neg.target_ann is not None and neg.target_ann.span == link.trigger_ann.span:
                     anns.remove(neg.target_ann)
                 composed = True

@@ -177,7 +177,7 @@ def specificity_rank(tag: MNTag) -> int:
     return _RANK[tag.base]
 
 
-def compose_negation(tag: MNTag, negated: bool) -> MNTag:
+def compose_negation(tag: MNTag) -> MNTag:
     """Compose an outer negation onto a modality tag.
 
     ``TrigAble`` composed with a negation trigger yields the
@@ -186,8 +186,6 @@ def compose_negation(tag: MNTag, negated: bool) -> MNTag:
     """
     if tag.modality is Modality.NEGATION:
         raise TagError("cannot compose negation onto a bare Negation tag")
-    if not negated:
-        return tag
     return MNTag(tag.role, not tag.outer_not, tag.modality, tag.lexical_negation)
 
 

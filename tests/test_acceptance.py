@@ -14,7 +14,8 @@ from mntag.cli import main, seed_lexicon_path
 from mntag.grafting import SpanCase, classify_span, graft
 from mntag.lexicon import dump_lexicon, load_lexicon, load_lexicon_file
 from mntag.rulegen import expand_templates, default_registry, preprocess, word_tokens
-from mntag.taggers import StandoffAnnotation, render_inline, tag_structure
+from mntag.standoff import StandoffAnnotation
+from mntag.taggers import render_inline, tag_structure
 from mntag.tags import TAG_INVENTORY, AnnotationChoice, menu_choice_to_tags, parse_tag
 from mntag.trees import Span, flatten, iter_nodes, read_ptb, read_ptb_file, write_ptb
 

@@ -522,6 +522,27 @@ def test_graft_names_the_first_sentence_with_a_fault_whatever_its_kind(tmp_path,
     assert str(families) not in caplog.text
 
 
+@pytest.mark.parametrize("spans_first", [True, False], ids=["spans-first", "families-first"])
+def test_graft_names_the_file_given_first_when_two_have_a_fault_in_one_sentence(
+    tmp_path, caplog, spans_first
+):
+    spans = tmp_path / "spans.tsv"
+    spans.write_text("1\t0\t99\tTargAble\tMN\n")
+    families = tmp_path / "families.tsv"
+    families.write_text("0\t0\t1\tPERSON\tNE\n1\t0\t1\tPERSON\tXX\n")
+    first, second = (spans, families) if spans_first else (families, spans)
+    assert run(
+        "graft", "--trees", TREES, "--standoff", first, "--standoff", second,
+        "--out", tmp_path / "o.ptb", "--report", tmp_path / "r.txt",
+    ) == 2
+    message = {
+        spans: "annotation span Span(start=0, end=99) outside sentence of",
+        families: "annotation family 'XX' not in family order NE,MN",
+    }[first]
+    assert f"{first}: sentence 1: {message}" in caplog.text
+    assert str(second) not in caplog.text
+
+
 def test_graft_span_end_is_checked_against_the_sentence_length(tmp_path, caplog):
     size = len(trees.read_ptb_file(TREES)[1].tokens())
     whole = tmp_path / "whole.tsv"

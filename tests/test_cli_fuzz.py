@@ -21,6 +21,7 @@ from conftest import DATA, PTB_TREES, ptb_files
 from mntag import rulegen, taggers, trees
 from mntag.cli import main, seed_lexicon_path
 from mntag.lexicon import LexiconError, load_lexicon
+from mntag.standoff import parse_standoff
 
 _integers = st.one_of(
     st.integers(-2, 12),
@@ -92,7 +93,7 @@ def test_graft_exits_0_or_2_and_names_the_bad_file(tree_bytes, standoff_bytes):
                 assert [t.tokens() for t in grafted] == [t.tokens() for t in source]
                 report = Path(tmp, "report.txt").read_text("utf-8")
                 total = sum(int(line.split(": ")[1]) for line in report.splitlines())
-                assert total == len(taggers.parse_standoff(standoff_bytes.decode("utf-8")))
+                assert total == len(parse_standoff(standoff_bytes.decode("utf-8")))
             else:
                 assert errors.messages
                 bad = _offender(tree_path, standoff_path)
@@ -137,7 +138,7 @@ def test_string_tag_exits_0_or_2_and_names_the_bad_file(token_bytes):
                 # Each token stays one word of the inline line, beside one
                 # ``<Tag`` word per annotation.
                 sentences = taggers.read_token_tsv(token_bytes.decode("utf-8"))
-                annotations = taggers.parse_standoff(standoff.read_text("utf-8"))
+                annotations = parse_standoff(standoff.read_text("utf-8"))
                 lines = inline.read_text("utf-8").splitlines()
                 assert len(lines) == len(sentences)
                 for i, (line, sentence) in enumerate(zip(lines, sentences)):
@@ -222,7 +223,7 @@ def test_structure_tag_rules_exit_0_1_or_2_and_name_the_bad_file(rule_bytes):
                 tagged = trees.read_ptb(out.read_text("utf-8"))
                 words = [t.tokens() for t in trees.read_ptb(source.read_text("utf-8"))]
                 assert [rulegen.word_tokens(t) for t in tagged] == words
-                for a in taggers.parse_standoff(standoff.read_text("utf-8")):
+                for a in parse_standoff(standoff.read_text("utf-8")):
                     assert a.span.end <= len(words[a.sentence])
             elif code == 1:
                 assert len(errors.messages) == 1

@@ -16,8 +16,8 @@ from mntag.grafting import (
     classify_span,
     graft,
 )
+from mntag.standoff import StandoffAnnotation, parse_standoff
 from mntag.tags import TAG_SPELLINGS, Modality, Role, compose_negation, parse_tag
-from mntag.taggers import StandoffAnnotation, parse_standoff
 from mntag.trees import ParseTree, Span, base_category, iter_nodes, read_ptb, write_ptb
 
 COMPOSITION_TREE = (
@@ -167,6 +167,18 @@ def test_graft_family_order_matters_only_on_conflicts():
     b, _ = graft(tree, conflict, GraftConfig(family_order=("MN", "NE")))
     assert a != b
     assert "GPE" in write_ptb(b) and "TargSucceed" in write_ptb(a)
+
+
+@pytest.mark.parametrize("label", ["PER", "TrigAble"])
+def test_graft_a_later_ne_label_stands_even_when_spelled_like_a_trigger(label):
+    # Only MN labels are tags, so an NE label is never adjudicated as a
+    # trigger against the MN target under it.
+    tree = read_ptb("(S (NP (PRP he)) (VP (MD can) (VB go)))")[0]
+    anns = [mn(0, 2, 3, "TargWant"), ne(0, 2, 3, label)]
+    config = GraftConfig(family_order=("MN", "NE"))
+    out, _ = graft(tree, anns, config)
+    assert write_ptb(out) == f"(S (NP (PRP he)) (VP (MD can) (VB-{label} go)))"
+    assert out == _reference_graft(tree, anns, config)[0]
 
 
 def test_graft_config_rejects_a_family_named_twice():
@@ -484,7 +496,7 @@ def _reference_graft(tree, annotations, config=None):
     grafted = []
     for family in config.family_order:
         batch = [
-            (a, parse_tag(a.label) if a.label in TAG_SPELLINGS else None)
+            (a, parse_tag(a.label) if family == "MN" and a.label in TAG_SPELLINGS else None)
             for a in annotations
             if a.family == family
         ]
@@ -507,7 +519,7 @@ def _reference_graft(tree, annotations, config=None):
 
 
 def _reference_compose(shadow, grafted):
-    mn = [g for g in grafted if g.annotation.family == "MN" and g.tag]
+    mn = [g for g in grafted if g.tag]
     triggers = [
         g for g in mn if g.tag.role is Role.TRIGGER and g.tag.modality is not Modality.NEGATION
     ]
@@ -542,7 +554,7 @@ def _reference_compose(shadow, grafted):
                 and not g.tag.outer_not
                 and clause.covers(g.annotation.span)
             ):
-                g.tag = compose_negation(g.tag, True)
+                g.tag = compose_negation(g.tag)
                 g.label = str(g.tag)
                 rewrote = True
         if rewrote:

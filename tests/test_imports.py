@@ -1,5 +1,6 @@
-"""Every name a module of ``mntag`` imports is used there, and every
-private module-level name is read by some module.
+"""Every name a module of ``mntag`` imports is used there, every
+private module-level name is read by some module, and the modules below
+the taggers import only the layers under them.
 
 No linter runs on this code, so a name left imported, or a private
 helper left defined, after the code that used it is deleted would stay
@@ -117,3 +118,48 @@ def test_unread_private_name_check_sees_each_kind_of_definition():
     assert unread_private_names(sources) == [
         "a._unread", "a._X", "a._annotated", "a._f", "a._coroutine",
     ]
+
+
+def package_imports(source: str) -> set[str]:
+    """The ``mntag`` modules ``source`` imports, relatively or by the
+    package's name."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {
+                a.name.split(".")[1] for a in node.names if a.name.startswith("mntag.")
+            }
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "mntag" and not module.startswith("mntag."):
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                found.add(module.partition(".")[0])
+            else:
+                found |= {a.name for a in node.names}
+    return found
+
+
+@pytest.mark.parametrize(
+    "module, allowed",
+    [("grafting", {"standoff", "tags", "trees"}), ("standoff", {"trees"})],
+)
+def test_module_imports_only_the_layers_under_it(module, allowed):
+    # Graft reads standoff records onto trees; it needs none of the
+    # tagging stack (taggers, matcher, rulegen, lexicon).
+    assert package_imports((SRC / f"{module}.py").read_text("utf-8")) <= allowed
+
+
+def test_package_import_check_sees_each_kind_of_import():
+    source = (
+        "import os\n"
+        "import mntag.lexicon\n"
+        "from mntag import matcher\n"
+        "from mntag.rulegen import preprocess\n"
+        "from . import taggers, tags\n"
+        "from .trees import Span\n"
+        "from typing import Sequence\n"
+    )
+    assert package_imports(source) == {"lexicon", "matcher", "rulegen", "taggers", "tags", "trees"}

@@ -9,14 +9,12 @@ from conftest import DATA, STAGE_AUXILIARIES, corpus_words, stage_tree
 from mntag import rulegen
 from mntag.lexicon import lookup
 from mntag.rulegen import preprocess, word_tokens
+from mntag.standoff import StandoffAnnotation, format_standoff, parse_standoff
 from mntag.tags import TAG_INVENTORY, parse_tag, specificity_rank
 from mntag.taggers import (
-    StandoffAnnotation,
     agreement,
     fold_markers,
-    format_standoff,
     parse_inline,
-    parse_standoff,
     read_token_tsv,
     render_inline,
     tag_string,

@@ -84,12 +84,11 @@ def test_round_trip_full_inventory():
 
 def test_compose_negation_examples():
     able = MNTag(Role.TRIGGER, False, Modality.ABLE, False)
-    assert str(compose_negation(able, True)) == "TrigNOTAble"
-    assert compose_negation(able, False) == able
+    assert str(compose_negation(able)) == "TrigNOTAble"
     target = MNTag(Role.TARGET, False, Modality.ABLE, False)
-    assert str(compose_negation(target, True)) == "TargNOTAble"
+    assert str(compose_negation(target)) == "TargNOTAble"
     with pytest.raises(TagError):
-        compose_negation(parse_tag("TrigNegation"), True)
+        compose_negation(parse_tag("TrigNegation"))
 
 
 def test_compose_negation_is_an_involution():
@@ -97,7 +96,7 @@ def test_compose_negation_is_an_involution():
         if base == "Negation":
             continue
         tag = parse_tag("Targ" + base)
-        assert compose_negation(compose_negation(tag, True), True) == tag
+        assert compose_negation(compose_negation(tag)) == tag
 
 
 def test_proposition_negation_duality():

@@ -8,7 +8,7 @@ import importlib.util
 from pathlib import Path
 
 from conftest import DATA
-from mntag import cli, taggers
+from mntag import cli, standoff, taggers
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -52,5 +52,5 @@ def test_trace_check_identities_hold_on_tag_and_graft(tmp_path):
     assert counts["matcher.rewrites"] > 0
     assert match_calls == counts["taggers.rules_tried"] + counts["matcher.rewrites"]
     assert counts["matcher.rewrites"] == counts["taggers.fired_rules"]
-    annotations = sum(len(taggers.parse_standoff(path.read_text())) for path in standoffs)
+    annotations = sum(len(standoff.parse_standoff(path.read_text())) for path in standoffs)
     assert counts["grafting.annotations"] == annotations
