@@ -200,7 +200,7 @@ def _cmd_graft(args) -> int:
     out_lines = []
     for i, tree in enumerate(corpus):
         try:
-            grafted, sentence_report = grafting.graft(tree, by_sentence.get(i, []), config)
+            text, outcomes = grafting.graft(tree, by_sentence.get(i, []), config, as_text=True)
         except ValueError:
             # Name the first file whose annotations graft refuses alone.
             for path, batch in batches:
@@ -209,8 +209,8 @@ def _cmd_graft(args) -> int:
                 except ValueError as exc:
                     raise ValueError(f"{path}: sentence {i}: {exc}") from None
             raise
-        report.merge(sentence_report)
-        out_lines.append(trees.write_ptb(grafted) + "\n")
+        report.merge(outcomes)
+        out_lines.append(text + "\n")
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.writelines(out_lines)
     with open(args.report, "w", encoding="utf-8") as fh:

@@ -51,12 +51,15 @@ the sentence's records, sorted by span start, so it examines only the
 records inside its clause: a sentence of many clauses costs each
 negation no more than its own clause does.
 
-The output tree shares every subtree graft did not change with the
-input.  Rendering marks the nodes that carry a record (every inserted
-node carries its insert's) and their ancestors, and builds only those
-anew, through ``trees.rebuilt``: every unmarked node is the input node
-itself, and so is a marked node whose label gains no tag and whose
-children are all the input children themselves.
+Output marks the nodes that carry a record (every inserted node carries
+its insert's) and their ancestors.  The output tree builds only marked
+nodes anew, through ``trees.rebuilt``, so it shares every subtree graft
+did not change with the input, and a regraft that changes nothing
+returns the input itself.  ``mn graft`` needs only text: with
+``as_text`` graft writes ``write_ptb``'s text of that tree from the
+working copy, the marked nodes by the same child walks and every
+unmarked subtree by ``trees``' writer, and builds no node.  The tree
+stays for library callers and the benchmark's loop, which need trees.
 
 The working copy holds no reference cycle: its lists hold numbers and
 input nodes, and a graft record names the nodes it was put on by
@@ -75,7 +78,8 @@ from typing import Sequence
 from .standoff import MN_FAMILY, NE_FAMILY, StandoffAnnotation
 from .tags import TAG_SPELLINGS, MNTag, Modality, Role, compose_negation, parse_tag
 from .tags import specificity_rank
-from .trees import ParseTree, Span, add_suffix, base_category, rebuilt
+from .trees import ParseTree, Span, add_suffix, base_category, rebuilt, write_leaf, write_ptb
+from .trees import write_subtree
 
 OUTCOMES = (
     "grafted-exact",
@@ -287,10 +291,14 @@ def graft(
     tree: ParseTree,
     annotations: Sequence[StandoffAnnotation],
     config: GraftConfig | None = None,
-) -> tuple[ParseTree, GraftReport]:
+    *,
+    as_text: bool = False,
+) -> tuple[ParseTree | str, GraftReport]:
     """Merge annotations into the tree; see the module docstring.
 
-    The result is independent of the input annotation order.
+    The result is independent of the input annotation order.  With
+    ``as_text`` the first item is not the output tree but the text
+    ``write_ptb`` would give for it, written without building it.
     """
     config = config or GraftConfig()
     shadow = _Shadow(tree)
@@ -330,7 +338,10 @@ def graft(
     for g in grafted:
         report.bump(g.outcome)
 
-    return _render(shadow, applied), report
+    marked = _marked(shadow, applied)
+    if as_text:
+        return (_text(0, False, shadow, applied, marked) if marked else write_ptb(tree)), report
+    return (_rebuild(0, shadow, applied, marked) if marked else tree), report
 
 
 def _span_start(g: _Grafted) -> int:
@@ -426,18 +437,26 @@ def _final_label(records: list[_Grafted]) -> str:
     return chosen.label
 
 
-def _render(shadow: _Shadow, applied: dict[int, list[_Grafted]]) -> ParseTree:
-    """The output tree: only the nodes that carry a record, and their
-    ancestors, are rebuilt; every other subtree is the input's own."""
+def _marked(shadow: _Shadow, applied: dict[int, list[_Grafted]]) -> set[int]:
+    """The nodes with records, inserted ones included, and their ancestors."""
     marked: set[int] = set()
     parent = shadow.parent
-    for n in applied:  # every inserted node carries its insert's record
+    for n in applied:
         while n >= 0 and n not in marked:
             marked.add(n)
             n = parent[n]
-    if not marked:
-        return shadow.source[0]
-    return _rebuild(0, shadow, applied, marked)
+    return marked
+
+
+def _out_label(n: int, shadow: _Shadow, applied: dict[int, list[_Grafted]]) -> str:
+    """The label node ``n`` has in the output."""
+    records = applied.get(n)
+    source = shadow.source[n]
+    if source is None:
+        # An inserted node whose tag was dropped keeps the label it was
+        # inserted with, for traceability, rather than vanish.
+        return _final_label(records) if records else shadow.labels[n]
+    return add_suffix(source.label, _final_label(records)) if records else source.label
 
 
 def _rebuild(
@@ -445,17 +464,14 @@ def _rebuild(
 ) -> ParseTree:
     """The output subtree for marked node ``n``; it is still the input
     subtree itself when graft changed nothing in it."""
-    records = applied.get(n)
-    tag = _final_label(records) if records else None
+    label = _out_label(n, shadow, applied)
     node = shadow.source[n]
     kids = shadow.kids.get(n)
     if kids is not None:
         source = shadow.source
         out = [_rebuild(k, shadow, applied, marked) if k in marked else source[k] for k in kids]
         if node is None:
-            # An inserted node whose tag was dropped keeps the label it was
-            # inserted with, for traceability, rather than vanish.
-            return ParseTree(shadow.labels[n] if tag is None else tag, tuple(out), None)
+            return ParseTree(label, tuple(out), None)
     else:
         after = shadow.after
         out, k = [], n + 1
@@ -464,4 +480,31 @@ def _rebuild(
                 child = _rebuild(k, shadow, applied, marked)
             out.append(child)
             k = after[k]
-    return rebuilt(node, out, None if tag is None else add_suffix(node.label, tag))
+    return rebuilt(node, out, label)
+
+
+def _text(
+    n: int, bare_ok: bool, shadow: _Shadow, applied: dict[int, list[_Grafted]], marked: set[int]
+) -> str:
+    """``write_subtree`` of the output subtree for marked node ``n``,
+    written from the working copy by ``_rebuild``'s child walks."""
+    label = _out_label(n, shadow, applied)
+    kids = shadow.kids.get(n)
+    if kids is not None:
+        source, ok = shadow.source, len(kids) > 1
+        parts = [
+            _text(k, ok, shadow, applied, marked) if k in marked else write_subtree(source[k], ok)
+            for k in kids
+        ]
+    else:
+        node = shadow.source[n]
+        if not node.children:
+            return write_leaf(label, node.token, bare_ok)
+        after, ok = shadow.after, len(node.children) > 1
+        parts, k = [], n + 1
+        for child in node.children:
+            parts.append(
+                _text(k, ok, shadow, applied, marked) if k in marked else write_subtree(child, ok)
+            )
+            k = after[k]
+    return f"({label} {' '.join(parts)})"

@@ -414,24 +414,31 @@ def _fault(text: str, stop: int | None, message: str, at_open: bool = False) -> 
 _PUNCT_LABELS = frozenset([".", ",", ":", "``", "''", "#", "$", "-LRB-", "-RRB-"])
 
 
-def _write(tree: ParseTree, allow_bare: bool) -> str:
+def write_leaf(label: str, token: str, allow_bare: bool) -> str:
+    """A leaf's text: its escaped token alone where ``allow_bare`` and the
+    label is that token, else ``(label token)``."""
+    if "(" in token or ")" in token:
+        token = escape_token(token)
+    if label == token and allow_bare and label not in _PUNCT_LABELS:
+        return token
+    return f"({label} {token})"
+
+
+def write_subtree(tree: ParseTree, allow_bare: bool) -> str:
+    """``tree``'s text.  A lone bare atom would read back as a preterminal,
+    so a bare word leaf is allowed only beside siblings."""
     kids = tree.children
     if not kids:
-        token: str = tree.token  # type: ignore[assignment]
-        if "(" in token or ")" in token:
-            token = escape_token(token)
-        if tree.label == token and allow_bare and tree.label not in _PUNCT_LABELS:
-            return token
-        return f"({tree.label} {token})"
-    # A lone bare atom would read back as a preterminal, so bare word
-    # leaves print unparenthesized only beside siblings.
-    bare_ok = len(kids) > 1
-    return f"({tree.label} {' '.join([_write(c, bare_ok) for c in kids])})"
+        return write_leaf(tree.label, tree.token, allow_bare)  # type: ignore[arg-type]
+    ok = len(kids) > 1
+    # A leaf daughter goes to ``write_leaf`` straight: one call, not two.
+    parts = [write_subtree(c, ok) if c.children else write_leaf(c.label, c.token, ok) for c in kids]
+    return f"({tree.label} {' '.join(parts)})"
 
 
 def write_ptb(tree: ParseTree) -> str:
     """Single-line S-expression; inverse of ``read_ptb`` on values."""
-    return _write(tree, False)
+    return write_subtree(tree, False)
 
 
 def read_ptb_file(path) -> list[ParseTree]:

@@ -378,11 +378,17 @@ def test_graft_leaves_no_reference_cycles():
             graft(tree, anns)
             for a in anns:
                 classify_span(tree, a.span)
+            graft(tree, anns, as_text=True)
             past = len(tree.tokens()) + 1
-            bad_calls = ((graft, [mn(0, 0, past, "TargAble")]), (classify_span, Span(0, past)))
-            for call, arg in bad_calls:
+            too_long = [mn(0, 0, past, "TargAble")]
+            bad_calls = (
+                (graft, (too_long,), {}),
+                (graft, (too_long,), {"as_text": True}),
+                (classify_span, (Span(0, past),), {}),
+            )
+            for call, args, kwargs in bad_calls:
                 try:
-                    call(tree, arg)
+                    call(tree, *args, **kwargs)
                 except ValueError:  # the error path must leave no cycle either
                     continue
                 raise AssertionError(f"{call.__name__} accepted a span past the sentence")
@@ -634,19 +640,67 @@ def composing_annotations(rng, tree):
     return out
 
 
+def _bare_only_child(label, word):
+    return ParseTree(label, (ParseTree(word, (), word),), None)
+
+
+#: Writer cases ``random_tree`` never makes: tokens holding brackets,
+#: punctuation preterminals that gain a tag, tagged bare word leaves that
+#: are only children (one already carries its tag, so its label stays its
+#: token), an insert whose tag is dropped as uncomposable (under the
+#: order MN,NE) and one-leaf trees.
+WRITER_CASES = [
+    (
+        read_ptb(
+            "(S (NP (NN x-LRB-y) (-LRB- -LRB-) (NN w-RRB-)) (VP (VB go) a-LRB-b c-RRB-d) (. .))"
+        )[0],
+        [mn(0, 0, 1, "TargAble"), mn(0, 4, 5, "TrigWant"), ne(0, 5, 6, "ORG")],
+    ),
+    (
+        read_ptb(
+            "(S (NP (NNP Khan) (, ,) (NNP Ali)) (VP (VBD won) (`` ``) (NN gold) ('' '')) (. .))"
+        )[0],
+        [mn(0, 1, 2, "TrigAble"), mn(0, 4, 5, "TrigSucceed"), mn(0, 6, 7, "TargAble")],
+    ),
+    (
+        ParseTree(
+            "S",
+            (
+                _bare_only_child("NP", "Khan"),
+                _bare_only_child("VP", "wins-TargSucceed"),
+                _bare_only_child("X", "today"),
+            ),
+        ),
+        [ne(0, 0, 1, "PER"), mn(0, 1, 2, "TargSucceed")],
+    ),
+    (
+        read_ptb("(S (NP (NNP Khan)) (VP (VB go) (NP (NNP Lahore)) (NP (NN today))))")[0],
+        [mn(0, 1, 3, "TargNegation"), ne(0, 1, 3, "EVENT")],
+    ),
+    (ParseTree("NN", (), "dog"), [mn(0, 0, 1, "TargAble")]),
+    (ParseTree("NN", (), "dog"), []),
+]
+
+
 def test_graft_matches_the_reference_graft_on_random_trees():
     rng = random.Random(1616)
     outcomes = dict.fromkeys(OUTCOMES, 0)
     inner = 0  # negations whose minimal clause is an S below the root
+    orders = [("NE", "MN"), ("MN", "NE")]
+    cases = [(tree, anns, GraftConfig(o)) for tree, anns in WRITER_CASES for o in orders]
     for _ in range(2500):
         tree = random_tree(rng, max_nodes=16)
         anns = composing_annotations(rng, tree)
-        config = GraftConfig(rng.choice([("NE", "MN"), ("MN", "NE")]))
+        cases.append((tree, anns, GraftConfig(rng.choice(orders))))
+    for tree, anns, config in cases:
         out, report = graft(tree, anns, config)
         want, want_report = _reference_graft(tree, anns, config)
         assert out == want
         assert write_ptb(out) == write_ptb(want)
         assert report.counts == want_report.counts
+        text, text_report = graft(tree, anns, config, as_text=True)
+        assert text == write_ptb(want)
+        assert text_report.counts == want_report.counts
         for k, v in report.counts.items():
             outcomes[k] += v
         size = len(tree.tokens())
