@@ -150,10 +150,8 @@ def _cmd_tag(args) -> int:
                 log.info("sentence %d: %s", i, diag)
             annotations.extend(result.annotations)
             if args.inline:
-                out_lines.append(
-                    taggers.render_inline(rulegen.word_tokens(result.tree), result.annotations)
-                    + "\n"
-                )
+                words = rulegen.word_tokens(result.tree)
+                out_lines.append(_inline_line(args.input, i, words, result.annotations))
             else:
                 out_lines.append(trees.write_ptb(result.tree) + "\n")
     else:
@@ -168,7 +166,7 @@ def _cmd_tag(args) -> int:
             annotations.extend(result.annotations)
             if args.inline:
                 words = [t.token for t in result.tokens]
-                out_lines.append(taggers.render_inline(words, result.annotations) + "\n")
+                out_lines.append(_inline_line(args.input, i, words, result.annotations))
             else:
                 tagged_sentences.append(result.tokens)
         if not args.inline:
@@ -180,6 +178,13 @@ def _cmd_tag(args) -> int:
         with open(args.standoff, "w", encoding="utf-8") as fh:
             fh.write(format_standoff(annotations))
     return 0
+
+
+def _inline_line(path, i, words, annotations) -> str:
+    try:  # a word inline text cannot hold: name the file and the sentence
+        return taggers.render_inline(words, annotations) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"{path}: sentence {i}: {exc}") from None
 
 
 def _cmd_graft(args) -> int:

@@ -76,8 +76,7 @@ from enum import Enum
 from typing import Sequence
 
 from .standoff import MN_FAMILY, NE_FAMILY, StandoffAnnotation
-from .tags import TAG_SPELLINGS, MNTag, Modality, Role, compose_negation, parse_tag
-from .tags import specificity_rank
+from .tags import TAGS, MNTag, Modality, Role, compose_negation, specificity_rank
 from .trees import ParseTree, Span, add_suffix, base_category, rebuilt, write_leaf, write_ptb
 from .trees import write_subtree
 
@@ -315,7 +314,7 @@ def graft(
     applied: dict[int, list[_Grafted]] = {}  # node number -> the records put on it
     for family in config.family_order:
         batch = [
-            (a, parse_tag(a.label) if family == MN_FAMILY and a.label in TAG_SPELLINGS else None)
+            (a, TAGS.get(a.label) if family == MN_FAMILY else None)
             for a in annotations
             if a.family == family
         ]

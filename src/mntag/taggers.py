@@ -40,14 +40,14 @@ counts word spans as it walks down the tree.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import matcher, rulegen, standoff
 from .lexicon import Lexicon, lookup
 from .standoff import MN_FAMILY, StandoffAnnotation
-from .tags import TAG_SPELLINGS, MNTag, Modality, Role, compose_negation, parse_tag
-from .tags import specificity_rank
+from .tags import TAG_SPELLINGS, TAGS, MNTag, Modality, Role, compose_negation, specificity_rank
 from .trees import ParseTree, Span, add_suffix, rebuilt
 
 # The benchmark's graft loop (``bench/workloads.py``) reads standoff
@@ -290,12 +290,12 @@ def tag_structure(
         # still recorded so standoff output stays complete.
         trigger = target = None
         for action in m.rule.actions:
-            if action.label not in TAG_SPELLINGS:
+            tag = TAGS.get(action.label)
+            if tag is None:
                 continue  # non-MN payload: lands on the tree only
             span = rulegen.word_spans(before, m.paths[action.capture])
             if span is None:
                 continue
-            tag = parse_tag(action.label)
             ann = _RawAnn(span, tag)
             anns.append(ann)
             if tag.role is Role.TRIGGER:
@@ -347,7 +347,7 @@ def _fold(node: ParseTree, start: int, by_span: dict[Span, list[str]]) -> tuple[
     label = node.label
     if end > start and not TAG_SPELLINGS.isdisjoint(markers):
         labels = by_span.get(Span(start, end), [])
-        for suffix in sorted(labels, key=lambda l: (specificity_rank(parse_tag(l)), l)):
+        for suffix in sorted(labels, key=lambda l: (specificity_rank(TAGS[l]), l)):
             label = add_suffix(label, suffix)
     if len(kept) == 1 and kept[0].is_leaf and kept[0].label == kept[0].token:
         return ParseTree(label, (), kept[0].token), end
@@ -359,9 +359,9 @@ def _fold(node: ParseTree, start: int, by_span: dict[Span, list[str]]) -> tuple[
 
 
 def _inline_rank(label: str) -> tuple:
-    if label not in TAG_SPELLINGS:
+    tag = TAGS.get(label)
+    if tag is None:
         return (999, 0, label)
-    tag = parse_tag(label)
     return (specificity_rank(tag), 0 if tag.role is Role.TRIGGER else 1, label)
 
 
@@ -369,7 +369,9 @@ def render_inline(tokens: Sequence[str], annotations: Sequence[StandoffAnnotatio
     """Angle-bracket inline form: ``<TrigRequire should>``.
 
     Same-span tags nest outermost-first by specificity rank; spans are
-    assumed non-crossing, as the taggers produce them.
+    assumed non-crossing, as the taggers produce them.  A word that
+    starts with ``<`` or ends with ``>`` would read back as a bracket,
+    so it raises ValueError naming the word.
     """
     opens: dict[int, list[StandoffAnnotation]] = {}
     closes: dict[int, int] = {}
@@ -378,6 +380,8 @@ def render_inline(tokens: Sequence[str], annotations: Sequence[StandoffAnnotatio
         closes[a.span.end - 1] = closes.get(a.span.end - 1, 0) + 1
     pieces = []
     for i, token in enumerate(tokens):
+        if token.startswith("<") or token.endswith(">"):
+            raise ValueError(f"word {token!r} is spelled like an inline bracket")
         prefix = "".join(
             f"<{a.label} "
             for a in sorted(opens.get(i, []), key=lambda a: (-a.span.end, *_inline_rank(a.label)))
@@ -392,13 +396,8 @@ def parse_inline(text: str, sentence: int = 0) -> tuple[list[str], list[Standoff
     stack: list[tuple[str, int]] = []
     annotations: list[StandoffAnnotation] = []
     for piece in text.split():
-        while piece.startswith("<"):
-            label, _, rest = piece[1:].partition(" ")
-            stack.append((label, len(tokens)))
-            piece = rest
-            if not piece:
-                break
-        if not piece:
+        if piece.startswith("<"):
+            stack.append((piece[1:], len(tokens)))
             continue
         n_close = len(piece) - len(piece.rstrip(">"))
         word = piece[: len(piece) - n_close] if n_close else piece
@@ -475,9 +474,7 @@ def agreement(a: Sequence[StandoffAnnotation], b: Sequence[StandoffAnnotation]) 
 
     set_a = {(x.sentence, x.span.start, x.span.end, x.label) for x in a}
     set_b = {(x.sentence, x.span.start, x.span.end, x.label) for x in b}
-    per_label: dict[str, LabelScores] = {}
-    for label in {t[3] for t in set_a | set_b}:
-        la = {t for t in set_a if t[3] == label}
-        lb = {t for t in set_b if t[3] == label}
-        per_label[label] = LabelScores(len(la & lb), len(la), len(lb))
+    in_a, in_b = Counter(t[3] for t in set_a), Counter(t[3] for t in set_b)
+    tp = Counter(t[3] for t in set_a & set_b)
+    per_label = {l: LabelScores(tp[l], in_a[l], in_b[l]) for l in in_a.keys() | in_b.keys()}
     return AgreementReport(rate, per_label)

@@ -7,13 +7,17 @@ try" -> NOTEffort) and a lexical negation folded into the proposition
 dual under lexical negation, so ``RequireNegation`` and
 ``PermitNegation`` never appear in canonical form: they rewrite to
 ``NOTPermit`` and ``NOTRequire`` respectively.
+
+Those rules are spelled once, in ``MNTag.__post_init__``.  The tag
+table ``TAGS`` is built at import by asking ``MNTag`` which spellings
+it accepts, and the spellings, the inventory and ``parse_tag`` are read
+off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 
 
 class Modality(Enum):
@@ -84,42 +88,57 @@ class MNTag:
         return self.role.value + self.base
 
 
-def _inventory() -> tuple[str, ...]:
-    out: list[str] = []
-    for mod in Modality:
-        out.append(mod.value)
-        if mod is Modality.NEGATION:
-            continue  # takes no NOT or Negation marks
-        out.append("NOT" + mod.value)
-        if mod not in _DUAL:
-            out.append(mod.value + "Negation")
-            out.append("NOT" + mod.value + "Negation")
-    return tuple(out)
-
-
-#: All 33 canonical tag bases, from highest to lowest precedence.
-TAG_INVENTORY: tuple[str, ...] = _inventory()
-
-_RANK = {base: i for i, base in enumerate(TAG_INVENTORY)}
-
 #: Every modality name read on input (tags, lexicon ``Modality`` lines),
 #: by name; the spelling ``FirmBelief`` is accepted on input only.
 MODALITY_BY_NAME = {m.value: m for m in Modality} | {"FirmBelief": Modality.FIRM_BELIEF}
+
+
+def _table() -> dict[str, MNTag]:
+    """Each spelling role + optional NOT + modality name + optional
+    Negation whose tag ``MNTag`` accepts, to that tag; within a role the
+    bases come in precedence order."""
+    table: dict[str, MNTag] = {}
+    for role in Role:
+        for name, modality in MODALITY_BY_NAME.items():
+            for lexical in ("", "Negation"):
+                for outer in ("", "NOT"):
+                    try:
+                        tag = MNTag(role, bool(outer), modality, bool(lexical))
+                    except TagError:
+                        continue
+                    table[role.value + outer + name + lexical] = tag
+    return table
+
+
+#: The tag table, built at import: each of the 74 accepted spellings
+#: (``FirmBelief`` included) to its tag.  Testing a label for a tag and
+#: reading it are one lookup here, with no exception; a tag is immutable,
+#: so every caller shares one.
+TAGS: dict[str, MNTag] = _table()
+
+#: The strings ``parse_tag`` accepts: the table's spellings.
+TAG_SPELLINGS = frozenset(TAGS)
+
+#: All 33 canonical tag bases, from highest to lowest precedence.
+TAG_INVENTORY: tuple[str, ...] = tuple(dict.fromkeys(tag.base for tag in TAGS.values()))
+
+_RANK = {base: i for i, base in enumerate(TAG_INVENTORY)}
 
 # Longest names first so Firm_Belief is not mis-read as Belief.
 _MODALITY_NAMES = sorted(MODALITY_BY_NAME.items(), key=lambda kv: len(kv[0]), reverse=True)
 
 
-@cache
 def parse_tag(s: str) -> MNTag:
     """Parse a canonical tag string such as ``TargNOTSucceedNegation``.
 
-    Raises TagError naming the offending substring on malformed input
-    and on non-canonical combinations (``TrigRequireNegation``).  Results
-    are cached: at most 88 strings parse (role, NOT, 11 modality
-    spellings, Negation) and an ``MNTag`` is immutable, so callers may
-    share one.  A failure is not cached and raises again on every call.
+    A spelling in ``TAGS`` returns its shared tag.  Any other string
+    raises TagError naming the offending substring on malformed input
+    and on non-canonical combinations (``TrigRequireNegation``).
     """
+    tag = TAGS.get(s)
+    if tag is not None:
+        return tag
+    # Not a tag: the grammar runs only to say why.
     if s.startswith(Role.TRIGGER.value):
         role = Role.TRIGGER
     elif s.startswith(Role.TARGET.value):
@@ -142,30 +161,7 @@ def parse_tag(s: str) -> MNTag:
         lexical = True
     else:
         raise TagError(f"trailing {tail!r} in tag {s!r}")
-    return MNTag(role, outer, modality, lexical)
-
-
-def _tag_spellings() -> frozenset[str]:
-    """Every string ``parse_tag`` accepts: of the 88 spellings role,
-    optional NOT, modality name, optional Negation, the 74 whose tag is
-    canonical."""
-    spellings = set()
-    for role in Role:
-        for outer in ("", "NOT"):
-            for name, _ in _MODALITY_NAMES:
-                for lexical in ("", "Negation"):
-                    s = role.value + outer + name + lexical
-                    try:
-                        parse_tag(s)
-                    except TagError:
-                        continue
-                    spellings.add(s)
-    return frozenset(spellings)
-
-
-#: The strings ``parse_tag`` accepts, built at import: testing a label
-#: for a tag is one lookup here, and costs no exception.
-TAG_SPELLINGS = _tag_spellings()
+    return MNTag(role, outer, modality, lexical)  # raises: every canonical spelling is in TAGS
 
 
 def specificity_rank(tag: MNTag) -> int:

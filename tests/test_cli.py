@@ -200,6 +200,61 @@ def test_input_word_spelled_like_a_marker_exits_2_naming_file_and_sentence(
 
 
 @pytest.mark.parametrize(
+    "mode, text, word",
+    [
+        ("string", "I\tPRP\nwant\tVBP\nto\tTO\ngo\tVB\n\na\tDT\n<\tSYM\nb\tNN\n", "<"),
+        ("string", "I\tPRP\nwant\tVBP\nto\tTO\ngo\tVB\n\nx\tNN\n->\tSYM\n", "->"),
+        ("structure", "(S (NP (PRP I)) (VP (VBP left)))\n(S (NP (NN <b)) (VBD left))\n", "<b"),
+        ("structure", "(S (NP (PRP I)) (VP (VBP left)))\n(S (NP (NN a>)) (VBD left))\n", "a>"),
+    ],
+    ids=["string-open", "string-close", "structure-open", "structure-close"],
+)
+def test_inline_word_spelled_like_a_bracket_exits_2_naming_file_and_sentence(
+    tmp_path, caplog, mode, text, word
+):
+    """``parse_inline`` would read such a word as a tag bracket: ``a < b``
+    once read back as an unclosed tag, ``x ->`` as an unbalanced one."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    out = tmp_path / "out.txt"
+    assert run(
+        "tag", "--mode", mode, "--lexicon", seed_lexicon_path(),
+        "--in", bad, "--out", out, "--inline",
+    ) == 2
+    assert f"{bad}: sentence 1: word {word!r} is spelled like an inline bracket" in caplog.text
+    assert not out.exists()
+    # Without --inline the word is written as it is.
+    assert run(
+        "tag", "--mode", mode, "--lexicon", seed_lexicon_path(), "--in", bad, "--out", out,
+    ) == 0
+    assert word in out.read_text()
+
+
+@pytest.mark.parametrize("command", ["tag", "graft"])
+def test_failing_run_writes_no_output_and_leaves_an_old_out_as_it_was(
+    tmp_path, caplog, command
+):
+    """All or nothing: a run that fails on its second sentence writes none
+    of its outputs, and an ``--out`` already on disk keeps its bytes."""
+    bad = tmp_path / "bad.txt"
+    out, side = tmp_path / "out", tmp_path / "side"
+    old = b"(S (NN kept))\n"
+    out.write_bytes(old)
+    if command == "tag":
+        first = TREES.read_text().split("\n", 1)[0]
+        bad.write_text(f"{first}\n(S (NP (NNP John)) (VP (VB hand AUX)))\n")
+        args = ["--mode", "structure", "--lexicon", seed_lexicon_path(), "--in", bad]
+        args += ["--standoff", side]
+    else:
+        bad.write_text("0\t0\t1\tTargAble\tMN\n1\t0\t99\tTargAble\tMN\n")
+        args = ["--trees", TREES, "--standoff", bad, "--report", side]
+    assert run(command, *args, "--out", out) == 2
+    assert f"{bad}: sentence 1: " in caplog.text
+    assert out.read_bytes() == old
+    assert not side.exists()
+
+
+@pytest.mark.parametrize(
     "command",
     [
         ["lexicon", "validate"],

@@ -17,7 +17,7 @@ from mntag.grafting import (
     graft,
 )
 from mntag.standoff import StandoffAnnotation, parse_standoff
-from mntag.tags import TAG_SPELLINGS, Modality, Role, compose_negation, parse_tag
+from mntag.tags import TAGS, Modality, Role, compose_negation
 from mntag.trees import ParseTree, Span, base_category, iter_nodes, read_ptb, write_ptb
 
 COMPOSITION_TREE = (
@@ -502,7 +502,7 @@ def _reference_graft(tree, annotations, config=None):
     grafted = []
     for family in config.family_order:
         batch = [
-            (a, parse_tag(a.label) if family == "MN" and a.label in TAG_SPELLINGS else None)
+            (a, TAGS.get(a.label) if family == "MN" else None)
             for a in annotations
             if a.family == family
         ]

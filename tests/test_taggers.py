@@ -286,6 +286,18 @@ def test_inline_round_trip_multiword():
     assert parsed == sorted(anns, key=StandoffAnnotation.sort_key)
 
 
+def test_render_inline_refuses_a_word_spelled_like_a_bracket():
+    # ``a < b`` would read back as an unclosed tag, ``x ->`` as a closer.
+    for word in ("<", "->", "<b", "a>"):
+        with pytest.raises(ValueError, match=f"word {word!r} is spelled like an inline bracket"):
+            render_inline(["a", word, "b"], [])
+    # Inside a word the brackets are only letters.
+    anns = [StandoffAnnotation(0, Span(0, 2), "TrigWant")]
+    text = render_inline(["a<b", "x>y"], anns)
+    assert text == "<TrigWant a<b x>y>"
+    assert parse_inline(text) == (["a<b", "x>y"], anns)
+
+
 def test_inline_round_trip_random(seed_lexicon, seed_rules):
     rng = random.Random(5)
     sentences = [

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from mntag.tags import (
     TAG_INVENTORY,
     TAG_SPELLINGS,
+    TAGS,
+    MODALITY_BY_NAME,
     AnnotationChoice,
     MenuChoice,
     MNTag,
@@ -203,6 +205,25 @@ def test_tag_spellings_agree_with_parse_tag_on_every_spelling():
     assert "TrigRequireNegation" not in TAG_SPELLINGS
     assert "TargNOTNegation" not in TAG_SPELLINGS
     assert "TrigFirmBelief" in TAG_SPELLINGS and "TargNOTFirm_BeliefNegation" in TAG_SPELLINGS
+
+
+def test_tag_table_holds_exactly_the_tags_mntag_accepts():
+    """``TAGS`` is built by asking ``MNTag`` which combinations are
+    canonical; the spellings and the inventory are read off it."""
+    accepted = {}
+    flags = (False, True)
+    for role, outer, name, lexical in itertools.product(Role, flags, _SPELLINGS, flags):
+        try:
+            tag = MNTag(role, outer, MODALITY_BY_NAME[name], lexical)
+        except TagError:
+            continue
+        accepted[role.value + "NOT" * outer + name + "Negation" * lexical] = tag
+    assert TAGS == accepted
+    assert TAG_SPELLINGS == TAGS.keys()
+    assert set(TAG_INVENTORY) == {tag.base for tag in TAGS.values()}
+    for s, tag in TAGS.items():
+        assert parse_tag(s) is tag
+        assert str(tag) == s.replace("FirmBelief", "Firm_Belief")
 
 
 _TAG_PIECES = ["Trig", "Targ", "NOT", "Negation", "Able", "Require", "Firm_Belief", "FirmBelief", "x", "-", ""]
