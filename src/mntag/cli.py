@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import gc
 import logging
+import os
 import sys
 from importlib.resources import files
 
@@ -121,7 +122,15 @@ def _load_rules(args) -> list[matcher.PatternRule]:
         raise LexiconError(f"{args.lexicon}: {exc}") from None
 
 
+def _refuse_one_file(output, other, flag) -> None:
+    """Two outputs of one run that name one file would leave only the one
+    written last, so such a run exits 2 before it reads any input."""
+    if other is not None and os.path.realpath(output) == os.path.realpath(other):
+        raise ValueError(f"--out and {flag} name one file: {output}")
+
+
 def _cmd_tag(args) -> int:
+    _refuse_one_file(args.output, args.standoff, "--standoff")
     given = [f"--{name}" for name in ("rules", "registry") if getattr(args, name)]
     if args.mode == "string" and given:
         raise ValueError(f"{' and '.join(given)}: not used by --mode string")
@@ -188,6 +197,7 @@ def _inline_line(path, i, words, annotations) -> str:
 
 
 def _cmd_graft(args) -> int:
+    _refuse_one_file(args.output, args.report, "--report")
     config = grafting.GraftConfig(family_order=tuple(args.order.split(",")))
     corpus = _parse_file(args.trees, trees.read_ptb)
     batches = [(path, _parse_file(path, parse_standoff)) for path in args.standoff]

@@ -46,13 +46,14 @@ def test_structure_mode_matches_golden_standoff(tmp_path):
     assert standoff.read_bytes() == GOLDEN.read_bytes()
 
 
-def test_structure_mode_matches_golden_trees(tmp_path):
+@pytest.mark.parametrize("copies", [1, 40], ids=["x1", "x40"])
+def test_structure_mode_matches_golden_trees(tmp_path, copies):
     out = tmp_path / "tagged.ptb"
     assert run(
         "tag", "--mode", "structure", "--lexicon", seed_lexicon_path(),
-        "--in", TREES, "--out", out,
+        "--in", _repeated_corpus(tmp_path, copies) / "trees.ptb", "--out", out,
     ) == 0
-    assert out.read_bytes() == GOLDEN_TAGGED.read_bytes()
+    assert out.read_bytes() == GOLDEN_TAGGED.read_bytes() * copies
 
 
 def test_structure_mode_is_deterministic(tmp_path):
@@ -255,6 +256,27 @@ def test_failing_run_writes_no_output_and_leaves_an_old_out_as_it_was(
 
 
 @pytest.mark.parametrize(
+    "command, flag", [("tag", "--standoff"), ("graft", "--report")], ids=["tag", "graft"]
+)
+def test_two_outputs_that_name_one_file_exit_2_and_leave_it_as_it_was(
+    tmp_path, caplog, command, flag
+):
+    """One file named twice, here through a symlink: else the output written
+    second would replace the first.  A file already there keeps its bytes."""
+    out, link = tmp_path / "out", tmp_path / "link"
+    old = b"(S (NN kept))\n"
+    out.write_bytes(old)
+    link.symlink_to(out)
+    if command == "tag":
+        args = ["--mode", "structure", "--lexicon", seed_lexicon_path(), "--in", TREES]
+    else:
+        args = ["--trees", TREES, "--standoff", GOLDEN]
+    assert run(command, *args, "--out", out, flag, link) == 2
+    assert f"--out and {flag} name one file: {out}" in caplog.text
+    assert out.read_bytes() == old
+
+
+@pytest.mark.parametrize(
     "command",
     [
         ["lexicon", "validate"],
@@ -420,15 +442,25 @@ def test_graft_pipeline_and_report(tmp_path):
         assert f"{key}: " in text
 
 
-def test_graft_matches_golden_fixture(tmp_path):
+@pytest.mark.parametrize(
+    "source, copies",
+    [(TREES, 1), (TREES, 40), (GOLDEN_GRAFTED, 1)],
+    ids=["corpus", "corpus-x40", "regraft"],
+)
+def test_graft_matches_golden_fixture(tmp_path, source, copies):
+    """Also on the corpus 40 times over, read in many 4 KiB chunks, and on
+    the grafted golden: grafting it again with the same standoff changes
+    nothing."""
+    d = _repeated_corpus(tmp_path, copies, source)
     out = tmp_path / "grafted.ptb"
     report = tmp_path / "report.txt"
     assert run(
-        "graft", "--trees", TREES, "--standoff", GOLDEN, "--standoff", NE,
-        "--order", "NE,MN", "--out", out, "--report", report,
+        "graft", "--trees", d / "trees.ptb", "--standoff", d / GOLDEN.name,
+        "--standoff", d / NE.name, "--order", "NE,MN", "--out", out, "--report", report,
     ) == 0
-    assert out.read_bytes() == GOLDEN_GRAFTED.read_bytes()
-    assert report.read_bytes() == GOLDEN_GRAFT_REPORT.read_bytes()
+    assert out.read_bytes() == GOLDEN_GRAFTED.read_bytes() * copies
+    if copies == 1:
+        assert report.read_bytes() == GOLDEN_GRAFT_REPORT.read_bytes()
 
 
 def test_graft_no_annotations_byte_identical(tmp_path):
@@ -657,15 +689,17 @@ def test_graft_family_order_changes_conflict_output(tmp_path):
     assert "GPE" in outputs["MN,NE"].splitlines()[2]
 
 
-def test_flatten_and_preprocess_commands(tmp_path):
+@pytest.mark.parametrize("copies", [1, 40], ids=["x1", "x40"])
+def test_flatten_and_preprocess_commands(tmp_path, copies):
     flat = tmp_path / "flat.ptb"
-    assert run("flatten", "--in", TREES, "--out", flat) == 0
+    assert run("flatten", "--in", _repeated_corpus(tmp_path, copies) / "trees.ptb",
+               "--out", flat) == 0
     assert "(VP (MD" not in flat.read_text()
-    assert flat.read_bytes() == GOLDEN_FLAT.read_bytes()
+    assert flat.read_bytes() == GOLDEN_FLAT.read_bytes() * copies
     prep = tmp_path / "prep.ptb"
     assert run("preprocess", "--in", flat, "--out", prep) == 0
     assert "AUX" in prep.read_text() and "VoicePassive" in prep.read_text()
-    assert prep.read_bytes() == GOLDEN_PREPROCESSED.read_bytes()
+    assert prep.read_bytes() == GOLDEN_PREPROCESSED.read_bytes() * copies
 
 
 def test_rules_command_is_byte_deterministic(tmp_path):
@@ -683,10 +717,14 @@ def test_rules_output_matches_golden_rules(tmp_path):
     assert out.read_bytes() == GOLDEN_RULES.read_bytes()
 
 
-def test_agreement_command_reports_100_for_identical(tmp_path, capsys):
-    assert run("agreement", GOLDEN, GOLDEN) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("overlap: 100.0")
+@pytest.mark.parametrize(
+    "file_a, overlap",
+    [(GOLDEN, "100.0"), (GOLDEN_STRING_STANDOFF, "59.7")],
+    ids=["identical", "string-vs-structure"],
+)
+def test_agreement_command_reports_100_for_identical(capsys, file_a, overlap):
+    assert run("agreement", file_a, GOLDEN) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"overlap: {overlap}"
 
 
 def test_agreement_command_takes_files_that_end_at_different_sentences(tmp_path, capsys):
@@ -890,12 +928,14 @@ def test_structure_mode_inline(tmp_path):
     assert out.read_text().splitlines()[0] == FIG1_LINE
 
 
-def _repeated_corpus(tmp_path, copies):
-    """The corpus files ``copies`` times over, standoff sentences shifted."""
+def _repeated_corpus(tmp_path, copies, trees_file=TREES):
+    """The corpus files ``copies`` times over, standoff sentences shifted;
+    ``trees.ptb`` repeats ``trees_file``, the corpus trees or a golden
+    made from them."""
     n = len(TREES.read_text().splitlines())
     d = tmp_path / f"x{copies}"
     d.mkdir()
-    (d / "trees.ptb").write_text(TREES.read_text() * copies)
+    (d / "trees.ptb").write_text(trees_file.read_text() * copies)
     (d / "tokens.tsv").write_text("\n".join([TOKENS.read_text()] * copies))
     for source in (GOLDEN, NE):
         rows = []
