@@ -17,6 +17,10 @@ nothing, yet each of its full passes rescans every tree of the corpus.
 Tests hold the invariant: a command's cyclic garbage must not grow
 with the corpus, and ``graft`` and ``apply`` must leave none.
 
+Each command imports the modules it runs: the module level imports only
+the graft layer (``grafting``, ``standoff``, ``tags``, ``trees``), so
+``mn graft`` and ``mn flatten`` never load the tagging stack.
+
 ``mn tag --rules`` replaces the rules generated from a lexicon, so it
 takes no ``--lexicon`` and no ``--registry``; every other ``mn tag``
 needs ``--lexicon``.
@@ -29,11 +33,8 @@ import gc
 import logging
 import os
 import sys
-from importlib.resources import files
 
-from . import grafting, matcher, rulegen, taggers, trees
-from .lexicon import LexiconError, load_lexicon_file
-from .matcher import RewriteBudgetError
+from . import grafting, trees
 from .standoff import StandoffAnnotation, format_standoff, parse_standoff
 
 log = logging.getLogger("mn")
@@ -67,12 +68,12 @@ def _build_parser() -> argparse.ArgumentParser:
     flat = sub.add_parser("flatten", help="flatten trees")
     flat.add_argument("--in", dest="input", required=True)
     flat.add_argument("--out", dest="output", required=True)
-    flat.set_defaults(run=_cmd_trees, transform=trees.flatten)
+    flat.set_defaults(run=_cmd_flatten)
 
     prep = sub.add_parser("preprocess", help="insert AUX/VoicePassive markers")
     prep.add_argument("--in", dest="input", required=True)
     prep.add_argument("--out", dest="output", required=True)
-    prep.set_defaults(run=_cmd_trees, transform=rulegen.preprocess)
+    prep.set_defaults(run=_cmd_preprocess)
 
     rules = sub.add_parser("rules", help="dump the expanded rule set")
     rules.add_argument("--lexicon", required=True)
@@ -104,7 +105,10 @@ def _parse_file(path, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _load_rules(args) -> list[matcher.PatternRule]:
+def _load_rules(args):
+    from . import matcher, rulegen
+    from .lexicon import LexiconError, load_lexicon_file
+
     if getattr(args, "rules", None):
         return _parse_file(
             args.rules,
@@ -142,6 +146,15 @@ def _cmd_tag(args) -> int:
             )
     elif not args.lexicon:
         raise ValueError("--lexicon: required unless --rules is given")
+    from . import rulegen, taggers
+    from .lexicon import load_lexicon_file
+
+    def inline_line(i, words, annotations) -> str:
+        try:  # a word inline text cannot hold: name the file and the sentence
+            return taggers.render_inline(words, annotations) + "\n"
+        except ValueError as exc:
+            raise ValueError(f"{args.input}: sentence {i}: {exc}") from None
+
     annotations: list[StandoffAnnotation] = []
     if args.mode == "structure":
         rules = _load_rules(args)
@@ -160,7 +173,7 @@ def _cmd_tag(args) -> int:
             annotations.extend(result.annotations)
             if args.inline:
                 words = rulegen.word_tokens(result.tree)
-                out_lines.append(_inline_line(args.input, i, words, result.annotations))
+                out_lines.append(inline_line(i, words, result.annotations))
             else:
                 out_lines.append(trees.write_ptb(result.tree) + "\n")
     else:
@@ -175,7 +188,7 @@ def _cmd_tag(args) -> int:
             annotations.extend(result.annotations)
             if args.inline:
                 words = [t.token for t in result.tokens]
-                out_lines.append(_inline_line(args.input, i, words, result.annotations))
+                out_lines.append(inline_line(i, words, result.annotations))
             else:
                 tagged_sentences.append(result.tokens)
         if not args.inline:
@@ -187,13 +200,6 @@ def _cmd_tag(args) -> int:
         with open(args.standoff, "w", encoding="utf-8") as fh:
             fh.write(format_standoff(annotations))
     return 0
-
-
-def _inline_line(path, i, words, annotations) -> str:
-    try:  # a word inline text cannot hold: name the file and the sentence
-        return taggers.render_inline(words, annotations) + "\n"
-    except ValueError as exc:
-        raise ValueError(f"{path}: sentence {i}: {exc}") from None
 
 
 def _cmd_graft(args) -> int:
@@ -233,23 +239,37 @@ def _cmd_graft(args) -> int:
     return 0
 
 
-def _cmd_trees(args) -> int:
+def _cmd_flatten(args) -> int:
+    return _write_trees(args, trees.flatten)
+
+
+def _cmd_preprocess(args) -> int:
+    from .rulegen import preprocess
+
+    return _write_trees(args, preprocess)
+
+
+def _write_trees(args, transform) -> int:
     corpus = _parse_file(args.input, trees.read_ptb)
     with open(args.output, "w", encoding="utf-8") as fh:
         for tree in corpus:
-            fh.write(trees.write_ptb(args.transform(tree)) + "\n")
+            fh.write(trees.write_ptb(transform(tree)) + "\n")
     return 0
 
 
 def _cmd_rules(args) -> int:
+    from .matcher import serialize_rules
+
     rule_set = _load_rules(args)
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(matcher.serialize_rules(rule_set))
+        fh.write(serialize_rules(rule_set))
     return 0
 
 
 def _cmd_agreement(args) -> int:
-    report = taggers.agreement(
+    from .taggers import agreement
+
+    report = agreement(
         _parse_file(args.file_a, parse_standoff),
         _parse_file(args.file_b, parse_standoff),
     )
@@ -258,6 +278,8 @@ def _cmd_agreement(args) -> int:
 
 
 def _cmd_lexicon_validate(args) -> int:
+    from .lexicon import load_lexicon_file
+
     lexicon = load_lexicon_file(args.path)
     print(f"{len(lexicon.entries)} entries")
     return 0
@@ -272,7 +294,9 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.run(args)
-    except RewriteBudgetError as exc:
+    # A rewrite budget is spent only by a rule, and only the matcher runs
+    # rules: a run that never loaded it has no such error to map.
+    except getattr(sys.modules.get("mntag.matcher"), "RewriteBudgetError", ()) as exc:
         log.error("rule application failed: %s", exc)
         return 1
     except (ValueError, OSError) as exc:
@@ -285,6 +309,8 @@ def main(argv=None) -> int:
 
 
 def seed_lexicon_path() -> str:
+    from importlib.resources import files
+
     return str(files("mntag.data").joinpath("seed_lexicon.txt"))
 
 

@@ -97,8 +97,11 @@ class GraftConfig:
     family_order: tuple[str, ...] = (NE_FAMILY, MN_FAMILY)
 
     def __post_init__(self) -> None:
+        order = ",".join(self.family_order)
+        if "" in self.family_order:  # no standoff line carries an empty family
+            raise ValueError(f"family order {order!r} names an empty family")
         if len(set(self.family_order)) != len(self.family_order):
-            raise ValueError(f"family order {','.join(self.family_order)} names a family twice")
+            raise ValueError(f"family order {order} names a family twice")
 
 
 @dataclass

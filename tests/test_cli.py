@@ -329,7 +329,7 @@ def test_structure_tag_counts_the_benchmark_trace_check_relies_on(tmp_path, monk
     rewrite is a fired rule, and a rule ``match`` turns down without a
     walk still costs one call.  Rules hold the nonce entries' forms
     beside the seed's, yet no rewrite's trigger is a nonce word."""
-    from mntag import cli, matcher, rulegen
+    from mntag import matcher, rulegen, taggers
     from mntag.lexicon import dump_lexicon
 
     padded, nonce = _nonce_padded_lexicon()
@@ -340,7 +340,7 @@ def test_structure_tag_counts_the_benchmark_trace_check_relies_on(tmp_path, monk
     triggers: list[str] = []
     counts = {"match": 0, "walk": 0, "rewrite": 0, "fired": 0}
     tag_structure, match, walk, apply = (
-        cli.taggers.tag_structure, matcher.match, matcher._walk, matcher.apply
+        taggers.tag_structure, matcher.match, matcher._walk, matcher.apply
     )
 
     def counting_tag_structure(tree, rules, sentence=0):
@@ -366,7 +366,7 @@ def test_structure_tag_counts_the_benchmark_trace_check_relies_on(tmp_path, monk
 
         return apply(rule, tree, on_rewrite=counted)
 
-    monkeypatch.setattr(cli.taggers, "tag_structure", counting_tag_structure)
+    monkeypatch.setattr(taggers, "tag_structure", counting_tag_structure)
     monkeypatch.setattr(matcher, "match", counting_match)
     monkeypatch.setattr(matcher, "_walk", counting_walk)
     monkeypatch.setattr(matcher, "apply", counting_apply)
@@ -740,13 +740,19 @@ def test_agreement_command_takes_files_that_end_at_different_sentences(tmp_path,
 
 def test_graft_order_naming_a_family_twice_exits_2(tmp_path, caplog):
     out = tmp_path / "grafted.ptb"
-    code = run(
-        "graft", "--trees", TREES, "--standoff", GOLDEN, "--order", "MN,MN",
-        "--out", out, "--report", tmp_path / "report.txt",
-    )
-    assert code == 2
-    assert "family order MN,MN names a family twice" in caplog.text
-    assert not out.exists()
+    for order, message in [
+        ("MN,MN", "family order MN,MN names a family twice"),
+        ("MN,", "family order 'MN,' names an empty family"),
+        ("", "family order '' names an empty family"),
+    ]:
+        caplog.clear()
+        code = run(
+            "graft", "--trees", TREES, "--standoff", GOLDEN, "--order", order,
+            "--out", out, "--report", tmp_path / "report.txt",
+        )
+        assert code == 2
+        assert message in caplog.text
+        assert not out.exists()
 
 
 def test_lexicon_validate(tmp_path, capsys, caplog):

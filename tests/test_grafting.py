@@ -184,6 +184,11 @@ def test_graft_a_later_ne_label_stands_even_when_spelled_like_a_trigger(label):
 def test_graft_config_rejects_a_family_named_twice():
     with pytest.raises(ValueError, match="family order MN,NE,MN names a family twice"):
         GraftConfig(family_order=("MN", "NE", "MN"))
+    # ``--order MN,`` and ``--order ""``: an empty name is never a family.
+    with pytest.raises(ValueError, match="family order 'MN,' names an empty family"):
+        GraftConfig(family_order=("MN", ""))
+    with pytest.raises(ValueError, match="family order '' names an empty family"):
+        GraftConfig(family_order=("",))
 
 
 def test_classify_span_cases():
