@@ -187,7 +187,7 @@ def _cmd_tag(args) -> int:
                 log.info("sentence %d: %s", i, diag)
             annotations.extend(result.annotations)
             if args.inline:
-                words = [t.token for t in result.tokens]
+                words = [token for token, _ in sentence]
                 out_lines.append(inline_line(i, words, result.annotations))
             else:
                 tagged_sentences.append(result.tokens)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import matcher, rulegen, standoff
@@ -139,9 +140,25 @@ class _Link:
 
 @dataclass
 class TagResult:
-    tokens: list[TaggedToken]
+    """What ``tag_string`` found in one sentence.  ``tokens`` is built on
+    first read: inline text needs only the words and the annotations."""
+
     annotations: list[StandoffAnnotation]
-    diagnostics: list[str] = field(default_factory=list)
+    diagnostics: list[str]
+    tagged: Sequence[tuple[str, str]] = field(repr=False, compare=False)
+    raw: list[_RawAnn] = field(repr=False, compare=False)
+
+    @cached_property
+    def tokens(self) -> list[TaggedToken]:
+        """Each (token, POS) pair with the tags over it."""
+        tag_sets: list[set[MNTag]] = [set() for _ in self.tagged]
+        for ann in self.raw:
+            for k in range(ann.span.start, ann.span.end):
+                tag_sets[k].add(ann.tag)
+        return [
+            TaggedToken(tok, pos, frozenset(tag_sets[k]))
+            for k, (tok, pos) in enumerate(self.tagged)
+        ]
 
 
 def _compose_pass(
@@ -240,17 +257,7 @@ def tag_string(
             links.append(link)
 
     _compose_pass(links, anns, diagnostics, structure=False)
-    annotations = _finish_annotations(anns, sentence)
-
-    tag_sets: list[set[MNTag]] = [set() for _ in tagged]
-    for ann in anns:
-        for k in range(ann.span.start, ann.span.end):
-            tag_sets[k].add(ann.tag)
-    tokens = [
-        TaggedToken(tok, pos, frozenset(tag_sets[k]))
-        for k, (tok, pos) in enumerate(tagged)
-    ]
-    return TagResult(tokens, annotations, diagnostics)
+    return TagResult(_finish_annotations(anns, sentence), diagnostics, tagged, anns)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import gc
 import os
 from importlib.resources import files
+from unittest import mock
 
 import pytest
 
@@ -93,6 +94,18 @@ def test_string_mode_matches_golden_output_and_standoff(tmp_path, inline, golden
     ) == 0
     assert out.read_bytes() == golden.read_bytes()
     assert standoff.read_bytes() == GOLDEN_STRING_STANDOFF.read_bytes()
+
+
+def test_string_mode_inline_builds_no_tagged_tokens(tmp_path):
+    """Inline text takes its words from the input pairs, so no token's
+    tag set is ever built."""
+    out = tmp_path / "inline.txt"
+    with mock.patch("mntag.taggers.TaggedToken", side_effect=AssertionError("TaggedToken built")):
+        assert run(
+            "tag", "--mode", "string", "--lexicon", seed_lexicon_path(),
+            "--in", TOKENS, "--out", out, "--inline",
+        ) == 0
+    assert out.read_bytes() == GOLDEN_STRING_INLINE.read_bytes()
 
 
 def test_tag_empty_input(tmp_path):

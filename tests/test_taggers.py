@@ -56,6 +56,16 @@ def test_string_tagger_reproduces_first_example(seed_lexicon):
     assert rendered == FIG1_INLINE
 
 
+def test_string_tagger_builds_its_tokens_on_first_read(seed_lexicon):
+    result = tag_string(FIG1_TOKENS, seed_lexicon)
+    assert "tokens" not in vars(result)
+    tokens = result.tokens
+    assert result.tokens is tokens
+    assert [(t.token, t.pos) for t in tokens] == FIG1_TOKENS
+    tags = {t.token: {str(tag) for tag in t.tags} for t in tokens if t.tags}
+    assert tags == _by_token(FIG1_TOKENS, result.annotations)
+
+
 def test_string_tagger_no_lexicon_words(seed_lexicon):
     result = tag_string([("the", "DT"), ("cat", "NN"), ("sat", "VBD")], seed_lexicon)
     assert result.annotations == []
@@ -328,12 +338,12 @@ def test_standoff_tsv_round_trip():
 def test_standoff_annotation_is_frozen_and_slotted():
     ann = StandoffAnnotation(0, Span(1, 2), "TrigAble", "MN")
     assert not hasattr(ann, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        ann.label = "TrigWant"
-    # Some Pythons raise TypeError here: the slotted class is a copy of the
-    # one its generated ``__setattr__`` names.
-    with pytest.raises((AttributeError, TypeError)):
-        ann.other = 1
+    for name in ("sentence", "span", "label", "family", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ann, name, "x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(ann, name)
+    assert ann == StandoffAnnotation(0, Span(1, 2), "TrigAble", "MN")
 
 
 def test_standoff_annotation_copies_and_pickles_to_an_equal_value():
@@ -346,12 +356,16 @@ def test_standoff_annotation_copies_and_pickles_to_an_equal_value():
 
 
 def test_one_parse_standoff_call_shares_equal_labels_and_families():
+    """Labels, families and spans spelled alike are one object within one
+    call, and two calls share no span."""
     text = (DATA / "golden_standoff.tsv").read_text() + (DATA / "ne_sample.tsv").read_text()
     anns = parse_standoff(text + text)
-    for field in ("label", "family"):
+    for field in ("label", "family", "span"):
         values = [getattr(a, field) for a in anns]
         assert len({id(v) for v in values}) == len(set(values)) < len(values)
     assert {a.family for a in anns} == {"MN", "NE"}
+    again = parse_standoff(text)
+    assert not {id(a.span) for a in again} & {id(a.span) for a in anns}
 
 
 def test_agreement_identical_and_disjoint():
