@@ -21,6 +21,10 @@ Each command imports the modules it runs: the module level imports only
 the graft layer (``grafting``, ``standoff``, ``tags``, ``trees``), so
 ``mn graft`` and ``mn flatten`` never load the tagging stack.
 
+A command's outputs land together or not at all (``_outputs``): each is
+written to a new file beside its target, which it replaces only once the
+command has succeeded, and a failed run leaves every target as it was.
+
 ``mn tag --rules`` replaces the rules generated from a lexicon, so it
 takes no ``--lexicon`` and no ``--registry``; every other ``mn tag``
 needs ``--lexicon``.
@@ -32,7 +36,9 @@ import argparse
 import gc
 import logging
 import os
+import stat
 import sys
+from contextlib import contextmanager, suppress
 
 from . import grafting, trees
 from .standoff import StandoffAnnotation, format_standoff, parse_standoff
@@ -126,6 +132,64 @@ def _load_rules(args):
         raise LexiconError(f"{args.lexicon}: {exc}") from None
 
 
+@contextmanager
+def _outputs(*targets):
+    """Open each ``(flag, path)`` output of a run for writing, all or
+    nothing; a path of None yields None.
+
+    Each output is written to a new file beside its target, which
+    replaces the target only once the block has run; if the block fails,
+    every new file is removed and every target is left as it was.  A
+    target that is a directory, or beside which no file can be made, exits
+    2 before any work, naming its flag.  A path through a symlink writes
+    the file the link names.  A target that exists and is not a regular
+    file, such as ``/dev/null`` or a pipe, is written in place.
+    """
+    files: list = []
+    moves: list[tuple[str, str]] = []  # (new file, target)
+    try:
+        for flag, path in targets:
+            files.append(None if path is None else _open_output(flag, path, moves))
+        yield files
+        for fh in files:
+            if fh is not None:
+                fh.close()
+        for new, target in moves:
+            os.replace(new, target)
+    except BaseException:
+        for fh in files:
+            if fh is not None:
+                with suppress(OSError):  # a full disk fails the flush again
+                    fh.close()
+        for new, _ in moves:
+            with suppress(FileNotFoundError):  # it replaced its target
+                os.unlink(new)
+        raise
+
+
+def _open_output(flag, path, moves):
+    """A file to write ``path``'s output into, noted in ``moves`` when it
+    is a new file that must replace the target."""
+    target = os.path.realpath(path)
+    try:
+        old = os.stat(target).st_mode if os.path.exists(target) else None
+        if old is not None and not stat.S_ISREG(old):
+            # Replacing ``/dev/null`` would destroy it.  A directory fails
+            # here, before any work; a new file beside it would open, and
+            # fail only to replace it.
+            return open(target, "w", encoding="utf-8")
+        head, tail = os.path.split(target)
+        new = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+        # The mode ``open(path, "w")`` gives: a new file's, or the old file's.
+        fd = os.open(new, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        if old is not None:
+            os.fchmod(fd, stat.S_IMODE(old))
+    except OSError as exc:
+        raise ValueError(f"{flag}: cannot write {path}: {exc.strerror}") from None
+    moves.append((new, target))
+    return open(fd, "w", encoding="utf-8")
+
+
 def _refuse_one_file(output, other, flag) -> None:
     """Two outputs of one run that name one file would leave only the one
     written last, so such a run exits 2 before it reads any input."""
@@ -155,87 +219,81 @@ def _cmd_tag(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{args.input}: sentence {i}: {exc}") from None
 
-    annotations: list[StandoffAnnotation] = []
-    if args.mode == "structure":
-        rules = _load_rules(args)
-        corpus = _parse_file(args.input, trees.read_ptb)
-        out_lines = []
-        for i, tree in enumerate(corpus):
-            # The tagger would take such a word for a marker and drop it.
-            if (marker := next(filter(rulegen.is_marker_leaf, tree.leaves()), None)) is not None:
-                raise ValueError(
-                    f"{args.input}: sentence {i}: word {marker.token!r} is spelled like a marker"
-                )
-            prepared = rulegen.preprocess(trees.flatten(tree))
-            result = taggers.tag_structure(prepared, rules, sentence=i)
-            for diag in result.diagnostics:
-                log.info("sentence %d: %s", i, diag)
-            annotations.extend(result.annotations)
-            if args.inline:
-                words = rulegen.word_tokens(result.tree)
-                out_lines.append(inline_line(i, words, result.annotations))
-            else:
-                out_lines.append(trees.write_ptb(result.tree) + "\n")
-    else:
-        lexicon = load_lexicon_file(args.lexicon)
-        sentences = _parse_file(args.input, taggers.read_token_tsv)
-        tagged_sentences = []
-        out_lines = []
-        for i, sentence in enumerate(sentences):
-            result = taggers.tag_string(sentence, lexicon, sentence=i)
-            for diag in result.diagnostics:
-                log.info("sentence %d: %s", i, diag)
-            annotations.extend(result.annotations)
-            if args.inline:
-                words = [token for token, _ in sentence]
-                out_lines.append(inline_line(i, words, result.annotations))
-            else:
-                tagged_sentences.append(result.tokens)
-        if not args.inline:
-            out_lines = [taggers.format_token_tsv(tagged_sentences)]
-    # Written only once every sentence is done, so a failed run writes no output.
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.writelines(out_lines)
-    if args.standoff:
-        with open(args.standoff, "w", encoding="utf-8") as fh:
-            fh.write(format_standoff(annotations))
+    with _outputs(("--out", args.output), ("--standoff", args.standoff)) as (out, standoff):
+        annotations: list[StandoffAnnotation] = []
+        if args.mode == "structure":
+            rules = _load_rules(args)
+            corpus = _parse_file(args.input, trees.read_ptb)
+            for i, tree in enumerate(corpus):
+                # The tagger would take such a word for a marker and drop it.
+                marker = next(filter(rulegen.is_marker_leaf, tree.leaves()), None)
+                if marker is not None:
+                    raise ValueError(
+                        f"{args.input}: sentence {i}:"
+                        f" word {marker.token!r} is spelled like a marker"
+                    )
+                prepared = rulegen.preprocess(trees.flatten(tree))
+                result = taggers.tag_structure(prepared, rules, sentence=i)
+                for diag in result.diagnostics:
+                    log.info("sentence %d: %s", i, diag)
+                annotations.extend(result.annotations)
+                if args.inline:
+                    words = rulegen.word_tokens(result.tree)
+                    out.write(inline_line(i, words, result.annotations))
+                else:
+                    out.write(trees.write_ptb(result.tree) + "\n")
+        else:
+            lexicon = load_lexicon_file(args.lexicon)
+            sentences = _parse_file(args.input, taggers.read_token_tsv)
+            tagged_sentences = []
+            for i, sentence in enumerate(sentences):
+                result = taggers.tag_string(sentence, lexicon, sentence=i)
+                for diag in result.diagnostics:
+                    log.info("sentence %d: %s", i, diag)
+                annotations.extend(result.annotations)
+                if args.inline:
+                    words = [token for token, _ in sentence]
+                    out.write(inline_line(i, words, result.annotations))
+                else:
+                    tagged_sentences.append(result.tokens)
+            if not args.inline:
+                out.write(taggers.format_token_tsv(tagged_sentences))
+        if standoff is not None:
+            standoff.write(format_standoff(annotations))
     return 0
 
 
 def _cmd_graft(args) -> int:
     _refuse_one_file(args.output, args.report, "--report")
     config = grafting.GraftConfig(family_order=tuple(args.order.split(",")))
-    corpus = _parse_file(args.trees, trees.read_ptb)
-    batches = [(path, _parse_file(path, parse_standoff)) for path in args.standoff]
-    by_sentence: dict[int, list[StandoffAnnotation]] = {}
-    for path, batch in batches:
-        last = max((a.sentence for a in batch), default=-1)
-        if last >= len(corpus):
-            raise ValueError(
-                f"{path}: sentence {last}: sentence counts disagree:"
-                f" {args.trees} has {len(corpus)} trees"
-            )
-        for a in batch:
-            by_sentence.setdefault(a.sentence, []).append(a)
-    report = grafting.GraftReport()
-    out_lines = []
-    for i, tree in enumerate(corpus):
-        try:
-            text, outcomes = grafting.graft(tree, by_sentence.get(i, []), config, as_text=True)
-        except ValueError:
-            # Name the first file whose annotations graft refuses alone.
-            for path, batch in batches:
-                try:
-                    grafting.graft(tree, [a for a in batch if a.sentence == i], config)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: sentence {i}: {exc}") from None
-            raise
-        report.merge(outcomes)
-        out_lines.append(text + "\n")
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.writelines(out_lines)
-    with open(args.report, "w", encoding="utf-8") as fh:
-        fh.write(report.format())
+    with _outputs(("--out", args.output), ("--report", args.report)) as (out, report_file):
+        corpus = _parse_file(args.trees, trees.read_ptb)
+        batches = [(path, _parse_file(path, parse_standoff)) for path in args.standoff]
+        by_sentence: dict[int, list[StandoffAnnotation]] = {}
+        for path, batch in batches:
+            last = max((a.sentence for a in batch), default=-1)
+            if last >= len(corpus):
+                raise ValueError(
+                    f"{path}: sentence {last}: sentence counts disagree:"
+                    f" {args.trees} has {len(corpus)} trees"
+                )
+            for a in batch:
+                by_sentence.setdefault(a.sentence, []).append(a)
+        report = grafting.GraftReport()
+        for i, tree in enumerate(corpus):
+            try:
+                text, outcomes = grafting.graft(tree, by_sentence.get(i, []), config, as_text=True)
+            except ValueError:
+                # Name the first file whose annotations graft refuses alone.
+                for path, batch in batches:
+                    try:
+                        grafting.graft(tree, [a for a in batch if a.sentence == i], config)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}: sentence {i}: {exc}") from None
+                raise
+            report.merge(outcomes)
+            out.write(text + "\n")
+        report_file.write(report.format())
     return 0
 
 
@@ -250,9 +308,8 @@ def _cmd_preprocess(args) -> int:
 
 
 def _write_trees(args, transform) -> int:
-    corpus = _parse_file(args.input, trees.read_ptb)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for tree in corpus:
+    with _outputs(("--out", args.output)) as (fh,):
+        for tree in _parse_file(args.input, trees.read_ptb):
             fh.write(trees.write_ptb(transform(tree)) + "\n")
     return 0
 
@@ -260,9 +317,8 @@ def _write_trees(args, transform) -> int:
 def _cmd_rules(args) -> int:
     from .matcher import serialize_rules
 
-    rule_set = _load_rules(args)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(serialize_rules(rule_set))
+    with _outputs(("--out", args.output)) as (fh,):
+        fh.write(serialize_rules(_load_rules(args)))
     return 0
 
 

@@ -10,10 +10,9 @@ time, so the lines of the whole text are never held at once.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError
 from typing import Iterable
 
-from .trees import LABEL_BAD, Span
+from .trees import LABEL_BAD, Span, Value
 
 MN_FAMILY = "MN"
 NE_FAMILY = "NE"
@@ -27,11 +26,10 @@ _INDEX = re.compile(r"-?[0-9]+")
 _CHUNK = 1 << 12
 
 
-class StandoffAnnotation:
+class StandoffAnnotation(Value):
     """One tag over a token span, decoupled from any tree.
 
-    An immutable value, slotted like ``trees.Span``: equality, hashing
-    and ``repr`` go by its four fields, as for a frozen dataclass of them.
+    A ``trees.Value`` of its sentence, span, label and family.
     """
 
     __slots__ = ("sentence", "span", "label", "family")
@@ -42,44 +40,14 @@ class StandoffAnnotation:
     family: str
 
     def __init__(self, sentence: int, span: Span, label: str, family: str = MN_FAMILY) -> None:
-        _set_sentence(self, sentence)
-        _set_span(self, span)
-        _set_label(self, label)
-        _set_family(self, family)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.sentence, self.span, self.label, self.family) == (
-            other.sentence, other.span, other.label, other.family
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.sentence, self.span, self.label, self.family))
-
-    def __repr__(self) -> str:
-        return (
-            f"StandoffAnnotation(sentence={self.sentence!r}, span={self.span!r},"
-            f" label={self.label!r}, family={self.family!r})"
-        )
-
-    def __reduce__(self):
-        return StandoffAnnotation, (self.sentence, self.span, self.label, self.family)
+        set_sentence, set_span, set_label, set_family = self._setters
+        set_sentence(self, sentence)
+        set_span(self, span)
+        set_label(self, label)
+        set_family(self, family)
 
     def sort_key(self):
         return (self.sentence, self.span.start, self.span.end, self.family, self.label)
-
-
-_set_sentence = StandoffAnnotation.sentence.__set__  # type: ignore[attr-defined]
-_set_span = StandoffAnnotation.span.__set__  # type: ignore[attr-defined]
-_set_label = StandoffAnnotation.label.__set__  # type: ignore[attr-defined]
-_set_family = StandoffAnnotation.family.__set__  # type: ignore[attr-defined]
 
 
 def format_standoff(annotations: Iterable[StandoffAnnotation]) -> str:

@@ -1,14 +1,17 @@
 """Constituency parse trees and Penn-Treebank-style S-expression I/O.
 
-Trees are immutable values.  ``ParseTree`` is a slotted class that
-refuses every attribute write after construction, so building a node
-costs one call and its checks.  Since no node can change, trees may
-share nodes: ``flatten``, ``rulegen.preprocess``, the structure
-tagger's marker fold, the matcher's ``augment`` and graft build each
-node through ``rebuilt``, which returns the input node wherever nothing
-changed, so their output shares every unchanged subtree with their
-input.  A leaf holds a surface token; internal nodes hold ordered
-children.  Two leaf shapes occur in practice:
+Trees are immutable values.  ``Value``, the base of ``ParseTree``,
+``Span`` and ``standoff.StandoffAnnotation``, spells once how such a
+value behaves: it is slotted, refuses every attribute write after
+construction, and compares, hashes, prints, copies and pickles by its
+fields, as a frozen dataclass of them would.  Building a node costs one
+call and its checks.  Since no node can change, trees may share nodes:
+``flatten``, ``rulegen.preprocess``, the structure tagger's marker fold,
+the matcher's ``augment`` and graft build each node through
+``rebuilt``, which returns the input node wherever nothing changed, so
+their output shares every unchanged subtree with their input.  A leaf
+holds a surface token; internal nodes hold ordered children.  Two leaf
+shapes occur in practice:
 
 * preterminals like ``(DT A)``, where the label is a category and the
   token is the word, and
@@ -36,8 +39,8 @@ from __future__ import annotations
 import re
 from dataclasses import FrozenInstanceError
 from functools import cached_property
-from operator import is_
-from typing import Iterator, Sequence
+from operator import attrgetter, is_
+from typing import Callable, Iterator, Sequence
 
 # A node label is non-empty and holds none of these.
 LABEL_BAD = re.compile(r"[\s()]")
@@ -70,11 +73,59 @@ def unescape_token(atom: str) -> str:
     return atom
 
 
-class ParseTree:
+class Value:
+    """An immutable value of the fields its subclass names in ``__slots__``.
+
+    Equality, hashing, ``repr``, copying and pickling go by the fields in
+    slot order, as for a frozen dataclass of them; an instance equals only
+    an instance of its own class.  Every attribute write or delete raises
+    ``FrozenInstanceError``, so a subclass's ``__init__`` checks its
+    arguments and writes each field through ``_setters``, its slots'
+    setters in field order.  A ``__dict__`` slot is not a field; it holds
+    what a ``cached_property`` keeps.
+    """
+
+    __slots__ = ()
+
+    __match_args__: tuple[str, ...]  # the field names, in slot order
+    _values: Callable[["Value"], tuple]  # an instance's field values, in order
+    _setters: tuple[Callable[["Value", object], None], ...]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        if len(fields) < 2:  # ``attrgetter`` of one name returns no tuple
+            raise TypeError(f"{cls.__qualname__}: a Value has two or more fields")
+        cls.__match_args__ = fields
+        cls._values = attrgetter(*fields)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = zip(self.__match_args__, self._values(self))
+        return f"{self.__class__.__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+
+class ParseTree(Value):
     """A labeled ordered tree; leaves carry tokens, internal nodes do not.
 
-    An immutable value: equality, hashing and ``repr`` go by label,
-    children and token, as for a frozen dataclass of those three fields.
+    A ``Value`` of its label, children and token.
     """
 
     # ``__dict__`` holds only the cached ``atoms``.
@@ -98,36 +149,10 @@ class ParseTree:
             raise ValueError(f"leaf {label!r} must carry a token")
         else:
             children = ()
-        _set_label(self, label)
-        _set_children(self, children)
-        _set_token(self, token)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.label, self.children, self.token) == (
-            other.label,
-            other.children,
-            other.token,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.label, self.children, self.token))
-
-    def __repr__(self) -> str:
-        return (
-            f"ParseTree(label={self.label!r}, children={self.children!r},"
-            f" token={self.token!r})"
-        )
-
-    def __reduce__(self):
-        return ParseTree, (self.label, self.children, self.token)
+        set_label, set_children, set_token = self._setters
+        set_label(self, label)
+        set_children(self, children)
+        set_token(self, token)
 
     @property
     def is_leaf(self) -> bool:
@@ -162,13 +187,6 @@ class ParseTree:
         return [leaf.token for leaf in self.leaves()]  # type: ignore[misc]
 
 
-# ``__setattr__`` refuses every write, so ``__init__`` writes through the
-# slot descriptors.
-_set_label = ParseTree.label.__set__  # type: ignore[attr-defined]
-_set_children = ParseTree.children.__set__  # type: ignore[attr-defined]
-_set_token = ParseTree.token.__set__  # type: ignore[attr-defined]
-
-
 def insert_leaf(node: ParseTree, index: int, label: str) -> ParseTree:
     """``node`` with a bare leaf ``label`` inserted at daughter ``index``,
     or last when ``index`` is past the end.  A preterminal first becomes
@@ -200,11 +218,10 @@ def iter_nodes(tree: ParseTree) -> Iterator[ParseTree]:
         stack.extend(reversed(n.children))
 
 
-class Span:
+class Span(Value):
     """Token index range, 0-based and end-exclusive; never empty.
 
-    An immutable value, slotted like ``ParseTree``: equality, hashing and
-    ``repr`` go by start and end, as for a frozen dataclass of the two.
+    A ``Value`` of its start and end.
     """
 
     __slots__ = ("start", "end")
@@ -215,35 +232,12 @@ class Span:
     def __init__(self, start: int, end: int) -> None:
         if start < 0 or start >= end:
             raise ValueError(f"bad span ({start}, {end})")
-        _set_start(self, start)
-        _set_end(self, end)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.start == other.start and self.end == other.end
-
-    def __hash__(self) -> int:
-        return hash((self.start, self.end))
-
-    def __repr__(self) -> str:
-        return f"Span(start={self.start!r}, end={self.end!r})"
-
-    def __reduce__(self):
-        return Span, (self.start, self.end)
+        set_start, set_end = self._setters
+        set_start(self, start)
+        set_end(self, end)
 
     def covers(self, other: "Span") -> bool:
         return self.start <= other.start and other.end <= self.end
-
-
-_set_start = Span.start.__set__  # type: ignore[attr-defined]
-_set_end = Span.end.__set__  # type: ignore[attr-defined]
 
 
 def base_category(label: str) -> str:

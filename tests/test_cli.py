@@ -1,7 +1,10 @@
 """End-to-end exercises of the ``mn`` command line."""
 
+import errno
 import gc
 import os
+import stat
+import threading
 from importlib.resources import files
 from unittest import mock
 
@@ -287,6 +290,118 @@ def test_two_outputs_that_name_one_file_exit_2_and_leave_it_as_it_was(
     assert run(command, *args, "--out", out, flag, link) == 2
     assert f"--out and {flag} name one file: {out}" in caplog.text
     assert out.read_bytes() == old
+
+
+# Each command that writes, with inputs it succeeds on, and its second output.
+_WRITERS = {
+    "tag": (["--mode", "structure", "--lexicon", seed_lexicon_path(), "--in", TREES], "--standoff"),
+    "graft": (["--trees", TREES, "--standoff", GOLDEN], "--report"),
+    "flatten": (["--in", TREES], None),
+    "preprocess": (["--in", TREES], None),
+    "rules": (["--lexicon", seed_lexicon_path()], None),
+}
+
+
+def _writer_args(tmp_path, command):
+    """``command``'s arguments, its outputs in ``tmp_path`` (an old ``out``
+    among them), and the old bytes."""
+    args, second = _WRITERS[command]
+    old = b"(S (NN kept))\n"
+    (tmp_path / "out").write_bytes(old)
+    args = [*args, "--out", tmp_path / "out"]
+    if second is not None:
+        args += [second, tmp_path / "side"]
+    return args, old
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("tag", "--standoff"), ("graft", "--report"), *((c, "--out") for c in _WRITERS)],
+)
+def test_an_output_that_is_a_directory_exits_2_and_no_output_changes(
+    tmp_path, caplog, command, flag
+):
+    """Refused before any work: a new file beside a directory opens, and
+    only replacing the directory with it would fail, after ``--out`` had
+    been replaced."""
+    args, old = _writer_args(tmp_path, command)
+    target = tmp_path / "out" if flag == "--out" else tmp_path / "side"
+    target.unlink(missing_ok=True)
+    target.mkdir()
+    assert run(command, *args) == 2
+    assert f"{flag}: cannot write {target}: Is a directory" in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"] + ["side"] * (flag != "--out")
+    assert not any(target.iterdir())
+    if flag != "--out":
+        assert (tmp_path / "out").read_bytes() == old
+
+
+@pytest.mark.parametrize("command", list(_WRITERS))
+@pytest.mark.parametrize("where", ["writing", "replacing"])
+def test_a_run_that_fails_on_its_outputs_leaves_them_as_they_were(
+    tmp_path, caplog, command, where
+):
+    """A failure while an output is written (the disk is full, say) or
+    while the first output replaces its target leaves an old ``--out`` as it
+    was, makes no other output, and leaves no new file behind."""
+    args, old = _writer_args(tmp_path, command)
+    if where == "writing":
+        os_open = os.open
+
+        def full(path, flags, mode):
+            """Make the new file, and write to ``/dev/full`` in its stead."""
+            os.close(os_open(path, flags, mode))
+            return os_open("/dev/full", os.O_WRONLY)
+
+        patch = mock.patch("os.open", side_effect=full)
+    else:
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        patch = mock.patch("os.replace", side_effect=full)
+    with patch:
+        assert run(command, *args) == 2
+    assert "No space left on device" in caplog.text
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert (tmp_path / "out").read_bytes() == old
+
+
+def test_outputs_get_the_mode_a_plain_open_gives(tmp_path):
+    """A new file's, under the umask, or the mode of the file replaced."""
+    old = tmp_path / "old"
+    old.write_bytes(b"")
+    old.chmod(0o604)
+    mask = os.umask(0o027)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        assert run("graft", *_WRITERS["graft"][0], "--out", tmp_path / "out",
+                   "--report", old) == 0
+    finally:
+        os.umask(mask)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"plain": 0o640, "out": 0o640, "old": 0o604}
+
+
+def test_an_output_through_a_symlink_writes_the_file_it_names(tmp_path):
+    real, link = tmp_path / "real", tmp_path / "link"
+    real.write_bytes(b"old\n")
+    link.symlink_to(real)
+    assert run("flatten", "--in", TREES, "--out", link) == 0
+    assert link.is_symlink() and real.read_bytes() == GOLDEN_FLAT.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+
+
+def test_an_output_that_is_no_regular_file_is_written_in_place(tmp_path):
+    """As ``/dev/null`` is: replacing it with a new file would destroy it."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run("flatten", "--in", TREES, "--out", fifo) == 0
+    reader.join(timeout=60)
+    assert not reader.is_alive() and got == [GOLDEN_FLAT.read_bytes()]
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
 
 @pytest.mark.parametrize(

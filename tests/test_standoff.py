@@ -1,5 +1,5 @@
 """``parse_standoff`` against a per-line reference reader, and the value
-semantics of ``StandoffAnnotation``."""
+semantics of ``StandoffAnnotation`` and the other ``trees.Value`` classes."""
 
 import copy
 import dataclasses
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import mntag.standoff
 from conftest import DATA
 from mntag.standoff import StandoffAnnotation, parse_standoff
-from mntag.trees import LABEL_BAD, Span
+from mntag.trees import LABEL_BAD, ParseTree, Span
 
 
 def _reference_parse_standoff(text: str) -> list[StandoffAnnotation]:
@@ -120,28 +120,58 @@ def test_parse_standoff_peaks_close_to_what_it_keeps():
     assert peak - start <= 1.2 * (kept - start)
 
 
-# A frozen slotted dataclass of the same fields: the reference for the
-# value semantics of the hand-written class.
-_Dataclass = dataclasses.make_dataclass(
-    "StandoffAnnotation",
-    [("sentence", int), ("span", Span), ("label", str), ("family", str, "MN")],
-    frozen=True,
-    slots=True,
-)
+_LEAF = ParseTree("DT", (), "a")
+
+# Each ``trees.Value`` class beside the reference for its value semantics,
+# a frozen slotted dataclass of the same fields: the fields, one value's
+# fields, values that each differ from it in one field, and fields that
+# leave out what has a default.
+_VALUES = {
+    "StandoffAnnotation": (
+        StandoffAnnotation,
+        [("sentence", int), ("span", Span), ("label", str), ("family", str, "MN")],
+        (300, Span(2, 5), "TargNOTAble", "NE"),
+        [
+            (301, Span(2, 5), "TargNOTAble", "NE"),
+            (300, Span(2, 6), "TargNOTAble", "NE"),
+            (300, Span(2, 5), "TargAble", "NE"),
+            (300, Span(2, 5), "TargNOTAble", "MN"),
+        ],
+        (0, Span(0, 1), "GPE"),
+    ),
+    "Span": (Span, [("start", int), ("end", int)], (2, 5), [(1, 5), (2, 6)], (0, 1)),
+    "ParseTree": (
+        ParseTree,
+        [("label", str), ("children", tuple, ()), ("token", object, None)],
+        ("NP", (_LEAF,), None),
+        [("NX", (_LEAF,), None), ("NP", (ParseTree("DT", (), "b"),), None), ("NP", (), "a")],
+        ("DT", (), "a"),
+    ),
+}
 
 
-def test_standoff_annotation_has_the_value_semantics_of_a_frozen_dataclass():
-    fields = (300, Span(2, 5), "TargNOTAble", "NE")
-    ann, old = StandoffAnnotation(*fields), _Dataclass(*fields)
-    assert repr(ann) == repr(old)
-    assert repr(StandoffAnnotation(0, Span(0, 1), "GPE")) == repr(_Dataclass(0, Span(0, 1), "GPE"))
-    assert hash(ann) == hash(old)
-    twin = StandoffAnnotation(sentence=300, span=Span(2, 5), label="TargNOTAble", family="NE")
-    assert twin == ann and twin is not ann and hash(twin) == hash(ann)
-    for k in range(4):
-        changed = list(fields)
-        changed[k] = (301, Span(2, 6), "TargAble", "MN")[k]
-        assert StandoffAnnotation(*changed) != ann
-    assert ann != old and ann.__eq__(old) is NotImplemented
-    for clone in (copy.copy(ann), copy.deepcopy(ann), pickle.loads(pickle.dumps(ann))):
-        assert clone == ann and repr(clone) == repr(old)
+@pytest.mark.parametrize("name", list(_VALUES))
+def test_values_have_the_semantics_of_a_frozen_dataclass(name):
+    cls, spec, fields, others, short = _VALUES[name]
+    dataclass = dataclasses.make_dataclass(name, spec, frozen=True, slots=True)
+    value, old = cls(*fields), dataclass(*fields)
+    assert repr(value) == repr(old)
+    assert repr(cls(*short)) == repr(dataclass(*short))
+    assert cls.__match_args__ == dataclass.__match_args__
+    assert hash(value) == hash(old)
+    twin = cls(**dict(zip(cls.__match_args__, fields)))
+    assert twin == value and twin is not value and hash(twin) == hash(value)
+    for other in others:
+        assert cls(*other) != value
+    assert value != old and value.__eq__(old) is NotImplemented
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert clone == value and repr(clone) == repr(old) and hash(clone) == hash(value)
+    for field in (*cls.__match_args__, "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, "x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, field)
+    assert value == cls(*fields)
+    # The base spells each of these once, for every value class.
+    own = {"__eq__", "__hash__", "__repr__", "__reduce__", "__setattr__", "__delattr__"}
+    assert not own & vars(cls).keys()
