@@ -33,6 +33,7 @@ needs ``--lexicon``.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import logging
 import os
@@ -172,6 +173,8 @@ def _open_output(flag, path, moves):
     is a new file that must replace the target."""
     target = os.path.realpath(path)
     try:
+        if os.path.basename(path) in ("", ".", ".."):  # a directory, which ``realpath`` hides
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         old = os.stat(target).st_mode if os.path.exists(target) else None
         if old is not None and not stat.S_ISREG(old):
             # Replacing ``/dev/null`` would destroy it.  A directory fails

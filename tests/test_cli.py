@@ -336,6 +336,17 @@ def test_an_output_that_is_a_directory_exits_2_and_no_output_changes(
         assert (tmp_path / "out").read_bytes() == old
 
 
+@pytest.mark.parametrize("name", ["new/", "new/.", "out/", "out/.."])
+def test_an_output_path_that_names_a_directory_exits_2_and_makes_nothing(tmp_path, caplog, name):
+    """``realpath`` drops a last part that is empty or a dot, so such a
+    path would otherwise write a file."""
+    (tmp_path / "out").write_bytes(b"old\n")
+    assert run("flatten", "--in", TREES, "--out", f"{tmp_path}/{name}") == 2
+    assert f"--out: cannot write {tmp_path}/{name}: Is a directory" in caplog.text
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert (tmp_path / "out").read_bytes() == b"old\n"
+
+
 @pytest.mark.parametrize("command", list(_WRITERS))
 @pytest.mark.parametrize("where", ["writing", "replacing"])
 def test_a_run_that_fails_on_its_outputs_leaves_them_as_they_were(
@@ -355,11 +366,10 @@ def test_a_run_that_fails_on_its_outputs_leaves_them_as_they_were(
 
         patch = mock.patch("os.open", side_effect=full)
     else:
-        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        patch = mock.patch("os.replace", side_effect=full)
+        patch = mock.patch("os.replace", side_effect=OSError(errno.ENOSPC, "No space left"))
     with patch:
         assert run(command, *args) == 2
-    assert "No space left on device" in caplog.text
+    assert "No space left" in caplog.text
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
     assert (tmp_path / "out").read_bytes() == old
 
