@@ -10,16 +10,22 @@ reference cycle.  Trees are immutable, so a node refers only to nodes
 built before it; the one value a node gains later, its cached
 ``atoms``, is a frozenset of strings.  Trees that share subtrees, as
 graft's output shares its input's, still point down only, and so do
-the matcher's rewrites.  Graft's working copy is lists of node numbers
-and input nodes, with no object per node, and its records name nodes
-by number.  Refcounting frees them all.  The collector would free
-nothing, yet each of its full passes rescans every tree of the corpus.
+the matcher's rewrites.  Graft's working copy is lists of node numbers,
+labels and input nodes (leaves only, in ``mn graft``), with no object
+per node, and its records name nodes by number.  Refcounting frees
+them all.  The collector would free nothing, yet each of its full
+passes rescans every tree of the corpus.
 Tests hold the invariant: a command's cyclic garbage must not grow
 with the corpus, and ``graft`` and ``apply`` must leave none.
 
 Each command imports the modules it runs: the module level imports only
 the graft layer (``grafting``, ``standoff``, ``tags``, ``trees``), so
 ``mn graft`` and ``mn flatten`` never load the tagging stack.
+
+``mn graft`` holds one tree at a time: it reads each tree's
+``trees.Preorder`` record, grafts it and writes its line before it reads
+the next, and builds no internal tree node.  Its memory grows only with
+the standoff and the tree file's text.
 
 A command's outputs land together or not at all (``_outputs``): each is
 written to a new file beside its target, which it replaces only once the
@@ -270,34 +276,68 @@ def _cmd_graft(args) -> int:
     _refuse_one_file(args.output, args.report, "--report")
     config = grafting.GraftConfig(family_order=tuple(args.order.split(",")))
     with _outputs(("--out", args.output), ("--report", args.report)) as (out, report_file):
-        corpus = _parse_file(args.trees, trees.read_ptb)
-        batches = [(path, _parse_file(path, parse_standoff)) for path in args.standoff]
+        # Each tree is read, grafted and written before the next is read.
+        # A fault in the trees is still reported before any other, and a
+        # count that disagrees before a fault in a sentence: a failure
+        # first reads the rest of the trees, then checks the counts.
+        records = _records(args.trees, _parse_file(args.trees, str))
+        try:
+            batches = [(path, _parse_file(path, parse_standoff)) for path in args.standoff]
+        except (ValueError, OSError):
+            for _ in records:
+                pass
+            raise
         by_sentence: dict[int, list[StandoffAnnotation]] = {}
-        for path, batch in batches:
-            last = max((a.sentence for a in batch), default=-1)
-            if last >= len(corpus):
-                raise ValueError(
-                    f"{path}: sentence {last}: sentence counts disagree:"
-                    f" {args.trees} has {len(corpus)} trees"
-                )
+        for _, batch in batches:
             for a in batch:
                 by_sentence.setdefault(a.sentence, []).append(a)
         report = grafting.GraftReport()
-        for i, tree in enumerate(corpus):
+        count = 0  # the trees read
+        for i, record in enumerate(records):
+            count += 1
             try:
-                text, outcomes = grafting.graft(tree, by_sentence.get(i, []), config, as_text=True)
-            except ValueError:
-                # Name the first file whose annotations graft refuses alone.
-                for path, batch in batches:
-                    try:
-                        grafting.graft(tree, [a for a in batch if a.sentence == i], config)
-                    except ValueError as exc:
-                        raise ValueError(f"{path}: sentence {i}: {exc}") from None
+                text, outcomes = grafting.graft(
+                    record, by_sentence.get(i, []), config, as_text=True
+                )
+                out.write(text + "\n")
+            except (ValueError, OSError) as exc:
+                _check_counts(args.trees, count + sum(1 for _ in records), batches)
+                if isinstance(exc, ValueError):
+                    _blame(batches, record, i, config)
                 raise
             report.merge(outcomes)
-            out.write(text + "\n")
+        _check_counts(args.trees, count, batches)
         report_file.write(report.format())
     return 0
+
+
+def _blame(batches, record, i, config) -> None:
+    """Refuse the first file whose annotations of sentence ``i`` graft
+    refuses alone, naming it."""
+    for path, batch in batches:
+        try:
+            grafting.graft(record, [a for a in batch if a.sentence == i], config, as_text=True)
+        except ValueError as exc:
+            raise ValueError(f"{path}: sentence {i}: {exc}") from None
+
+
+def _records(path, text):
+    """``trees.read_preorder`` of ``text``; its errors name the file."""
+    try:
+        yield from trees.read_preorder(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _check_counts(trees_path, count, batches) -> None:
+    """Refuse the first standoff file that names a sentence past the
+    last of ``count`` trees."""
+    for path, batch in batches:
+        last = max((a.sentence for a in batch), default=-1)
+        if last >= count:
+            raise ValueError(
+                f"{path}: sentence {last}: sentence counts disagree: {trees_path} has {count} trees"
+            )
 
 
 def _cmd_flatten(args) -> int:

@@ -15,13 +15,17 @@ Each annotation's token span is classified against the tree:
 * Crossing brackets: the span straddles constituents; the tree is left
   alone.
 
-The working copy (``_Shadow``) holds no object per node.  One preorder
-pass numbers the input nodes and fills flat lists indexed by that
-number: each node's parent, the leaf positions where it starts and
-ends, the number after its subtree, and the input node itself.  An
+The working copy (``_Shadow``) holds no object per node.  It is the
+tree's ``trees.Preorder`` record: flat lists indexed by the nodes'
+preorder numbers, with each node's label, parent, the leaf positions
+where it starts and ends, the number after its subtree, and each leaf's
+node.  ``mn graft`` grafts the records ``trees.read_preorder`` reads,
+so none of its input's internal nodes is ever built; a tree is numbered
+by one preorder pass (``_fill``), whose record holds every node.  An
 inserted node is numbered after the input nodes, and only the two
-nodes an insert touches get a child list of their own.  Graft records
-attach to node numbers through a dict.
+nodes an insert touches get a child list of their own; the first
+insert copies the lists it extends, so graft never changes a record.
+Graft records attach to node numbers through a dict.
 
 The classification has one implementation, the working copy's
 ``same_span_chain`` and ``adjacent_daughters``; ``graft`` acts on it and
@@ -56,14 +60,14 @@ its insert's) and their ancestors.  The output tree builds only marked
 nodes anew, through ``trees.rebuilt``, so it shares every subtree graft
 did not change with the input, and a regraft that changes nothing
 returns the input itself.  ``mn graft`` needs only text: with
-``as_text`` graft writes ``write_ptb``'s text of that tree from the
-working copy, the marked nodes by the same child walks and every
-unmarked subtree by ``trees``' writer, and builds no node.  The tree
+``as_text`` graft writes ``write_ptb``'s text of that tree in one walk
+of the working copy, the input's labels with graft's in their place and
+each leaf through ``trees.write_leaf``, and builds no node.  The tree
 stays for library callers and the benchmark's loop, which need trees.
 
-The working copy holds no reference cycle: its lists hold numbers and
-input nodes, and a graft record names the nodes it was put on by
-number.  So refcounting frees each sentence's copy as soon as ``graft``
+The working copy holds no reference cycle: its lists hold numbers,
+labels and input nodes, and a graft record names the nodes it was put
+on by number.  So refcounting frees each sentence's copy as soon as ``graft``
 or ``classify_span`` returns or raises, and ``mn`` can run with the
 cycle collector paused (see ``cli``).
 """
@@ -77,8 +81,7 @@ from typing import Sequence
 
 from .standoff import MN_FAMILY, NE_FAMILY, StandoffAnnotation
 from .tags import TAGS, MNTag, Modality, Role, compose_negation, specificity_rank
-from .trees import ParseTree, Span, add_suffix, base_category, rebuilt, write_leaf, write_ptb
-from .trees import write_subtree
+from .trees import ParseTree, Preorder, Span, add_suffix, base_category, rebuilt, write_leaf
 
 OUTCOMES = (
     "grafted-exact",
@@ -135,35 +138,35 @@ def classify_span(tree: ParseTree, span: Span) -> tuple[SpanCase, ParseTree | No
     This is the classification ``graft`` acts on, made by the same calls
     on a fresh working copy of the tree; there is no second copy of it.
     """
-    shadow = _Shadow(tree)
+    shadow = _Shadow(_preorder(tree))
     if span.end > shadow.size:
         raise ValueError(f"span {span} outside sentence of {shadow.size} tokens")
     chain = shadow.same_span_chain(span)
     if chain:
-        return SpanCase.EXACT, shadow.source[chain[0]]
+        return SpanCase.EXACT, shadow.nodes[chain[0]]
     if shadow.adjacent_daughters(span) is not None:
         return SpanCase.ADJACENT_DAUGHTERS, None
     return SpanCase.CROSSING, None
 
 
 class _Shadow:
-    """Working copy of a tree as lists indexed by node number: the input
-    nodes in preorder, then inserted nodes in the order they were made.
-    It holds no reference cycle (see the module docstring)."""
+    """Working copy of a tree: its ``trees.Preorder`` record's lists,
+    indexed by node number, the input nodes in preorder and then the
+    inserted nodes in the order they were made.  The record is never
+    changed: the first insert copies the lists it extends.  It holds no
+    reference cycle (see the module docstring)."""
 
-    def __init__(self, tree: ParseTree):
-        self.source: list[ParseTree | None] = []  # the input node; None for an inserted one
-        self.parent: list[int] = []  # -1 at the root
-        self.start: list[int] = []  # the node's span: leaves before it,
-        self.end: list[int] = []  # and leaves before it or under it
-        # Input nodes only: the number after the node's subtree, which is
-        # its next sibling's when it has one.
-        self.after: list[int] = []
-        self.leaves: list[int] = []  # the leaves' numbers, left to right
+    def __init__(self, record: Preorder):
+        self.labels = record.labels
+        self.nodes = record.nodes  # the input nodes the record holds
+        self.parent = record.parent  # -1 at the root
+        self.start = record.start  # the node's span: leaves before it,
+        self.end = record.end  # and leaves before it or under it
+        self.after = record.after  # input nodes only
+        self.leaves = record.leaves
+        self.inputs = len(record.labels)  # the number of the first inserted node
+        self.size = len(record.leaves)
         self.kids: dict[int, list[int]] = {}  # the children of the nodes an insert touched
-        self.labels: dict[int, str] = {}  # the inserted nodes' labels
-        _fill(tree, -1, self.source, self.parent, self.start, self.end, self.after, self.leaves)
-        self.size = len(self.leaves)
 
     def children(self, n: int) -> list[int]:
         kids = self.kids.get(n)
@@ -175,10 +178,6 @@ class _Shadow:
             kids.append(k)
             k = after[k]
         return kids
-
-    def label(self, n: int) -> str:
-        source = self.source[n]
-        return self.labels[n] if source is None else source.label
 
     def _spine(self, span: Span) -> list[int]:
         """Ancestors of the span's first leaf, leaf included, that start at
@@ -219,12 +218,14 @@ class _Shadow:
         ``parent``; only it and ``parent`` get child lists of their own."""
         kids = self.children(parent)
         grabbed = kids[i : j + 1]
-        new = len(self.source)
-        self.source.append(None)
+        new = len(self.labels)
+        if new == self.inputs:  # the record's lists are not graft's to change
+            self.labels, self.parent = self.labels.copy(), self.parent.copy()
+            self.start, self.end = self.start.copy(), self.end.copy()
+        self.labels.append(label)
         self.parent.append(parent)
         self.start.append(self.start[grabbed[0]])
         self.end.append(self.end[grabbed[-1]])
-        self.labels[new] = label
         self.kids[new] = grabbed
         self.kids[parent] = kids[:i] + [new] + kids[j + 1 :]
         for k in grabbed:
@@ -236,13 +237,20 @@ class _Shadow:
         parent, end = self.parent, self.end
         n = self.leaves[span.start]
         while parent[n] >= 0 and not (
-            end[n] >= span.end and base_category(self.label(n)) == "S"
+            end[n] >= span.end and base_category(self.labels[n]) == "S"
         ):
             n = parent[n]
         return Span(self.start[n], end[n])
 
 
-def _fill(node, up, source, parent, start, end, after, leaves) -> None:
+def _preorder(tree: ParseTree) -> Preorder:
+    """``tree``'s record, which holds every node of the tree in ``nodes``."""
+    lists: tuple[list, ...] = ([], [], [], [], [], [], [])
+    _fill(tree, -1, *lists)
+    return Preorder(*lists)
+
+
+def _fill(node, up, labels, nodes, parent, start, end, after, leaves) -> None:
     """Number ``node`` and its subtree in preorder under parent ``up``.
 
     A module-level function, not a closure: a recursive closure is a
@@ -250,18 +258,20 @@ def _fill(node, up, source, parent, start, end, after, leaves) -> None:
     numbered inline to save a call each; a leaf reaches this only as the
     root.
     """
-    n = len(source)
-    source.append(node)
+    n = len(nodes)
+    labels.append(node.label)
+    nodes.append(node)
     parent.append(up)
     start.append(len(leaves))
     end.append(0)
     after.append(0)
     for child in node.children:
         if child.children:
-            _fill(child, n, source, parent, start, end, after, leaves)
+            _fill(child, n, labels, nodes, parent, start, end, after, leaves)
         else:
-            k = len(source)
-            source.append(child)
+            k = len(nodes)
+            labels.append(child.label)
+            nodes.append(child)
             parent.append(n)
             start.append(len(leaves))
             leaves.append(k)
@@ -270,7 +280,7 @@ def _fill(node, up, source, parent, start, end, after, leaves) -> None:
     if not node.children:
         leaves.append(n)
     end[n] = len(leaves)
-    after[n] = len(source)
+    after[n] = len(nodes)
 
 
 def _apply_key(item: tuple[StandoffAnnotation, MNTag | None]) -> tuple:
@@ -290,7 +300,7 @@ class _Grafted:
 
 
 def graft(
-    tree: ParseTree,
+    tree: ParseTree | Preorder,
     annotations: Sequence[StandoffAnnotation],
     config: GraftConfig | None = None,
     *,
@@ -301,9 +311,17 @@ def graft(
     The result is independent of the input annotation order.  With
     ``as_text`` the first item is not the output tree but the text
     ``write_ptb`` would give for it, written without building it.
+    With ``as_text``, ``tree`` may also be a tree's ``trees.Preorder``
+    record, as ``mn graft`` reads them; graft does not change it.
     """
     config = config or GraftConfig()
-    shadow = _Shadow(tree)
+    if tree.__class__ is not Preorder:
+        record = _preorder(tree)
+    elif as_text:
+        record = tree
+    else:
+        raise TypeError("graft takes a Preorder record only with as_text")
+    shadow = _Shadow(record)
     report = GraftReport()
 
     for a in annotations:
@@ -340,9 +358,12 @@ def graft(
     for g in grafted:
         report.bump(g.outcome)
 
-    marked = _marked(shadow, applied)
     if as_text:
-        return (_text(0, False, shadow, applied, marked) if marked else write_ptb(tree)), report
+        labels = shadow.labels.copy()
+        for n in applied:
+            labels[n] = _out_label(n, shadow, applied)
+        return _text(0, False, labels, shadow.nodes, shadow.after, shadow.kids), report
+    marked = _marked(shadow, applied)
     return (_rebuild(0, shadow, applied, marked) if marked else tree), report
 
 
@@ -453,12 +474,12 @@ def _marked(shadow: _Shadow, applied: dict[int, list[_Grafted]]) -> set[int]:
 def _out_label(n: int, shadow: _Shadow, applied: dict[int, list[_Grafted]]) -> str:
     """The label node ``n`` has in the output."""
     records = applied.get(n)
-    source = shadow.source[n]
-    if source is None:
+    label = shadow.labels[n]
+    if n >= shadow.inputs:
         # An inserted node whose tag was dropped keeps the label it was
         # inserted with, for traceability, rather than vanish.
-        return _final_label(records) if records else shadow.labels[n]
-    return add_suffix(source.label, _final_label(records)) if records else source.label
+        return _final_label(records) if records else label
+    return add_suffix(label, _final_label(records)) if records else label
 
 
 def _rebuild(
@@ -467,14 +488,15 @@ def _rebuild(
     """The output subtree for marked node ``n``; it is still the input
     subtree itself when graft changed nothing in it."""
     label = _out_label(n, shadow, applied)
-    node = shadow.source[n]
+    nodes = shadow.nodes
     kids = shadow.kids.get(n)
     if kids is not None:
-        source = shadow.source
-        out = [_rebuild(k, shadow, applied, marked) if k in marked else source[k] for k in kids]
-        if node is None:
+        out = [_rebuild(k, shadow, applied, marked) if k in marked else nodes[k] for k in kids]
+        if n >= shadow.inputs:
             return ParseTree(label, tuple(out), None)
+        node = nodes[n]
     else:
+        node = nodes[n]
         after = shadow.after
         out, k = [], n + 1
         for child in node.children:
@@ -485,28 +507,25 @@ def _rebuild(
     return rebuilt(node, out, label)
 
 
-def _text(
-    n: int, bare_ok: bool, shadow: _Shadow, applied: dict[int, list[_Grafted]], marked: set[int]
-) -> str:
-    """``write_subtree`` of the output subtree for marked node ``n``,
-    written from the working copy by ``_rebuild``'s child walks."""
-    label = _out_label(n, shadow, applied)
-    kids = shadow.kids.get(n)
-    if kids is not None:
-        source, ok = shadow.source, len(kids) > 1
-        parts = [
-            _text(k, ok, shadow, applied, marked) if k in marked else write_subtree(source[k], ok)
-            for k in kids
-        ]
-    else:
-        node = shadow.source[n]
-        if not node.children:
-            return write_leaf(label, node.token, bare_ok)
-        after, ok = shadow.after, len(node.children) > 1
-        parts, k = [], n + 1
-        for child in node.children:
-            parts.append(
-                _text(k, ok, shadow, applied, marked) if k in marked else write_subtree(child, ok)
-            )
-            k = after[k]
-    return f"({label} {' '.join(parts)})"
+def _text(n: int, bare_ok: bool, labels, nodes, after, kids: dict[int, list[int]]) -> str:
+    """``write_subtree``'s text of node ``n``'s output subtree, with the
+    output ``labels``; each node's children are its ``kids`` entry, else
+    the walk along ``after``.  A module-level function, as ``_fill``."""
+    children = kids.get(n)
+    if children is not None:
+        ok = len(children) > 1
+        parts = [_text(k, ok, labels, nodes, after, kids) for k in children]
+        return f"({labels[n]} {' '.join(parts)})"
+    k, stop = n + 1, after[n]
+    if k == stop:
+        return write_leaf(labels[n], nodes[n].token, bare_ok)
+    ok = after[k] != stop
+    parts = []
+    while k < stop:
+        a = after[k]
+        if a == k + 1:  # a leaf, written here to save a call
+            parts.append(write_leaf(labels[k], nodes[k].token, ok))
+        else:
+            parts.append(_text(k, ok, labels, nodes, after, kids))
+        k = a
+    return f"({labels[n]} {' '.join(parts)})"

@@ -20,14 +20,20 @@ shapes occur in practice:
   bare word leaves ``hand`` and ``over``; marker daughters inserted by
   tree rewriting use the same shape (``insert_leaf``).
 
-``read_ptb`` takes a one-word node such as ``(DT the)`` as one token,
-and a bracket with the label after it, ``(NP``, as another.  Within one
-call it builds each distinct token once, so equal leaves are one shared
-node and equal labels one shared string.  Shared leaves pay where leaf
-spellings repeat, as they do in treebanks of natural sentences; a file
-in which no spelling repeats reads a little slower for the lookup.
-Labels repeat in any treebank.  The text is tokenized a few KiB at a
-time, so the reader's peak stays close to the trees it returns.
+There is one PTB reader, ``read_preorder``.  It yields each tree as
+soon as its last ``)`` closes, as a ``Preorder`` record: flat lists of
+the nodes in preorder, which is the order in which the tokens meet
+them, with the leaf nodes but no internal node built.  ``mn graft``
+grafts these records one at a time; ``read_ptb`` builds each record
+into its tree, bottom-up.  The reader takes a one-word node such as
+``(DT the)`` as one token, and a bracket with the label after it,
+``(NP``, as another.  Within one call it builds each distinct token
+once, so equal leaves are one shared node and equal labels one shared
+string.  Shared leaves pay where leaf spellings repeat, as they do in
+treebanks of natural sentences; a file in which no spelling repeats
+reads a little slower for the lookup.  Labels repeat in any treebank.
+The text is tokenized a few KiB at a time, so the reader's peak stays
+close to what its caller keeps.
 
 ``flatten`` removes the intermediate VP and NP shells that verb- and
 noun-phrase recursion introduces, which puts complements next to their
@@ -187,6 +193,51 @@ class ParseTree(Value):
         return [leaf.token for leaf in self.leaves()]  # type: ignore[misc]
 
 
+class Preorder(Value):
+    """One tree as flat lists indexed by node number, the nodes numbered
+    in preorder (document order).  A ``Value`` of these lists, which no
+    holder changes:
+
+    * ``labels``: each node's label;
+    * ``nodes``: each leaf's node; an internal node's entry is None, or
+      the node itself in a record made from a tree;
+    * ``parent``: the parent's number, -1 at the root;
+    * ``start`` and ``end``: the node's span, the leaves before it and
+      the leaves before it or under it;
+    * ``after``: the number after the node's subtree, which is its next
+      sibling's when it has one; a node is a leaf exactly when that is
+      its own number plus one;
+    * ``leaves``: the leaves' numbers, left to right.
+    """
+
+    __slots__ = ("labels", "nodes", "parent", "start", "end", "after", "leaves")
+
+    labels: list[str]
+    nodes: list[ParseTree | None]
+    parent: list[int]
+    start: list[int]
+    end: list[int]
+    after: list[int]
+    leaves: list[int]
+
+    def __init__(self, labels, nodes, parent, start, end, after, leaves) -> None:
+        for setter, value in zip(self._setters, (labels, nodes, parent, start, end, after, leaves)):
+            setter(self, value)
+
+    def tree(self) -> ParseTree:
+        """The tree, built bottom-up; its leaves are the record's nodes."""
+        labels, after = self.labels, self.after
+        built = self.nodes.copy()
+        for n in range(len(built) - 1, -1, -1):
+            if built[n] is None:
+                kids, k, stop = [], n + 1, after[n]
+                while k < stop:
+                    kids.append(built[k])
+                    k = after[k]
+                built[n] = ParseTree(labels[n], tuple(kids), None)
+        return built[0]  # type: ignore[return-value]
+
+
 def insert_leaf(node: ParseTree, index: int, label: str) -> ParseTree:
     """``node`` with a bare leaf ``label`` inserted at daughter ``index``,
     or last when ``index`` is past the end.  A preterminal first becomes
@@ -319,23 +370,30 @@ def _line(text: str, offset: int) -> int:
 _CHUNK = 1 << 12
 
 
-def read_ptb(text: str) -> list[ParseTree]:
-    """Parse a sequence of balanced S-expressions into trees.
+def read_preorder(text: str) -> Iterator[Preorder]:
+    """Parse a sequence of balanced S-expressions, yielding each tree's
+    ``Preorder`` record as its last ``)`` closes; the reader behind
+    ``read_ptb``.
 
-    Whitespace between tokens is not significant; ``-LRB-``/``-RRB-``
-    atoms decode to literal parentheses in tokens.  A node's first item
-    is its label, and must be an atom.  Within one call each distinct
-    token is built once: leaves spelled alike are one node, and labels
-    spelled alike are one string.  The text is tokenized a chunk at a
-    time, so the tokens of the whole text are never held at once.
+    A fault raises ``PTBParseError`` after the trees before it are
+    yielded.  Within one call each distinct leaf token is built once, so
+    leaves spelled alike are one node, and labels spelled alike are one
+    string.  The text is tokenized a chunk at a time, so the tokens of
+    the whole text are never held at once.
     """
-    trees: list[ParseTree] = []
-    stack: list[tuple] = []  # the enclosing open nodes' (label, children)
-    # The innermost open node's label, and its children (None outside a
-    # tree).  The label is None after a bare ``(``, and False once an atom
-    # follows a child there: a label read late, refused when the node closes.
-    label: str | bool | None = None
-    items: list[ParseTree] | None = None
+    # The innermost open node's number, -1 outside a tree; the nodes open
+    # around it are its ancestors along ``parent``.
+    top = -1
+    # The open tree's lists.  An open node's label is None after a bare
+    # ``(``, and False once an atom follows there: a label read late,
+    # refused when the node closes.
+    labels: list = []
+    nodes: list[ParseTree | None] = []
+    parent: list[int] = []
+    start: list[int] = []
+    end: list[int] = []
+    after: list[int] = []
+    leaves: list[int] = []
     built: dict[str, ParseTree | str] = {}  # token -> its leaf or label; "(" + label -> label
     pos, size, base = 0, len(text), 0
     while pos < size:
@@ -345,40 +403,61 @@ def read_ptb(text: str) -> list[ParseTree]:
         tokens = _PTB_TOKEN.findall(text, pos, cut)
         for k, tok in enumerate(tokens, base):
             if tok == ")":
-                if items is None:
+                if top < 0:
                     raise _fault(text, k, "unbalanced ')'")
-                if label.__class__ is not str or not items:
+                label, count = labels[top], len(labels)
+                if label.__class__ is not str or count == top + 1:
                     message = "missing label" if label is False else "empty node"
                     raise _fault(text, k, message, at_open=True)
-                subtree = ParseTree(label, tuple(items), None)
-                if stack:
-                    label, items = stack.pop()
-                    items.append(subtree)
-                else:
-                    trees.append(subtree)
-                    items = None
-            elif tok[0] != "(":  # a bare atom
-                if items is None:
-                    raise _fault(text, k, f"unexpected atom {tok!r} outside a tree")
-                if label is None:
-                    label = False
-                items.append(built.get(tok) or _new_leaf(built, tok))
-            elif tok[-1] == ")":  # a one-word node
+                end[top] = len(leaves)
+                after[top] = count
+                top = parent[top]
+                if top >= 0:
+                    continue
+            elif tok[0] == "(" and tok[-1] != ")":  # ``(LABEL``, or a bare ``(``
+                parent.append(top)
+                top = len(labels)
+                labels.append((built.get(tok) or _new_label(built, tok)) if len(tok) > 1 else None)
+                nodes.append(None)
+                start.append(len(leaves))
+                end.append(0)
+                after.append(0)
+                continue
+            else:  # a leaf: a bare atom, or a one-word node
+                if tok[0] != "(":
+                    if top < 0:
+                        raise _fault(text, k, f"unexpected atom {tok!r} outside a tree")
+                    if labels[top] is None:
+                        labels[top] = False
                 leaf = built.get(tok) or _new_leaf(built, tok)
-                if items is None:
-                    trees.append(leaf)
-                else:
-                    items.append(leaf)
-            else:  # ``(LABEL``, or a bare ``(``
-                if items is not None:
-                    stack.append((label, items))
-                label = (built.get(tok) or _new_label(built, tok)) if len(tok) > 1 else None
-                items = []
+                n, s = len(labels), len(leaves)
+                parent.append(top)
+                labels.append(leaf.label)
+                nodes.append(leaf)
+                start.append(s)
+                end.append(s + 1)
+                after.append(n + 1)
+                leaves.append(n)
+                if top >= 0:
+                    continue
+            yield Preorder(labels, nodes, parent, start, end, after, leaves)
+            labels, nodes, parent, start, end, after, leaves = [], [], [], [], [], [], []
         base += len(tokens)
         pos = cut
-    if items is not None:
+    if top >= 0:
         raise _fault(text, None, "unbalanced '('")
-    return trees
+
+
+def read_ptb(text: str) -> list[ParseTree]:
+    """Parse a sequence of balanced S-expressions into trees.
+
+    Whitespace between tokens is not significant; ``-LRB-``/``-RRB-``
+    atoms decode to literal parentheses in tokens.  A node's first item
+    is its label, and must be an atom.  Each tree is built from its
+    ``read_preorder`` record, so trees read in one call share equal
+    leaves and labels.
+    """
+    return [record.tree() for record in read_preorder(text)]
 
 
 def _fault(text: str, stop: int | None, message: str, at_open: bool = False) -> PTBParseError:
@@ -387,7 +466,7 @@ def _fault(text: str, stop: int | None, message: str, at_open: bool = False) -> 
     The offset is the token's, or with ``at_open`` that of the ``(``
     opening the node the token closes; at the end it is the text's
     length, and the line that of the tree that never closes.  It comes
-    from scanning the text again, so ``read_ptb`` pays for offsets only
+    from scanning the text again, so the reader pays for offsets only
     when it fails.
     """
     opens: list[int] = []  # offsets of the ``(`` still open

@@ -5,6 +5,7 @@ import gc
 import os
 import stat
 import threading
+import tracemalloc
 from importlib.resources import files
 from unittest import mock
 
@@ -631,6 +632,88 @@ def test_graft_standoff_past_the_last_tree_exits_2_naming_both_files(tmp_path, c
     size = len(trees.read_ptb_file(TREES))
     message = f"{rogue}: sentence 99: sentence counts disagree: {TREES} has {size} trees"
     assert message in caplog.text
+
+
+def test_graft_blames_a_tree_file_that_does_not_read_before_a_span_fault(tmp_path, caplog):
+    """The last tree does not read and sentence 0 holds a span fault:
+    the tree file's fault is reported, as if every tree were read first."""
+    bad = tmp_path / "bad.ptb"
+    bad.write_text(TREES.read_text() + "(S (NN a)\n")
+    rogue = tmp_path / "rogue.tsv"
+    rogue.write_text("0\t0\t99\tTargAble\tMN\n")
+    with pytest.raises(trees.PTBParseError) as fault:
+        trees.read_ptb(bad.read_text())
+    caplog.clear()
+    assert run(
+        "graft", "--trees", bad, "--standoff", rogue,
+        "--out", tmp_path / "o.ptb", "--report", tmp_path / "r.txt",
+    ) == 2
+    assert [r.getMessage() for r in caplog.records] == [f"{bad}: {fault.value}"]
+
+
+def test_graft_reports_a_count_that_disagrees_before_a_span_fault(tmp_path, caplog):
+    """File A names a sentence past the last tree and file B holds a span
+    fault in sentence 1: A's count is reported, as if checked first."""
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    a.write_text("0\t0\t1\tTargAble\tMN\n30\t0\t1\tTargAble\tMN\n")
+    b.write_text("1\t0\t99\tTargAble\tMN\n")
+    assert run(
+        "graft", "--trees", TREES, "--standoff", a, "--standoff", b,
+        "--out", tmp_path / "o.ptb", "--report", tmp_path / "r.txt",
+    ) == 2
+    size = len(trees.read_ptb_file(TREES))
+    message = f"{a}: sentence 30: sentence counts disagree: {TREES} has {size} trees"
+    assert [r.getMessage() for r in caplog.records] == [message]
+
+
+def test_graft_builds_no_internal_tree_node(tmp_path):
+    """``mn graft`` grafts and writes each tree from the reader's record;
+    only the leaves are built, once per spelling."""
+    d = _repeated_corpus(tmp_path, 40)
+    built = []
+    init = trees.ParseTree.__init__
+
+    def counting(self, label, children=(), token=None):
+        built.append(bool(children))
+        init(self, label, children, token)
+
+    out = tmp_path / "grafted.ptb"
+    with mock.patch.object(trees.ParseTree, "__init__", counting):
+        assert run(
+            "graft", "--trees", d / "trees.ptb", "--standoff", d / GOLDEN.name,
+            "--standoff", d / NE.name, "--order", "NE,MN", "--out", out,
+            "--report", tmp_path / "report.txt",
+        ) == 0
+    assert out.read_bytes() == GOLDEN_GRAFTED.read_bytes() * 40
+    assert built and not any(built)
+
+
+def _graft_peak(tmp_path, copies):
+    """Bytes of the tree file, and ``mn graft``'s tracemalloc peak on it
+    with an empty standoff."""
+    source = tmp_path / f"x{copies}.ptb"
+    source.write_text(TREES.read_text() * copies)
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    argv = ["graft", "--trees", source, "--standoff", empty,
+            "--out", tmp_path / "o.ptb", "--report", tmp_path / "r.txt"]
+    assert run(*argv) == 0  # the first run's imports and caches are not counted
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return source.stat().st_size, peak
+
+
+def test_graft_peak_grows_with_the_tree_text_not_with_the_trees(tmp_path):
+    """``mn graft`` holds one tree at a time beside the file's text, so its
+    peak grows from 4 to 16 copies of the corpus by about the text it
+    reads; holding every tree, it grew by about seven times that."""
+    size4, peak4 = _graft_peak(tmp_path, 4)
+    size16, peak16 = _graft_peak(tmp_path, 16)
+    assert peak16 - peak4 < 2 * (size16 - size4)
 
 
 @pytest.mark.parametrize(

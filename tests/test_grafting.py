@@ -1,3 +1,4 @@
+import copy
 import gc
 import random
 from dataclasses import dataclass
@@ -12,13 +13,22 @@ from mntag.grafting import (
     GraftReport,
     SpanCase,
     _apply_key,
+    _preorder,
     _Shadow,
     classify_span,
     graft,
 )
 from mntag.standoff import StandoffAnnotation, parse_standoff
 from mntag.tags import TAGS, Modality, Role, compose_negation
-from mntag.trees import ParseTree, Span, base_category, iter_nodes, read_ptb, write_ptb
+from mntag.trees import (
+    ParseTree,
+    Span,
+    base_category,
+    iter_nodes,
+    read_preorder,
+    read_ptb,
+    write_ptb,
+)
 
 COMPOSITION_TREE = (
     "(S (NP (EX there)) (VP (VBZ is) (NP (NP (DT no) (NN difficulty))"
@@ -244,7 +254,9 @@ def test_minimal_clause_matches_brute_force_after_insertions():
     inserted = inner = 0
     for _ in range(300):
         tree = random_tree(rng, max_nodes=16)
-        shadow = _Shadow(tree)
+        record = _preorder(tree)
+        kept = copy.deepcopy(record)
+        shadow = _Shadow(record)
         n = shadow.size
         for _ in range(rng.randint(0, 4)):
             start = rng.randrange(n)
@@ -254,9 +266,10 @@ def test_minimal_clause_matches_brute_force_after_insertions():
                 inserted += 1
         spans = []
         _shadow_spans(shadow, 0, 0, spans)
-        assert sorted(k for k, _, _ in spans) == list(range(len(shadow.source)))
+        assert sorted(k for k, _, _ in spans) == list(range(len(shadow.labels)))
         assert all((shadow.start[k], shadow.end[k]) == (s, e) for k, s, e in spans)
-        clauses = [(e - s, s, e) for k, s, e in spans if base_category(shadow.label(k)) == "S"]
+        assert record == kept  # inserts change the working copy, never the record
+        clauses = [(e - s, s, e) for k, s, e in spans if base_category(shadow.labels[k]) == "S"]
         for start in range(n):
             for end in range(start + 1, n + 1):
                 covering = [c for c in clauses if c[1] <= start and end <= c[2]]
@@ -697,6 +710,7 @@ def test_graft_matches_the_reference_graft_on_random_trees():
         tree = random_tree(rng, max_nodes=16)
         anns = composing_annotations(rng, tree)
         cases.append((tree, anns, GraftConfig(rng.choice(orders))))
+    from_records = 0
     for tree, anns, config in cases:
         out, report = graft(tree, anns, config)
         want, want_report = _reference_graft(tree, anns, config)
@@ -706,6 +720,15 @@ def test_graft_matches_the_reference_graft_on_random_trees():
         text, text_report = graft(tree, anns, config, as_text=True)
         assert text == write_ptb(want)
         assert text_report.counts == want_report.counts
+        # ``mn graft`` grafts the record the reader yields; graft leaves it as it was.
+        (record,) = read_preorder(write_ptb(tree))
+        if record.tree() == tree:
+            kept = copy.deepcopy(record)
+            text, text_report = graft(record, anns, config, as_text=True)
+            assert text == write_ptb(want)
+            assert text_report.counts == want_report.counts
+            assert record == kept
+            from_records += 1
         for k, v in report.counts.items():
             outcomes[k] += v
         size = len(tree.tokens())
@@ -717,6 +740,9 @@ def test_graft_matches_the_reference_graft_on_random_trees():
         )
     assert all(v > 100 for v in outcomes.values()), outcomes
     assert inner > 200
+    assert from_records > 2500
+    with pytest.raises(TypeError):  # a record has no internal node to share
+        graft(record, anns, config)
 
 
 def test_grafting_again_with_the_same_annotations_changes_nothing():

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import mntag.trees
 from conftest import DATA, STAGE_AUXILIARIES, corpus_words, ptb_files, random_tree, stage_tree
+from mntag.grafting import _preorder
 from mntag.rulegen import word_spans
 from mntag.trees import (
     ParseTree,
@@ -22,6 +23,7 @@ from mntag.trees import (
     has_label_segment,
     insert_leaf,
     iter_nodes,
+    read_preorder,
     read_ptb,
     rebuilt,
     unescape_token,
@@ -180,6 +182,27 @@ def test_read_ptb_in_small_chunks_matches_the_reference_reader(chunk, text):
     assert got == expected
     if isinstance(got, list):
         assert [repr(t) for t in got] == [repr(t) for t in expected]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, mntag.trees._CHUNK])
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(random_tree, st.randoms(use_true_random=False)), min_size=1, max_size=3))
+def test_read_preorder_gives_the_lists_a_preorder_walk_of_the_tree_fills(chunk, forest):
+    """Each record ``read_preorder`` yields holds, in every chunk size,
+    what numbering the tree in preorder (graft's ``_fill``) gives: the
+    same labels, parents, spans, ``after`` numbers and leaf numbers, and
+    the leaves themselves, but no internal node."""
+    text = "\n".join(write_ptb(tree) for tree in forest) + "\n"
+    with mock.patch.object(mntag.trees, "_CHUNK", chunk):
+        records = list(read_preorder(text))
+    assert len(records) == len(forest)
+    for record, tree in zip(records, forest):
+        want = _preorder(tree)
+        leaves = set(want.leaves)
+        assert record.nodes == [n if k in leaves else None for k, n in enumerate(want.nodes)]
+        for field in ("labels", "parent", "start", "end", "after", "leaves"):
+            assert getattr(record, field) == getattr(want, field), field
+        assert record.tree() == tree
 
 
 def test_one_read_builds_each_label_spelling_once():
