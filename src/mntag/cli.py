@@ -22,10 +22,15 @@ Each command imports the modules it runs: the module level imports only
 the graft layer (``grafting``, ``standoff``, ``tags``, ``trees``), so
 ``mn graft`` and ``mn flatten`` never load the tagging stack.
 
-``mn graft`` holds one tree at a time: it reads each tree's
-``trees.Preorder`` record, grafts it and writes its line before it reads
-the next, and builds no internal tree node.  Its memory grows only with
-the standoff and the tree file's text.
+Every tree command (``mn tag --mode structure``, ``mn flatten``, ``mn
+preprocess`` and ``mn graft``) holds one tree at a time: it reads each
+tree's ``trees.Preorder`` record (``_records``), builds the tree where it
+needs one, and writes its lines before it reads the next record.  ``mn
+graft`` builds no internal tree node.  Their memory grows only with the
+tree file's text, and graft's with its standoff.  A command that fails
+reads the rest of the records before the failure goes on
+(``_tree_faults_first``), so a tree that does not read is reported before
+any fault found earlier, as if the whole file had been read first.
 
 A command's outputs land together or not at all (``_outputs``): each is
 written to a new file beside its target, which it replaces only once the
@@ -222,53 +227,50 @@ def _cmd_tag(args) -> int:
     from . import rulegen, taggers
     from .lexicon import load_lexicon_file
 
-    def inline_line(i, words, annotations) -> str:
-        try:  # a word inline text cannot hold: name the file and the sentence
-            return taggers.render_inline(words, annotations) + "\n"
-        except ValueError as exc:
-            raise ValueError(f"{args.input}: sentence {i}: {exc}") from None
-
     with _outputs(("--out", args.output), ("--standoff", args.standoff)) as (out, standoff):
-        annotations: list[StandoffAnnotation] = []
+
+        def tagged(i, result, words) -> None:
+            """Log sentence ``i``'s diagnostics and write its standoff, and
+            its inline line of ``words`` when they are given (``--inline``)."""
+            for diag in result.diagnostics:
+                log.info("sentence %d: %s", i, diag)
+            if words is not None:
+                try:  # a word inline text cannot hold: name the file and the sentence
+                    out.write(taggers.render_inline(words, result.annotations) + "\n")
+                except ValueError as exc:
+                    raise ValueError(f"{args.input}: sentence {i}: {exc}") from None
+            if standoff is not None:
+                standoff.write(format_standoff(result.annotations))
+
         if args.mode == "structure":
             rules = _load_rules(args)
-            corpus = _parse_file(args.input, trees.read_ptb)
-            for i, tree in enumerate(corpus):
-                # The tagger would take such a word for a marker and drop it.
-                marker = next(filter(rulegen.is_marker_leaf, tree.leaves()), None)
-                if marker is not None:
-                    raise ValueError(
-                        f"{args.input}: sentence {i}:"
-                        f" word {marker.token!r} is spelled like a marker"
-                    )
-                prepared = rulegen.preprocess(trees.flatten(tree))
-                result = taggers.tag_structure(prepared, rules, sentence=i)
-                for diag in result.diagnostics:
-                    log.info("sentence %d: %s", i, diag)
-                annotations.extend(result.annotations)
-                if args.inline:
-                    words = rulegen.word_tokens(result.tree)
-                    out.write(inline_line(i, words, result.annotations))
-                else:
-                    out.write(trees.write_ptb(result.tree) + "\n")
+            records = _records(args.input)
+            with _tree_faults_first(records):
+                for i, record in enumerate(records):
+                    tree = record.tree()
+                    # The tagger would take such a word for a marker and drop it.
+                    marker = next(filter(rulegen.is_marker_leaf, tree.leaves()), None)
+                    if marker is not None:
+                        raise ValueError(
+                            f"{args.input}: sentence {i}:"
+                            f" word {marker.token!r} is spelled like a marker"
+                        )
+                    prepared = rulegen.preprocess(trees.flatten(tree))
+                    result = taggers.tag_structure(prepared, rules, sentence=i)
+                    tagged(i, result, rulegen.word_tokens(result.tree) if args.inline else None)
+                    if not args.inline:
+                        out.write(trees.write_ptb(result.tree) + "\n")
         else:
             lexicon = load_lexicon_file(args.lexicon)
             sentences = _parse_file(args.input, taggers.read_token_tsv)
             tagged_sentences = []
             for i, sentence in enumerate(sentences):
                 result = taggers.tag_string(sentence, lexicon, sentence=i)
-                for diag in result.diagnostics:
-                    log.info("sentence %d: %s", i, diag)
-                annotations.extend(result.annotations)
-                if args.inline:
-                    words = [token for token, _ in sentence]
-                    out.write(inline_line(i, words, result.annotations))
-                else:
+                tagged(i, result, [token for token, _ in sentence] if args.inline else None)
+                if not args.inline:
                     tagged_sentences.append(result.tokens)
             if not args.inline:
                 out.write(taggers.format_token_tsv(tagged_sentences))
-        if standoff is not None:
-            standoff.write(format_standoff(annotations))
     return 0
 
 
@@ -276,37 +278,29 @@ def _cmd_graft(args) -> int:
     _refuse_one_file(args.output, args.report, "--report")
     config = grafting.GraftConfig(family_order=tuple(args.order.split(",")))
     with _outputs(("--out", args.output), ("--report", args.report)) as (out, report_file):
-        # Each tree is read, grafted and written before the next is read.
-        # A fault in the trees is still reported before any other, and a
-        # count that disagrees before a fault in a sentence: a failure
-        # first reads the rest of the trees, then checks the counts.
-        records = _records(args.trees, _parse_file(args.trees, str))
-        try:
+        records = _records(args.trees)
+        with _tree_faults_first(records):
             batches = [(path, _parse_file(path, parse_standoff)) for path in args.standoff]
-        except (ValueError, OSError):
-            for _ in records:
-                pass
-            raise
         by_sentence: dict[int, list[StandoffAnnotation]] = {}
         for _, batch in batches:
             for a in batch:
                 by_sentence.setdefault(a.sentence, []).append(a)
         report = grafting.GraftReport()
-        count = 0  # the trees read
-        for i, record in enumerate(records):
-            count += 1
-            try:
-                text, outcomes = grafting.graft(
-                    record, by_sentence.get(i, []), config, as_text=True
-                )
-                out.write(text + "\n")
-            except (ValueError, OSError) as exc:
-                _check_counts(args.trees, count + sum(1 for _ in records), batches)
-                if isinstance(exc, ValueError):
+        # A failure reads the rest of the trees, whose end checks the
+        # counts: a fault in the trees wins, then a count that disagrees,
+        # then a fault in a sentence.
+        counted = _counted(records, args.trees, batches)
+        with _tree_faults_first(counted):
+            for i, record in enumerate(counted):
+                try:
+                    text, outcomes = grafting.graft(
+                        record, by_sentence.get(i, []), config, as_text=True
+                    )
+                except ValueError:
                     _blame(batches, record, i, config)
-                raise
-            report.merge(outcomes)
-        _check_counts(args.trees, count, batches)
+                    raise
+                out.write(text + "\n")
+                report.merge(outcomes)
         report_file.write(report.format())
     return 0
 
@@ -321,17 +315,36 @@ def _blame(batches, record, i, config) -> None:
             raise ValueError(f"{path}: sentence {i}: {exc}") from None
 
 
-def _records(path, text):
-    """``trees.read_preorder`` of ``text``; its errors name the file."""
+def _records(path):
+    """``trees.read_preorder`` of the tree file at ``path``, which is read
+    when the first record is asked for; its errors, and text that is not
+    UTF-8, name the file."""
+    text = _parse_file(path, str)
     try:
         yield from trees.read_preorder(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _check_counts(trees_path, count, batches) -> None:
-    """Refuse the first standoff file that names a sentence past the
-    last of ``count`` trees."""
+@contextmanager
+def _tree_faults_first(records):
+    """Run the block; if it fails, read the rest of ``records`` before the
+    failure goes on, so that a tree that does not read is reported first,
+    as if every tree had been read before any work."""
+    try:
+        yield
+    except Exception:
+        for _ in records:
+            pass
+        raise
+
+
+def _counted(records, trees_path, batches):
+    """``records``; once the last is read, refuse the first standoff file
+    that names a sentence past the last tree."""
+    count = 0
+    for count, record in enumerate(records, 1):
+        yield record
     for path, batch in batches:
         last = max((a.sentence for a in batch), default=-1)
         if last >= count:
@@ -352,8 +365,10 @@ def _cmd_preprocess(args) -> int:
 
 def _write_trees(args, transform) -> int:
     with _outputs(("--out", args.output)) as (fh,):
-        for tree in _parse_file(args.input, trees.read_ptb):
-            fh.write(trees.write_ptb(transform(tree)) + "\n")
+        records = _records(args.input)
+        with _tree_faults_first(records):
+            for record in records:
+                fh.write(trees.write_ptb(transform(record.tree())) + "\n")
     return 0
 
 

@@ -114,10 +114,6 @@ class GraftReport:
     def bump(self, outcome: str) -> None:
         self.counts[outcome] += 1
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def merge(self, other: "GraftReport") -> None:
         for k, v in other.counts.items():
             self.counts[k] += v

@@ -23,17 +23,18 @@ shapes occur in practice:
 There is one PTB reader, ``read_preorder``.  It yields each tree as
 soon as its last ``)`` closes, as a ``Preorder`` record: flat lists of
 the nodes in preorder, which is the order in which the tokens meet
-them, with the leaf nodes but no internal node built.  ``mn graft``
-grafts these records one at a time; ``read_ptb`` builds each record
-into its tree, bottom-up.  The reader takes a one-word node such as
-``(DT the)`` as one token, and a bracket with the label after it,
-``(NP``, as another.  Within one call it builds each distinct token
-once, so equal leaves are one shared node and equal labels one shared
-string.  Shared leaves pay where leaf spellings repeat, as they do in
-treebanks of natural sentences; a file in which no spelling repeats
-reads a little slower for the lookup.  Labels repeat in any treebank.
-The text is tokenized a few KiB at a time, so the reader's peak stays
-close to what its caller keeps.
+them, with the leaf nodes but no internal node built.  Every tree
+command of ``mn`` reads these records one at a time, and ``mn graft``
+grafts them as they are; ``read_ptb`` builds each record into its tree,
+bottom-up.  The reader takes a one-word node such as ``(DT the)`` as
+one token, and a bracket with the label after it, ``(NP``, as another.
+Within one call it builds each distinct token once, so equal leaves are
+one shared node and equal labels one shared string.  Shared leaves pay
+where leaf spellings repeat, as they do in treebanks of natural
+sentences; a file in which no spelling repeats reads a little slower
+for the lookup.  Labels repeat in any treebank.  The text is tokenized
+a few KiB at a time, so the reader's peak stays close to what its
+caller keeps.
 
 ``flatten`` removes the intermediate VP and NP shells that verb- and
 noun-phrase recursion introduces, which puts complements next to their
@@ -258,15 +259,6 @@ def rebuilt(node: ParseTree, children: Sequence[ParseTree], label: str | None = 
     if label == node.label and len(children) == len(kids) and all(map(is_, children, kids)):
         return node
     return ParseTree(label, tuple(children), node.token)
-
-
-def iter_nodes(tree: ParseTree) -> Iterator[ParseTree]:
-    """All nodes in preorder (document order)."""
-    stack = [tree]
-    while stack:
-        n = stack.pop()
-        yield n
-        stack.extend(reversed(n.children))
 
 
 class Span(Value):
@@ -512,8 +504,3 @@ def write_subtree(tree: ParseTree, allow_bare: bool) -> str:
 def write_ptb(tree: ParseTree) -> str:
     """Single-line S-expression; inverse of ``read_ptb`` on values."""
     return write_subtree(tree, False)
-
-
-def read_ptb_file(path) -> list[ParseTree]:
-    with open(path, encoding="utf-8") as fh:
-        return read_ptb(fh.read())

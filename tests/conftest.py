@@ -6,6 +6,7 @@ import gc
 import itertools
 import random
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from mntag.lexicon import Lexicon, load_lexicon_file
 from mntag.matcher import PatternRule, parse_pattern
 from mntag.rulegen import TemplateRegistry, default_registry
-from mntag.trees import ParseTree, iter_nodes
+from mntag.trees import ParseTree, read_ptb
 
 DATA = Path(__file__).parent / "data"
 
@@ -59,10 +60,23 @@ STAGE_MARKERS = ["AUX", "VoicePassive", "TrigAble", "TargAble", "TrigNegation", 
 STAGE_AUXILIARIES = ["is", "was", "were", "be", "been", "have", "has", "had", "do", "did"]
 
 
+def iter_nodes(tree: ParseTree) -> Iterator[ParseTree]:
+    """All nodes in preorder (document order)."""
+    stack = [tree]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(reversed(n.children))
+
+
+def read_ptb_file(path) -> list[ParseTree]:
+    """The trees of the PTB file at ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        return read_ptb(fh.read())
+
+
 def corpus_words() -> list[str]:
     """The distinct tokens of the 25-sentence corpus, sorted."""
-    from mntag.trees import read_ptb_file
-
     return sorted({t for tree in read_ptb_file(DATA / "corpus_trees.ptb") for t in tree.tokens()})
 
 

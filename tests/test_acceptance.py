@@ -5,7 +5,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from conftest import DATA, random_pattern_rule, random_tree
+from conftest import DATA, iter_nodes, random_pattern_rule, random_tree, read_ptb_file
 from test_grafting import random_annotations
 from test_matcher import engine_match_set, oracle_match_set
 from test_tags import MENU_GOLDEN
@@ -17,7 +17,7 @@ from mntag.rulegen import expand_templates, default_registry, preprocess, word_t
 from mntag.standoff import StandoffAnnotation
 from mntag.taggers import render_inline, tag_structure
 from mntag.tags import TAG_INVENTORY, AnnotationChoice, menu_choice_to_tags, parse_tag
-from mntag.trees import Span, flatten, iter_nodes, read_ptb, read_ptb_file, write_ptb
+from mntag.trees import Span, flatten, read_ptb, write_ptb
 
 
 @contextmanager

@@ -2,6 +2,7 @@
 
 import errno
 import gc
+import logging
 import os
 import stat
 import threading
@@ -11,8 +12,8 @@ from unittest import mock
 
 import pytest
 
-from conftest import DATA
-from mntag import trees
+from conftest import DATA, read_ptb_file
+from mntag import rulegen, trees
 from mntag.cli import main, seed_lexicon_path
 from mntag.matcher import RewriteBudgetError
 
@@ -554,7 +555,7 @@ def test_unfiltered_structure_tag_counts_the_benchmark_trace_check_relies_on(mon
     monkeypatch.setattr(matcher, "match", counting_match)
     monkeypatch.setattr(matcher, "_walk", counting_walk)
     monkeypatch.setattr(matcher, "apply", counting_apply)
-    for k, tree in enumerate(trees.read_ptb_file(TREES)):
+    for k, tree in enumerate(read_ptb_file(TREES)):
         matches, rewrites = counts["match"], counts["rewrite"]
         result = taggers.tag_structure(rulegen.preprocess(trees.flatten(tree)), rules, k)
         counts["fired"] += len(result.fired_rules)
@@ -629,26 +630,65 @@ def test_graft_standoff_past_the_last_tree_exits_2_naming_both_files(tmp_path, c
         "graft", "--trees", TREES, "--standoff", rogue,
         "--out", tmp_path / "o.ptb", "--report", tmp_path / "r.txt",
     ) == 2
-    size = len(trees.read_ptb_file(TREES))
+    size = len(read_ptb_file(TREES))
     message = f"{rogue}: sentence 99: sentence counts disagree: {TREES} has {size} trees"
     assert message in caplog.text
 
 
-def test_graft_blames_a_tree_file_that_does_not_read_before_a_span_fault(tmp_path, caplog):
-    """The last tree does not read and sentence 0 holds a span fault:
-    the tree file's fault is reported, as if every tree were read first."""
+def _tree_command(tmp_path, command, source, standoff=""):
+    """``command``'s argv on the tree file ``source``; graft's standoff file
+    holds ``standoff``."""
+    name, *flags = command.split()
+    out, side = tmp_path / "out", tmp_path / "side"
+    if name == "graft":
+        annotations = tmp_path / "standoff.tsv"
+        annotations.write_text(standoff)
+        return ["graft", "--trees", source, "--standoff", annotations, "--out", out,
+                "--report", side]
+    if name == "tag":
+        return ["tag", "--mode", "structure", "--lexicon", seed_lexicon_path(), "--in", source,
+                "--out", out, "--standoff", side, *flags]
+    return [name, "--in", source, "--out", out]
+
+
+@pytest.mark.parametrize(
+    "command, first, budget, code",
+    [
+        ("graft", "", False, 2),
+        ("tag", "(S (NP (NNP John)) (VP (VB hand AUX)))\n", False, 2),
+        ("tag --inline", "(S (NP (NN <b)) (VBD left))\n", False, 2),
+        ("tag", "", True, 1),
+        ("flatten", "", True, 1),
+        ("preprocess", "", True, 1),
+    ],
+    ids=["graft-span", "tag-marker", "tag-inline-bracket", "tag-budget", "flatten-budget",
+         "preprocess-budget"],
+)
+def test_a_tree_file_that_does_not_read_wins_over_an_earlier_fault(
+    tmp_path, caplog, monkeypatch, command, first, budget, code
+):
+    """Sentence 0 holds a fault (a span graft refuses, a word spelled like
+    a marker or like an inline bracket, a spent rewrite budget) that exits
+    ``code`` alone.  When the last tree does not read, the tree file's
+    fault is reported instead, as if every tree were read first, and no
+    output is written."""
+    if budget:
+        monkeypatch.setattr(trees, "flatten", _raise_budget)
+        monkeypatch.setattr(rulegen, "preprocess", _raise_budget)
+    span_fault = "0\t0\t99\tTargAble\tMN\n"
+    good = tmp_path / "good.ptb"
+    good.write_text(first + TREES.read_text())
+    assert run(*_tree_command(tmp_path, command, good, span_fault)) == code
     bad = tmp_path / "bad.ptb"
-    bad.write_text(TREES.read_text() + "(S (NN a)\n")
-    rogue = tmp_path / "rogue.tsv"
-    rogue.write_text("0\t0\t99\tTargAble\tMN\n")
+    bad.write_text(good.read_text() + "(S (NN a)\n")
     with pytest.raises(trees.PTBParseError) as fault:
         trees.read_ptb(bad.read_text())
+    before = sorted(tmp_path.iterdir())
     caplog.clear()
-    assert run(
-        "graft", "--trees", bad, "--standoff", rogue,
-        "--out", tmp_path / "o.ptb", "--report", tmp_path / "r.txt",
-    ) == 2
-    assert [r.getMessage() for r in caplog.records] == [f"{bad}: {fault.value}"]
+    assert run(*_tree_command(tmp_path, command, bad, span_fault)) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == [f"{bad}: {fault.value}"]
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_graft_reports_a_count_that_disagrees_before_a_span_fault(tmp_path, caplog):
@@ -661,7 +701,7 @@ def test_graft_reports_a_count_that_disagrees_before_a_span_fault(tmp_path, capl
         "graft", "--trees", TREES, "--standoff", a, "--standoff", b,
         "--out", tmp_path / "o.ptb", "--report", tmp_path / "r.txt",
     ) == 2
-    size = len(trees.read_ptb_file(TREES))
+    size = len(read_ptb_file(TREES))
     message = f"{a}: sentence 30: sentence counts disagree: {TREES} has {size} trees"
     assert [r.getMessage() for r in caplog.records] == [message]
 
@@ -688,15 +728,12 @@ def test_graft_builds_no_internal_tree_node(tmp_path):
     assert built and not any(built)
 
 
-def _graft_peak(tmp_path, copies):
-    """Bytes of the tree file, and ``mn graft``'s tracemalloc peak on it
-    with an empty standoff."""
+def _peak(tmp_path, command, copies):
+    """Bytes of the tree file, and ``command``'s tracemalloc peak on it
+    (graft's with an empty standoff)."""
     source = tmp_path / f"x{copies}.ptb"
     source.write_text(TREES.read_text() * copies)
-    empty = tmp_path / "empty.tsv"
-    empty.write_text("")
-    argv = ["graft", "--trees", source, "--standoff", empty,
-            "--out", tmp_path / "o.ptb", "--report", tmp_path / "r.txt"]
+    argv = _tree_command(tmp_path, command, source)
     assert run(*argv) == 0  # the first run's imports and caches are not counted
     tracemalloc.start()
     try:
@@ -707,12 +744,14 @@ def _graft_peak(tmp_path, copies):
     return source.stat().st_size, peak
 
 
-def test_graft_peak_grows_with_the_tree_text_not_with_the_trees(tmp_path):
-    """``mn graft`` holds one tree at a time beside the file's text, so its
-    peak grows from 4 to 16 copies of the corpus by about the text it
-    reads; holding every tree, it grew by about seven times that."""
-    size4, peak4 = _graft_peak(tmp_path, 4)
-    size16, peak16 = _graft_peak(tmp_path, 16)
+@pytest.mark.parametrize("command", ["graft", "tag", "flatten", "preprocess"])
+def test_peak_grows_with_the_tree_text_not_with_the_trees(tmp_path, command):
+    """Each tree command holds one tree at a time beside the file's text,
+    so its peak grows from 4 to 16 copies of the corpus by about the text
+    it reads.  Holding every tree, graft's grew by about seven times that,
+    and tag's (``--mode structure --standoff``) by about twelve."""
+    size4, peak4 = _peak(tmp_path, command, 4)
+    size16, peak16 = _peak(tmp_path, command, 16)
     assert peak16 - peak4 < 2 * (size16 - size4)
 
 
@@ -852,7 +891,7 @@ def test_graft_names_the_file_given_first_when_two_have_a_fault_in_one_sentence(
 
 
 def test_graft_span_end_is_checked_against_the_sentence_length(tmp_path, caplog):
-    size = len(trees.read_ptb_file(TREES)[1].tokens())
+    size = len(read_ptb_file(TREES)[1].tokens())
     whole = tmp_path / "whole.tsv"
     whole.write_text(f"1\t0\t{size}\tTargAble\tMN\n")
     assert run(

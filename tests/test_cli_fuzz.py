@@ -1,7 +1,9 @@
-"""Fuzz the readers of ``mn graft``, ``mn tag --mode string``, the rule
-reader of ``mn tag --mode structure --rules``, and the lexicon and
-template readers of ``mn lexicon validate``, ``mn rules`` and ``mn tag
---mode structure --registry`` through the command line.
+"""Fuzz the readers of ``mn graft``, of the other tree commands (``mn
+tag --mode structure``, ``mn flatten`` and ``mn preprocess``), of ``mn
+tag --mode string``, the rule reader of ``mn tag --mode structure
+--rules``, and the lexicon and template readers of ``mn lexicon
+validate``, ``mn rules`` and ``mn tag --mode structure --registry``
+through the command line.
 
 Whatever bytes the tree, standoff, token, rule, lexicon and template
 files hold, the command exits 0 or 2, never with an uncaught exception,
@@ -99,6 +101,40 @@ def test_graft_exits_0_or_2_and_names_the_bad_file(tree_bytes, standoff_bytes):
                 bad = _offender(tree_path, standoff_path)
                 for message in errors.messages:
                     assert str(bad) in message, message
+    finally:
+        log.removeHandler(errors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ptb_files, st.booleans())
+@example(PTB_TREES[1] + b"(S (NN a)\n", False)  # a tree that does not read, after one that does
+def test_tree_commands_exit_0_or_2_and_name_the_tree_file(tree_bytes, inline):
+    """``mn tag --mode structure``, ``mn flatten`` and ``mn preprocess``
+    read the tree file as ``mn graft`` does, one record at a time."""
+    errors = _Errors()
+    log = logging.getLogger("mn")
+    log.addHandler(errors)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            source, out, standoff = Path(tmp, "in.ptb"), Path(tmp, "out"), Path(tmp, "out.tsv")
+            source.write_bytes(tree_bytes)
+            runs = [
+                ["tag", "--mode", "structure", "--lexicon", seed_lexicon_path(), "--in",
+                 str(source), "--out", str(out), "--standoff", str(standoff)]
+                + ["--inline"] * inline,
+                ["flatten", "--in", str(source), "--out", str(out)],
+                ["preprocess", "--in", str(source), "--out", str(out)],
+            ]
+            for argv in runs:
+                errors.messages.clear()
+                code = main(argv)
+                assert code in (0, 2), argv
+                if code == 0:
+                    assert not errors.messages
+                else:
+                    assert errors.messages
+                    for message in errors.messages:
+                        assert str(source) in message, message
     finally:
         log.removeHandler(errors)
 

@@ -6,7 +6,15 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import STAGE_AUXILIARIES, corpus_words, random_pattern_rule, random_tree, stage_tree
+from conftest import (
+    STAGE_AUXILIARIES,
+    corpus_words,
+    iter_nodes,
+    random_pattern_rule,
+    random_tree,
+    read_ptb_file,
+    stage_tree,
+)
 from mntag import matcher
 from mntag.matcher import (
     PatternRule,
@@ -24,7 +32,6 @@ from mntag.trees import (
     flatten,
     has_label_segment,
     insert_leaf,
-    iter_nodes,
     read_ptb,
     write_ptb,
 )
@@ -360,7 +367,6 @@ def test_walk_matches_the_reference_walk(seed_rules):
     tree and its rewrites: 2000 random trees, then the corpus trees
     (where the seed rules fire), half of them with their words swapped."""
     from conftest import DATA, with_words
-    from mntag.trees import read_ptb_file
 
     rng = random.Random(2027)
     words = corpus_words() + STAGE_AUXILIARIES

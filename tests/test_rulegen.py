@@ -4,7 +4,15 @@ from hypothesis import assume, given, settings, strategies as st
 from mntag.lexicon import Lexicon, LexiconError, load_lexicon
 import pytest
 
-from conftest import STAGE_AUXILIARIES, corpus_words, random_tree, stage_tree, with_words
+from conftest import (
+    STAGE_AUXILIARIES,
+    corpus_words,
+    iter_nodes,
+    random_tree,
+    read_ptb_file,
+    stage_tree,
+    with_words,
+)
 
 from mntag import rulegen
 from mntag.matcher import match, parse_pattern, parse_rules, serialize_rules
@@ -17,7 +25,7 @@ from mntag.rulegen import (
     word_spans,
     word_tokens,
 )
-from mntag.trees import ParseTree, Span, flatten, iter_nodes, read_ptb, write_ptb
+from mntag.trees import ParseTree, Span, flatten, read_ptb, write_ptb
 
 
 def test_preprocess_passive_clause():
@@ -346,7 +354,6 @@ def test_empty_lexicon_expands_to_nothing(registry):
 def test_shipped_rule_set_is_idempotent(seed_rules):
     from mntag.matcher import apply
     from conftest import DATA
-    from mntag.trees import read_ptb_file, flatten
 
     for tree in read_ptb_file(DATA / "corpus_trees.ptb"):
         current = preprocess(flatten(tree))
@@ -361,7 +368,6 @@ def test_shipped_rule_set_is_idempotent(seed_rules):
 def test_every_generated_rule_fires_on_the_corpus(seed_lexicon, seed_rules):
     from conftest import DATA
     from mntag.taggers import tag_structure
-    from mntag.trees import read_ptb_file
 
     fired = set()
     for tree in read_ptb_file(DATA / "corpus_trees.ptb"):
@@ -431,7 +437,6 @@ def expansion_differences(seed: int, lexicons: int, trees_per_lexicon: int):
     number of trees some rule tagged."""
     from conftest import DATA
     from mntag.lexicon import dump_lexicon
-    from mntag.trees import read_ptb_file
 
     rng = random.Random(seed)
     registry = rulegen.default_registry()

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import DATA, STAGE_AUXILIARIES, corpus_words, stage_tree
+from conftest import DATA, STAGE_AUXILIARIES, corpus_words, iter_nodes, read_ptb_file, stage_tree
 from mntag import rulegen
 from mntag.lexicon import lookup
 from mntag.rulegen import preprocess, word_tokens
@@ -20,7 +20,7 @@ from mntag.taggers import (
     tag_string,
     tag_structure,
 )
-from mntag.trees import ParseTree, Span, flatten, has_label_segment, iter_nodes, read_ptb, write_ptb
+from mntag.trees import ParseTree, Span, flatten, has_label_segment, read_ptb, write_ptb
 
 FIG1_TOKENS = [
     ("Americans", "NNPS"), ("should", "MD"), ("know", "VB"), ("that", "IN"),
@@ -392,7 +392,6 @@ def test_string_vs_structure_agreement_baseline(seed_lexicon, seed_rules):
     """Regression pin for the corpus-specific overlap of the two taggers;
     the string tagger misses inflected triggers by design."""
     from conftest import DATA
-    from mntag.trees import read_ptb_file
 
     trees = read_ptb_file(DATA / "corpus_trees.ptb")
     sentences = read_token_tsv((DATA / "corpus_tokens.tsv").read_text())

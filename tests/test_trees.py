@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mntag.trees
-from conftest import DATA, STAGE_AUXILIARIES, corpus_words, ptb_files, random_tree, stage_tree
+from conftest import (
+    DATA, STAGE_AUXILIARIES, corpus_words, iter_nodes, ptb_files, random_tree, stage_tree,
+)
 from mntag.grafting import _preorder
 from mntag.rulegen import word_spans
 from mntag.trees import (
@@ -22,7 +24,6 @@ from mntag.trees import (
     flatten,
     has_label_segment,
     insert_leaf,
-    iter_nodes,
     read_preorder,
     read_ptb,
     rebuilt,
