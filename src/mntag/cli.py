@@ -230,8 +230,9 @@ def _cmd_tag(args) -> int:
     with _outputs(("--out", args.output), ("--standoff", args.standoff)) as (out, standoff):
 
         def tagged(i, result, words) -> None:
-            """Log sentence ``i``'s diagnostics and write its standoff, and
-            its inline line of ``words`` when they are given (``--inline``)."""
+            """Log sentence ``i``'s diagnostics and write its output: its
+            inline line of ``words`` when they are given (``--inline``),
+            else its tree or its token block, and its standoff."""
             for diag in result.diagnostics:
                 log.info("sentence %d: %s", i, diag)
             if words is not None:
@@ -239,6 +240,10 @@ def _cmd_tag(args) -> int:
                     out.write(taggers.render_inline(words, result.annotations) + "\n")
                 except ValueError as exc:
                     raise ValueError(f"{args.input}: sentence {i}: {exc}") from None
+            elif args.mode == "structure":
+                out.write(trees.write_ptb(result.tree) + "\n")
+            else:  # blocks are parted by a blank line
+                out.write(("\n" if i else "") + taggers.format_token_tsv(result.tokens))
             if standoff is not None:
                 standoff.write(format_standoff(result.annotations))
 
@@ -258,19 +263,12 @@ def _cmd_tag(args) -> int:
                     prepared = rulegen.preprocess(trees.flatten(tree))
                     result = taggers.tag_structure(prepared, rules, sentence=i)
                     tagged(i, result, rulegen.word_tokens(result.tree) if args.inline else None)
-                    if not args.inline:
-                        out.write(trees.write_ptb(result.tree) + "\n")
         else:
             lexicon = load_lexicon_file(args.lexicon)
             sentences = _parse_file(args.input, taggers.read_token_tsv)
-            tagged_sentences = []
             for i, sentence in enumerate(sentences):
                 result = taggers.tag_string(sentence, lexicon, sentence=i)
                 tagged(i, result, [token for token, _ in sentence] if args.inline else None)
-                if not args.inline:
-                    tagged_sentences.append(result.tokens)
-            if not args.inline:
-                out.write(taggers.format_token_tsv(tagged_sentences))
     return 0
 
 

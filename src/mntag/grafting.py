@@ -55,15 +55,14 @@ the sentence's records, sorted by span start, so it examines only the
 records inside its clause: a sentence of many clauses costs each
 negation no more than its own clause does.
 
-Output marks the nodes that carry a record (every inserted node carries
-its insert's) and their ancestors.  The output tree builds only marked
-nodes anew, through ``trees.rebuilt``, so it shares every subtree graft
-did not change with the input, and a regraft that changes nothing
-returns the input itself.  ``mn graft`` needs only text: with
-``as_text`` graft writes ``write_ptb``'s text of that tree in one walk
-of the working copy, the input's labels with graft's in their place and
-each leaf through ``trees.write_leaf``, and builds no node.  The tree
-stays for library callers and the benchmark's loop, which need trees.
+The output tree comes from ``trees.build`` over the working copy with
+graft's labels.  Only an inserted node, the parent of one, a node whose
+label changed and their ancestors are built anew, so the output shares
+every subtree graft did not change with its input, and a regraft that
+changes nothing returns the input itself.  ``mn graft`` needs only
+text: with ``as_text`` graft writes ``write_ptb``'s text of that tree in
+one walk of the working copy, with the same labels and each leaf
+through ``trees.write_leaf``, and builds no node.
 
 The working copy holds no reference cycle: its lists hold numbers,
 labels and input nodes, and a graft record names the nodes it was put
@@ -81,7 +80,7 @@ from typing import Sequence
 
 from .standoff import MN_FAMILY, NE_FAMILY, StandoffAnnotation
 from .tags import TAGS, MNTag, Modality, Role, compose_negation, specificity_rank
-from .trees import ParseTree, Preorder, Span, add_suffix, base_category, rebuilt, write_leaf
+from .trees import ParseTree, Preorder, Span, add_suffix, base_category, build, write_leaf
 
 OUTCOMES = (
     "grafted-exact",
@@ -307,17 +306,12 @@ def graft(
     The result is independent of the input annotation order.  With
     ``as_text`` the first item is not the output tree but the text
     ``write_ptb`` would give for it, written without building it.
-    With ``as_text``, ``tree`` may also be a tree's ``trees.Preorder``
-    record, as ``mn graft`` reads them; graft does not change it.
+    ``tree`` may also be a tree's ``trees.Preorder`` record, as ``mn
+    graft`` reads them, with or without ``as_text``; graft does not
+    change it.
     """
     config = config or GraftConfig()
-    if tree.__class__ is not Preorder:
-        record = _preorder(tree)
-    elif as_text:
-        record = tree
-    else:
-        raise TypeError("graft takes a Preorder record only with as_text")
-    shadow = _Shadow(record)
+    shadow = _Shadow(tree if tree.__class__ is Preorder else _preorder(tree))
     report = GraftReport()
 
     for a in annotations:
@@ -354,13 +348,12 @@ def graft(
     for g in grafted:
         report.bump(g.outcome)
 
+    labels = shadow.labels.copy()
+    for n in applied:
+        labels[n] = _out_label(n, shadow, applied)
     if as_text:
-        labels = shadow.labels.copy()
-        for n in applied:
-            labels[n] = _out_label(n, shadow, applied)
         return _text(0, False, labels, shadow.nodes, shadow.after, shadow.kids), report
-    marked = _marked(shadow, applied)
-    return (_rebuild(0, shadow, applied, marked) if marked else tree), report
+    return _tree(shadow, labels, applied), report
 
 
 def _span_start(g: _Grafted) -> int:
@@ -456,17 +449,6 @@ def _final_label(records: list[_Grafted]) -> str:
     return chosen.label
 
 
-def _marked(shadow: _Shadow, applied: dict[int, list[_Grafted]]) -> set[int]:
-    """The nodes with records, inserted ones included, and their ancestors."""
-    marked: set[int] = set()
-    parent = shadow.parent
-    for n in applied:
-        while n >= 0 and n not in marked:
-            marked.add(n)
-            n = parent[n]
-    return marked
-
-
 def _out_label(n: int, shadow: _Shadow, applied: dict[int, list[_Grafted]]) -> str:
     """The label node ``n`` has in the output."""
     records = applied.get(n)
@@ -478,29 +460,22 @@ def _out_label(n: int, shadow: _Shadow, applied: dict[int, list[_Grafted]]) -> s
     return add_suffix(label, _final_label(records)) if records else label
 
 
-def _rebuild(
-    n: int, shadow: _Shadow, applied: dict[int, list[_Grafted]], marked: set[int]
-) -> ParseTree:
-    """The output subtree for marked node ``n``; it is still the input
-    subtree itself when graft changed nothing in it."""
-    label = _out_label(n, shadow, applied)
-    nodes = shadow.nodes
-    kids = shadow.kids.get(n)
-    if kids is not None:
-        out = [_rebuild(k, shadow, applied, marked) if k in marked else nodes[k] for k in kids]
-        if n >= shadow.inputs:
-            return ParseTree(label, tuple(out), None)
-        node = nodes[n]
-    else:
-        node = nodes[n]
-        after = shadow.after
-        out, k = [], n + 1
-        for child in node.children:
-            if k in marked:
-                child = _rebuild(k, shadow, applied, marked)
-            out.append(child)
-            k = after[k]
-    return rebuilt(node, out, label)
+def _tree(shadow: _Shadow, labels: list[str], applied: dict[int, list[_Grafted]]) -> ParseTree:
+    """The output tree with the output ``labels``; see the module docstring."""
+    inputs, parent, after = shadow.inputs, shadow.parent, shadow.after
+    nodes = shadow.nodes + [None] * (len(labels) - inputs)
+    for n in applied:
+        if n >= inputs:
+            n = parent[n]
+        elif labels[n] == shadow.labels[n]:
+            continue
+        elif after[n] == n + 1:  # a leaf
+            nodes[n] = ParseTree(labels[n], (), nodes[n].token)
+            n = parent[n]
+        while n >= 0 and nodes[n] is not None:
+            nodes[n] = None
+            n = parent[n]
+    return build(0, labels, nodes, after, shadow.kids)
 
 
 def _text(n: int, bare_ok: bool, labels, nodes, after, kids: dict[int, list[int]]) -> str:

@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import matcher, rulegen, standoff
 from .lexicon import Lexicon, lookup
@@ -89,15 +89,14 @@ def read_token_tsv(text: str) -> list[list[tuple[str, str]]]:
     return sentences
 
 
-def format_token_tsv(sentences: Iterable[Sequence[TaggedToken]]) -> str:
-    blocks = []
-    for sent in sentences:
-        lines = []
-        for t in sent:
-            tag_text = ",".join(sorted(str(tag) for tag in t.tags))
-            lines.append(f"{t.token}\t{t.pos}\t{tag_text}" if t.tags else f"{t.token}\t{t.pos}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + ("\n" if blocks else "")
+def format_token_tsv(sentence: Sequence[TaggedToken]) -> str:
+    """One sentence's block, a line per token; a blank line goes between
+    two blocks, as ``read_token_tsv`` reads them."""
+    lines = []
+    for t in sentence:
+        tag_text = ",".join(sorted(str(tag) for tag in t.tags))
+        lines.append(f"{t.token}\t{t.pos}\t{tag_text}\n" if t.tags else f"{t.token}\t{t.pos}\n")
+    return "".join(lines)
 
 
 def is_auxiliary_token(tagged: Sequence[tuple[str, str]], i: int) -> bool:

@@ -6,12 +6,12 @@ value behaves: it is slotted, refuses every attribute write after
 construction, and compares, hashes, prints, copies and pickles by its
 fields, as a frozen dataclass of them would.  Building a node costs one
 call and its checks.  Since no node can change, trees may share nodes:
-``flatten``, ``rulegen.preprocess``, the structure tagger's marker fold,
-the matcher's ``augment`` and graft build each node through
-``rebuilt``, which returns the input node wherever nothing changed, so
-their output shares every unchanged subtree with their input.  A leaf
-holds a surface token; internal nodes hold ordered children.  Two leaf
-shapes occur in practice:
+``flatten``, ``rulegen.preprocess``, the structure tagger's marker fold
+and the matcher's ``augment`` build each node through ``rebuilt``,
+which returns the input node wherever nothing changed, and graft builds
+only the nodes it changed, so each output shares every unchanged
+subtree with its input.  A leaf holds a surface token; internal nodes
+hold ordered children.  Two leaf shapes occur in practice:
 
 * preterminals like ``(DT A)``, where the label is a category and the
   token is the word, and
@@ -25,16 +25,18 @@ soon as its last ``)`` closes, as a ``Preorder`` record: flat lists of
 the nodes in preorder, which is the order in which the tokens meet
 them, with the leaf nodes but no internal node built.  Every tree
 command of ``mn`` reads these records one at a time, and ``mn graft``
-grafts them as they are; ``read_ptb`` builds each record into its tree,
-bottom-up.  The reader takes a one-word node such as ``(DT the)`` as
-one token, and a bracket with the label after it, ``(NP``, as another.
-Within one call it builds each distinct token once, so equal leaves are
-one shared node and equal labels one shared string.  Shared leaves pay
-where leaf spellings repeat, as they do in treebanks of natural
-sentences; a file in which no spelling repeats reads a little slower
-for the lookup.  Labels repeat in any treebank.  The text is tokenized
-a few KiB at a time, so the reader's peak stays close to what its
-caller keeps.
+grafts them as they are.  One builder, ``build``, makes trees of such
+lists: ``read_ptb`` builds each record's internal nodes, and graft its
+output from its working copy.  A tree nested more than ``MAX_DEPTH``
+levels deep does not read.  The reader takes a one-word node such as
+``(DT the)`` as one token, and a bracket with the label after it,
+``(NP``, as another.  Within one call it builds each distinct token
+once, so equal leaves are one shared node and equal labels one shared
+string.  Shared leaves pay where leaf spellings repeat, as they do in
+treebanks of natural sentences; a file in which no spelling repeats
+reads a little slower for the lookup.  Labels repeat in any treebank.
+The text is tokenized a few KiB at a time, so the reader's peak stays
+close to what its caller keeps.
 
 ``flatten`` removes the intermediate VP and NP shells that verb- and
 noun-phrase recursion introduces, which puts complements next to their
@@ -226,17 +228,29 @@ class Preorder(Value):
             setter(self, value)
 
     def tree(self) -> ParseTree:
-        """The tree, built bottom-up; its leaves are the record's nodes."""
-        labels, after = self.labels, self.after
-        built = self.nodes.copy()
-        for n in range(len(built) - 1, -1, -1):
-            if built[n] is None:
-                kids, k, stop = [], n + 1, after[n]
-                while k < stop:
-                    kids.append(built[k])
-                    k = after[k]
-                built[n] = ParseTree(labels[n], tuple(kids), None)
-        return built[0]  # type: ignore[return-value]
+        """The tree, through ``build``; it holds the record's nodes."""
+        return build(0, self.labels, self.nodes, self.after, {})
+
+
+def build(n: int, labels, nodes, after, kids: dict[int, list[int]]) -> ParseTree:
+    """Node ``n``'s tree from lists indexed by node number, as in
+    ``Preorder``: ``nodes[n]`` unless that is None, else a new node
+    labeled ``labels[n]`` over children built the same way, its ``kids``
+    entry if it has one, else the walk along ``after``.  The tree shares
+    every node the lists hold."""
+    node = nodes[n]
+    if node is not None:
+        return node
+    children = kids.get(n)
+    if children is None:
+        out, k, stop = [], n + 1, after[n]
+        while k < stop:
+            child = nodes[k]  # a leaf, about half of all nodes, costs no call
+            out.append(build(k, labels, nodes, after, kids) if child is None else child)
+            k = after[k]
+    else:
+        out = [build(k, labels, nodes, after, kids) for k in children]
+    return ParseTree(labels[n], tuple(out), None)
 
 
 def insert_leaf(node: ParseTree, index: int, label: str) -> ParseTree:
@@ -357,6 +371,11 @@ def _line(text: str, offset: int) -> int:
     return text.count("\n", 0, offset) + 1
 
 
+#: The most internal nodes on a tree's path from root to leaf.  Tree
+#: walks recurse once a level, so a deeper tree would spend Python's
+#: recursion limit; the reader refuses it.
+MAX_DEPTH = 256
+
 #: Characters of text tokenized at a time; a chunk ends just before a
 #: ``(``, which only ever starts a token, so no cut splits one.
 _CHUNK = 1 << 12
@@ -367,15 +386,15 @@ def read_preorder(text: str) -> Iterator[Preorder]:
     ``Preorder`` record as its last ``)`` closes; the reader behind
     ``read_ptb``.
 
-    A fault raises ``PTBParseError`` after the trees before it are
-    yielded.  Within one call each distinct leaf token is built once, so
-    leaves spelled alike are one node, and labels spelled alike are one
-    string.  The text is tokenized a chunk at a time, so the tokens of
-    the whole text are never held at once.
+    A fault, such as a tree nested past ``MAX_DEPTH``, raises
+    ``PTBParseError`` after the trees before it are yielded.  Within one
+    call each distinct leaf token is built once, so leaves spelled alike
+    are one node, and labels spelled alike are one string.  The text is
+    tokenized a chunk at a time, so its tokens are never held at once.
     """
     # The innermost open node's number, -1 outside a tree; the nodes open
-    # around it are its ancestors along ``parent``.
-    top = -1
+    # around it are its ancestors along ``parent``, ``depth`` of them with it.
+    top, depth = -1, 0
     # The open tree's lists.  An open node's label is None after a bare
     # ``(``, and False once an atom follows there: a label read late,
     # refused when the node closes.
@@ -404,9 +423,13 @@ def read_preorder(text: str) -> Iterator[Preorder]:
                 end[top] = len(leaves)
                 after[top] = count
                 top = parent[top]
+                depth -= 1
                 if top >= 0:
                     continue
             elif tok[0] == "(" and tok[-1] != ")":  # ``(LABEL``, or a bare ``(``
+                depth += 1
+                if depth > MAX_DEPTH:
+                    raise _fault(text, k, f"tree nested more than {MAX_DEPTH} levels deep")
                 parent.append(top)
                 top = len(labels)
                 labels.append((built.get(tok) or _new_label(built, tok)) if len(tok) > 1 else None)

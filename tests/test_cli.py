@@ -691,6 +691,32 @@ def test_a_tree_file_that_does_not_read_wins_over_an_earlier_fault(
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command", ["tag", "flatten", "preprocess", "graft"])
+def test_a_tree_nested_past_the_limit_exits_2_and_names_its_line(tmp_path, caplog, command):
+    """Every tree walk recurses once per level.  A tree nested
+    ``MAX_DEPTH`` levels deep runs; one a level deeper is refused at the
+    ``(`` that goes past the limit, and no output is written."""
+
+    def nested(depth):
+        source = tmp_path / f"nested-{depth}.ptb"
+        source.write_text("(S (NN a))\n" + "(X " * depth + "(NN b)" + ")" * depth + "\n")
+        return source
+
+    assert run(*_tree_command(tmp_path, command, nested(trees.MAX_DEPTH))) == 0
+    assert len((tmp_path / "out").read_text().splitlines()) == 2
+    for output in ("out", "side"):
+        (tmp_path / output).unlink(missing_ok=True)
+    deep = nested(trees.MAX_DEPTH + 1)
+    before = sorted(tmp_path.iterdir())
+    caplog.clear()
+    assert run(*_tree_command(tmp_path, command, deep)) == 2
+    offset = len("(S (NN a))\n") + len("(X ") * trees.MAX_DEPTH
+    message = f"line 2: tree nested more than {trees.MAX_DEPTH} levels deep at offset {offset}"
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == [f"{deep}: {message}"]
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_graft_reports_a_count_that_disagrees_before_a_span_fault(tmp_path, caplog):
     """File A names a sentence past the last tree and file B holds a span
     fault in sentence 1: A's count is reported, as if checked first."""

@@ -104,6 +104,39 @@ def test_graft_output_shares_every_subtree_it_did_not_change():
     assert inserted.children[1] is second
 
 
+def _placed(tree, start=0):
+    """``(start, end, node)`` for each node of ``tree`` in preorder, the
+    node's words being those from ``start`` up to ``end``."""
+    if not tree.children:
+        return [(start, start + 1, tree)]
+    placed, end = [], start
+    for child in tree.children:
+        below = _placed(child, end)
+        placed += below
+        end = below[0][1]
+    return [(start, end, tree)] + placed
+
+
+def test_graft_output_shares_every_unchanged_subtree_on_random_trees():
+    rng = random.Random(4242)
+    inserted = partial = 0
+    for _ in range(1500):
+        tree = random_tree(rng, max_nodes=16)
+        config = GraftConfig(rng.choice([("NE", "MN"), ("MN", "NE")]))
+        out, report = graft(tree, composing_annotations(rng, tree), config)
+        inputs: dict[tuple, list] = {}
+        for start, end, node in _placed(tree):
+            inputs.setdefault((start, end, node.label), []).append(node)
+        shared = 0
+        for start, end, node in _placed(out):
+            same = [n for n in inputs.get((start, end, node.label), ()) if n == node]
+            assert all(n is node for n in same)
+            shared += bool(same and node.children)
+        inserted += report.counts["grafted-inserted"]
+        partial += out is not tree and shared > 0
+    assert inserted > 150 and partial > 150, (inserted, partial)
+
+
 def test_graft_inserts_node_for_adjacent_daughters():
     tree = read_ptb("(S (NP (DT the) (JJ big) (NN cat) (NN nap)))")[0]
     out, report = graft(tree, [ne(0, 0, 2, "GPE")])
@@ -726,6 +759,7 @@ def test_graft_matches_the_reference_graft_on_random_trees():
             text, text_report = graft(record, anns, config, as_text=True)
             assert text == write_ptb(want)
             assert text_report.counts == want_report.counts
+            assert graft(record, anns, config)[0] == want
             assert record == kept
             from_records += 1
         for k, v in report.counts.items():
@@ -740,8 +774,6 @@ def test_graft_matches_the_reference_graft_on_random_trees():
     assert all(v > 100 for v in outcomes.values()), outcomes
     assert inner > 200
     assert from_records > 2500
-    with pytest.raises(TypeError):  # a record has no internal node to share
-        graft(record, anns, config)
 
 
 def test_grafting_again_with_the_same_annotations_changes_nothing():
