@@ -294,9 +294,9 @@ def _cmd_graft(args) -> int:
                     text, outcomes = grafting.graft(
                         record, by_sentence.get(i, []), config, as_text=True
                     )
-                except ValueError:
+                except ValueError as exc:
                     _blame(batches, record, i, config)
-                    raise
+                    raise ValueError(f"{args.trees}: sentence {i}: {exc}") from None
                 out.write(text + "\n")
                 report.merge(outcomes)
         report_file.write(report.format())

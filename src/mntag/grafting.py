@@ -17,15 +17,20 @@ Each annotation's token span is classified against the tree:
 
 The working copy (``_Shadow``) holds no object per node.  It is the
 tree's ``trees.Preorder`` record: flat lists indexed by the nodes'
-preorder numbers, with each node's label, parent, the leaf positions
-where it starts and ends, the number after its subtree, and each leaf's
-node.  ``mn graft`` grafts the records ``trees.read_preorder`` reads,
-so none of its input's internal nodes is ever built; a tree is numbered
-by one preorder pass (``_fill``), whose record holds every node.  An
-inserted node is numbered after the input nodes, and only the two
+preorder numbers, with each node's label, parent and the number after
+its subtree, and each leaf's node.  ``mn graft`` grafts the records
+``trees.read_preorder`` reads, so none of its input's internal nodes is
+ever built; a tree is numbered by ``trees.Preorder.of``, whose record
+holds every node.  Graft derives what only it reads from ``after``,
+once per sentence in whole-list passes, with no loop statement: the
+leaves' numbers, each node's span in leaves (``start`` and ``end``) and
+the sentence length.
+An inserted node is numbered after the input nodes, and only the two
 nodes an insert touches get a child list of their own; the first
-insert copies the lists it extends, so graft never changes a record.
-Graft records attach to node numbers through a dict.
+insert copies the record's lists it extends, so graft never changes a
+record.  Graft records attach to node numbers through a dict.  An
+insert may nest the output no deeper than ``trees.MAX_DEPTH``, the most
+the reader takes, so every output reads back.
 
 The classification has one implementation, the working copy's
 ``same_span_chain`` and ``adjacent_daughters``; ``graft`` acts on it and
@@ -76,11 +81,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate, compress
+from operator import eq
 from typing import Sequence
 
 from .standoff import MN_FAMILY, NE_FAMILY, StandoffAnnotation
 from .tags import TAGS, MNTag, Modality, Role, compose_negation, specificity_rank
-from .trees import ParseTree, Preorder, Span, add_suffix, base_category, build, write_leaf
+from .trees import (
+    MAX_DEPTH, ParseTree, Preorder, Span, add_suffix, base_category, build, write_leaf,
+)
 
 OUTCOMES = (
     "grafted-exact",
@@ -133,7 +142,7 @@ def classify_span(tree: ParseTree, span: Span) -> tuple[SpanCase, ParseTree | No
     This is the classification ``graft`` acts on, made by the same calls
     on a fresh working copy of the tree; there is no second copy of it.
     """
-    shadow = _Shadow(_preorder(tree))
+    shadow = _Shadow(Preorder.of(tree))
     if span.end > shadow.size:
         raise ValueError(f"span {span} outside sentence of {shadow.size} tokens")
     chain = shadow.same_span_chain(span)
@@ -147,20 +156,23 @@ def classify_span(tree: ParseTree, span: Span) -> tuple[SpanCase, ParseTree | No
 class _Shadow:
     """Working copy of a tree: its ``trees.Preorder`` record's lists,
     indexed by node number, the input nodes in preorder and then the
-    inserted nodes in the order they were made.  The record is never
-    changed: the first insert copies the lists it extends.  It holds no
-    reference cycle (see the module docstring)."""
+    inserted nodes in the order they were made, and the index graft
+    derives from ``after``: ``leaves``, ``start``, ``end`` and ``size``.
+    The record is never changed: the first insert copies the lists it
+    extends.  It holds no reference cycle (see the module docstring)."""
 
     def __init__(self, record: Preorder):
         self.labels = record.labels
         self.nodes = record.nodes  # the input nodes the record holds
         self.parent = record.parent  # -1 at the root
-        self.start = record.start  # the node's span: leaves before it,
-        self.end = record.end  # and leaves before it or under it
-        self.after = record.after  # input nodes only
-        self.leaves = record.leaves
-        self.inputs = len(record.labels)  # the number of the first inserted node
-        self.size = len(record.leaves)
+        self.after = after = record.after  # input nodes only
+        self.inputs = n = len(after)  # the number of the first inserted node
+        is_leaf = list(map(eq, after, range(1, n + 1)))
+        self.leaves = list(compress(range(n), is_leaf))  # the leaves' numbers, in order
+        # The node's span: the leaves before it, and those before it or under it.
+        self.start = start = list(accumulate(is_leaf, initial=0))
+        self.end = [start[a] for a in after]
+        self.size = start.pop()  # the entry past the last node, which ``end`` reads
         self.kids: dict[int, list[int]] = {}  # the children of the nodes an insert touched
 
     def children(self, n: int) -> list[int]:
@@ -216,7 +228,6 @@ class _Shadow:
         new = len(self.labels)
         if new == self.inputs:  # the record's lists are not graft's to change
             self.labels, self.parent = self.labels.copy(), self.parent.copy()
-            self.start, self.end = self.start.copy(), self.end.copy()
         self.labels.append(label)
         self.parent.append(parent)
         self.start.append(self.start[grabbed[0]])
@@ -227,6 +238,17 @@ class _Shadow:
             self.parent[k] = new
         return new
 
+    def depth(self) -> int:
+        """The most internal nodes on a path from the root to a leaf."""
+        deepest, stack = 0, [(0, 0)]
+        while stack:
+            n, d = stack.pop()
+            kids = self.children(n)
+            if kids:
+                deepest = max(deepest, d + 1)
+                stack += [(k, d + 1) for k in kids]
+        return deepest
+
     def minimal_clause(self, span: Span) -> Span:
         """Span of the smallest ``S`` covering ``span``, else the root's."""
         parent, end = self.parent, self.end
@@ -236,46 +258,6 @@ class _Shadow:
         ):
             n = parent[n]
         return Span(self.start[n], end[n])
-
-
-def _preorder(tree: ParseTree) -> Preorder:
-    """``tree``'s record, which holds every node of the tree in ``nodes``."""
-    lists: tuple[list, ...] = ([], [], [], [], [], [], [])
-    _fill(tree, -1, *lists)
-    return Preorder(*lists)
-
-
-def _fill(node, up, labels, nodes, parent, start, end, after, leaves) -> None:
-    """Number ``node`` and its subtree in preorder under parent ``up``.
-
-    A module-level function, not a closure: a recursive closure is a
-    reference cycle.  Leaf daughters, about half of all nodes, are
-    numbered inline to save a call each; a leaf reaches this only as the
-    root.
-    """
-    n = len(nodes)
-    labels.append(node.label)
-    nodes.append(node)
-    parent.append(up)
-    start.append(len(leaves))
-    end.append(0)
-    after.append(0)
-    for child in node.children:
-        if child.children:
-            _fill(child, n, labels, nodes, parent, start, end, after, leaves)
-        else:
-            k = len(nodes)
-            labels.append(child.label)
-            nodes.append(child)
-            parent.append(n)
-            start.append(len(leaves))
-            leaves.append(k)
-            end.append(len(leaves))
-            after.append(k + 1)
-    if not node.children:
-        leaves.append(n)
-    end[n] = len(leaves)
-    after[n] = len(nodes)
 
 
 def _apply_key(item: tuple[StandoffAnnotation, MNTag | None]) -> tuple:
@@ -311,7 +293,7 @@ def graft(
     change it.
     """
     config = config or GraftConfig()
-    shadow = _Shadow(tree if tree.__class__ is Preorder else _preorder(tree))
+    shadow = _Shadow(tree if tree.__class__ is Preorder else Preorder.of(tree))
     report = GraftReport()
 
     for a in annotations:
@@ -342,6 +324,10 @@ def graft(
             for n in nodes:
                 applied.setdefault(n, []).append(g)
             grafted.append(g)
+    # An output ``read_preorder`` refuses would not read back, nor could
+    # the walks that write or build it reach its deepest nodes.
+    if len(shadow.labels) > shadow.inputs and shadow.depth() > MAX_DEPTH:
+        raise ValueError(f"grafted tree nested more than {MAX_DEPTH} levels deep")
 
     _compose(shadow, grafted, applied)
 
@@ -481,7 +467,8 @@ def _tree(shadow: _Shadow, labels: list[str], applied: dict[int, list[_Grafted]]
 def _text(n: int, bare_ok: bool, labels, nodes, after, kids: dict[int, list[int]]) -> str:
     """``write_subtree``'s text of node ``n``'s output subtree, with the
     output ``labels``; each node's children are its ``kids`` entry, else
-    the walk along ``after``.  A module-level function, as ``_fill``."""
+    the walk along ``after``.  A module-level function, not a closure:
+    a recursive closure is a reference cycle."""
     children = kids.get(n)
     if children is not None:
         ok = len(children) > 1

@@ -200,13 +200,3 @@ def load_lexicon_file(path) -> Lexicon:
     except ValueError as exc:
         raise LexiconError(f"{path}: {exc}") from None
 
-
-__all__ = [
-    "Lexicon",
-    "LexiconEntry",
-    "LexiconError",
-    "dump_lexicon",
-    "load_lexicon",
-    "load_lexicon_file",
-    "lookup",
-]

@@ -229,9 +229,7 @@ def _parse_operand(toks: _Tokens) -> Pattern:
     token, column = toks.next()
     if token == "(":
         inner = _parse_pattern_expr(toks, in_group=True)
-        closing, ccol = toks.next()
-        if closing != ")":
-            raise PatternSyntaxError("expected ')'", ccol)
+        toks.next()  # a group's expression ends only at its ``)`` or the text's end
         return inner
     if token in (")", "<", "!<", "$.."):
         raise PatternSyntaxError(f"expected a node test, got {token!r}", column)

@@ -21,18 +21,19 @@ hold ordered children.  Two leaf shapes occur in practice:
   tree rewriting use the same shape (``insert_leaf``).
 
 There is one PTB reader, ``read_preorder``.  It yields each tree as
-soon as its last ``)`` closes, as a ``Preorder`` record: flat lists of
-the nodes in preorder, which is the order in which the tokens meet
-them, with the leaf nodes but no internal node built.  Every tree
-command of ``mn`` reads these records one at a time, and ``mn graft``
-grafts them as they are.  One builder, ``build``, makes trees of such
-lists: ``read_ptb`` builds each record's internal nodes, and graft its
-output from its working copy.  A tree nested more than ``MAX_DEPTH``
-levels deep does not read.  The reader takes a one-word node such as
-``(DT the)`` as one token, and a bracket with the label after it,
-``(NP``, as another.  Within one call it builds each distinct token
-once, so equal leaves are one shared node and equal labels one shared
-string.  Shared leaves pay where leaf spellings repeat, as they do in
+soon as its last ``)`` closes, as a ``Preorder`` record: four flat
+lists over the nodes in preorder, which is the order in which the
+tokens meet them, with the leaf nodes but no internal node built.
+``Preorder.of`` numbers a tree into the same lists, with every node;
+the layout has no other maker.  Every tree command of ``mn`` reads
+these records one at a time, and ``mn graft`` grafts them as they are.
+One builder, ``build``, makes trees of such lists: ``read_ptb`` builds
+each record's internal nodes, and graft its output from its working
+copy.  A tree nested more than ``MAX_DEPTH`` levels deep does not read.
+The reader takes a one-word node such as ``(DT the)`` as one token, and
+a bracket with the label after it, ``(NP``, as another.  Within one
+call it builds each distinct token once, so equal leaves are one shared
+node and equal labels one shared string.  Shared leaves pay where leaf spellings repeat, as they do in
 treebanks of natural sentences; a file in which no spelling repeats
 reads a little slower for the lookup.  Labels repeat in any treebank.
 The text is tokenized a few KiB at a time, so the reader's peak stays
@@ -205,31 +206,60 @@ class Preorder(Value):
     * ``nodes``: each leaf's node; an internal node's entry is None, or
       the node itself in a record made from a tree;
     * ``parent``: the parent's number, -1 at the root;
-    * ``start`` and ``end``: the node's span, the leaves before it and
-      the leaves before it or under it;
     * ``after``: the number after the node's subtree, which is its next
       sibling's when it has one; a node is a leaf exactly when that is
-      its own number plus one;
-    * ``leaves``: the leaves' numbers, left to right.
+      its own number plus one.
+
+    Two makers write these lists, both here: ``read_preorder`` from text,
+    and ``Preorder.of`` from a tree.
     """
 
-    __slots__ = ("labels", "nodes", "parent", "start", "end", "after", "leaves")
+    __slots__ = ("labels", "nodes", "parent", "after")
 
     labels: list[str]
     nodes: list[ParseTree | None]
     parent: list[int]
-    start: list[int]
-    end: list[int]
     after: list[int]
-    leaves: list[int]
 
-    def __init__(self, labels, nodes, parent, start, end, after, leaves) -> None:
-        for setter, value in zip(self._setters, (labels, nodes, parent, start, end, after, leaves)):
+    def __init__(self, labels, nodes, parent, after) -> None:
+        for setter, value in zip(self._setters, (labels, nodes, parent, after)):
             setter(self, value)
+
+    @classmethod
+    def of(cls, tree: ParseTree) -> "Preorder":
+        """``tree``'s record, which holds every node of the tree in ``nodes``."""
+        lists: tuple[list, ...] = ([], [], [], [])
+        _number(tree, -1, *lists)
+        return cls(*lists)
 
     def tree(self) -> ParseTree:
         """The tree, through ``build``; it holds the record's nodes."""
         return build(0, self.labels, self.nodes, self.after, {})
+
+
+def _number(node, up, labels, nodes, parent, after) -> None:
+    """Number ``node`` and its subtree in preorder under parent ``up``.
+
+    A module-level function, not a closure: a recursive closure is a
+    reference cycle.  Leaf daughters, about half of all nodes, are
+    numbered inline to save a call each; a leaf reaches this only as the
+    root.
+    """
+    n = len(nodes)
+    labels.append(node.label)
+    nodes.append(node)
+    parent.append(up)
+    after.append(0)
+    for child in node.children:
+        if child.children:
+            _number(child, n, labels, nodes, parent, after)
+        else:
+            k = len(nodes)
+            labels.append(child.label)
+            nodes.append(child)
+            parent.append(n)
+            after.append(k + 1)
+    after[n] = len(nodes)
 
 
 def build(n: int, labels, nodes, after, kids: dict[int, list[int]]) -> ParseTree:
@@ -401,10 +431,7 @@ def read_preorder(text: str) -> Iterator[Preorder]:
     labels: list = []
     nodes: list[ParseTree | None] = []
     parent: list[int] = []
-    start: list[int] = []
-    end: list[int] = []
     after: list[int] = []
-    leaves: list[int] = []
     built: dict[str, ParseTree | str] = {}  # token -> its leaf or label; "(" + label -> label
     pos, size, base = 0, len(text), 0
     while pos < size:
@@ -420,7 +447,6 @@ def read_preorder(text: str) -> Iterator[Preorder]:
                 if label.__class__ is not str or count == top + 1:
                     message = "missing label" if label is False else "empty node"
                     raise _fault(text, k, message, at_open=True)
-                end[top] = len(leaves)
                 after[top] = count
                 top = parent[top]
                 depth -= 1
@@ -434,8 +460,6 @@ def read_preorder(text: str) -> Iterator[Preorder]:
                 top = len(labels)
                 labels.append((built.get(tok) or _new_label(built, tok)) if len(tok) > 1 else None)
                 nodes.append(None)
-                start.append(len(leaves))
-                end.append(0)
                 after.append(0)
                 continue
             else:  # a leaf: a bare atom, or a one-word node
@@ -445,18 +469,14 @@ def read_preorder(text: str) -> Iterator[Preorder]:
                     if labels[top] is None:
                         labels[top] = False
                 leaf = built.get(tok) or _new_leaf(built, tok)
-                n, s = len(labels), len(leaves)
                 parent.append(top)
+                after.append(len(labels) + 1)
                 labels.append(leaf.label)
                 nodes.append(leaf)
-                start.append(s)
-                end.append(s + 1)
-                after.append(n + 1)
-                leaves.append(n)
                 if top >= 0:
                     continue
-            yield Preorder(labels, nodes, parent, start, end, after, leaves)
-            labels, nodes, parent, start, end, after, leaves = [], [], [], [], [], [], []
+            yield Preorder(labels, nodes, parent, after)
+            labels, nodes, parent, after = [], [], [], []
         base += len(tokens)
         pos = cut
     if top >= 0:

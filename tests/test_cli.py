@@ -938,6 +938,34 @@ def test_graft_span_end_is_checked_against_the_sentence_length(tmp_path, caplog)
     assert not (tmp_path / "o2.ptb").exists()
 
 
+@pytest.mark.parametrize("files", [1, 2], ids=["one-file", "two-files"])
+def test_graft_output_nested_past_max_depth_exits_2_and_writes_nothing(tmp_path, caplog, files):
+    """Inserts may nest an output as deep as the reader takes, and no
+    deeper.  When no one file's annotations nest it too deep, the tree
+    file is named."""
+    tree_file = tmp_path / "t.ptb"
+    tree_file.write_text("(S " + " ".join(f"(NN w{k})" for k in range(300)) + ")\n")
+    paths = [tmp_path / f"s{i}.tsv" for i in range(files)]
+
+    def graft_nested(top, out):
+        # Spans 0..k nest one inserted node each under the root S.
+        for i, path in enumerate(paths):
+            path.write_text("".join(f"0\t0\t{k}\tPER\tNE\n" for k in range(2 + i, top + 1, files)))
+        standoff = [arg for path in paths for arg in ("--standoff", path)]
+        return run("graft", "--trees", tree_file, *standoff, "--out", out, "--report", tmp_path / "r")
+
+    out = tmp_path / "o.ptb"
+    assert graft_nested(trees.MAX_DEPTH, out) == 0
+    assert out.read_text().startswith("(S " + "(PER " * (trees.MAX_DEPTH - 1) + "(NN w0)")
+    assert len(read_ptb_file(out)) == 1
+    out = tmp_path / "o2.ptb"
+    assert graft_nested(trees.MAX_DEPTH + 1, out) == 2
+    blamed = paths[0] if files == 1 else tree_file
+    message = f"{blamed}: sentence 0: grafted tree nested more than {trees.MAX_DEPTH} levels deep"
+    assert message in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "label, span", [("PER(x", "0\t1"), ("", "0\t1"), ("a b", "0\t1"), (")", "0\t2")],
     ids=["paren", "empty", "space", "crossing-span"],

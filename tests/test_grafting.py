@@ -13,7 +13,6 @@ from mntag.grafting import (
     GraftReport,
     SpanCase,
     _apply_key,
-    _preorder,
     _Shadow,
     classify_span,
     graft,
@@ -21,7 +20,9 @@ from mntag.grafting import (
 from mntag.standoff import StandoffAnnotation, parse_standoff
 from mntag.tags import TAGS, Modality, Role, compose_negation
 from mntag.trees import (
+    MAX_DEPTH,
     ParseTree,
+    Preorder,
     Span,
     base_category,
     read_preorder,
@@ -198,6 +199,22 @@ def test_graft_rejects_out_of_range_span():
         graft(tree, [mn(0, 0, 5, "TargAble")])
 
 
+def test_graft_refuses_inserts_nesting_past_max_depth():
+    """Nested spans 0..k insert one node each under the root; graft takes
+    an output of ``MAX_DEPTH`` internal nodes deep, on its text path and
+    its tree path, and refuses one level deeper, where the reader would."""
+    tree = read_ptb("(S " + " ".join(f"(NN w{k})" for k in range(300)) + ")")[0]
+    at_limit = [ne(0, 0, k, "PER") for k in range(2, MAX_DEPTH + 1)]
+    text, _ = graft(tree, at_limit, as_text=True)
+    assert text.startswith("(S " + "(PER " * (MAX_DEPTH - 1) + "(NN w0)")
+    assert write_ptb(graft(tree, at_limit)[0]) == text
+    assert [write_ptb(t) for t in read_ptb(text)] == [text]
+    deeper = at_limit + [ne(0, 0, MAX_DEPTH + 1, "PER")]
+    for as_text in (False, True):
+        with pytest.raises(ValueError, match=f"nested more than {MAX_DEPTH} levels deep"):
+            graft(tree, deeper, as_text=as_text)
+
+
 def test_graft_family_order_matters_only_on_conflicts():
     tree = read_ptb("(S (NP (NNP Pakistan)) (VP (VBD won)))")[0]
     no_conflict = [ne(0, 0, 1, "GPE"), mn(0, 1, 2, "TargSucceed")]
@@ -282,33 +299,40 @@ def _shadow_spans(shadow, n, start, spans):
 
 
 def test_minimal_clause_matches_brute_force_after_insertions():
+    """On a tree's record and on the reader's, before and after inserts,
+    the working copy's leaves and spans are those a walk of its children
+    counts, and the minimal clause is the smallest ``S`` found by brute
+    force."""
     rng = random.Random(4242)
     inserted = inner = 0
     for _ in range(300):
         tree = random_tree(rng, max_nodes=16)
-        record = _preorder(tree)
-        kept = copy.deepcopy(record)
-        shadow = _Shadow(record)
-        n = shadow.size
-        for _ in range(rng.randint(0, 4)):
-            start = rng.randrange(n)
-            where = shadow.adjacent_daughters(Span(start, rng.randint(start + 1, n)))
-            if where is not None:
-                shadow.insert(*where, rng.choice(["S", "X"]))
-                inserted += 1
-        spans = []
-        _shadow_spans(shadow, 0, 0, spans)
-        assert sorted(k for k, _, _ in spans) == list(range(len(shadow.labels)))
-        assert all((shadow.start[k], shadow.end[k]) == (s, e) for k, s, e in spans)
-        assert record == kept  # inserts change the working copy, never the record
-        clauses = [(e - s, s, e) for k, s, e in spans if base_category(shadow.labels[k]) == "S"]
-        for start in range(n):
-            for end in range(start + 1, n + 1):
-                covering = [c for c in clauses if c[1] <= start and end <= c[2]]
-                want = Span(*min(covering)[1:]) if covering else Span(0, n)
-                assert shadow.minimal_clause(Span(start, end)) == want
-                inner += want != Span(0, n)
-    assert inserted > 100 and inner > 500
+        (read,) = read_preorder(write_ptb(tree))
+        for record in (Preorder.of(tree), read):
+            kept = copy.deepcopy(record)
+            shadow = _Shadow(record)
+            n = shadow.size
+            for _ in range(rng.randint(0, 4)):
+                start = rng.randrange(n)
+                where = shadow.adjacent_daughters(Span(start, rng.randint(start + 1, n)))
+                if where is not None:
+                    shadow.insert(*where, rng.choice(["S", "X"]))
+                    inserted += 1
+            spans = []
+            assert _shadow_spans(shadow, 0, 0, spans) == n
+            assert sorted(k for k, _, _ in spans) == list(range(len(shadow.labels)))
+            assert all((shadow.start[k], shadow.end[k]) == (s, e) for k, s, e in spans)
+            assert shadow.leaves == [k for k, _, _ in spans if not shadow.children(k)]
+            assert [shadow.nodes[k].token for k in shadow.leaves] == tree.tokens()
+            assert record == kept  # inserts change the working copy, never the record
+            clauses = [(e - s, s, e) for k, s, e in spans if base_category(shadow.labels[k]) == "S"]
+            for start in range(n):
+                for end in range(start + 1, n + 1):
+                    covering = [c for c in clauses if c[1] <= start and end <= c[2]]
+                    want = Span(*min(covering)[1:]) if covering else Span(0, n)
+                    assert shadow.minimal_clause(Span(start, end)) == want
+                    inner += want != Span(0, n)
+    assert inserted > 300 and inner > 900
 
 
 def _classify_oracle(tree, span):

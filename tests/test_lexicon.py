@@ -101,6 +101,16 @@ def test_lookup_multiword_longest_first():
     hits = lookup(lex, [("hope", "VBP"), ("for", "IN")], 0)
     assert [h[1] for h in hits] == [(0, 2), (0, 1)]
     assert hits[0][0].head == "hope"
+    # "hope for" would run past the last token.
+    tagged = [("we", "PRP"), ("hope", "VBP")]
+    assert [(h[0].surface, h[1]) for h in lookup(lex, tagged, 1)] == [("hope", (1, 2))]
+    with pytest.raises(IndexError, match="position 2 outside sequence of 2"):
+        lookup(lex, tagged, 2)
+
+
+def test_a_line_that_is_not_key_value_is_rejected():
+    with pytest.raises(LexiconError, match="record 1: not a 'Key: Value' line: 'Pos VB'"):
+        load_lexicon("String: need\nPos VB\n")
 
 
 def test_lookup_case_insensitive_words():

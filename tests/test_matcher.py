@@ -72,6 +72,19 @@ def test_unknown_operator_reports_column():
         parse_pattern("NP < /Trig/")  # regex must be anchored
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("NP=x < VB=x", r"duplicate capture names \['x'\]"),
+        ("NP < (DT < NN", "unexpected end of pattern"),  # a group missing its ``)``
+        ("NN=x\naugment x FOO\nVB", "pattern text after actions: 'VB'"),
+    ],
+)
+def test_malformed_rule_rejected(text, message):
+    with pytest.raises(PatternSyntaxError, match=message):
+        parse_pattern(text)
+
+
 def test_captures_forbidden_under_negated_dominance():
     with pytest.raises(PatternSyntaxError):
         parse_pattern("NP !< (DT=x the)")

@@ -14,6 +14,7 @@ from mntag.tags import TAG_INVENTORY, parse_tag, specificity_rank
 from mntag.taggers import (
     agreement,
     fold_markers,
+    is_auxiliary_token,
     parse_inline,
     read_token_tsv,
     render_inline,
@@ -79,6 +80,17 @@ def test_string_tagger_trigger_without_verb_records_diagnostic(seed_lexicon):
     assert any("should" in d for d in result.diagnostics)
 
 
+def test_string_tagger_negation_without_a_target_records_diagnostic(seed_lexicon):
+    result = tag_string([("He", "PRP"), ("did", "VBD"), ("not", "RB")], seed_lexicon)
+    assert "negation trigger at 2 has no target" in result.diagnostics
+
+
+def test_is_auxiliary_token_takes_modals_and_skips_adverbs():
+    assert is_auxiliary_token([("can", "MD")], 0)
+    assert is_auxiliary_token([("has", "VBZ"), ("already", "RB"), ("gone", "VBN")], 0)
+    assert not is_auxiliary_token([("has", "VBZ"), ("already", "RB")], 0)
+
+
 def test_string_tagger_skips_auxiliary_targets(seed_lexicon):
     tokens = [("A", "DT"), ("solution", "NN"), ("must", "MD"), ("be", "VB"),
               ("found", "VBN"), (".", ".")]
@@ -104,7 +116,6 @@ def _string_oracle(sentence, lexicon):
     """Re-derivation of the string-tagging contract, written separately:
     try every entry at every offset, then apply the target heuristic and
     the between-composition rule."""
-    from mntag.taggers import is_auxiliary_token
     from mntag.rulegen import VERBAL_POS
     from mntag.tags import Modality
 
@@ -306,6 +317,15 @@ def test_render_inline_refuses_a_word_spelled_like_a_bracket():
     text = render_inline(["a<b", "x>y"], anns)
     assert text == "<TrigWant a<b x>y>"
     assert parse_inline(text) == (["a<b", "x>y"], anns)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("a b>", "unbalanced '>' in inline text"), ("<TrigAble a", "unclosed tag in inline text")],
+)
+def test_parse_inline_refuses_unbalanced_tags(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_inline(text)
 
 
 def test_inline_round_trip_random(seed_lexicon, seed_rules):

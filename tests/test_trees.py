@@ -13,10 +13,10 @@ import mntag.trees
 from conftest import (
     DATA, STAGE_AUXILIARIES, corpus_words, iter_nodes, ptb_files, random_tree, stage_tree,
 )
-from mntag.grafting import _preorder
 from mntag.rulegen import word_spans
 from mntag.trees import (
     ParseTree,
+    Preorder,
     PTBParseError,
     Span,
     add_suffix,
@@ -190,18 +190,17 @@ def test_read_ptb_in_small_chunks_matches_the_reference_reader(chunk, text):
 @given(st.lists(st.builds(random_tree, st.randoms(use_true_random=False)), min_size=1, max_size=3))
 def test_read_preorder_gives_the_lists_a_preorder_walk_of_the_tree_fills(chunk, forest):
     """Each record ``read_preorder`` yields holds, in every chunk size,
-    what numbering the tree in preorder (graft's ``_fill``) gives: the
-    same labels, parents, spans, ``after`` numbers and leaf numbers, and
-    the leaves themselves, but no internal node."""
+    what numbering the tree in preorder (``Preorder.of``) gives: the same
+    labels, parents and ``after`` numbers, and the leaves themselves, but
+    no internal node."""
     text = "\n".join(write_ptb(tree) for tree in forest) + "\n"
     with mock.patch.object(mntag.trees, "_CHUNK", chunk):
         records = list(read_preorder(text))
     assert len(records) == len(forest)
     for record, tree in zip(records, forest):
-        want = _preorder(tree)
-        leaves = set(want.leaves)
-        assert record.nodes == [n if k in leaves else None for k, n in enumerate(want.nodes)]
-        for field in ("labels", "parent", "start", "end", "after", "leaves"):
+        want = Preorder.of(tree)
+        assert record.nodes == [None if n.children else n for n in want.nodes]
+        for field in ("labels", "parent", "after"):
             assert getattr(record, field) == getattr(want, field), field
         assert record.tree() == tree
 
@@ -491,6 +490,11 @@ def test_rebuilt_keeps_a_leafs_token():
     leaf = ParseTree("MD", (), "should")
     tagged = rebuilt(leaf, (), "MD-TrigRequire")
     assert tagged == ParseTree("MD-TrigRequire", (), "should")
+
+
+def test_base_category_keeps_an_escape_form_whole():
+    assert base_category("VP-TargNOTAble") == "VP"
+    assert base_category("-LRB-") == "-LRB-"
 
 
 def test_add_suffix_appends_a_new_segment_and_skips_one_the_label_has():
