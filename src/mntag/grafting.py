@@ -24,7 +24,8 @@ ever built; a tree is numbered by ``trees.Preorder.of``, whose record
 holds every node.  Graft derives what only it reads from ``after``,
 once per sentence in whole-list passes, with no loop statement: the
 leaves' numbers, each node's span in leaves (``start`` and ``end``) and
-the sentence length.
+the sentence length.  A sentence without annotations gets no working
+copy: graft returns its input, or writes it.
 An inserted node is numbered after the input nodes, and only the two
 nodes an insert touches get a child list of their own; the first
 insert copies the record's lists it extends, so graft never changes a
@@ -33,7 +34,7 @@ insert may nest the output no deeper than ``trees.MAX_DEPTH``, the most
 the reader takes, so every output reads back.
 
 The classification has one implementation, the working copy's
-``same_span_chain`` and ``adjacent_daughters``; ``graft`` acts on it and
+``spine`` and ``adjacent_daughters``; ``graft`` acts on it and
 ``classify_span`` reports it.  Spans in a tree nest or are disjoint, so
 every node covering a span is an ancestor of the span's first leaf:
 both, like the clause lookup for negation composition, are answered on
@@ -45,6 +46,13 @@ precedence, so the highest-precedence tag lands last in its node's
 records and wins conflicts.  A word tagged as both trigger and target
 keeps the target tag regardless of arrival order; only MN labels are
 tags, so an NE label spelled like a trigger stands like any NE label.
+The order is one sort of one decorated tuple per annotation: the
+family's place in the order, the negated rank, the span, the label and
+the arrival index.  Each MN spelling's tag, negated rank and
+composition list are read from one table, ``_PLACING``, made at import
+from ``tags.specificity_rank``, so the precedence order has one
+definition and no tag is parsed or ranked per annotation.  Placement
+counts the outcomes as it goes; composition moves the counts it changes.
 
 After grafting, a Negation trigger adjacent to a modality trigger in
 the same minimal clause composes NOT into that modality's target
@@ -54,20 +62,29 @@ tagger's composition made again by tree position, and it is kept for
 the nested modality the tagger leaves raw (see ``taggers``): of the
 25 golden test sentences it composes differently only at sentence 2,
 "could not reach semi-final" (``VB-TargNOTAble reach``), and sentence
-17, "did not want to succeed" (``VB-TargNOTWant succeed``).  Each
+17, "did not want to succeed" (``VB-TargNOTWant succeed``).  Placement
+files each MN record, in the same pass, in one of four lists: negation
+triggers, other triggers, targets and negation targets.  Each list that
+composition reads is sorted once, on its records' span starts.  Each
 negation finds the triggers and targets its clause covers by bisecting
-the sentence's records, sorted by span start, so it examines only the
-records inside its clause: a sentence of many clauses costs each
-negation no more than its own clause does.
+those lists, so it examines only the records inside its clause: a
+sentence of many clauses costs each negation no more than its own
+clause does.
 
 The output tree comes from ``trees.build`` over the working copy with
 graft's labels.  Only an inserted node, the parent of one, a node whose
 label changed and their ancestors are built anew, so the output shares
 every subtree graft did not change with its input, and a regraft that
-changes nothing returns the input itself.  ``mn graft`` needs only
-text: with ``as_text`` graft writes ``write_ptb``'s text of that tree in
-one walk of the working copy, with the same labels and each leaf
-through ``trees.write_leaf``, and builds no node.
+changes nothing returns the input itself.  A node with one record takes
+its label straight; ``_final_label`` settles a node with more.  ``mn
+graft`` needs only text: with ``as_text`` graft writes ``write_ptb``'s
+text of that tree and builds no node.  The writer, ``_write``, is one
+loop over the nodes in preorder, with no recursion: it keeps the ends
+of the open nodes on a stack, writes a space before every node but the
+root, closes a node when its end is reached, writes each leaf through
+``trees.write_leaf`` and joins once.  A working copy with inserts is
+first numbered again in its own preorder (``_renumbered``), so the
+inserted nodes' child lists go through the same loop.
 
 The working copy holds no reference cycle: its lists hold numbers,
 labels and input nodes, and a graft record names the nodes it was put
@@ -88,7 +105,7 @@ from typing import Sequence
 from .standoff import MN_FAMILY, NE_FAMILY, StandoffAnnotation
 from .tags import TAGS, MNTag, Modality, Role, compose_negation, specificity_rank
 from .trees import (
-    MAX_DEPTH, ParseTree, Preorder, Span, add_suffix, base_category, build, write_leaf,
+    MAX_DEPTH, ParseTree, Preorder, Span, add_suffix, base_category, build, write_leaf, write_ptb,
 )
 
 OUTCOMES = (
@@ -119,9 +136,6 @@ class GraftConfig:
 class GraftReport:
     counts: dict[str, int] = field(default_factory=lambda: {k: 0 for k in OUTCOMES})
 
-    def bump(self, outcome: str) -> None:
-        self.counts[outcome] += 1
-
     def merge(self, other: "GraftReport") -> None:
         for k, v in other.counts.items():
             self.counts[k] += v
@@ -145,10 +159,10 @@ def classify_span(tree: ParseTree, span: Span) -> tuple[SpanCase, ParseTree | No
     shadow = _Shadow(Preorder.of(tree))
     if span.end > shadow.size:
         raise ValueError(f"span {span} outside sentence of {shadow.size} tokens")
-    chain = shadow.same_span_chain(span)
+    chain, top = shadow.spine(span.start, span.end)
     if chain:
-        return SpanCase.EXACT, shadow.nodes[chain[0]]
-    if shadow.adjacent_daughters(span) is not None:
+        return SpanCase.EXACT, shadow.nodes[chain[-1]]
+    if shadow.adjacent_daughters(top, span.end) is not None:
         return SpanCase.ADJACENT_DAUGHTERS, None
     return SpanCase.CROSSING, None
 
@@ -186,27 +200,25 @@ class _Shadow:
             k = after[k]
         return kids
 
-    def _spine(self, span: Span) -> list[int]:
-        """Ancestors of the span's first leaf, leaf included, that start at
-        ``span.start`` and end at or before ``span.end``; bottom first."""
-        s, e = span.start, span.end
+    def spine(self, s: int, e: int) -> tuple[list[int], int]:
+        """Walk up from leaf ``s`` through its ancestors that start at ``s``
+        and end at or before ``e``: the nodes whose span is ``s..e``, the
+        same-span chain, bottom first, and the last node walked."""
         start, end, parent = self.start, self.end, self.parent
-        spine = []
         n = self.leaves[s]
-        while n >= 0 and start[n] == s and end[n] <= e:
-            spine.append(n)
-            n = parent[n]
-        return spine
+        chain = []
+        while True:
+            if end[n] == e:
+                chain.append(n)
+            up = parent[n]
+            if up < 0 or start[up] != s or end[up] > e:
+                return chain, n
+            n = up
 
-    def same_span_chain(self, span: Span) -> list[int]:
-        """Nodes whose span equals ``span``, topmost first."""
-        e, end = span.end, self.end
-        return [n for n in reversed(self._spine(span)) if end[n] == e]
-
-    def adjacent_daughters(self, span: Span) -> tuple[int, int, int] | None:
+    def adjacent_daughters(self, top: int, e: int) -> tuple[int, int, int] | None:
         """``(parent, i, j)`` when daughters ``i..j`` of ``parent`` cover
-        exactly ``span`` and are not all of its daughters, else None."""
-        top = self._spine(span)[-1]
+        exactly the span that ends at ``e`` and whose ``spine`` walk ends
+        at ``top``, and are not all of its daughters; else None."""
         parent = self.parent[top]
         if parent < 0:
             return None
@@ -214,9 +226,9 @@ class _Shadow:
         # ends after it: daughters i..j are never all of its daughters.
         kids, end = self.children(parent), self.end
         i = j = kids.index(top)
-        while j < len(kids) and end[kids[j]] < span.end:
+        while j < len(kids) and end[kids[j]] < e:
             j += 1
-        if j < len(kids) and end[kids[j]] == span.end:
+        if j < len(kids) and end[kids[j]] == e:
             return parent, i, j
         return None
 
@@ -260,16 +272,34 @@ class _Shadow:
         return Span(self.start[n], end[n])
 
 
-def _apply_key(item: tuple[StandoffAnnotation, MNTag | None]) -> tuple:
-    # Lower precedence first, so higher precedence overwrites.
-    a, tag = item
-    rank = specificity_rank(tag) if tag is not None else 0
-    return (-rank, a.span.start, a.span.end, a.label)
+# The lists of MN records ``_compose`` reads, by their index in
+# ``graft``'s ``filed``: modality triggers, modality targets, negation
+# triggers and negation targets.
+_TRIGGERS, _TARGETS, _NEGATIONS, _NEGATION_TARGETS = range(4)
 
 
-@dataclass(eq=False)
+def _filing(tag: MNTag) -> int:
+    """The list a record of ``tag`` is filed in."""
+    negation = tag.modality is Modality.NEGATION
+    if tag.role is Role.TRIGGER:
+        return _NEGATIONS if negation else _TRIGGERS
+    return _NEGATION_TARGETS if negation else _TARGETS
+
+
+#: Each MN tag spelling to its tag, its sort key and its list in
+#: ``_compose``.  The key is ``-specificity_rank``, so lower precedence
+#: sorts first and the highest lands last; a label that is no tag, and
+#: every label of another family, keys 0 (``_UNTAGGED``) and is filed
+#: nowhere.
+_PLACING: dict[str, tuple[MNTag, int, int]] = {
+    spelling: (tag, -specificity_rank(tag), _filing(tag)) for spelling, tag in TAGS.items()
+}
+_UNTAGGED = (None, 0, None)
+
+
+@dataclass(eq=False, slots=True)
 class _Grafted:
-    annotation: StandoffAnnotation
+    span: Span
     outcome: str
     nodes: list[int]  # the numbers of the nodes it was put on
     label: str  # composition may rewrite it
@@ -293,107 +323,130 @@ def graft(
     change it.
     """
     config = config or GraftConfig()
-    shadow = _Shadow(tree if tree.__class__ is Preorder else Preorder.of(tree))
-    report = GraftReport()
+    record = tree.__class__ is Preorder
+    if not annotations:  # nothing to place: no working copy
+        if not as_text:
+            return (tree.tree() if record else tree), GraftReport()
+        text = _write(tree.labels, tree.nodes, tree.after) if record else write_ptb(tree)
+        return text, GraftReport()
+    shadow = _Shadow(tree if record else Preorder.of(tree))
+    size = shadow.size
 
-    for a in annotations:
-        if a.span.end > shadow.size:
-            raise ValueError(f"annotation span {a.span} outside sentence of {shadow.size} tokens")
-        if a.family not in config.family_order:
+    # One decorated tuple per annotation, sorted once: families in order,
+    # then lower precedence first, then by span and label, ties kept in
+    # arrival order.
+    tables = {
+        family: (k, _PLACING if family == MN_FAMILY else {})
+        for k, family in enumerate(config.family_order)
+    }
+    placing = []
+    for i, a in enumerate(annotations):
+        span = a.span
+        if span.end > size:
+            raise ValueError(f"annotation span {span} outside sentence of {size} tokens")
+        family = tables.get(a.family)
+        if family is None:
             order = ",".join(config.family_order)
             raise ValueError(f"annotation family {a.family!r} not in family order {order}")
+        k, table = family
+        label = a.label
+        tag, key, filing = table.get(label, _UNTAGGED)
+        placing.append((k, key, span.start, span.end, label, i, span, tag, filing))
+    placing.sort()
 
-    grafted: list[_Grafted] = []
+    counts = dict.fromkeys(OUTCOMES, 0)
+    filed: tuple[list[_Grafted], ...] = ([], [], [], [])
     applied: dict[int, list[_Grafted]] = {}  # node number -> the records put on it
-    for family in config.family_order:
-        batch = [
-            (a, TAGS.get(a.label) if family == MN_FAMILY else None)
-            for a in annotations
-            if a.family == family
-        ]
-        for a, tag in sorted(batch, key=_apply_key):
-            nodes = shadow.same_span_chain(a.span)
-            if nodes:
-                # Records leave ``applied`` only in ``_compose``, after this.
-                outcome = "overlaid" if any(n in applied for n in nodes) else "grafted-exact"
-            elif (where := shadow.adjacent_daughters(a.span)) is not None:
-                outcome, nodes = "grafted-inserted", [shadow.insert(*where, a.label)]
-            else:
+    spine = shadow.spine
+    for _, _, s, e, label, _, span, tag, filing in placing:
+        nodes, top = spine(s, e)
+        if nodes:
+            # Records leave ``applied`` only in ``_compose``, after this.
+            outcome = "overlaid" if any(map(applied.__contains__, nodes)) else "grafted-exact"
+        else:
+            where = shadow.adjacent_daughters(top, e)
+            if where is None:
                 outcome = "crossing-skipped"
-            g = _Grafted(a, outcome, nodes, a.label, tag)
-            for n in nodes:
-                applied.setdefault(n, []).append(g)
-            grafted.append(g)
+            else:
+                outcome, nodes = "grafted-inserted", [shadow.insert(*where, label)]
+        counts[outcome] += 1
+        g = _Grafted(span, outcome, nodes, label, tag)
+        for n in nodes:
+            applied.setdefault(n, []).append(g)
+        if filing is not None:
+            filed[filing].append(g)
     # An output ``read_preorder`` refuses would not read back, nor could
-    # the walks that write or build it reach its deepest nodes.
+    # the walks that build it reach its deepest nodes.
     if len(shadow.labels) > shadow.inputs and shadow.depth() > MAX_DEPTH:
         raise ValueError(f"grafted tree nested more than {MAX_DEPTH} levels deep")
 
-    _compose(shadow, grafted, applied)
-
-    for g in grafted:
-        report.bump(g.outcome)
+    _compose(shadow, filed, applied, counts)
 
     labels = shadow.labels.copy()
-    for n in applied:
-        labels[n] = _out_label(n, shadow, applied)
-    if as_text:
-        return _text(0, False, labels, shadow.nodes, shadow.after, shadow.kids), report
-    return _tree(shadow, labels, applied), report
-
-
-def _span_start(g: _Grafted) -> int:
-    return g.annotation.span.start
+    inputs = shadow.inputs
+    for n, records in applied.items():
+        if not records:
+            continue  # every record dropped: the node keeps its label
+        chosen = records[0].label if len(records) == 1 else _final_label(records)
+        labels[n] = chosen if n >= inputs else add_suffix(labels[n], chosen)
+    report = GraftReport(counts)
+    if not as_text:
+        return _tree(shadow, labels, applied), report
+    if len(labels) == inputs:
+        return _write(labels, shadow.nodes, shadow.after), report
+    return _write(*_renumbered(shadow, labels)), report
 
 
 def _compose(
-    shadow: _Shadow, grafted: list[_Grafted], applied: dict[int, list[_Grafted]]
+    shadow: _Shadow,
+    filed: tuple[list[_Grafted], ...],
+    applied: dict[int, list[_Grafted]],
+    counts: dict[str, int],
 ) -> None:
-    mn = [g for g in grafted if g.tag]
-    negations = [
-        g for g in mn if g.tag.role is Role.TRIGGER and g.tag.modality is Modality.NEGATION
-    ]
-    if negations:
-        _compose_negations(shadow, mn, negations)
+    if filed[_NEGATIONS]:
+        _compose_negations(shadow, filed, counts)
 
     # Raw Negation targets left on words that carry other tags are
     # uncomposable nested modality; remove them.
-    for g in mn:
-        if g.tag.role is Role.TARGET and g.tag.modality is Modality.NEGATION:
-            records = [applied[n] for n in g.nodes]
-            if any(other is not g for on_node in records for other in on_node):
-                g.outcome = "dropped-uncomposable"
-                for on_node in records:
-                    on_node.remove(g)
+    for g in filed[_NEGATION_TARGETS]:
+        records = [applied[n] for n in g.nodes]
+        if any(other is not g for on_node in records for other in on_node):
+            counts[g.outcome] -= 1
+            counts["dropped-uncomposable"] += 1
+            g.outcome = "dropped-uncomposable"
+            for on_node in records:
+                on_node.remove(g)
 
 
-def _compose_negations(shadow: _Shadow, mn: list[_Grafted], negations: list[_Grafted]) -> None:
+def _by_start(records: list[_Grafted]) -> tuple[list[int], list[_Grafted]]:
+    """``records``' span starts, ascending, and the records in that
+    order; records with one start stay in placement order."""
+    decorated = sorted([(g.span.start, k, g) for k, g in enumerate(records)])
+    return [d[0] for d in decorated], [d[2] for d in decorated]
+
+
+def _compose_negations(
+    shadow: _Shadow, filed: tuple[list[_Grafted], ...], counts: dict[str, int]
+) -> None:
     """Compose each negation into the targets of the trigger it is
     adjacent to in its minimal clause.  The triggers and targets a clause
     covers are found by bisecting lists sorted by span start, so each
     negation looks only at records inside its clause."""
-    # Stable sorts: records with one start stay in placement order.
-    triggers = sorted(
-        (g for g in mn if g.tag.role is Role.TRIGGER and g.tag.modality is not Modality.NEGATION),
-        key=_span_start,
-    )
-    targets = sorted((g for g in mn if g.tag.role is Role.TARGET), key=_span_start)
-    trigger_starts = [_span_start(g) for g in triggers]
-    target_starts = [_span_start(g) for g in targets]
-    negations.sort(key=_span_start)
+    trigger_starts, triggers = _by_start(filed[_TRIGGERS])
+    target_starts, targets = _by_start(filed[_TARGETS])
 
-    for neg in negations:
-        nspan = neg.annotation.span
+    for neg in _by_start(filed[_NEGATIONS])[1]:
+        nspan = neg.span
         clause = shadow.minimal_clause(nspan)
         first = bisect_left(trigger_starts, clause.start)
         stop = bisect_left(trigger_starts, clause.end, first)
         adjacent = [
             t
             for t in triggers[first:stop]
-            if clause.covers(t.annotation.span)
+            if clause.covers(t.span)
             and (
-                t.annotation.span.end == nspan.start
-                or nspan.end == t.annotation.span.start
+                t.span.end == nspan.start
+                or nspan.end == t.span.start
                 or _siblings(shadow, t, neg)
             )
         ]
@@ -401,20 +454,23 @@ def _compose_negations(shadow: _Shadow, mn: list[_Grafted], negations: list[_Gra
             continue
         # Prefer the trigger just before the negation (a modal), else after;
         # ``min`` keeps the first of equals, so ties go by placement.
-        trig_tag = min(
-            adjacent, key=lambda t: (t.annotation.span.end != nspan.start, _span_start(t))
-        ).tag
+        trig_tag = min(adjacent, key=lambda t: (t.span.end != nspan.start, t.span.start)).tag
         first = bisect_left(target_starts, clause.start)
         stop = bisect_left(target_starts, clause.end, first)
+        composed = False
         for g in targets[first:stop]:
             if (
                 g.tag.modality is trig_tag.modality
                 and not g.tag.outer_not
-                and clause.covers(g.annotation.span)
+                and clause.covers(g.span)
             ):
                 g.tag = compose_negation(g.tag)
                 g.label = str(g.tag)
-                neg.outcome = "composed"
+                composed = True
+        if composed:
+            counts[neg.outcome] -= 1
+            counts["composed"] += 1
+            neg.outcome = "composed"
 
 
 def _siblings(shadow: _Shadow, a: _Grafted, b: _Grafted) -> bool:
@@ -435,17 +491,6 @@ def _final_label(records: list[_Grafted]) -> str:
     return chosen.label
 
 
-def _out_label(n: int, shadow: _Shadow, applied: dict[int, list[_Grafted]]) -> str:
-    """The label node ``n`` has in the output."""
-    records = applied.get(n)
-    label = shadow.labels[n]
-    if n >= shadow.inputs:
-        # An inserted node whose tag was dropped keeps the label it was
-        # inserted with, for traceability, rather than vanish.
-        return _final_label(records) if records else label
-    return add_suffix(label, _final_label(records)) if records else label
-
-
 def _tree(shadow: _Shadow, labels: list[str], applied: dict[int, list[_Grafted]]) -> ParseTree:
     """The output tree with the output ``labels``; see the module docstring."""
     inputs, parent, after = shadow.inputs, shadow.parent, shadow.after
@@ -464,26 +509,48 @@ def _tree(shadow: _Shadow, labels: list[str], applied: dict[int, list[_Grafted]]
     return build(0, labels, nodes, after, shadow.kids)
 
 
-def _text(n: int, bare_ok: bool, labels, nodes, after, kids: dict[int, list[int]]) -> str:
-    """``write_subtree``'s text of node ``n``'s output subtree, with the
-    output ``labels``; each node's children are its ``kids`` entry, else
-    the walk along ``after``.  A module-level function, not a closure:
-    a recursive closure is a reference cycle."""
-    children = kids.get(n)
-    if children is not None:
-        ok = len(children) > 1
-        parts = [_text(k, ok, labels, nodes, after, kids) for k in children]
-        return f"({labels[n]} {' '.join(parts)})"
-    k, stop = n + 1, after[n]
-    if k == stop:
-        return write_leaf(labels[n], nodes[n].token, bare_ok)
-    ok = after[k] != stop
-    parts = []
-    while k < stop:
+def _renumbered(shadow: _Shadow, labels: list[str]) -> tuple[list, list, list]:
+    """The output tree's ``labels``, ``nodes`` and ``after`` lists, as in
+    ``trees.Preorder``, numbered in its own preorder: inserted nodes take
+    their places before the daughters they took."""
+    out_labels, out_nodes, out_after = [], [], []
+    stack = [0]  # node numbers to number; ``~k`` closes the node numbered k
+    while stack:
+        n = stack.pop()
+        if n < 0:
+            out_after[~n] = len(out_after)
+            continue
+        k = len(out_after)
+        out_labels.append(labels[n])
+        out_nodes.append(shadow.nodes[n] if n < shadow.inputs else None)
+        kids = shadow.children(n)
+        out_after.append(k + 1)
+        if kids:
+            stack.append(~k)
+            stack += reversed(kids)
+    return out_labels, out_nodes, out_after
+
+
+def _write(labels, nodes, after) -> str:
+    """``write_ptb``'s text of the tree these ``trees.Preorder`` lists
+    hold, written in one loop over its nodes in preorder: a space before
+    every node but the root, and an open node's ``)`` when its ``after``
+    is reached.  A leaf is an only child, and so may not be written
+    bare, exactly when the node before it ends just after it."""
+    size = len(after)
+    if size == 1:
+        return write_leaf(labels[0], nodes[0].token, False)
+    parts = ["(", labels[0]]
+    open_ends = [size]  # the ``after`` of each open node, innermost last
+    for k in range(1, size):
+        while open_ends[-1] == k:
+            open_ends.pop()
+            parts.append(")")
         a = after[k]
-        if a == k + 1:  # a leaf, written here to save a call
-            parts.append(write_leaf(labels[k], nodes[k].token, ok))
+        if a == k + 1:
+            parts.append(" " + write_leaf(labels[k], nodes[k].token, after[k - 1] != a))
         else:
-            parts.append(_text(k, ok, labels, nodes, after, kids))
-        k = a
-    return f"({labels[n]} {' '.join(parts)})"
+            parts.append(" (" + labels[k])
+            open_ends.append(a)
+    parts.append(")" * len(open_ends))
+    return "".join(parts)

@@ -88,11 +88,14 @@ class Value:
 
     Equality, hashing, ``repr``, copying and pickling go by the fields in
     slot order, as for a frozen dataclass of them; an instance equals only
-    an instance of its own class.  Every attribute write or delete raises
-    ``FrozenInstanceError``, so a subclass's ``__init__`` checks its
-    arguments and writes each field through ``_setters``, its slots'
-    setters in field order.  A ``__dict__`` slot is not a field; it holds
-    what a ``cached_property`` keeps.
+    an instance of its own class.  Equality and ``repr`` work from a
+    stack, not by recursion, so trees nested to any depth compare and
+    print; hashing and pickling recurse, and hold at ``MAX_DEPTH``.
+    Every attribute write or delete raises ``FrozenInstanceError``, so a
+    subclass's ``__init__`` checks its arguments and writes each field
+    through ``_setters``, its slots' setters in field order.  A
+    ``__dict__`` slot is not a field; it holds what a ``cached_property``
+    keeps.
     """
 
     __slots__ = ()
@@ -119,14 +122,53 @@ class Value:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values(self) == self._values(other)
+        xs, ys = self._values(self), self._values(other)
+        if tuple not in map(type, xs):
+            return xs == ys
+        # A tuple field, such as a tree's children, may nest values to any
+        # depth: they are compared from a stack, not by recursion.
+        stack = [(xs, ys)]
+        while stack:
+            xs, ys = stack.pop()
+            if len(xs) != len(ys):
+                return False
+            for x, y in zip(xs, ys):
+                if x is y:
+                    continue
+                if isinstance(x, Value) and x.__class__ is y.__class__:
+                    stack.append((x._values(x), y._values(y)))
+                elif x.__class__ is tuple is y.__class__:
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __hash__(self) -> int:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = zip(self.__match_args__, self._values(self))
-        return f"{self.__class__.__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+        # Written from a stack, as equality is compared: each entry is text
+        # to write, or a value whose ``repr`` is wanted.
+        out: list[str] = []
+        stack: list[tuple[bool, object]] = [(False, self)]
+        while stack:
+            is_text, x = stack.pop()
+            if is_text:
+                out.append(x)
+            elif isinstance(x, Value):
+                fields = zip(x.__match_args__, x._values(x))
+                stack.append((True, ")"))
+                for k, (name, v) in reversed(list(enumerate(fields))):
+                    stack += [(False, v), (True, f"{', ' if k else ''}{name}=")]
+                out.append(f"{x.__class__.__qualname__}(")
+            elif x.__class__ is tuple:
+                stack.append((True, ",)" if len(x) == 1 else ")"))
+                for k in reversed(range(len(x))):
+                    stack += [(False, x[k]), (True, ", " if k else "")]
+                out.append("(")
+            else:
+                out.append(repr(x))
+        return "".join(out)
 
     def __reduce__(self):
         return self.__class__, self._values(self)
@@ -163,6 +205,11 @@ class ParseTree(Value):
         set_label(self, label)
         set_children(self, children)
         set_token(self, token)
+
+    def __deepcopy__(self, memo) -> "ParseTree":
+        # Immutable all the way down, so a copy would be an equal value;
+        # the tree itself is one, at any depth.
+        return self
 
     @property
     def is_leaf(self) -> bool:

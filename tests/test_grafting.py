@@ -6,19 +6,19 @@ from operator import is_
 
 import pytest
 
+import mntag.grafting
 from conftest import DATA, iter_nodes, random_tree
 from mntag.grafting import (
     OUTCOMES,
     GraftConfig,
     GraftReport,
     SpanCase,
-    _apply_key,
     _Shadow,
     classify_span,
     graft,
 )
 from mntag.standoff import StandoffAnnotation, parse_standoff
-from mntag.tags import TAGS, Modality, Role, compose_negation
+from mntag.tags import TAGS, Modality, Role, compose_negation, specificity_rank
 from mntag.trees import (
     MAX_DEPTH,
     ParseTree,
@@ -80,6 +80,23 @@ def test_graft_empty_annotations_identity():
     out, report = graft(tree, [])
     assert out is tree
     assert sum(report.counts.values()) == 0
+
+
+def test_graft_without_annotations_writes_the_input_and_makes_no_working_copy(monkeypatch):
+    def no_working_copy(record):
+        raise AssertionError("graft made a working copy for a sentence without annotations")
+
+    monkeypatch.setattr(mntag.grafting, "_Shadow", no_working_copy)
+    text = (DATA / "corpus_trees.ptb").read_text() + "(NN dog)\n(S (NP Khan) (VP wins))\n"
+    for record in read_preorder(text):
+        tree = record.tree()
+        for subject in (record, tree):
+            out, report = graft(subject, [], as_text=True)
+            assert out == write_ptb(tree)
+            assert report.counts == dict.fromkeys(OUTCOMES, 0)
+        assert graft(tree, [])[0] is tree
+        out, report = graft(record, [])
+        assert out == tree and report.counts == dict.fromkeys(OUTCOMES, 0)
 
 
 def test_graft_output_shares_every_subtree_it_did_not_change():
@@ -314,7 +331,8 @@ def test_minimal_clause_matches_brute_force_after_insertions():
             n = shadow.size
             for _ in range(rng.randint(0, 4)):
                 start = rng.randrange(n)
-                where = shadow.adjacent_daughters(Span(start, rng.randint(start + 1, n)))
+                end = rng.randint(start + 1, n)
+                where = shadow.adjacent_daughters(shadow.spine(start, end)[1], end)
                 if where is not None:
                     shadow.insert(*where, rng.choice(["S", "X"]))
                     inserted += 1
@@ -408,6 +426,20 @@ def test_graft_properties_on_random_instances():
         again, report2 = graft(tree, shuffled)
         assert again == out
         assert report2.counts == report.counts
+    # The text path too, on annotations that tie on rank, on span and on
+    # negation, and over the reader's record.
+    for _ in range(500):
+        tree = random_tree(rng, max_nodes=12)
+        (record,) = read_preorder(write_ptb(tree))
+        anns = composing_annotations(rng, tree)
+        config = GraftConfig(rng.choice([("NE", "MN"), ("MN", "NE")]))
+        text, report = graft(tree, anns, config, as_text=True)
+        for subject in (tree, record):
+            shuffled = anns[:]
+            rng.shuffle(shuffled)
+            again, report2 = graft(subject, shuffled, config, as_text=True)
+            assert again == text
+            assert report2.counts == report.counts
 
 
 def test_crossing_only_annotations_never_change_random_trees():
@@ -564,6 +596,14 @@ class _RefGrafted:
     tag: object
 
 
+def _reference_order(item):
+    """The reference's placement order within a family: lower precedence
+    first, so the highest lands last, then by span and label."""
+    a, tag = item
+    rank = 0 if tag is None else specificity_rank(tag)
+    return (-rank, a.span.start, a.span.end, a.label)
+
+
 def _reference_graft(tree, annotations, config=None):
     config = config or GraftConfig()
     shadow = _RefShadow(tree)
@@ -580,7 +620,7 @@ def _reference_graft(tree, annotations, config=None):
             for a in annotations
             if a.family == family
         ]
-        for a, tag in sorted(batch, key=_apply_key):
+        for a, tag in sorted(batch, key=_reference_order):
             nodes = shadow.same_span_chain(a.span)
             if nodes:
                 outcome = "overlaid" if any(n.applied for n in nodes) else "grafted-exact"
@@ -594,7 +634,7 @@ def _reference_graft(tree, annotations, config=None):
             grafted.append(g)
     _reference_compose(shadow, grafted)
     for g in grafted:
-        report.bump(g.outcome)
+        report.counts[g.outcome] += 1
     return _reference_render(shadow.root), report
 
 
@@ -822,6 +862,47 @@ def test_regrafting_the_golden_grafted_corpus_returns_it_byte_for_byte():
         out, _ = graft(tree, [a for a in annotations if a.sentence == i])
         lines.append(write_ptb(out) + "\n")
     assert "".join(lines) == text
+
+
+def test_graft_long_coordinated_sentences_match_the_reference():
+    """Sentences of 8 to 32 corpus sentences coordinated under one ``S``,
+    with each conjunct's golden MN and NE annotations shifted by its
+    offset: the text path, on the tree and on the reader's record, the
+    tree path and the reference graft agree."""
+    corpus = (DATA / "corpus_trees.ptb").read_text().splitlines()
+    annotations = parse_standoff((DATA / "golden_standoff.tsv").read_text())
+    annotations += parse_standoff((DATA / "ne_sample.tsv").read_text())
+    rng = random.Random(3232)
+    outcomes = dict.fromkeys(OUTCOMES, 0)
+    for conjuncts in (8, 16, 24, 32):
+        chosen = [rng.randrange(len(corpus)) for _ in range(conjuncts)]
+        inner, anns, offset = [], [], 0
+        for i in chosen:
+            assert corpus[i].startswith("(TOP (S ")
+            inner.append(corpus[i][len("(TOP ") : -1])
+            anns += [
+                StandoffAnnotation(
+                    0, Span(a.span.start + offset, a.span.end + offset), a.label, a.family
+                )
+                for a in annotations
+                if a.sentence == i
+            ]
+            offset += len(read_ptb(corpus[i])[0].tokens()) + 1  # the conjunction follows
+        (record,) = read_preorder("(TOP (S " + " (CC and) ".join(inner) + "))")
+        tree = record.tree()
+        rng.shuffle(anns)
+        for config in (GraftConfig(("NE", "MN")), GraftConfig(("MN", "NE"))):
+            want, want_report = _reference_graft(tree, anns, config)
+            out, report = graft(tree, anns, config)
+            assert out == want
+            assert report.counts == want_report.counts
+            for subject in (tree, record):
+                text, text_report = graft(subject, anns, config, as_text=True)
+                assert text == write_ptb(want)
+                assert text_report.counts == want_report.counts
+            for k, v in report.counts.items():
+                outcomes[k] += v
+    assert all(outcomes[k] >= 8 for k in ("overlaid", "composed", "dropped-uncomposable"))
 
 
 CONJUNCT = "(S (NP (NNP Khan)) (VP (MD can) (RB not) (VP (VB go) (PP (IN to) (NP (NNP Lahore))))))"

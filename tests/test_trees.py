@@ -15,6 +15,7 @@ from conftest import (
 )
 from mntag.rulegen import word_spans
 from mntag.trees import (
+    MAX_DEPTH,
     ParseTree,
     Preorder,
     PTBParseError,
@@ -266,6 +267,29 @@ def test_tree_value_semantics():
     for clone in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
         assert clone == tree and hash(clone) == hash(tree)
     assert ParseTree("DT", [], "a").children == ()
+
+
+def test_trees_as_deep_as_the_reader_takes_compare_print_and_copy():
+    """Equality, ``repr`` and ``deepcopy`` do not recurse per level, so a
+    tree ``MAX_DEPTH`` internal nodes deep, the deepest that reads, works
+    with each, and so does a pickle round trip."""
+    text = "(X " * MAX_DEPTH + "a b" + ")" * MAX_DEPTH
+    (tree,) = read_ptb(text)
+    (twin,) = read_ptb(text)
+    (other,) = read_ptb(text.replace("a b", "a c"))
+    assert twin == tree and twin is not tree and other != tree
+    assert copy.deepcopy(tree) is tree
+    assert pickle.loads(pickle.dumps(tree)) == tree
+    assert repr(tree) == (
+        "ParseTree(label='X', children=(" * MAX_DEPTH
+        + "ParseTree(label='a', children=(), token='a'), "
+        + "ParseTree(label='b', children=(), token='b')), token=None)"
+        + ",), token=None)" * (MAX_DEPTH - 1)
+    )
+    (record,) = read_preorder(text)
+    kept = copy.deepcopy(record)  # a record's lists are copied
+    assert kept == record and kept.labels is not record.labels
+    assert kept.tree() == tree
 
 
 def test_one_read_builds_each_leaf_spelling_once():
