@@ -29,9 +29,7 @@ copy: graft returns its input, or writes it.
 An inserted node is numbered after the input nodes, and only the two
 nodes an insert touches get a child list of their own; the first
 insert copies the record's lists it extends, so graft never changes a
-record.  Graft records attach to node numbers through a dict.  An
-insert may nest the output no deeper than ``trees.MAX_DEPTH``, the most
-the reader takes, so every output reads back.
+record.  Graft records attach to node numbers through a dict.
 
 The classification has one implementation, the working copy's
 ``spine`` and ``adjacent_daughters``; ``graft`` acts on it and
@@ -71,20 +69,23 @@ those lists, so it examines only the records inside its clause: a
 sentence of many clauses costs each negation no more than its own
 clause does.
 
-The output tree comes from ``trees.build`` over the working copy with
-graft's labels.  Only an inserted node, the parent of one, a node whose
-label changed and their ancestors are built anew, so the output shares
-every subtree graft did not change with its input, and a regraft that
-changes nothing returns the input itself.  A node with one record takes
-its label straight; ``_final_label`` settles a node with more.  ``mn
-graft`` needs only text: with ``as_text`` graft writes ``write_ptb``'s
-text of that tree and builds no node.  The writer, ``_write``, is one
-loop over the nodes in preorder, with no recursion: it keeps the ends
-of the open nodes on a stack, writes a space before every node but the
-root, closes a node when its end is reached, writes each leaf through
-``trees.write_leaf`` and joins once.  A working copy with inserts is
-first numbered again in its own preorder (``_renumbered``), so the
-inserted nodes' child lists go through the same loop.
+A node with one record takes its label straight; ``_final_label``
+settles a node with more.  Both outputs read one numbering of the
+output, ``_output``'s ``trees.Preorder`` lists: the working copy's own
+lists with graft's labels, or, after an insert, lists numbered again in
+the output's own preorder by one stack walk, which also refuses an
+output nested more than ``trees.MAX_DEPTH`` internal nodes deep, the
+most the reader takes, so every output reads back.  The output tree is
+``trees.build`` of them, once graft has cleared for building only an
+inserted node's parent, a node whose label changed (a leaf becomes a new
+leaf) and their ancestors: so the output shares every subtree graft did
+not change with its input, and a regraft that changes nothing returns
+the input itself.  ``mn graft`` needs only text: with ``as_text`` graft
+builds no node, and ``_write`` writes ``write_ptb``'s text in one loop
+over the nodes in preorder, with no recursion: it keeps the ends of the
+open nodes on a stack, writes a space before every node but the root,
+closes a node when its end is reached, writes each leaf through
+``trees.write_leaf`` and joins once.
 
 The working copy holds no reference cycle: its lists hold numbers,
 labels and input nodes, and a graft record names the nodes it was put
@@ -250,17 +251,6 @@ class _Shadow:
             self.parent[k] = new
         return new
 
-    def depth(self) -> int:
-        """The most internal nodes on a path from the root to a leaf."""
-        deepest, stack = 0, [(0, 0)]
-        while stack:
-            n, d = stack.pop()
-            kids = self.children(n)
-            if kids:
-                deepest = max(deepest, d + 1)
-                stack += [(k, d + 1) for k in kids]
-        return deepest
-
     def minimal_clause(self, span: Span) -> Span:
         """Span of the smallest ``S`` covering ``span``, else the root's."""
         parent, end = self.parent, self.end
@@ -375,10 +365,6 @@ def graft(
             applied.setdefault(n, []).append(g)
         if filing is not None:
             filed[filing].append(g)
-    # An output ``read_preorder`` refuses would not read back, nor could
-    # the walks that build it reach its deepest nodes.
-    if len(shadow.labels) > shadow.inputs and shadow.depth() > MAX_DEPTH:
-        raise ValueError(f"grafted tree nested more than {MAX_DEPTH} levels deep")
 
     _compose(shadow, filed, applied, counts)
 
@@ -389,12 +375,25 @@ def graft(
             continue  # every record dropped: the node keeps its label
         chosen = records[0].label if len(records) == 1 else _final_label(records)
         labels[n] = chosen if n >= inputs else add_suffix(labels[n], chosen)
-    report = GraftReport(counts)
+    nodes = shadow.nodes
     if not as_text:
-        return _tree(shadow, labels, applied), report
-    if len(labels) == inputs:
-        return _write(labels, shadow.nodes, shadow.after), report
-    return _write(*_renumbered(shadow, labels)), report
+        # Clear each changed node and its ancestors for ``build``: an
+        # inserted node's parent, and a relabeled node, a leaf as a new leaf.
+        parent, after = shadow.parent, shadow.after
+        nodes = nodes + [None] * (len(labels) - inputs)
+        for n in applied:
+            if n >= inputs:
+                n = parent[n]
+            elif labels[n] == shadow.labels[n]:
+                continue
+            elif after[n] == n + 1:  # a leaf
+                nodes[n] = ParseTree(labels[n], (), nodes[n].token)
+                n = parent[n]
+            while n >= 0 and nodes[n] is not None:
+                nodes[n] = None
+                n = parent[n]
+    out = _output(shadow, labels, nodes)
+    return (_write(*out) if as_text else build(*out)), GraftReport(counts)
 
 
 def _compose(
@@ -491,41 +490,30 @@ def _final_label(records: list[_Grafted]) -> str:
     return chosen.label
 
 
-def _tree(shadow: _Shadow, labels: list[str], applied: dict[int, list[_Grafted]]) -> ParseTree:
-    """The output tree with the output ``labels``; see the module docstring."""
-    inputs, parent, after = shadow.inputs, shadow.parent, shadow.after
-    nodes = shadow.nodes + [None] * (len(labels) - inputs)
-    for n in applied:
-        if n >= inputs:
-            n = parent[n]
-        elif labels[n] == shadow.labels[n]:
-            continue
-        elif after[n] == n + 1:  # a leaf
-            nodes[n] = ParseTree(labels[n], (), nodes[n].token)
-            n = parent[n]
-        while n >= 0 and nodes[n] is not None:
-            nodes[n] = None
-            n = parent[n]
-    return build(0, labels, nodes, after, shadow.kids)
-
-
-def _renumbered(shadow: _Shadow, labels: list[str]) -> tuple[list, list, list]:
+def _output(shadow: _Shadow, labels: list[str], nodes: list) -> tuple[list, list, list]:
     """The output tree's ``labels``, ``nodes`` and ``after`` lists, as in
-    ``trees.Preorder``, numbered in its own preorder: inserted nodes take
-    their places before the daughters they took."""
+    ``trees.Preorder``; with inserts, numbered again in its own preorder,
+    inserted nodes before the daughters they took (module docstring)."""
+    inputs = shadow.inputs
+    if len(labels) == inputs:
+        return labels, nodes, shadow.after
     out_labels, out_nodes, out_after = [], [], []
-    stack = [0]  # node numbers to number; ``~k`` closes the node numbered k
+    depth, stack = 0, [0]  # node numbers to number; ``~k`` closes the node numbered k
     while stack:
         n = stack.pop()
         if n < 0:
             out_after[~n] = len(out_after)
+            depth -= 1
             continue
         k = len(out_after)
         out_labels.append(labels[n])
-        out_nodes.append(shadow.nodes[n] if n < shadow.inputs else None)
-        kids = shadow.children(n)
+        out_nodes.append(nodes[n] if n < inputs else None)
         out_after.append(k + 1)
+        kids = shadow.children(n)
         if kids:
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise ValueError(f"grafted tree nested more than {MAX_DEPTH} levels deep")
             stack.append(~k)
             stack += reversed(kids)
     return out_labels, out_nodes, out_after

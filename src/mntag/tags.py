@@ -16,7 +16,7 @@ off it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 
@@ -124,6 +124,13 @@ TAG_INVENTORY: tuple[str, ...] = tuple(dict.fromkeys(tag.base for tag in TAGS.va
 
 _RANK = {base: i for i, base in enumerate(TAG_INVENTORY)}
 
+#: Each tag but a bare Negation to its composed tag, a shared one.
+_NEGATED = {
+    tag: TAGS[str(replace(tag, outer_not=not tag.outer_not))]
+    for tag in TAGS.values()
+    if tag.modality is not Modality.NEGATION
+}
+
 # Longest names first so Firm_Belief is not mis-read as Belief.
 _MODALITY_NAMES = sorted(MODALITY_BY_NAME.items(), key=lambda kv: len(kv[0]), reverse=True)
 
@@ -177,12 +184,15 @@ def compose_negation(tag: MNTag) -> MNTag:
     """Compose an outer negation onto a modality tag.
 
     ``TrigAble`` composed with a negation trigger yields the
-    ``NOTAble`` family; composing twice restores the original tag.
-    Bare Negation tags cannot be negated further.
+    ``NOTAble`` family; composing twice restores the original tag.  The
+    result is a shared tag of ``TAGS``; bare Negation tags cannot be
+    negated further.
     """
-    if tag.modality is Modality.NEGATION:
+    negated = _NEGATED.get(tag)
+    if negated is None:
         raise TagError("cannot compose negation onto a bare Negation tag")
-    return MNTag(tag.role, not tag.outer_not, tag.modality, tag.lexical_negation)
+    return negated
+
 
 
 def negate_proposition(tag: MNTag) -> MNTag:

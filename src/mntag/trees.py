@@ -27,9 +27,10 @@ tokens meet them, with the leaf nodes but no internal node built.
 ``Preorder.of`` numbers a tree into the same lists, with every node;
 the layout has no other maker.  Every tree command of ``mn`` reads
 these records one at a time, and ``mn graft`` grafts them as they are.
-One builder, ``build``, makes trees of such lists: ``read_ptb`` builds
-each record's internal nodes, and graft its output from its working
-copy.  A tree nested more than ``MAX_DEPTH`` levels deep does not read.
+One builder, ``build``, makes trees of such lists, bottom-up in one
+loop with no recursion: ``read_ptb`` builds each record's internal
+nodes, and graft its output from the lists it numbers for both its
+outputs.  A tree nested more than ``MAX_DEPTH`` levels deep does not read.
 The reader takes a one-word node such as ``(DT the)`` as one token, and
 a bracket with the label after it, ``(NP``, as another.  Within one
 call it builds each distinct token once, so equal leaves are one shared
@@ -281,7 +282,7 @@ class Preorder(Value):
 
     def tree(self) -> ParseTree:
         """The tree, through ``build``; it holds the record's nodes."""
-        return build(0, self.labels, self.nodes, self.after, {})
+        return build(self.labels, self.nodes, self.after)
 
 
 def _number(node, up, labels, nodes, parent, after) -> None:
@@ -309,25 +310,20 @@ def _number(node, up, labels, nodes, parent, after) -> None:
     after[n] = len(nodes)
 
 
-def build(n: int, labels, nodes, after, kids: dict[int, list[int]]) -> ParseTree:
-    """Node ``n``'s tree from lists indexed by node number, as in
-    ``Preorder``: ``nodes[n]`` unless that is None, else a new node
-    labeled ``labels[n]`` over children built the same way, its ``kids``
-    entry if it has one, else the walk along ``after``.  The tree shares
-    every node the lists hold."""
-    node = nodes[n]
-    if node is not None:
-        return node
-    children = kids.get(n)
-    if children is None:
-        out, k, stop = [], n + 1, after[n]
-        while k < stop:
-            child = nodes[k]  # a leaf, about half of all nodes, costs no call
-            out.append(build(k, labels, nodes, after, kids) if child is None else child)
-            k = after[k]
-    else:
-        out = [build(k, labels, nodes, after, kids) for k in children]
-    return ParseTree(labels[n], tuple(out), None)
+def build(labels, nodes, after) -> ParseTree:
+    """The tree of lists indexed by node number, as in ``Preorder``, built
+    bottom-up in one loop: ``nodes[n]`` unless that is None, else a new
+    node labeled ``labels[n]`` over its children, found along ``after``.
+    The tree shares every node the lists hold."""
+    built = nodes.copy()
+    for n in range(len(built) - 1, -1, -1):
+        if built[n] is None:
+            kids, k, stop = [], n + 1, after[n]
+            while k < stop:
+                kids.append(built[k])
+                k = after[k]
+            built[n] = ParseTree(labels[n], tuple(kids), None)
+    return built[0]  # type: ignore[return-value]
 
 
 def insert_leaf(node: ParseTree, index: int, label: str) -> ParseTree:
@@ -448,9 +444,11 @@ def _line(text: str, offset: int) -> int:
     return text.count("\n", 0, offset) + 1
 
 
-#: The most internal nodes on a tree's path from root to leaf.  Tree
-#: walks recurse once a level, so a deeper tree would spend Python's
-#: recursion limit; the reader refuses it.
+#: The most internal nodes on a tree's path from root to leaf.  Some
+#: tree walks recurse once a level (``_number``, ``flatten``,
+#: ``rulegen.preprocess``, the marker fold's ``_fold``, ``write_subtree``,
+#: and ``Value`` hashing and pickling), so a deeper tree would spend
+#: Python's recursion limit; the reader refuses it.
 MAX_DEPTH = 256
 
 #: Characters of text tokenized at a time; a chunk ends just before a

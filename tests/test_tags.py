@@ -101,6 +101,25 @@ def test_compose_negation_is_an_involution():
         assert compose_negation(compose_negation(tag)) == tag
 
 
+def test_compose_negation_returns_the_shared_tag_and_builds_none():
+    """Every tag but a bare Negation composes to its spelling's ``TAGS``
+    entry, and back to its own; a bare Negation still raises, whether
+    shared or built."""
+    for t in TAGS.values():
+        if t.modality is Modality.NEGATION:
+            for bare in (t, MNTag(t.role, False, Modality.NEGATION, False)):
+                with pytest.raises(TagError, match="bare Negation"):
+                    compose_negation(bare)
+            continue
+        composed = compose_negation(t)
+        assert composed is TAGS[str(composed)]
+        assert composed.outer_not is not t.outer_not
+        assert compose_negation(composed) is TAGS[str(t)] == t
+    # A tag built elsewhere, equal to a shared one, composes to the shared tag.
+    built = MNTag(Role.TARGET, False, Modality.ABLE, False)
+    assert compose_negation(built) is TAGS["TargNOTAble"]
+
+
 def test_proposition_negation_duality():
     require = MNTag(Role.TARGET, False, Modality.REQUIRE, False)
     assert str(negate_proposition(require)) == "TargNOTPermit"

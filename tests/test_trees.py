@@ -3,6 +3,7 @@ import dataclasses
 import pickle
 import random
 import re
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -290,6 +291,23 @@ def test_trees_as_deep_as_the_reader_takes_compare_print_and_copy():
     kept = copy.deepcopy(record)  # a record's lists are copied
     assert kept == record and kept.labels is not record.labels
     assert kept.tree() == tree
+
+
+def test_preorder_tree_builds_lists_nested_past_the_recursion_limit():
+    """``build`` is a loop, not a recursion: hand-made lists of a chain
+    three times as deep as Python's recursion limit build, and the tree
+    holds the lists' leaf."""
+    depth = 3 * sys.getrecursionlimit()
+    leaf = ParseTree("a", (), "a")
+    labels = ["X"] * depth + ["a"]
+    nodes = [None] * depth + [leaf]
+    record = Preorder(labels, nodes, list(range(-1, depth)), [depth + 1] * (depth + 1))
+    node, levels = record.tree(), 0
+    while node.children:
+        (node,) = node.children
+        assert node.label == labels[levels + 1]
+        levels += 1
+    assert levels == depth and node is leaf
 
 
 def test_one_read_builds_each_leaf_spelling_once():
