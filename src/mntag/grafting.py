@@ -81,11 +81,8 @@ inserted node's parent, a node whose label changed (a leaf becomes a new
 leaf) and their ancestors: so the output shares every subtree graft did
 not change with its input, and a regraft that changes nothing returns
 the input itself.  ``mn graft`` needs only text: with ``as_text`` graft
-builds no node, and ``_write`` writes ``write_ptb``'s text in one loop
-over the nodes in preorder, with no recursion: it keeps the ends of the
-open nodes on a stack, writes a space before every node but the root,
-closes a node when its end is reached, writes each leaf through
-``trees.write_leaf`` and joins once.
+builds no node, and ``trees.write_preorder``, the one PTB writer,
+writes those lists: the text ``write_ptb`` gives for the output tree.
 
 The working copy holds no reference cycle: its lists hold numbers,
 labels and input nodes, and a graft record names the nodes it was put
@@ -106,7 +103,7 @@ from typing import Sequence
 from .standoff import MN_FAMILY, NE_FAMILY, StandoffAnnotation
 from .tags import TAGS, MNTag, Modality, Role, compose_negation, specificity_rank
 from .trees import (
-    MAX_DEPTH, ParseTree, Preorder, Span, add_suffix, base_category, build, write_leaf, write_ptb,
+    MAX_DEPTH, ParseTree, Preorder, Span, add_suffix, base_category, build, write_preorder,
 )
 
 OUTCOMES = (
@@ -313,13 +310,13 @@ def graft(
     change it.
     """
     config = config or GraftConfig()
-    record = tree.__class__ is Preorder
-    if not annotations:  # nothing to place: no working copy
-        if not as_text:
-            return (tree.tree() if record else tree), GraftReport()
-        text = _write(tree.labels, tree.nodes, tree.after) if record else write_ptb(tree)
-        return text, GraftReport()
-    shadow = _Shadow(tree if record else Preorder.of(tree))
+    is_record = tree.__class__ is Preorder
+    if not annotations and not as_text:  # nothing to place: no working copy
+        return (tree.tree() if is_record else tree), GraftReport()
+    record = tree if is_record else Preorder.of(tree)
+    if not annotations:
+        return write_preorder(record.labels, record.nodes, record.after), GraftReport()
+    shadow = _Shadow(record)
     size = shadow.size
 
     # One decorated tuple per annotation, sorted once: families in order,
@@ -393,7 +390,7 @@ def graft(
                 nodes[n] = None
                 n = parent[n]
     out = _output(shadow, labels, nodes)
-    return (_write(*out) if as_text else build(*out)), GraftReport(counts)
+    return (write_preorder(*out) if as_text else build(*out)), GraftReport(counts)
 
 
 def _compose(
@@ -517,28 +514,3 @@ def _output(shadow: _Shadow, labels: list[str], nodes: list) -> tuple[list, list
             stack.append(~k)
             stack += reversed(kids)
     return out_labels, out_nodes, out_after
-
-
-def _write(labels, nodes, after) -> str:
-    """``write_ptb``'s text of the tree these ``trees.Preorder`` lists
-    hold, written in one loop over its nodes in preorder: a space before
-    every node but the root, and an open node's ``)`` when its ``after``
-    is reached.  A leaf is an only child, and so may not be written
-    bare, exactly when the node before it ends just after it."""
-    size = len(after)
-    if size == 1:
-        return write_leaf(labels[0], nodes[0].token, False)
-    parts = ["(", labels[0]]
-    open_ends = [size]  # the ``after`` of each open node, innermost last
-    for k in range(1, size):
-        while open_ends[-1] == k:
-            open_ends.pop()
-            parts.append(")")
-        a = after[k]
-        if a == k + 1:
-            parts.append(" " + write_leaf(labels[k], nodes[k].token, after[k - 1] != a))
-        else:
-            parts.append(" (" + labels[k])
-            open_ends.append(a)
-    parts.append(")" * len(open_ends))
-    return "".join(parts)

@@ -20,8 +20,9 @@ hold ordered children.  Two leaf shapes occur in practice:
   bare word leaves ``hand`` and ``over``; marker daughters inserted by
   tree rewriting use the same shape (``insert_leaf``).
 
-There is one PTB reader, ``read_preorder``.  It yields each tree as
-soon as its last ``)`` closes, as a ``Preorder`` record: four flat
+There is one PTB reader, ``read_preorder``, and one PTB writer,
+``write_preorder``, both over preorder lists.  The reader yields each
+tree as soon as its last ``)`` closes, as a ``Preorder`` record: four flat
 lists over the nodes in preorder, which is the order in which the
 tokens meet them, with the leaf nodes but no internal node built.
 ``Preorder.of`` numbers a tree into the same lists, with every node;
@@ -30,7 +31,11 @@ these records one at a time, and ``mn graft`` grafts them as they are.
 One builder, ``build``, makes trees of such lists, bottom-up in one
 loop with no recursion: ``read_ptb`` builds each record's internal
 nodes, and graft its output from the lists it numbers for both its
-outputs.  A tree nested more than ``MAX_DEPTH`` levels deep does not read.
+outputs.  The writer writes such lists in one loop with no recursion:
+``write_ptb`` writes a tree's ``Preorder.of`` lists, and graft its
+output's, so the only-child rule for bare leaves and the punctuation
+exception are each spelled once.  A tree nested more than ``MAX_DEPTH``
+levels deep does not read.
 The reader takes a one-word node such as ``(DT the)`` as one token, and
 a bracket with the label after it, ``(NP``, as another.  Within one
 call it builds each distinct token once, so equal leaves are one shared
@@ -445,10 +450,10 @@ def _line(text: str, offset: int) -> int:
 
 
 #: The most internal nodes on a tree's path from root to leaf.  Some
-#: tree walks recurse once a level (``_number``, ``flatten``,
-#: ``rulegen.preprocess``, the marker fold's ``_fold``, ``write_subtree``,
-#: and ``Value`` hashing and pickling), so a deeper tree would spend
-#: Python's recursion limit; the reader refuses it.
+#: tree walks recurse once a level (``_number``, and so ``write_ptb``,
+#: ``flatten``, ``rulegen.preprocess``, the marker fold's ``_fold``, and
+#: ``Value`` hashing and pickling), so a deeper tree would spend Python's
+#: recursion limit; the reader refuses it.
 MAX_DEPTH = 256
 
 #: Characters of text tokenized at a time; a chunk ends just before a
@@ -577,18 +582,33 @@ def write_leaf(label: str, token: str, allow_bare: bool) -> str:
     return f"({label} {token})"
 
 
-def write_subtree(tree: ParseTree, allow_bare: bool) -> str:
-    """``tree``'s text.  A lone bare atom would read back as a preterminal,
-    so a bare word leaf is allowed only beside siblings."""
-    kids = tree.children
-    if not kids:
-        return write_leaf(tree.label, tree.token, allow_bare)  # type: ignore[arg-type]
-    ok = len(kids) > 1
-    # A leaf daughter goes to ``write_leaf`` straight: one call, not two.
-    parts = [write_subtree(c, ok) if c.children else write_leaf(c.label, c.token, ok) for c in kids]
-    return f"({tree.label} {' '.join(parts)})"
+def write_preorder(labels, nodes, after) -> str:
+    """The text of the tree these ``Preorder`` lists hold, written in one
+    loop over its nodes in preorder: a space before every node but the
+    root, and an open node's ``)`` when its ``after`` is reached.  A lone
+    bare atom would read back as a preterminal, so a leaf is written bare
+    only beside siblings; it is an only child exactly when the node before
+    it ends just after it."""
+    size = len(after)
+    if size == 1:
+        return write_leaf(labels[0], nodes[0].token, False)
+    parts = ["(", labels[0]]
+    open_ends = [size]  # the ``after`` of each open node, innermost last
+    for k in range(1, size):
+        while open_ends[-1] == k:
+            open_ends.pop()
+            parts.append(")")
+        a = after[k]
+        if a == k + 1:
+            parts.append(" " + write_leaf(labels[k], nodes[k].token, after[k - 1] != a))
+        else:
+            parts.append(" (" + labels[k])
+            open_ends.append(a)
+    parts.append(")" * len(open_ends))
+    return "".join(parts)
 
 
 def write_ptb(tree: ParseTree) -> str:
     """Single-line S-expression; inverse of ``read_ptb`` on values."""
-    return write_subtree(tree, False)
+    record = Preorder.of(tree)
+    return write_preorder(record.labels, record.nodes, record.after)

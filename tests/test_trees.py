@@ -30,6 +30,7 @@ from mntag.trees import (
     read_ptb,
     rebuilt,
     unescape_token,
+    write_preorder,
     write_ptb,
 )
 
@@ -138,6 +139,25 @@ def _reference_read_ptb(text: str) -> list[ParseTree]:
     if stack:
         raise PTBParseError("unbalanced '('", len(text), line_of(stack[0][2]))
     return trees
+
+
+#: Punctuation preterminals, written parenthesized though label and token
+#: coincide, as the reference writer below spells them.
+_REFERENCE_PUNCT = {".", ",", ":", "``", "''", "#", "$", "-LRB-", "-RRB-"}
+
+
+def _reference_write_ptb(tree: ParseTree, allow_bare: bool = False) -> str:
+    """The recursive writer ``write_ptb`` replaced, with its leaf rule,
+    kept as the reference: a lone bare atom would read back as a
+    preterminal, so a bare word leaf is allowed only beside siblings."""
+    kids = tree.children
+    if not kids:
+        token = tree.token.replace("(", "-LRB-").replace(")", "-RRB-")
+        if tree.label == token and allow_bare and tree.label not in _REFERENCE_PUNCT:
+            return token
+        return f"({tree.label} {token})"
+    parts = [_reference_write_ptb(c, len(kids) > 1) for c in kids]
+    return f"({tree.label} {' '.join(parts)})"
 
 
 def _read_outcome(read, text):
@@ -373,6 +393,57 @@ def tree_strategy(draw, depth=0):
 @given(tree_strategy())
 def test_round_trip_hypothesis(tree):
     assert read_ptb(write_ptb(tree))[0] == tree
+
+
+_WRITER_TOKENS = ["a", "b", ".", ",", "$", "``", "-LRB-", "-RRB-", "(", ")", "a(b", "x)"]
+_WRITER_PHRASES = ["S", "NP", "VP"]
+
+
+@st.composite
+def writer_tree_strategy(draw, depth=0):
+    """Trees with every leaf shape the writer tells apart: preterminals,
+    bare word leaves, punctuation preterminals whose label is the token,
+    tokens holding a parenthesis, and leaves that are only children or
+    the root."""
+    if depth >= 3 or draw(st.booleans()):
+        token = draw(st.sampled_from(_WRITER_TOKENS))
+        # A label spelled as the token, or as its escaped form, may be bare.
+        spellings = {token, token.replace("(", "-LRB-").replace(")", "-RRB-")}
+        spellings = sorted(x for x in spellings if "(" not in x and ")" not in x)
+        label = draw(st.sampled_from(["DT", "-LRB-", "."] + spellings))
+        return ParseTree(label, (), token)
+    children = draw(st.lists(writer_tree_strategy(depth=depth + 1), min_size=1, max_size=3))
+    return ParseTree(draw(st.sampled_from(_WRITER_PHRASES)), tuple(children), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(writer_tree_strategy())
+@example(ParseTree("a", (), "a"))
+@example(ParseTree(".", (), "."))
+@example(ParseTree("VB", (ParseTree("hand", (), "hand"),), None))
+@example(ParseTree("S", (ParseTree(".", (), "."), ParseTree("-LRB-", (), "-LRB-")), None))
+@example(ParseTree("S", (ParseTree("a-LRB-b", (), "a(b"), ParseTree("x", (), ")")), None))
+def test_write_ptb_matches_the_reference_writer(tree):
+    assert write_ptb(tree) == _reference_write_ptb(tree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ptb_files.map(lambda data: data.decode("utf-8", "replace")))
+@example("(S (. .) (-LRB- -LRB-) (X a) b)\n(VB hand)\n(S (VB hand) (NP a -RRB-))\n")
+@example("(X -LRB-)\n(S (NP a-LRB-b c) (. .))\n(, ,)\n")
+@example("(S (a a))\n(a a)\n(NP (DT the) (x x))\n")
+def test_write_preorder_of_a_record_matches_the_reference_writer(text):
+    """The records ``mn graft`` writes hold None for each internal node,
+    unlike ``Preorder.of``'s; the writer reads only their leaves."""
+    try:
+        records = list(read_preorder(text))
+    except PTBParseError:
+        return
+    trees = _reference_read_ptb(text)
+    assert len(records) == len(trees)
+    for record, tree in zip(records, trees):
+        got = write_preorder(record.labels, record.nodes, record.after)
+        assert got == _reference_write_ptb(tree)
 
 
 def test_flatten_splice_cases():
