@@ -365,8 +365,13 @@ def _write_trees(args, transform) -> int:
     with _outputs(("--out", args.output)) as (fh,):
         records = _records(args.input)
         with _tree_faults_first(records):
-            for record in records:
-                fh.write(trees.write_ptb(transform(record.tree())) + "\n")
+            for i, record in enumerate(records):
+                tree = transform(record.tree())
+                try:  # a tree too deep to write: name the file and the sentence
+                    text = trees.write_ptb(tree)
+                except ValueError as exc:
+                    raise ValueError(f"{args.input}: sentence {i}: {exc}") from None
+                fh.write(text + "\n")
     return 0
 
 

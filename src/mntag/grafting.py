@@ -73,9 +73,7 @@ A node with one record takes its label straight; ``_final_label``
 settles a node with more.  Both outputs read one numbering of the
 output, ``_output``'s ``trees.Preorder`` lists: the working copy's own
 lists with graft's labels, or, after an insert, lists numbered again in
-the output's own preorder by one stack walk, which also refuses an
-output nested more than ``trees.MAX_DEPTH`` internal nodes deep, the
-most the reader takes, so every output reads back.  The output tree is
+the output's own preorder by one stack walk.  The output tree is
 ``trees.build`` of them, once graft has cleared for building only an
 inserted node's parent, a node whose label changed (a leaf becomes a new
 leaf) and their ancestors: so the output shares every subtree graft did
@@ -83,6 +81,9 @@ not change with its input, and a regraft that changes nothing returns
 the input itself.  ``mn graft`` needs only text: with ``as_text`` graft
 builds no node, and ``trees.write_preorder``, the one PTB writer,
 writes those lists: the text ``write_ptb`` gives for the output tree.
+Graft counts no depth: inserts may nest an output deeper than the
+reader takes, and the writer refuses it as the reader would, on the
+text path at once and on the tree path when the tree is written.
 
 The working copy holds no reference cycle: its lists hold numbers,
 labels and input nodes, and a graft record names the nodes it was put
@@ -102,9 +103,7 @@ from typing import Sequence
 
 from .standoff import MN_FAMILY, NE_FAMILY, StandoffAnnotation
 from .tags import TAGS, MNTag, Modality, Role, compose_negation, specificity_rank
-from .trees import (
-    MAX_DEPTH, ParseTree, Preorder, Span, add_suffix, base_category, build, write_preorder,
-)
+from .trees import ParseTree, Preorder, Span, add_suffix, base_category, build, write_preorder
 
 OUTCOMES = (
     "grafted-exact",
@@ -495,12 +494,11 @@ def _output(shadow: _Shadow, labels: list[str], nodes: list) -> tuple[list, list
     if len(labels) == inputs:
         return labels, nodes, shadow.after
     out_labels, out_nodes, out_after = [], [], []
-    depth, stack = 0, [0]  # node numbers to number; ``~k`` closes the node numbered k
+    stack = [0]  # node numbers to number; ``~k`` closes the node numbered k
     while stack:
         n = stack.pop()
         if n < 0:
             out_after[~n] = len(out_after)
-            depth -= 1
             continue
         k = len(out_after)
         out_labels.append(labels[n])
@@ -508,9 +506,6 @@ def _output(shadow: _Shadow, labels: list[str], nodes: list) -> tuple[list, list
         out_after.append(k + 1)
         kids = shadow.children(n)
         if kids:
-            depth += 1
-            if depth > MAX_DEPTH:
-                raise ValueError(f"grafted tree nested more than {MAX_DEPTH} levels deep")
             stack.append(~k)
             stack += reversed(kids)
     return out_labels, out_nodes, out_after

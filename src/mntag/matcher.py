@@ -12,7 +12,8 @@ Patterns pair a node test with relation clauses::
   node dominates that word).
 * ``!<`` is the negation of ``<``; captures are not allowed inside.
 * ``$..`` requires a following sister.
-* Operands may be parenthesized sub-patterns.
+* Operands may be parenthesized sub-patterns, nested at most
+  ``MAX_NESTING`` groups deep.
 
 A plain atom tests label or token alike.  Lexicon words reach rules
 only as plain atoms bound into parsed templates, never as pattern text,
@@ -186,10 +187,23 @@ class PatternRule:
 # Parsing
 
 
+#: The most parenthesized groups a pattern may nest, a rule of the rule
+#: text: parsing, ``PatternRule`` construction, ``rulegen._atoms`` and
+#: ``rulegen._bind``, and matching (``_solve``, three frames a group)
+#: recurse once a group, and each runs at this bound under 300 frames
+#: of caller stack.  Comparing and printing a pattern (the dataclass
+#: ``__eq__`` and ``__repr__``) recurse deeper and fail from about 140
+#: groups; no command does either.  It is not the trees' depth rule:
+#: ``$..`` nests groups along sisters, so a group need not descend the
+#: tree.
+MAX_NESTING = 200
+
+
 class _Tokens:
     def __init__(self, text: str):
         self.items = [(m.group(), m.start()) for m in _LEX.finditer(text)]
         self.pos = 0
+        self.depth = 0  # the groups open around the next token
 
     def peek(self) -> tuple[str, int] | None:
         return self.items[self.pos] if self.pos < len(self.items) else None
@@ -228,8 +242,12 @@ def _parse_test(token: str, column: int) -> tuple[NodeTest, str | None]:
 def _parse_operand(toks: _Tokens) -> Pattern:
     token, column = toks.next()
     if token == "(":
+        if toks.depth == MAX_NESTING:
+            raise PatternSyntaxError(f"pattern nested more than {MAX_NESTING} groups deep", column)
+        toks.depth += 1
         inner = _parse_pattern_expr(toks, in_group=True)
         toks.next()  # a group's expression ends only at its ``)`` or the text's end
+        toks.depth -= 1
         return inner
     if token in (")", "<", "!<", "$.."):
         raise PatternSyntaxError(f"expected a node test, got {token!r}", column)

@@ -34,8 +34,10 @@ nodes, and graft its output from the lists it numbers for both its
 outputs.  The writer writes such lists in one loop with no recursion:
 ``write_ptb`` writes a tree's ``Preorder.of`` lists, and graft its
 output's, so the only-child rule for bare leaves and the punctuation
-exception are each spelled once.  A tree nested more than ``MAX_DEPTH``
-levels deep does not read.
+exception are each spelled once.  How deep a tree may be is a rule of
+the text, spelled once in ``MAX_DEPTH``: the reader refuses to read a
+tree nested deeper, and the writer to write one, so every tree text
+``mn`` writes reads back.
 The reader takes a one-word node such as ``(DT the)`` as one token, and
 a bracket with the label after it, ``(NP``, as another.  Within one
 call it builds each distinct token once, so equal leaves are one shared
@@ -96,7 +98,9 @@ class Value:
     slot order, as for a frozen dataclass of them; an instance equals only
     an instance of its own class.  Equality and ``repr`` work from a
     stack, not by recursion, so trees nested to any depth compare and
-    print; hashing and pickling recurse, and hold at ``MAX_DEPTH``.
+    print.  Hashing and pickling recurse: on a tree ``MAX_DEPTH`` levels
+    deep, pickling fails under about 230 frames of caller stack and
+    hashing under about 490, of Python's default limit of 1000.
     Every attribute write or delete raises ``FrozenInstanceError``, so a
     subclass's ``__init__`` checks its arguments and writes each field
     through ``_setters``, its slots' setters in field order.  A
@@ -449,11 +453,16 @@ def _line(text: str, offset: int) -> int:
     return text.count("\n", 0, offset) + 1
 
 
-#: The most internal nodes on a tree's path from root to leaf.  Some
-#: tree walks recurse once a level (``_number``, and so ``write_ptb``,
-#: ``flatten``, ``rulegen.preprocess``, the marker fold's ``_fold``, and
-#: ``Value`` hashing and pickling), so a deeper tree would spend Python's
-#: recursion limit; the reader refuses it.
+#: The most internal nodes on a tree's path from root to leaf, a rule of
+#: the PTB text: ``read_preorder`` refuses to read a tree nested deeper,
+#: and ``write_preorder`` to write one, so no written tree fails to read
+#: back.  These walks recurse once a level and would spend Python's
+#: recursion limit on a deeper tree: ``_number`` (so ``Preorder.of``,
+#: ``write_ptb`` and graft of a tree), ``flatten``, ``rulegen.preprocess``,
+#: ``rulegen._word_count``, the marker fold's ``taggers._fold``,
+#: ``matcher._replace_at``, and ``Value`` hashing and pickling.  On a
+#: tree this deep ``rulegen.preprocess`` fails under about 490 frames of
+#: caller stack, as hashing does, and pickling sooner (see ``Value``).
 MAX_DEPTH = 256
 
 #: Characters of text tokenized at a time; a chunk ends just before a
@@ -588,7 +597,8 @@ def write_preorder(labels, nodes, after) -> str:
     root, and an open node's ``)`` when its ``after`` is reached.  A lone
     bare atom would read back as a preterminal, so a leaf is written bare
     only beside siblings; it is an only child exactly when the node before
-    it ends just after it."""
+    it ends just after it.  A tree nested past ``MAX_DEPTH`` raises
+    ``ValueError``, as the reader would."""
     size = len(after)
     if size == 1:
         return write_leaf(labels[0], nodes[0].token, False)
@@ -604,6 +614,8 @@ def write_preorder(labels, nodes, after) -> str:
         else:
             parts.append(" (" + labels[k])
             open_ends.append(a)
+            if len(open_ends) > MAX_DEPTH:
+                raise ValueError(f"tree nested more than {MAX_DEPTH} levels deep")
     parts.append(")" * len(open_ends))
     return "".join(parts)
 

@@ -15,7 +15,7 @@ import pytest
 from conftest import DATA, read_ptb_file
 from mntag import rulegen, trees
 from mntag.cli import main, seed_lexicon_path
-from mntag.matcher import RewriteBudgetError
+from mntag.matcher import MAX_NESTING, RewriteBudgetError
 
 TREES = DATA / "corpus_trees.ptb"
 TOKENS = DATA / "corpus_tokens.tsv"
@@ -717,6 +717,29 @@ def test_a_tree_nested_past_the_limit_exits_2_and_names_its_line(tmp_path, caplo
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command", ["tag", "flatten", "preprocess", "graft"])
+def test_no_command_writes_a_tree_the_reader_refuses(tmp_path, caplog, command):
+    """The input is ``MAX_DEPTH`` levels deep, the deepest that reads.
+    Each line a tree command writes of it reads back.  Preprocessing puts
+    an AUX marker under ``(VB is)``, a level deeper, so ``mn preprocess``
+    exits 2, naming the file and the sentence, and writes nothing."""
+    depth = trees.MAX_DEPTH - 1
+    source = tmp_path / "deep.ptb"
+    source.write_text("(X " * depth + "(S (VB is) (VBG going))" + ")" * depth + "\n")
+    code = run(*_tree_command(tmp_path, command, source, "0\t0\t2\tPER\tNE\n"))
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    if command == "preprocess":
+        assert code == 2
+        assert errors == [f"{source}: sentence 0: tree nested more than {trees.MAX_DEPTH} levels deep"]
+        assert not (tmp_path / "out").exists()
+        return
+    assert code == 0 and errors == []
+    lines = (tmp_path / "out").read_text().splitlines()
+    assert len(lines) == 1
+    for line in lines:
+        assert len(list(trees.read_preorder(line))) == 1
+
+
 def test_graft_reports_a_count_that_disagrees_before_a_span_fault(tmp_path, caplog):
     """File A names a sentence past the last tree and file B holds a span
     fault in sentence 1: A's count is reported, as if checked first."""
@@ -961,7 +984,7 @@ def test_graft_output_nested_past_max_depth_exits_2_and_writes_nothing(tmp_path,
     out = tmp_path / "o2.ptb"
     assert graft_nested(trees.MAX_DEPTH + 1, out) == 2
     blamed = paths[0] if files == 1 else tree_file
-    message = f"{blamed}: sentence 0: grafted tree nested more than {trees.MAX_DEPTH} levels deep"
+    message = f"{blamed}: sentence 0: tree nested more than {trees.MAX_DEPTH} levels deep"
     assert message in caplog.text
     assert not out.exists()
 
@@ -1237,6 +1260,64 @@ def test_registry_action_in_a_template_no_entry_uses_exits_2(tmp_path, caplog, a
     ):
         assert run(*command, "--lexicon", seed_lexicon_path(), "--registry", registry) == 2
     assert caplog.text.count(f"{registry}: line {lines + 2}: template Unused: {message}") == 2
+
+
+def _nested_pattern(depth, innermost):
+    """A pattern of ``depth`` groups, each an ``S`` over the next, the
+    innermost holding ``innermost``."""
+    return "S < (" * depth + innermost + ")" * depth
+
+
+@pytest.mark.parametrize("extra", [0, 1, 400], ids=["at-the-bound", "past-it", "far-past-it"])
+def test_a_rule_nested_past_the_pattern_bound_exits_2_naming_file_and_line(
+    tmp_path, caplog, extra
+):
+    """A rule file's pattern may nest ``MAX_NESTING`` groups, and then
+    matches a tree as deep; one more group is refused as a syntax error
+    on the rule's line, and so is a pattern nested deep enough to spend
+    Python's recursion limit."""
+    depth = MAX_NESTING + extra
+    rules, source, out = tmp_path / "deep.rules", tmp_path / "in.ptb", tmp_path / "out.ptb"
+    rules.write_text(f"# one deep rule\n\n{_nested_pattern(depth, 'VB=t')}\naugment t TargWant\n")
+    source.write_text("(S " * MAX_NESTING + "(VB go)" + ")" * MAX_NESTING + "\n")
+    code = run("tag", "--mode", "structure", "--rules", rules, "--in", source, "--out", out)
+    if extra:
+        assert code == 2 and not out.exists()
+        column = len("S < (") * MAX_NESTING + len("S < ")
+        message = f"pattern nested more than {MAX_NESTING} groups deep (column {column})"
+        assert caplog.text.count(f"{rules}: line 3: {message}") == 1
+    else:
+        assert code == 0
+        assert out.read_text().endswith("(VB-TargWant go)" + ")" * MAX_NESTING + "\n")
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-the-bound", "past-it"])
+def test_a_template_nested_past_the_pattern_bound_exits_2_naming_file_and_line(
+    tmp_path, caplog, extra
+):
+    """Templates are rule text too: a registry template nested
+    ``MAX_NESTING`` groups deep loads and binds; one group deeper is
+    refused with its file, line and template."""
+    depth = MAX_NESTING + extra
+    lexicon, registry = tmp_path / "lexicon.txt", tmp_path / "templates.txt"
+    lexicon.write_text("String: can\nPos: MD\nModality: Able\nTrigger: can\nSubcat: Deep\n")
+    pattern = _nested_pattern(depth, "MD=trigger < {WORD} $.. VB=target")
+    registry.write_text(
+        f"# one deep template\ntemplate Deep\n{pattern}\n"
+        "insert ({TRIG}) >2 trigger\ninsert ({TARG}) >2 target\n"
+    )
+    out = tmp_path / "rules.txt"
+    code = run("rules", "--lexicon", lexicon, "--registry", registry, "--out", out)
+    if extra:
+        assert code == 2 and not out.exists()
+        message = f"{registry}: line 2: template Deep: pattern nested more than {MAX_NESTING}"
+        assert caplog.text.count(message) == 1
+    else:
+        assert code == 0
+        assert out.read_text() == (
+            f"rule Deep:Able\n{pattern.replace('{WORD}', 'can')}\n"
+            "insert (TrigAble) >2 trigger\ninsert (TargAble) >2 target\n"
+        )
 
 
 def test_structure_mode_inline(tmp_path):

@@ -219,7 +219,9 @@ def test_graft_rejects_out_of_range_span():
 def test_graft_refuses_inserts_nesting_past_max_depth():
     """Nested spans 0..k insert one node each under the root; graft takes
     an output of ``MAX_DEPTH`` internal nodes deep, on its text path and
-    its tree path, and refuses one level deeper, where the reader would."""
+    its tree path.  One level deeper, where the reader would refuse it,
+    the writer refuses it: at once on the text path, and when the tree
+    path's output is written."""
     tree = read_ptb("(S " + " ".join(f"(NN w{k})" for k in range(300)) + ")")[0]
     at_limit = [ne(0, 0, k, "PER") for k in range(2, MAX_DEPTH + 1)]
     text, _ = graft(tree, at_limit, as_text=True)
@@ -227,9 +229,23 @@ def test_graft_refuses_inserts_nesting_past_max_depth():
     assert write_ptb(graft(tree, at_limit)[0]) == text
     assert [write_ptb(t) for t in read_ptb(text)] == [text]
     deeper = at_limit + [ne(0, 0, MAX_DEPTH + 1, "PER")]
-    for as_text in (False, True):
-        with pytest.raises(ValueError, match=f"nested more than {MAX_DEPTH} levels deep"):
-            graft(tree, deeper, as_text=as_text)
+    refusal = f"^tree nested more than {MAX_DEPTH} levels deep$"
+    with pytest.raises(ValueError, match=refusal):
+        graft(tree, deeper, as_text=True)
+    with pytest.raises(ValueError, match=refusal):
+        write_ptb(graft(tree, deeper)[0])
+
+
+def test_graft_of_a_record_past_max_depth_refuses_to_write_it():
+    """A hand-made record one level deeper than the reader takes is not
+    written as text, with or without an annotation to graft."""
+    depth = MAX_DEPTH + 1
+    labels = ["X"] * depth + ["a"]
+    nodes = [None] * depth + [ParseTree("a", (), "a")]
+    record = Preorder(labels, nodes, list(range(-1, depth)), [depth + 1] * (depth + 1))
+    for annotations in ([ne(0, 0, 1, "PER")], []):
+        with pytest.raises(ValueError, match=f"^tree nested more than {MAX_DEPTH} levels deep$"):
+            graft(record, annotations, as_text=True)
 
 
 def test_graft_family_order_matters_only_on_conflicts():

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,8 +16,9 @@ from conftest import (
     read_ptb_file,
     stage_tree,
 )
-from mntag import matcher
+from mntag import matcher, rulegen
 from mntag.matcher import (
+    MAX_NESTING,
     PatternRule,
     PatternSyntaxError,
     Relation,
@@ -83,6 +85,47 @@ def test_unknown_operator_reports_column():
 def test_malformed_rule_rejected(text, message):
     with pytest.raises(PatternSyntaxError, match=message):
         parse_pattern(text)
+
+
+def _under_caller_stack(frames, fn):
+    """``fn()`` called with ``frames`` frames on the stack below it."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+
+    def down(k):
+        return down(k - 1) if k else fn()
+
+    return down(frames - depth)
+
+
+@pytest.mark.parametrize("relation", ["<", "$.."])
+def test_a_pattern_at_the_nesting_bound_runs_under_a_deep_caller(relation):
+    """Parsing, ``PatternRule`` construction, template binding and
+    matching each recurse once a group; at ``MAX_NESTING`` groups each
+    runs with 300 frames of caller stack.  One group more does not parse.
+    ``<`` groups descend a chain of nodes; ``$..`` groups run along
+    sisters, so the tree stays flat."""
+    heads = [f"S{k}" for k in range(MAX_NESTING)]
+    if relation == "<":
+        text = "".join(f"({h} " for h in heads) + "(VB go)" + ")" * MAX_NESTING
+    else:
+        text = "(R " + "".join(f"({h} s) " for h in heads) + "(VB go))"
+    (tree,) = read_ptb(text)
+
+    def pattern(innermost, depth=MAX_NESTING):
+        return "".join(f"{h} {relation} (" for h in heads[:depth]) + innermost + ")" * depth
+
+    source = pattern(f"{rulegen.WORD}=t") + "\naugment t TargWant"
+    template = _under_caller_stack(300, lambda: parse_pattern(source))
+    assert _under_caller_stack(300, lambda: list(rulegen._atoms(template.pattern)))[-1] == "{WORD}"
+    bound = _under_caller_stack(300, lambda: rulegen._bind(template.pattern, {"{WORD}": ("VB",)}))
+    rule = _under_caller_stack(300, lambda: PatternRule("deep", bound, template.actions))
+    assert rule.needs[-1] == {"VB"}
+    (m,) = _under_caller_stack(300, lambda: match(rule, tree))
+    assert m.captures["t"].label == "VB"
+    with pytest.raises(PatternSyntaxError, match=f"nested more than {MAX_NESTING} groups deep"):
+        parse_pattern(pattern("(VB=t)") + "\naugment t TargWant")
 
 
 def test_captures_forbidden_under_negated_dominance():

@@ -313,6 +313,32 @@ def test_trees_as_deep_as_the_reader_takes_compare_print_and_copy():
     assert kept.tree() == tree
 
 
+def test_the_writer_refuses_a_tree_nested_past_max_depth_as_the_reader_does():
+    """Depth is a rule of the text: a hand-made tree ``MAX_DEPTH``
+    internal nodes deep writes and reads back.  One a level deeper, which
+    the reader refuses, the writer refuses too, as a tree and as
+    hand-made preorder lists, with the reader's words."""
+
+    def chain(depth):
+        tree = ParseTree("a", (), "a")
+        for _ in range(depth):
+            tree = ParseTree("X", (tree,), None)
+        return tree
+
+    text = write_ptb(chain(MAX_DEPTH))
+    assert text == "(X " * MAX_DEPTH + "(a a)" + ")" * MAX_DEPTH
+    assert read_ptb(text) == [chain(MAX_DEPTH)]
+    refusal = f"tree nested more than {MAX_DEPTH} levels deep"
+    with pytest.raises(PTBParseError, match=refusal):
+        read_ptb("(X " + text + ")")
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        write_ptb(chain(MAX_DEPTH + 1))
+    depth = MAX_DEPTH + 1
+    labels, nodes = ["X"] * depth + ["a"], [None] * depth + [ParseTree("a", (), "a")]
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        write_preorder(labels, nodes, [depth + 1] * (depth + 1))
+
+
 def test_preorder_tree_builds_lists_nested_past_the_recursion_limit():
     """``build`` is a loop, not a recursion: hand-made lists of a chain
     three times as deep as Python's recursion limit build, and the tree
