@@ -25,7 +25,7 @@ holds every node.  Graft derives what only it reads from ``after``,
 once per sentence in whole-list passes, with no loop statement: the
 leaves' numbers, each node's span in leaves (``start`` and ``end``) and
 the sentence length.  A sentence without annotations gets no working
-copy: graft returns its input, or writes it.
+copy: graft renders its input's record.
 An inserted node is numbered after the input nodes, and only the two
 nodes an insert touches get a child list of their own; the first
 insert copies the record's lists it extends, so graft never changes a
@@ -70,19 +70,18 @@ sentence of many clauses costs each negation no more than its own
 clause does.
 
 A node with one record takes its label straight; ``_final_label``
-settles a node with more.  Both outputs read one numbering of the
-output, ``_output``'s ``trees.Preorder`` lists: the working copy's own
-lists with graft's labels, or, after an insert, lists numbered again in
-the output's own preorder by one stack walk.  The output tree is
-``trees.build`` of them, once graft has cleared for building only an
-inserted node's parent, a node whose label changed (a leaf becomes a new
-leaf) and their ancestors: so the output shares every subtree graft did
-not change with its input, and a regraft that changes nothing returns
-the input itself.  ``mn graft`` needs only text: with ``as_text`` graft
-builds no node, and ``trees.write_preorder``, the one PTB writer,
-writes those lists: the text ``write_ptb`` gives for the output tree.
-Graft counts no depth: inserts may nest an output deeper than the
-reader takes, and the writer refuses it as the reader would, on the
+settles a node with more.  The output is one record, ``_output``'s
+``trees.Preorder`` lists: the working copy's own lists with graft's
+labels, or, after an insert, lists numbered again in the output's own
+preorder by one stack walk; without annotations, the input's record.
+It is rendered one of two ways: ``trees.build`` of it is the output
+tree, and with ``as_text`` ``trees.write_preorder``, the one PTB
+writer, gives that tree's text without building a node, as ``mn
+graft`` needs.  ``build`` keeps every input subtree the lists leave
+unchanged, so the output shares with its input every subtree graft did
+not change, and a regraft that changes nothing returns the input
+itself.  Graft counts no depth: inserts may nest an output deeper than
+the reader takes, and the writer refuses it as the reader would, on the
 text path at once and on the tree path when the tree is written.
 
 The working copy holds no reference cycle: its lists hold numbers,
@@ -309,12 +308,10 @@ def graft(
     change it.
     """
     config = config or GraftConfig()
-    is_record = tree.__class__ is Preorder
-    if not annotations and not as_text:  # nothing to place: no working copy
-        return (tree.tree() if is_record else tree), GraftReport()
-    record = tree if is_record else Preorder.of(tree)
-    if not annotations:
-        return write_preorder(record.labels, record.nodes, record.after), GraftReport()
+    record = tree if tree.__class__ is Preorder else Preorder.of(tree)
+    if not annotations:  # nothing to place: no working copy
+        out = record.labels, record.nodes, record.after
+        return (write_preorder(*out) if as_text else build(*out)), GraftReport()
     shadow = _Shadow(record)
     size = shadow.size
 
@@ -371,24 +368,7 @@ def graft(
             continue  # every record dropped: the node keeps its label
         chosen = records[0].label if len(records) == 1 else _final_label(records)
         labels[n] = chosen if n >= inputs else add_suffix(labels[n], chosen)
-    nodes = shadow.nodes
-    if not as_text:
-        # Clear each changed node and its ancestors for ``build``: an
-        # inserted node's parent, and a relabeled node, a leaf as a new leaf.
-        parent, after = shadow.parent, shadow.after
-        nodes = nodes + [None] * (len(labels) - inputs)
-        for n in applied:
-            if n >= inputs:
-                n = parent[n]
-            elif labels[n] == shadow.labels[n]:
-                continue
-            elif after[n] == n + 1:  # a leaf
-                nodes[n] = ParseTree(labels[n], (), nodes[n].token)
-                n = parent[n]
-            while n >= 0 and nodes[n] is not None:
-                nodes[n] = None
-                n = parent[n]
-    out = _output(shadow, labels, nodes)
+    out = _output(shadow, labels)
     return (write_preorder(*out) if as_text else build(*out)), GraftReport(counts)
 
 
@@ -486,11 +466,11 @@ def _final_label(records: list[_Grafted]) -> str:
     return chosen.label
 
 
-def _output(shadow: _Shadow, labels: list[str], nodes: list) -> tuple[list, list, list]:
+def _output(shadow: _Shadow, labels: list[str]) -> tuple[list, list, list]:
     """The output tree's ``labels``, ``nodes`` and ``after`` lists, as in
     ``trees.Preorder``; with inserts, numbered again in its own preorder,
     inserted nodes before the daughters they took (module docstring)."""
-    inputs = shadow.inputs
+    inputs, nodes = shadow.inputs, shadow.nodes
     if len(labels) == inputs:
         return labels, nodes, shadow.after
     out_labels, out_nodes, out_after = [], [], []

@@ -189,14 +189,14 @@ class PatternRule:
 
 #: The most parenthesized groups a pattern may nest, a rule of the rule
 #: text: parsing, ``PatternRule`` construction, ``rulegen._atoms`` and
-#: ``rulegen._bind``, and matching (``_solve``, three frames a group)
-#: recurse once a group, and each runs at this bound under 300 frames
-#: of caller stack.  Comparing and printing a pattern (the dataclass
-#: ``__eq__`` and ``__repr__``) recurse deeper and fail from about 140
-#: groups; no command does either.  It is not the trees' depth rule:
-#: ``$..`` nests groups along sisters, so a group need not descend the
-#: tree.
-MAX_NESTING = 200
+#: ``rulegen._bind``, matching (``_solve``, three frames a group), and
+#: comparing, hashing and printing a pattern (the dataclass ``__eq__``,
+#: ``__hash__`` and ``__repr__``) recurse once a group or more, and each
+#: runs at this bound under 300 frames of caller stack.  Comparing and
+#: printing go deepest: on Python 3.11 they fail there from 100 groups.
+#: It is not the trees' depth rule: ``$..`` nests groups along sisters,
+#: so a group need not descend the tree.
+MAX_NESTING = 64
 
 
 class _Tokens:

@@ -20,7 +20,9 @@ runs a negation-composition pass:
 * a negation immediately before a trigger scopes over that trigger's
   modality and composes NOT into its target's tag, with the same
   nested-modality exemption;
-* otherwise the negation keeps its own raw Negation target.
+* otherwise the negation keeps its own raw Negation target;
+* an ``augment`` action's tag takes no part: the rule wrote it into the
+  label, so it stays raw in the standoff too, for graft to compose.
 
 Graft runs a second composer (``grafting``), by tree position, and the
 two stay apart on purpose: one composer would need a switch set by its
@@ -291,9 +293,8 @@ def tag_structure(
 
     def record(m: matcher.Match, before: ParseTree) -> None:
         # One annotation per action, in action order, so two actions on
-        # one capture record two.  Insert and augment labels alike:
-        # augment bakes the suffix in directly, but the annotation is
-        # still recorded so standoff output stays complete.
+        # one capture record two.  An augment's is linked to nothing, so
+        # it stays raw, as the label the augment wrote (module docstring).
         trigger = target = None
         for action in m.rule.actions:
             tag = TAGS.get(action.label)
@@ -304,6 +305,8 @@ def tag_structure(
                 continue
             ann = _RawAnn(span, tag)
             anns.append(ann)
+            if action.kind is matcher.ActionKind.AUGMENT:
+                continue
             if tag.role is Role.TRIGGER:
                 trigger = ann
             else:

@@ -8,10 +8,11 @@ fields, as a frozen dataclass of them would.  Building a node costs one
 call and its checks.  Since no node can change, trees may share nodes:
 ``flatten``, ``rulegen.preprocess``, the structure tagger's marker fold
 and the matcher's ``augment`` build each node through ``rebuilt``,
-which returns the input node wherever nothing changed, and graft builds
-only the nodes it changed, so each output shares every unchanged
-subtree with its input.  A leaf holds a surface token; internal nodes
-hold ordered children.  Two leaf shapes occur in practice:
+which returns the input node wherever nothing changed, and ``build``
+keeps each node its lists hold and leave unchanged, so each output
+shares every unchanged subtree with its input.  A leaf holds a surface
+token; internal nodes hold ordered children.  Two leaf shapes occur in
+practice:
 
 * preterminals like ``(DT A)``, where the label is a category and the
   token is the word, and
@@ -29,15 +30,16 @@ tokens meet them, with the leaf nodes but no internal node built.
 the layout has no other maker.  Every tree command of ``mn`` reads
 these records one at a time, and ``mn graft`` grafts them as they are.
 One builder, ``build``, makes trees of such lists, bottom-up in one
-loop with no recursion: ``read_ptb`` builds each record's internal
-nodes, and graft its output from the lists it numbers for both its
-outputs.  The writer writes such lists in one loop with no recursion:
-``write_ptb`` writes a tree's ``Preorder.of`` lists, and graft its
-output's, so the only-child rule for bare leaves and the punctuation
-exception are each spelled once.  How deep a tree may be is a rule of
-the text, spelled once in ``MAX_DEPTH``: the reader refuses to read a
-tree nested deeper, and the writer to write one, so every tree text
-``mn`` writes reads back.
+loop with no recursion.  It keeps a node the lists hold only where the
+lists leave it unchanged, so it builds the tree the writer writes from
+the same lists: ``read_ptb`` builds each record's internal nodes, and
+graft renders its one output record either way.  The writer writes
+such lists in one loop with no recursion: ``write_ptb`` writes a tree's
+``Preorder.of`` lists, and graft its output's, so the only-child rule
+for bare leaves and the punctuation exception are each spelled once.
+How deep a tree may be is a rule of the text, spelled once in
+``MAX_DEPTH``: the reader refuses to read a tree nested deeper, and the
+writer to write one, so every tree text ``mn`` writes reads back.
 The reader takes a one-word node such as ``(DT the)`` as one token, and
 a bracket with the label after it, ``(NP``, as another.  Within one
 call it builds each distinct token once, so equal leaves are one shared
@@ -290,7 +292,7 @@ class Preorder(Value):
         return cls(*lists)
 
     def tree(self) -> ParseTree:
-        """The tree, through ``build``; it holds the record's nodes."""
+        """The tree, through ``build``; it holds every node the record holds."""
         return build(self.labels, self.nodes, self.after)
 
 
@@ -321,17 +323,25 @@ def _number(node, up, labels, nodes, parent, after) -> None:
 
 def build(labels, nodes, after) -> ParseTree:
     """The tree of lists indexed by node number, as in ``Preorder``, built
-    bottom-up in one loop: ``nodes[n]`` unless that is None, else a new
-    node labeled ``labels[n]`` over its children, found along ``after``.
-    The tree shares every node the lists hold."""
+    bottom-up in one loop.  ``nodes[n]`` is kept when it is labeled
+    ``labels[n]`` and nothing under it was built; else node ``n`` is new:
+    a leaf with the held leaf's token, or a node labeled ``labels[n]``
+    over its children, found along ``after``.  So the tree is the one the
+    lists spell, as ``write_preorder`` writes it, and it shares every
+    subtree they leave unchanged."""
     built = nodes.copy()
+    low = len(built)  # the least number built: a subtree that ends at or before it is unchanged
     for n in range(len(built) - 1, -1, -1):
-        if built[n] is None:
-            kids, k, stop = [], n + 1, after[n]
-            while k < stop:
-                kids.append(built[k])
-                k = after[k]
-            built[n] = ParseTree(labels[n], tuple(kids), None)
+        node, stop = built[n], after[n]
+        if node is not None and stop <= low and node.label == labels[n]:
+            continue
+        kids, k = [], n + 1
+        while k < stop:
+            kids.append(built[k])
+            k = after[k]
+        # Only a leaf has no children, and the lists hold every leaf.
+        built[n] = ParseTree(labels[n], tuple(kids), None if kids else node.token)
+        low = n
     return built[0]  # type: ignore[return-value]
 
 

@@ -101,9 +101,10 @@ def _under_caller_stack(frames, fn):
 
 @pytest.mark.parametrize("relation", ["<", "$.."])
 def test_a_pattern_at_the_nesting_bound_runs_under_a_deep_caller(relation):
-    """Parsing, ``PatternRule`` construction, template binding and
-    matching each recurse once a group; at ``MAX_NESTING`` groups each
-    runs with 300 frames of caller stack.  One group more does not parse.
+    """Parsing, ``PatternRule`` construction, template binding, matching,
+    and comparing, hashing and printing a rule each recurse once a group
+    or more; at ``MAX_NESTING`` groups each runs with 300 frames of
+    caller stack.  One group more does not parse.
     ``<`` groups descend a chain of nodes; ``$..`` groups run along
     sisters, so the tree stays flat."""
     heads = [f"S{k}" for k in range(MAX_NESTING)]
@@ -122,6 +123,12 @@ def test_a_pattern_at_the_nesting_bound_runs_under_a_deep_caller(relation):
     bound = _under_caller_stack(300, lambda: rulegen._bind(template.pattern, {"{WORD}": ("VB",)}))
     rule = _under_caller_stack(300, lambda: PatternRule("deep", bound, template.actions))
     assert rule.needs[-1] == {"VB"}
+    # Compared with an equal rule, not itself, which ``==`` answers by identity.
+    rebound = rulegen._bind(template.pattern, {"{WORD}": ("VB",)})
+    again = PatternRule("deep", rebound, template.actions)
+    assert again is not rule and _under_caller_stack(300, lambda: rule == rule == again)
+    assert _under_caller_stack(300, lambda: hash(rule) == hash(again))
+    assert _under_caller_stack(300, lambda: repr(rule)).startswith("PatternRule(name='deep'")
     (m,) = _under_caller_stack(300, lambda: match(rule, tree))
     assert m.captures["t"].label == "VB"
     with pytest.raises(PatternSyntaxError, match=f"nested more than {MAX_NESTING} groups deep"):

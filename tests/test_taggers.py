@@ -191,6 +191,31 @@ def test_structure_tagger_preserves_word_yield(seed_rules):
     assert got["border"] == {"TargSucceed"}
 
 
+def test_augmented_tags_stay_raw_in_the_standoff_as_in_the_tree():
+    """An augment writes its tag into the label at once, so the tagger's
+    composition leaves its annotation raw too: the standoff says what the
+    tree says, and graft composes it by tree position."""
+    from mntag.grafting import graft
+    from mntag.matcher import parse_rules
+
+    rules = parse_rules(
+        "rule able\nMD=t < could $.. VB=g\naugment t TrigAble\naugment g TargAble\n\n"
+        "rule not\nRB=n < not $.. /^VB/=g\naugment n TrigNegation\naugment g TargNegation\n"
+    )
+    tree = read_ptb("(S (NP (PRP he)) (MD could) (RB not) (VB reach) (NP (NN home)))")[0]
+    result = tag_structure(tree, rules)
+    assert write_ptb(result.tree) == (
+        "(S (NP (PRP he)) (MD-TrigAble could) (RB-TrigNegation not)"
+        " (VB-TargAble-TargNegation reach) (NP (NN home)))"
+    )
+    assert _by_token(tree.tokens(), result.annotations) == {
+        "could": {"TrigAble"}, "not": {"TrigNegation"}, "reach": {"TargAble", "TargNegation"},
+    }
+    grafted, report = graft(tree, result.annotations)
+    assert "(VB-TargNOTAble reach)" in write_ptb(grafted)
+    assert report.counts["composed"] == 1
+
+
 def test_shared_node_object_tags_like_a_copy(seed_rules):
     we = read_ptb("(NP (PRP We))")[0]
     # As read, and as flattened, where the modal rule fires.

@@ -23,6 +23,7 @@ from mntag.trees import (
     Span,
     add_suffix,
     base_category,
+    build,
     flatten,
     has_label_segment,
     insert_leaf,
@@ -354,6 +355,47 @@ def test_preorder_tree_builds_lists_nested_past_the_recursion_limit():
         assert node.label == labels[levels + 1]
         levels += 1
     assert levels == depth and node is leaf
+
+
+#: Labels a node may be given: tags on phrase and word labels, a word
+#: label over another's token, a bare word, and labels left unchanged.
+_RELABELS = ["S", "NN", "VB-TargAble", "NP-TrigAble", "X", "w0", "w1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(random_tree, st.randoms(use_true_random=False)),
+    st.dictionaries(st.integers(0, 15), st.sampled_from(_RELABELS)),
+)
+@example(ParseTree("S", (ParseTree("NN", (), "w0"), ParseTree("VB", (), "w1"))), {1: "VB"})
+@example(ParseTree("S", (ParseTree("NP", (ParseTree("NN", (), "w0"),)),)), {1: "X"})
+def test_build_is_the_tree_the_lists_spell_and_keeps_every_unchanged_subtree(tree, relabel):
+    """``build`` honours its lists: relabel some nodes of a tree's record,
+    leaves among them, and the tree built from the lists is the one the
+    writer writes from them, and each subtree with no relabeled node is
+    the input's own object."""
+    record = Preorder.of(tree)
+    labels, nodes, after = record.labels.copy(), record.nodes, record.after
+    for n, label in relabel.items():
+        if n < len(labels):
+            labels[n] = label
+    out = build(labels, nodes, after)
+    assert write_ptb(out) == write_preorder(labels, nodes, after)
+    changed = [labels[n] != nodes[n].label for n in range(len(nodes))]
+    for n, node in enumerate(Preorder.of(out).nodes):
+        assert (node is nodes[n]) == (not any(changed[n : after[n]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ptb_files.map(lambda data: data.decode("utf-8", "replace")))
+@example("(S (A -LRB-) -RRB- (B x-y) a-b)\n")
+@example("(S (NP a)) (VP (VB go)) (X (Y z))")
+def test_build_of_every_record_read_is_the_tree_the_reference_reads(text):
+    expected = _read_outcome(_reference_read_ptb, text)
+    if isinstance(expected, list):
+        got = [build(r.labels, r.nodes, r.after) for r in read_preorder(text)]
+        assert got == expected
+        assert [repr(t) for t in got] == [repr(t) for t in expected]
 
 
 def test_one_read_builds_each_leaf_spelling_once():
