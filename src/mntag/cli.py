@@ -252,15 +252,18 @@ def _cmd_tag(args) -> int:
             records = _records(args.input)
             with _tree_faults_first(records):
                 for i, record in enumerate(records):
-                    tree = record.tree()
-                    # The tagger would take such a word for a marker and drop it.
-                    marker = next(filter(rulegen.is_marker_leaf, tree.leaves()), None)
-                    if marker is not None:
+                    # The tagger would take such a word, bare or under a
+                    # preterminal, for a marker and drop it.  ``nodes``
+                    # holds every leaf, and None or a tokenless node else.
+                    word = next(
+                        (n.token for n in record.nodes if n and rulegen.is_marker_label(n.token)),
+                        None,
+                    )
+                    if word is not None:
                         raise ValueError(
-                            f"{args.input}: sentence {i}:"
-                            f" word {marker.token!r} is spelled like a marker"
+                            f"{args.input}: sentence {i}: word {word!r} is spelled like a marker"
                         )
-                    prepared = rulegen.preprocess(trees.flatten(tree))
+                    prepared = rulegen.preprocess(trees.flatten(record.tree()))
                     result = taggers.tag_structure(prepared, rules, sentence=i)
                     tagged(i, result, rulegen.word_tokens(result.tree) if args.inline else None)
         else:

@@ -11,15 +11,14 @@ tag.
 The structure tagger applies generated pattern rules to flattened,
 preprocessed parse trees.  Each rewrite's captures are located by their
 match paths (``Match.paths``), and a capture's word span is counted
-along its path in the tree the match was found in.  Then the tagger
-runs a negation-composition pass:
+along its path in the tree the match was found in.  Each trigger
+annotation names its target.  Then one negation-composition step runs
+per negation trigger:
 
-* a negation between a trigger and its target composes NOT into the
-  target tag unless the target word is itself a trigger (nested
-  modality, left for tree grafting to resolve);
-* a negation immediately before a trigger scopes over that trigger's
-  modality and composes NOT into its target's tag, with the same
-  nested-modality exemption;
+* the negation scopes over the nearest trigger whose target it
+  precedes, or else over the trigger just after it, and composes NOT
+  into that trigger's target tag, unless the target word is itself a
+  trigger (nested modality, left for tree grafting to resolve);
 * otherwise the negation keeps its own raw Negation target;
 * an ``augment`` action's tag takes no part: the rule wrote it into the
   label, so it stays raw in the standoff too, for graft to compose.
@@ -131,12 +130,7 @@ def _next_verb(tagged: Sequence[tuple[str, str]], start: int) -> int | None:
 class _RawAnn:
     span: Span
     tag: MNTag
-
-
-@dataclass
-class _Link:
-    trigger_ann: _RawAnn  # its tag names the link's modality
-    target_ann: _RawAnn | None = None
+    target: _RawAnn | None = None  # a trigger's target, when the tagger found one
 
 
 @dataclass
@@ -147,15 +141,15 @@ class TagResult:
     annotations: list[StandoffAnnotation]
     diagnostics: list[str]
     tagged: Sequence[tuple[str, str]] = field(repr=False, compare=False)
-    raw: list[_RawAnn] = field(repr=False, compare=False)
 
     @cached_property
     def tokens(self) -> list[TaggedToken]:
         """Each (token, POS) pair with the tags over it."""
         tag_sets: list[set[MNTag]] = [set() for _ in self.tagged]
-        for ann in self.raw:
+        for ann in self.annotations:
+            tag = TAGS[ann.label]
             for k in range(ann.span.start, ann.span.end):
-                tag_sets[k].add(ann.tag)
+                tag_sets[k].add(tag)
         return [
             TaggedToken(tok, pos, frozenset(tag_sets[k]))
             for k, (tok, pos) in enumerate(self.tagged)
@@ -163,66 +157,56 @@ class TagResult:
 
 
 def _compose_pass(
-    links: list[_Link], anns: list[_RawAnn], diagnostics: list[str], structure: bool
+    triggers: list[_RawAnn], anns: list[_RawAnn], diagnostics: list[str], structure: bool
 ) -> None:
-    """Fold negation links into the modality links they scope over.
+    """Fold each negation trigger into the modality it scopes over.
 
-    The string tagger composes only between a trigger and its target.
-    With ``structure`` set (the structure tagger), a negation
-    immediately before a trigger also composes into that trigger's
-    target, and composition is skipped when the word that would receive
-    the rewritten tag is itself a trigger; the raw tags stay for
-    downstream composition during grafting.  A negation composed onto
-    its own raw target's word removes that target from ``anns``.
+    The negation scopes over the nearest trigger whose target it
+    precedes, or else, with ``structure`` set (the structure tagger),
+    over the trigger that starts just after it.  That trigger's target
+    tag gains an outer NOT, and the negation's own raw target leaves
+    ``anns`` when it sits where the composed tag now says it: on that
+    target's span in the first case, on the trigger's in the second.
+    With ``structure`` set, composition is skipped when the target word
+    is itself a trigger (nested modality): the raw tags stay for graft
+    to compose by tree position.
     """
-    mod_links = [l for l in links if l.trigger_ann.tag.modality is not Modality.NEGATION]
-    trigger_spans = {l.trigger_ann.span for l in mod_links}
-    for neg in links:
-        if neg.trigger_ann.tag.modality is not Modality.NEGATION:
+    mods = [t for t in triggers if t.tag.modality is not Modality.NEGATION]
+    trigger_spans = {t.span for t in mods}
+    for neg in triggers:
+        if neg.tag.modality is not Modality.NEGATION:
             continue
-        nspan = neg.trigger_ann.span
-        composed = False
-        # Negation between a trigger and that trigger's target.
+        nspan = neg.span
         straddled = [
-            l
-            for l in mod_links
-            if l.target_ann is not None
-            and l.trigger_ann.span.end <= nspan.start
-            and nspan.end <= l.target_ann.span.start
+            t
+            for t in mods
+            if t.target is not None
+            and t.span.end <= nspan.start
+            and nspan.end <= t.target.span.start
         ]
         if straddled:
-            link = max(straddled, key=lambda l: l.trigger_ann.span.end)
-            if structure and link.target_ann.span in trigger_spans:
-                continue
-            link.target_ann.tag = compose_negation(link.target_ann.tag)
-            if neg.target_ann is not None and neg.target_ann.span == link.target_ann.span:
-                anns.remove(neg.target_ann)
-            composed = True
-        elif structure:
-            following = [l for l in mod_links if l.trigger_ann.span.start == nspan.end]
-            if following and following[0].target_ann is not None:
-                link = following[0]
-                if link.target_ann.span in trigger_spans:
-                    continue
-                link.target_ann.tag = compose_negation(link.target_ann.tag)
-                if neg.target_ann is not None and neg.target_ann.span == link.trigger_ann.span:
-                    anns.remove(neg.target_ann)
-                composed = True
-        if not composed and neg.target_ann is None:
-            diagnostics.append(f"negation trigger at {nspan.start} has no target")
+            scoped = max(straddled, key=lambda t: t.span.end)
+            own = scoped.target.span
+        else:  # the structure tagger looks just after the negation too
+            scoped = next((t for t in mods if structure and t.span.start == nspan.end), None)
+            own = scoped.span if scoped else None
+        if scoped is None or scoped.target is None:
+            if neg.target is None:
+                diagnostics.append(f"negation trigger at {nspan.start} has no target")
+            continue
+        if structure and scoped.target.span in trigger_spans:
+            continue
+        scoped.target.tag = compose_negation(scoped.target.tag)
+        if neg.target is not None and neg.target.span == own:
+            anns.remove(neg.target)
 
 
 def _finish_annotations(anns: list[_RawAnn], sentence: int) -> list[StandoffAnnotation]:
-    seen = set()
-    out = []
-    for ann in anns:
-        key = (ann.span, str(ann.tag))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(StandoffAnnotation(sentence, ann.span, str(ann.tag), MN_FAMILY))
-    out.sort(key=StandoffAnnotation.sort_key)
-    return out
+    """The distinct standoff annotations of ``anns``, in standoff order."""
+    return sorted(
+        {StandoffAnnotation(sentence, a.span, str(a.tag), MN_FAMILY) for a in anns},
+        key=StandoffAnnotation.sort_key,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -238,27 +222,27 @@ def tag_string(
     target is the next non-auxiliary verb to its right.
     """
     diagnostics: list[str] = []
-    links: list[_Link] = []
+    triggers: list[_RawAnn] = []
     anns: list[_RawAnn] = []
 
     for i in range(len(tagged)):
         for entry, (start, end) in lookup(lexicon, tagged, i):
             trig = _RawAnn(Span(start, end), MNTag(Role.TRIGGER, False, entry.modality, False))
-            link = _Link(trig)
+            triggers.append(trig)
             anns.append(trig)
             j = _next_verb(tagged, end)
             if j is not None:
-                targ = _RawAnn(Span(j, j + 1), MNTag(Role.TARGET, False, entry.modality, False))
-                link.target_ann = targ
-                anns.append(targ)
+                trig.target = _RawAnn(
+                    Span(j, j + 1), MNTag(Role.TARGET, False, entry.modality, False)
+                )
+                anns.append(trig.target)
             elif entry.modality is not Modality.NEGATION:
                 diagnostics.append(
                     f"trigger {entry.surface!r} at {start} has no following verb"
                 )
-            links.append(link)
 
-    _compose_pass(links, anns, diagnostics, structure=False)
-    return TagResult(_finish_annotations(anns, sentence), diagnostics, tagged, anns)
+    _compose_pass(triggers, anns, diagnostics, structure=False)
+    return TagResult(_finish_annotations(anns, sentence), diagnostics, tagged)
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +270,16 @@ def tag_structure(
     word yield preserved) plus the standoff annotations.
     """
     diagnostics: list[str] = []
-    links: list[_Link] = []
+    triggers: list[_RawAnn] = []
     anns: list[_RawAnn] = []
     fired: list[str] = []
     current = tree
 
     def record(m: matcher.Match, before: ParseTree) -> None:
         # One annotation per action, in action order, so two actions on
-        # one capture record two.  An augment's is linked to nothing, so
-        # it stays raw, as the label the augment wrote (module docstring).
+        # one capture record two.  An augment's is no trigger and no
+        # target, so it stays raw, as the label the augment wrote
+        # (module docstring).
         trigger = target = None
         for action in m.rule.actions:
             tag = TAGS.get(action.label)
@@ -312,13 +297,14 @@ def tag_structure(
             else:
                 target = ann
         if trigger is not None:
-            links.append(_Link(trigger, target))
+            trigger.target = target
+            triggers.append(trigger)
         fired.append(m.rule.name)
 
     for rule in rules:
         current = matcher.apply(rule, current, on_rewrite=record)
 
-    _compose_pass(links, anns, diagnostics, structure=True)
+    _compose_pass(triggers, anns, diagnostics, structure=True)
     annotations = _finish_annotations(anns, sentence)
     folded = fold_markers(current, annotations)
     return StructureResult(folded, annotations, diagnostics, fired)

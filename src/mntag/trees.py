@@ -270,10 +270,12 @@ class Preorder(Value):
       its own number plus one.
 
     Two makers write these lists, both here: ``read_preorder`` from text,
-    and ``Preorder.of`` from a tree.
+    and ``Preorder.of`` from a tree.  Unlike other values it does not
+    hash, as lists do not: ``hash`` raises ``TypeError`` naming the class.
     """
 
     __slots__ = ("labels", "nodes", "parent", "after")
+    __hash__ = None  # type: ignore[assignment]
 
     labels: list[str]
     nodes: list[ParseTree | None]

@@ -198,8 +198,11 @@ def test_token_that_would_shift_inline_output_exits_2_naming_file_and_line(
     [
         ("(S (NP (NNP John)) (VP (VB hand AUX) (NP (NN TrigRequire))))", "AUX"),
         ("(S (NP (NNP John)) (VP (VBZ is) (ADJP TargAble VoicePassive)))", "TargAble"),
+        # A preterminal's word, not a bare word leaf.
+        ("(S (NP (PRP They)) (MD should) (VB TargAble) (NP (NN tents)))", "TargAble"),
+        ("(S (NP (PRP They)) (VBD were) (VBN AUX) (S (VP (TO to) (VB go))))", "AUX"),
     ],
-    ids=["aux", "tag-and-passive"],
+    ids=["aux", "tag-and-passive", "preterminal-tag", "preterminal-aux"],
 )
 @pytest.mark.parametrize("inline", [[], ["--inline"]], ids=["tree", "inline"])
 def test_input_word_spelled_like_a_marker_exits_2_naming_file_and_sentence(

@@ -216,6 +216,43 @@ def test_augmented_tags_stay_raw_in_the_standoff_as_in_the_tree():
     assert report.counts["composed"] == 1
 
 
+@pytest.mark.parametrize(
+    "tree, standoff",
+    [
+        (
+            "(S (NP (PRP They)) (VP (MD should) (RB not) (VP (VB go))))",
+            [(1, 2, "TrigRequire"), (2, 3, "TrigNegation"), (3, 4, "TargNOTRequire")],
+        ),
+        (
+            "(S (NP (PRP They)) (VP (VBD did) (RB not)"
+            " (VP (VB want) (S (VP (TO to) (VP (VB go)))))))",
+            [(2, 3, "TrigNegation"), (3, 4, "TrigWant"), (5, 6, "TargNOTWant")],
+        ),
+        (
+            "(S (NP (PRP He)) (VP (MD could) (RB not) (VP (VB reach) (NP (NN home)))))",
+            [
+                (1, 2, "TrigAble"), (2, 3, "TrigNegation"), (3, 4, "TargAble"),
+                (3, 4, "TargNegation"), (3, 4, "TrigSucceed"), (4, 5, "TargSucceed"),
+            ],
+        ),
+        (
+            "(S (NP (PRP They)) (VP (VBD did) (RB not) (VP (VB go))))",
+            [(2, 3, "TrigNegation"), (3, 4, "TargNegation")],
+        ),
+    ],
+    ids=["between-trigger-and-target", "before-a-trigger", "nested-trigger", "no-modality"],
+)
+def test_negation_composition_takes_each_branch(seed_rules, tree, standoff):
+    """One tree per branch of the composition step: a negation between a
+    trigger and its target composes into that target, and one just
+    before a trigger into that trigger's target, each dropping its own
+    raw target; a target word that is itself a trigger stays raw; a
+    negation scoping over no modality keeps its raw target."""
+    result = tag_structure(preprocess(flatten(read_ptb(tree)[0])), seed_rules)
+    assert result.annotations == [StandoffAnnotation(0, Span(s, e), l) for s, e, l in standoff]
+    assert result.diagnostics == []
+
+
 def test_shared_node_object_tags_like_a_copy(seed_rules):
     we = read_ptb("(NP (PRP We))")[0]
     # As read, and as flattened, where the modal rule fires.

@@ -742,6 +742,16 @@ def test_span_rejects_an_empty_or_negative_range_by_keyword_too():
             Span(start=start, end=end)
 
 
+def test_a_preorder_record_compares_but_does_not_hash():
+    """Its fields are lists: a record equals another of equal lists, and
+    ``hash`` refuses it by its own name, not by a list's."""
+    tree = read_ptb("(S (NP (DT the) (NN cat)) (VBD sat))")[0]
+    record = Preorder.of(tree)
+    assert record == Preorder.of(tree)
+    with pytest.raises(TypeError, match="unhashable type: 'Preorder'"):
+        hash(record)
+
+
 def test_span_equality_and_hash_go_by_start_and_end():
     span = Span(1, 3)
     assert span == Span(start=1, end=3) and span is not Span(1, 3)
