@@ -224,7 +224,7 @@ def _cmd_tag(args) -> int:
             )
     elif not args.lexicon:
         raise ValueError("--lexicon: required unless --rules is given")
-    from . import rulegen, taggers
+    from . import matcher, rulegen, taggers
     from .lexicon import load_lexicon_file
 
     with _outputs(("--out", args.output), ("--standoff", args.standoff)) as (out, standoff):
@@ -251,20 +251,14 @@ def _cmd_tag(args) -> int:
             rules = _load_rules(args)
             records = _records(args.input)
             with _tree_faults_first(records):
-                for i, record in enumerate(records):
-                    # The tagger would take such a word, bare or under a
-                    # preterminal, for a marker and drop it.  ``nodes``
-                    # holds every leaf, and None or a tokenless node else.
-                    word = next(
-                        (n.token for n in record.nodes if n and rulegen.is_marker_label(n.token)),
-                        None,
-                    )
-                    if word is not None:
-                        raise ValueError(
-                            f"{args.input}: sentence {i}: word {word!r} is spelled like a marker"
-                        )
+                for i, record in enumerate(_no_marker_words(records, args.input)):
                     prepared = rulegen.preprocess(trees.flatten(record.tree()))
-                    result = taggers.tag_structure(prepared, rules, sentence=i)
+                    try:
+                        result = taggers.tag_structure(prepared, rules, sentence=i)
+                    except matcher.RewriteBudgetError as exc:
+                        raise matcher.RewriteBudgetError(
+                            f"{exc} on {args.input}: sentence {i}"
+                        ) from None
                     tagged(i, result, rulegen.word_tokens(result.tree) if args.inline else None)
         else:
             lexicon = load_lexicon_file(args.lexicon)
@@ -354,6 +348,21 @@ def _counted(records, trees_path, batches):
             )
 
 
+def _no_marker_words(records, path):
+    """``records``, each refused, naming the file and the sentence, when
+    a word in it is spelled like a marker: ``rulegen.preprocess`` and the
+    tagger would take such a word, bare or under a preterminal, for a
+    marker, and the tagger would drop it."""
+    from .rulegen import is_marker_label
+
+    for i, record in enumerate(records):
+        # ``nodes`` holds every leaf, and None or a tokenless node else.
+        word = next((n.token for n in record.nodes if n and is_marker_label(n.token)), None)
+        if word is not None:
+            raise ValueError(f"{path}: sentence {i}: word {word!r} is spelled like a marker")
+        yield record
+
+
 def _cmd_flatten(args) -> int:
     return _write_trees(args, trees.flatten)
 
@@ -361,14 +370,15 @@ def _cmd_flatten(args) -> int:
 def _cmd_preprocess(args) -> int:
     from .rulegen import preprocess
 
-    return _write_trees(args, preprocess)
+    return _write_trees(args, preprocess, inserts_markers=True)
 
 
-def _write_trees(args, transform) -> int:
+def _write_trees(args, transform, inserts_markers=False) -> int:
     with _outputs(("--out", args.output)) as (fh,):
         records = _records(args.input)
         with _tree_faults_first(records):
-            for i, record in enumerate(records):
+            checked = _no_marker_words(records, args.input) if inserts_markers else records
+            for i, record in enumerate(checked):
                 tree = transform(record.tree())
                 try:  # a tree too deep to write: name the file and the sentence
                     text = trees.write_ptb(tree)

@@ -100,8 +100,6 @@ def _is_verbal_label(label: str) -> bool:
 
 def _leaf_word(child: ParseTree) -> str | None:
     """Surface word of a (possibly marker-wrapped) preterminal child."""
-    if is_marker_leaf(child):
-        return None
     if child.is_leaf:
         return child.token
     words = [c.token for c in child.children if c.is_leaf and not is_marker_leaf(c)]
@@ -116,16 +114,17 @@ def preprocess(tree: ParseTree) -> ParseTree:
     if not children:
         return tree
     marks: dict[int, list[str]] = {}
+    # No marker's label is verbal, and none lowercases into ``BE_FORMS``,
+    # so the tests below pass over marker leaves with no test of their own.
     for i, child in enumerate(children):
-        if is_marker_leaf(child) or not _is_verbal_label(child.label):
+        if not _is_verbal_label(child.label):
             continue
         word = _leaf_word(child)
         if word is None:
             continue
         lower = word.lower()
         if lower in AUX_CANDIDATE_WORDS and any(
-            _is_verbal_label(later.label) and not is_marker_leaf(later)
-            for later in children[i + 1 :]
+            _is_verbal_label(later.label) for later in children[i + 1 :]
         ):
             marks.setdefault(i, []).append(AUX_MARKER)
         if child.label.startswith("VBN") and any(

@@ -9,9 +9,10 @@ dual under lexical negation, so ``RequireNegation`` and
 ``NOTPermit`` and ``NOTRequire`` respectively.
 
 Those rules are spelled once, in ``MNTag.__post_init__``.  The tag
-table ``TAGS`` is built at import by asking ``MNTag`` which spellings
-it accepts, and the spellings, the inventory and ``parse_tag`` are read
-off it.
+table ``TAGS`` is built at import by asking ``MNTag`` about each
+spelling of the tag grammar, and the spellings, the inventory and
+``parse_tag``, which parses nothing, are read off it.  Each
+``MenuChoice`` holds the (modality, outer negation) pair of its tags.
 """
 
 from __future__ import annotations
@@ -93,28 +94,31 @@ class MNTag:
 MODALITY_BY_NAME = {m.value: m for m in Modality} | {"FirmBelief": Modality.FIRM_BELIEF}
 
 
-def _table() -> dict[str, MNTag]:
+def _table() -> tuple[dict[str, MNTag], dict[str, str]]:
     """Each spelling role + optional NOT + modality name + optional
-    Negation whose tag ``MNTag`` accepts, to that tag; within a role the
-    bases come in precedence order."""
+    Negation: those whose tag ``MNTag`` accepts to that tag, within a
+    role the bases in precedence order, and the rest to the message
+    ``MNTag`` refuses them with."""
     table: dict[str, MNTag] = {}
+    refused: dict[str, str] = {}
     for role in Role:
         for name, modality in MODALITY_BY_NAME.items():
             for lexical in ("", "Negation"):
                 for outer in ("", "NOT"):
+                    s = role.value + outer + name + lexical
                     try:
-                        tag = MNTag(role, bool(outer), modality, bool(lexical))
-                    except TagError:
-                        continue
-                    table[role.value + outer + name + lexical] = tag
-    return table
+                        table[s] = MNTag(role, bool(outer), modality, bool(lexical))
+                    except TagError as exc:
+                        refused[s] = str(exc)
+    return table, refused
 
 
 #: The tag table, built at import: each of the 74 accepted spellings
 #: (``FirmBelief`` included) to its tag.  Testing a label for a tag and
 #: reading it are one lookup here, with no exception; a tag is immutable,
-#: so every caller shares one.
-TAGS: dict[str, MNTag] = _table()
+#: so every caller shares one.  ``_REFUSED`` holds the other 14 spellings
+#: of the grammar, each to ``MNTag``'s message.
+TAGS, _REFUSED = _table()
 
 #: The strings ``parse_tag`` accepts: the table's spellings.
 TAG_SPELLINGS = frozenset(TAGS)
@@ -131,44 +135,19 @@ _NEGATED = {
     if tag.modality is not Modality.NEGATION
 }
 
-# Longest names first so Firm_Belief is not mis-read as Belief.
-_MODALITY_NAMES = sorted(MODALITY_BY_NAME.items(), key=lambda kv: len(kv[0]), reverse=True)
-
 
 def parse_tag(s: str) -> MNTag:
-    """Parse a canonical tag string such as ``TargNOTSucceedNegation``.
+    """The shared tag of ``TAGS`` that ``s`` spells, such as
+    ``TargNOTSucceedNegation``.
 
-    A spelling in ``TAGS`` returns its shared tag.  Any other string
-    raises TagError naming the offending substring on malformed input
-    and on non-canonical combinations (``TrigRequireNegation``).
+    Any other string raises TagError: a spelling ``MNTag`` refuses, such
+    as ``TrigRequireNegation``, with ``MNTag``'s message (``_REFUSED``),
+    and every other string with one message that quotes it.
     """
     tag = TAGS.get(s)
-    if tag is not None:
-        return tag
-    # Not a tag: the grammar runs only to say why.
-    if s.startswith(Role.TRIGGER.value):
-        role = Role.TRIGGER
-    elif s.startswith(Role.TARGET.value):
-        role = Role.TARGET
-    else:
-        raise TagError(f"tag must start with Trig or Targ, got {s!r}")
-    rest = s[4:]
-    outer = rest.startswith("NOT")
-    if outer:
-        rest = rest[3:]
-    for name, modality in _MODALITY_NAMES:
-        if rest.startswith(name):
-            tail = rest[len(name) :]
-            break
-    else:
-        raise TagError(f"unknown modality name in {s!r}: {rest!r}")
-    if tail == "":
-        lexical = False
-    elif tail == "Negation":
-        lexical = True
-    else:
-        raise TagError(f"trailing {tail!r} in tag {s!r}")
-    return MNTag(role, outer, modality, lexical)  # raises: every canonical spelling is in TAGS
+    if tag is None:
+        raise TagError(_REFUSED.get(s) or f"malformed tag or unknown modality name: {s!r}")
+    return tag
 
 
 def specificity_rank(tag: MNTag) -> int:
@@ -194,7 +173,6 @@ def compose_negation(tag: MNTag) -> MNTag:
     return negated
 
 
-
 def negate_proposition(tag: MNTag) -> MNTag:
     """Negate the proposition under a tag (target polarity false).
 
@@ -212,21 +190,22 @@ def negate_proposition(tag: MNTag) -> MNTag:
 
 
 class MenuChoice(Enum):
-    """The thirteen-way annotation menu."""
+    """The thirteen-way annotation menu.  Each choice's value is the
+    (modality, outer negation) pair its tags are made of."""
 
-    REQUIRE = "Require"
-    PERMIT = "Permit"
-    SUCCEED = "Succeed"
-    NOT_SUCCEED = "NotSucceed"
-    TRY = "Try"
-    NOT_TRY = "NotTry"
-    INTEND = "Intend"
-    NOT_INTEND = "NotIntend"
-    ABLE = "Able"
-    NOT_ABLE = "NotAble"
-    WANT = "Want"
-    FIRM_BELIEF = "FirmBelief"
-    BELIEF = "Belief"
+    REQUIRE = (Modality.REQUIRE, False)
+    PERMIT = (Modality.PERMIT, False)
+    SUCCEED = (Modality.SUCCEED, False)
+    NOT_SUCCEED = (Modality.SUCCEED, True)
+    TRY = (Modality.EFFORT, False)
+    NOT_TRY = (Modality.EFFORT, True)
+    INTEND = (Modality.INTEND, False)
+    NOT_INTEND = (Modality.INTEND, True)
+    ABLE = (Modality.ABLE, False)
+    NOT_ABLE = (Modality.ABLE, True)
+    WANT = (Modality.WANT, False)
+    FIRM_BELIEF = (Modality.FIRM_BELIEF, False)
+    BELIEF = (Modality.BELIEF, False)
 
 
 @dataclass(frozen=True)
@@ -237,30 +216,13 @@ class AnnotationChoice:
     target_polarity: bool = True
 
 
-_MENU_BASE: dict[MenuChoice, tuple[Modality, bool]] = {
-    MenuChoice.REQUIRE: (Modality.REQUIRE, False),
-    MenuChoice.PERMIT: (Modality.PERMIT, False),
-    MenuChoice.SUCCEED: (Modality.SUCCEED, False),
-    MenuChoice.NOT_SUCCEED: (Modality.SUCCEED, True),
-    MenuChoice.TRY: (Modality.EFFORT, False),
-    MenuChoice.NOT_TRY: (Modality.EFFORT, True),
-    MenuChoice.INTEND: (Modality.INTEND, False),
-    MenuChoice.NOT_INTEND: (Modality.INTEND, True),
-    MenuChoice.ABLE: (Modality.ABLE, False),
-    MenuChoice.NOT_ABLE: (Modality.ABLE, True),
-    MenuChoice.WANT: (Modality.WANT, False),
-    MenuChoice.FIRM_BELIEF: (Modality.FIRM_BELIEF, False),
-    MenuChoice.BELIEF: (Modality.BELIEF, False),
-}
-
-
 def menu_choice_to_tags(choice: AnnotationChoice) -> tuple[MNTag, MNTag]:
     """Map a menu selection to its canonical (trigger, target) pair.
 
     A false target polarity folds a lexical negation into the target
     tag, going through the Require/Permit duality where needed.
     """
-    modality, outer = _MENU_BASE[choice.menu]
+    modality, outer = choice.menu.value
     trigger = MNTag(Role.TRIGGER, outer, modality, False)
     target = MNTag(Role.TARGET, outer, modality, False)
     if not choice.target_polarity:

@@ -64,6 +64,9 @@ from typing import Callable, Iterator, Sequence
 
 # A node label is non-empty and holds none of these.
 LABEL_BAD = re.compile(r"[\s()]")
+# A leaf token is non-empty and holds no whitespace; the writer escapes
+# its parentheses.
+_TOKEN_BAD = re.compile(r"\s")
 # A token is a one-word node such as ``(DT the)``, whatever its spacing,
 # a ``(`` with the label after it, a bracket, or an atom.
 _PTB_TOKEN = re.compile(r"\(\s*[^()\s]+\s+[^()\s]+\s*\)|\(\s*[^()\s]+|\(|\)|[^()\s]+")
@@ -189,7 +192,11 @@ class Value:
 class ParseTree(Value):
     """A labeled ordered tree; leaves carry tokens, internal nodes do not.
 
-    A ``Value`` of its label, children and token.
+    A ``Value`` of its label, children and token.  A label is non-empty
+    and holds no whitespace or parenthesis, and a token is non-empty and
+    holds no whitespace, so that ``write_ptb`` writes every tree that is
+    no deeper than ``MAX_DEPTH`` as text that reads back, an escape
+    spelling in a token as the parenthesis it stands for.
     """
 
     # ``__dict__`` holds only the cached ``atoms``.
@@ -211,6 +218,9 @@ class ParseTree(Value):
                 children = tuple(children)
         elif token is None:
             raise ValueError(f"leaf {label!r} must carry a token")
+        elif not token or _TOKEN_BAD.search(token):
+            # Written, it would read back as no leaf or as several.
+            raise ValueError(f"bad leaf token {token!r}")
         else:
             children = ()
         set_label, set_children, set_token = self._setters

@@ -204,20 +204,42 @@ def test_token_that_would_shift_inline_output_exits_2_naming_file_and_line(
     ],
     ids=["aux", "tag-and-passive", "preterminal-tag", "preterminal-aux"],
 )
-@pytest.mark.parametrize("inline", [[], ["--inline"]], ids=["tree", "inline"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["tag", "--mode", "structure", "--lexicon", seed_lexicon_path()],
+        ["tag", "--mode", "structure", "--lexicon", seed_lexicon_path(), "--inline"],
+        ["preprocess"],
+    ],
+    ids=["tree", "inline", "preprocess"],
+)
 def test_input_word_spelled_like_a_marker_exits_2_naming_file_and_sentence(
-    tmp_path, caplog, tree, word, inline
+    tmp_path, caplog, tree, word, command
 ):
     """The tagger would take such a word for an inserted marker and drop
-    it from the output."""
+    it from the output; ``mn preprocess`` would write it where it can no
+    longer be told from a marker."""
     bad = tmp_path / "bad.ptb"
     bad.write_text(f"(S (NP (NNP John)) (VP (VBD left)))\n{tree}\n")
     out = tmp_path / "out.txt"
-    assert run(
-        "tag", "--mode", "structure", "--lexicon", seed_lexicon_path(),
-        "--in", bad, "--out", out, *inline,
-    ) == 2
+    assert run(*command, "--in", bad, "--out", out) == 2
     assert f"{bad}: sentence 1: word {word!r} is spelled like a marker" in caplog.text
+    assert not out.exists()
+
+
+def test_a_spent_rewrite_budget_exits_1_naming_file_and_sentence(tmp_path, caplog):
+    """A rule that keeps re-enabling itself fails on sentence 1 only,
+    which has the noun it matches; the message names both."""
+    rules = tmp_path / "own.rules"
+    rules.write_text("rule forever\nNN=x\ninsert (TrigAble) >1 x\n")
+    source = tmp_path / "in.ptb"
+    source.write_text("(S (NP (PRP I)) (VP (VBD left)))\n(S (NP (NN dog)) (VP (VBD left)))\n")
+    out = tmp_path / "out.ptb"
+    assert run("tag", "--mode", "structure", "--rules", rules, "--in", source, "--out", out) == 1
+    assert (
+        "rule application failed: rule 'forever' exceeded its rewrite budget of 100"
+        f" on {source}: sentence 1"
+    ) in caplog.text
     assert not out.exists()
 
 

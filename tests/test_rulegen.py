@@ -130,6 +130,13 @@ def test_marker_leaf_test_is_the_tag_and_marker_spelling_test():
     assert markers > 100
 
 
+def test_no_marker_is_verbal_or_a_form_of_be():
+    """So ``preprocess`` passes over marker leaves with no test of their own."""
+    for marker in rulegen._MARKER_LABELS:
+        assert not rulegen._is_verbal_label(marker), marker
+        assert marker.lower() not in rulegen.BE_FORMS, marker
+
+
 def test_preprocess_is_idempotent():
     tree = read_ptb("(S (NP (NNS Tents)) (VBP are) (VBN needed))")[0]
     once = preprocess(tree)

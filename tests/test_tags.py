@@ -252,3 +252,25 @@ _TAG_PIECES = ["Trig", "Targ", "NOT", "Negation", "Able", "Require", "Firm_Belie
 @given(st.one_of(st.text(max_size=24), st.lists(st.sampled_from(_TAG_PIECES), max_size=5).map("".join)))
 def test_tag_spellings_agree_with_parse_tag_on_any_text(s):
     assert (s in TAG_SPELLINGS) == _parses(s)
+
+
+def test_parse_tag_reads_the_table_or_raises_the_message_mntag_raises():
+    """Each of the 88 spellings role x ``NOT`` x name x ``Negation`` is
+    read as its shared tag of ``TAGS``, or refused with exactly the
+    message ``MNTag`` refuses that combination with."""
+    flags = (False, True)
+    combos = list(itertools.product(Role, flags, _SPELLINGS, flags))
+    assert len(combos) == 88
+    refused = 0
+    for role, outer, name, lexical in combos:
+        s = role.value + "NOT" * outer + name + "Negation" * lexical
+        try:
+            MNTag(role, outer, MODALITY_BY_NAME[name], lexical)
+        except TagError as exc:
+            refused += 1
+            with pytest.raises(TagError) as raised:
+                parse_tag(s)
+            assert str(raised.value) == str(exc), s
+        else:
+            assert parse_tag(s) is TAGS[s]
+    assert refused == 14

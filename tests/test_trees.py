@@ -463,6 +463,59 @@ def test_round_trip_hypothesis(tree):
     assert read_ptb(write_ptb(tree))[0] == tree
 
 
+#: Pieces of labels and tokens, hazards to the text included: nothing,
+#: whitespace the reader splits at, brackets and their escape spellings.
+_ANY_PIECES = ["", " ", "\t", "\n", "\x1c", "\xa0", "(", ")", "-LRB-", "-RRB-", "a", "b", ".", "-"]
+_any_text = st.one_of(
+    st.text(max_size=4), st.lists(st.sampled_from(_ANY_PIECES), max_size=3).map("".join)
+)
+
+
+def _accepted(*args):
+    """``ParseTree(*args)``, or None where it refuses them."""
+    try:
+        return ParseTree(*args)
+    except ValueError:
+        return None
+
+
+@st.composite
+def accepted_trees(draw, depth=0):
+    """Trees of any labels and tokens ``ParseTree`` accepts, bare word
+    leaves among them; a node it refuses is made again with the label
+    ``X``, and a leaf it still refuses with the token ``w``."""
+    label = draw(_any_text)
+    if depth >= 3 or draw(st.booleans()):
+        token = draw(st.one_of(st.just(label), _any_text))
+        return _accepted(label, (), token) or _accepted("X", (), token) or ParseTree("X", (), "w")
+    children = tuple(draw(st.lists(accepted_trees(depth=depth + 1), min_size=1, max_size=3)))
+    return _accepted(label, children) or ParseTree("X", children)
+
+
+def _tokens_unescaped(tree):
+    if tree.children:
+        return ParseTree(tree.label, tuple(map(_tokens_unescaped, tree.children)))
+    return ParseTree(tree.label, (), unescape_token(tree.token))
+
+
+@settings(max_examples=500, deadline=None)
+@given(accepted_trees())
+def test_every_tree_parse_tree_accepts_writes_text_that_reads_back(tree):
+    """The one writer's text reads back as the tree, but that an escape
+    spelling in a token, ``-LRB-`` or ``-RRB-``, reads back as the
+    parenthesis it stands for, as the reader decodes it."""
+    assert read_ptb(write_ptb(tree)) == [_tokens_unescaped(tree)]
+
+
+@pytest.mark.parametrize("token", ["", " ", "a b", "a\tb", "\xa0", "a\n"])
+def test_a_leaf_token_that_is_empty_or_holds_whitespace_is_refused(token):
+    """Written, ``(NN )`` reads as an empty node and ``(NN a b)`` as two
+    leaves."""
+    with pytest.raises(ValueError, match="bad leaf token"):
+        ParseTree("NN", (), token)
+    assert ParseTree("SYM", (), "a(b)").token == "a(b)"  # the writer escapes parentheses
+
+
 _WRITER_TOKENS = ["a", "b", ".", ",", "$", "``", "-LRB-", "-RRB-", "(", ")", "a(b", "x)"]
 _WRITER_PHRASES = ["S", "NP", "VP"]
 
